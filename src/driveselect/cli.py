@@ -37,6 +37,7 @@ from .pool import (
     atomic_write_text,
     load_pool,
     load_selection,
+    read_selection_payload,
     save_selection,
 )
 from .report import emit_report, mean_step_errors, stratified_metrics
@@ -196,8 +197,7 @@ def cmd_select(args) -> int:
         print(f"error: n_itr must be >= 1, got {args.n_itr}", file=sys.stderr)
         return 1
     rows = load_scores(args.scores)
-    with open(args.selection, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_selection_payload(args.selection)
     labeled = {i for entry in payload["rounds"] for i in entry["ids"]}
     scored = {r.clip_id for r in rows}
     already = sorted(scored & labeled)
@@ -339,12 +339,7 @@ def cmd_report(args) -> int:
     if args.selection:
         sets = {}
         for path in args.selection:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            if not isinstance(payload, dict) or "rounds" not in payload:
-                print(f"error: {path} is not a selection file", file=sys.stderr)
-                return 1
-            rounds = payload["rounds"]
+            rounds = read_selection_payload(path)["rounds"]
             # Overlap compares the newly sampled clips, so skip the shared
             # initialization round when later rounds exist.
             incremental = [e for e in rounds if int(e["round"]) > 0] or rounds

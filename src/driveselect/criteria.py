@@ -181,11 +181,17 @@ def overall_loss(de_norm: float, sc_norm: float, au_norm: float, alpha: float, b
 
 
 def rank_and_take(scores: Mapping[str, float], n: int) -> list[str]:
-    """Ids of the n largest scores, descending; ties break by ascending id."""
+    """Ids of the n largest scores, descending; ties break by ascending id.
+
+    A non-finite score raises ValueError naming the clip: NaN has no rank.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n > len(scores):
         raise ValueError(f"cannot take {n} of {len(scores)} scored clips")
+    for clip_id, score in scores.items():
+        if not math.isfinite(score):
+            raise ValueError(f"clip {clip_id!r} has non-finite score {score}")
     best = heapq.nsmallest(n, scores.items(), key=lambda kv: (-kv[1], kv[0]))
     return [clip_id for clip_id, _ in best]
 
@@ -331,16 +337,12 @@ def load_scores(path: str | os.PathLike) -> list[CriterionScores]:
         parts = line.split("\t")
         if len(parts) != len(SCORE_COLUMNS):
             raise PoolFormatError(f"scores file {path} line {lineno}: expected {len(SCORE_COLUMNS)} columns")
-        rows.append(
-            CriterionScores(
-                clip_id=parts[0],
-                de_raw=float(parts[1]),
-                sc_raw=float(parts[2]),
-                au_raw=float(parts[3]),
-                de_norm=float(parts[4]),
-                sc_norm=float(parts[5]),
-                au_norm=float(parts[6]),
-                overall=float(parts[7]),
-            )
-        )
+        try:
+            values = [float(v) for v in parts[1:]]
+        except ValueError as exc:
+            raise PoolFormatError(f"scores file {path} line {lineno}: {exc}") from exc
+        bad = [c for c, v in zip(SCORE_COLUMNS[1:], values) if not math.isfinite(v)]
+        if bad:
+            raise PoolFormatError(f"scores file {path} line {lineno}: non-finite {bad[0]}")
+        rows.append(CriterionScores(parts[0], *values))
     return rows

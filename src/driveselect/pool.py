@@ -296,8 +296,8 @@ def save_selection(state: SelectionState, path: str | os.PathLike) -> None:
     atomic_write_text(path, json.dumps(selection_to_dict(state), indent=2) + "\n")
 
 
-def load_selection(path: str | os.PathLike, pool_ids: Iterable[str]) -> SelectionState:
-    """Rebuild a SelectionState from a selection file against the given pool."""
+def read_selection_payload(path: str | os.PathLike) -> dict:
+    """The raw JSON object of a selection file; it must carry ``rounds``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -305,6 +305,12 @@ def load_selection(path: str | os.PathLike, pool_ids: Iterable[str]) -> Selectio
             raise PoolFormatError(f"selection file {path}: {exc}") from exc
     if not isinstance(payload, dict) or "rounds" not in payload:
         raise PoolFormatError(f"selection file {path}: missing 'rounds'")
+    return payload
+
+
+def load_selection(path: str | os.PathLike, pool_ids: Iterable[str]) -> SelectionState:
+    """Rebuild a SelectionState from a selection file against the given pool."""
+    payload = read_selection_payload(path)
     state = SelectionState(pool_ids)
     try:
         for entry in payload["rounds"]:

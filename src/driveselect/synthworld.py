@@ -7,9 +7,11 @@ and night clips carry inflated recording noise, so the rare buckets are also
 the hard ones. Constant-velocity agents are seeded near the ego path.
 
 The toy planner is a k-nearest-neighbor lookup over cheap clip features
-(bucket, command class, mean speed). Its agent forecasts read the true agent
-tracks: the planner exists to give the selection criteria an informative
-signal at desk scale, not to model perception, and is labeled as such.
+(bucket, command class, mean speed), searched within each (bucket, command)
+stratum so memory stays linear in the pool. Its agent forecasts read the true
+agent tracks: the planner exists to give the selection criteria an
+informative signal at desk scale, not to model perception, and is labeled as
+such.
 """
 
 from __future__ import annotations
@@ -353,6 +355,16 @@ def generate_pool(config: WorldConfig, pool_path: str | os.PathLike, truth_path:
 # ---------------------------------------------------------------------------
 
 SPEED_SCALE = 15.0  # m/s; normalizes the speed feature to roughly [0, 1]
+KNN_BLOCK = 128     # queries per k-NN block; bounds the distance arrays
+# Clips in different strata differ in at least two one-hot entries, so their
+# computed feature distance is never below this.
+STRATUM_GAP = math.sqrt(2.0)
+
+
+def _strata(feats: np.ndarray) -> np.ndarray:
+    """(bucket, command) stratum code of each feature row."""
+    n_b = len(BUCKETS)
+    return feats[:, :n_b].argmax(axis=1) * len(COMMAND_CLASSES) + feats[:, n_b:-1].argmax(axis=1)
 
 
 class ToyPlanner:
@@ -362,9 +374,15 @@ class ToyPlanner:
     command one-hot, mean speed / 15). Prediction averages the true futures of
     the k nearest exemplars, so it is only accurate where the labeled set is
     locally dense; before any training it falls back to constant-velocity
-    extrapolation. Agent forecasts are built from the true agent tracks (a
+    extrapolation. The search is exact but stratum-local: within a (bucket,
+    command) stratum the feature distance is the speed gap, and other strata
+    are at least ``STRATUM_GAP`` away, so a query only scans its own stratum's
+    exemplars unless that stratum has fewer than k of them (or they are that
+    far away). Queries go in blocks of ``KNN_BLOCK``, so memory is linear in
+    the pool. Agent forecasts are built from the true agent tracks (a
     deliberate oracle shortcut) with three rotated constant-velocity
-    modalities.
+    modalities; they do not depend on training, so they are built once per
+    clip and cached.
     """
 
     MODALITY_ANGLES = (-15.0, 0.0, 15.0)  # degrees
@@ -390,6 +408,7 @@ class ToyPlanner:
         self.trained_ids: tuple[str, ...] = ()
         self._exemplar_feats: np.ndarray | None = None
         self._exemplar_futures: np.ndarray | None = None
+        self._forecast_cache: dict[str, tuple[AgentForecast, ...]] = {}
 
     def _features(self, clip: ClipRecord) -> np.ndarray:
         feats = np.zeros(len(BUCKETS) + len(COMMAND_CLASSES) + 1)
@@ -430,10 +449,29 @@ class ToyPlanner:
                 plans[i, :, 0] = mean_speed(clip) * steps
             return plans
         queries = np.stack([self._features(c) for c in clips])
-        dists = np.linalg.norm(queries[:, None, :] - self._exemplar_feats[None, :, :], axis=2)
-        k = min(self.n_neighbors, len(self._exemplar_feats))
+        exemplars = self._exemplar_feats
+        k = min(self.n_neighbors, len(exemplars))
+        q_strata, e_strata = _strata(queries), _strata(exemplars)
+        nearest = np.empty((len(queries), k), dtype=np.intp)
         # Stable argsort + id-sorted exemplars = deterministic id tie-break.
-        nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
+        for stratum in np.unique(q_strata):
+            local = np.flatnonzero(e_strata == stratum)
+            local_speeds = exemplars[local, -1]
+            in_stratum = np.flatnonzero(q_strata == stratum)
+            for start in range(0, len(in_stratum), KNN_BLOCK):
+                rows = in_stratum[start : start + KNN_BLOCK]
+                if len(local) >= k:
+                    # The one-hot terms are exact zeros, so this equals the
+                    # full feature norm bit for bit.
+                    gap = queries[rows, -1:] - local_speeds
+                    dists = np.sqrt(gap * gap)
+                    order = np.argsort(dists, axis=1, kind="stable")[:, :k]
+                    nearest[rows] = local[order]
+                    kth = np.take_along_axis(dists, order[:, -1:], axis=1)[:, 0]
+                    rows = rows[kth >= STRATUM_GAP]
+                if len(rows):
+                    dists = np.linalg.norm(queries[rows, None, :] - exemplars[None, :, :], axis=2)
+                    nearest[rows] = np.argsort(dists, axis=1, kind="stable")[:, :k]
         return self._exemplar_futures[nearest].mean(axis=1)
 
     def _forecasts(self, clip_id: str, horizon: int) -> tuple[AgentForecast, ...]:
@@ -475,11 +513,14 @@ class ToyPlanner:
         plans = self._plans(clips)
         out: dict[str, ClipPrediction] = {}
         for clip, plan in zip(clips, plans):
-            horizon = len(clip.gt_future)
+            agents = self._forecast_cache.get(clip.id)
+            if agents is None:
+                agents = self._forecasts(clip.id, len(clip.gt_future))
+                self._forecast_cache[clip.id] = agents
             out[clip.id] = ClipPrediction(
                 clip_id=clip.id,
                 ego_plan=tuple((float(x), float(y)) for x, y in plan),
-                agents=self._forecasts(clip.id, horizon),
+                agents=agents,
             )
         return out
 

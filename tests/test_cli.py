@@ -189,6 +189,18 @@ class TestScoreSelect:
                        "--predictions", pred_path, "--out", scores) == 0
         assert run_cli("select", "--scores", scores, "--selection", sel, "--n-itr", 10) == 1
 
+    @pytest.mark.parametrize("content", ['{"init": []}', "[1, 2]"])
+    def test_select_rejects_file_without_rounds(self, tmp_path, capsys, content):
+        from driveselect.criteria import SCORE_COLUMNS
+
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("\t".join(SCORE_COLUMNS) + "\nc0\t0\t0\t0\t0\t0\t0\t0\n")
+        sel = tmp_path / "sel.json"
+        sel.write_text(content)
+        assert run_cli("select", "--scores", scores, "--selection", sel, "--n-itr", 1) == 1
+        assert f"selection file {sel}: missing 'rounds'" in capsys.readouterr().err
+        assert sel.read_text() == content
+
 
 class TestRun:
     def test_manifest_and_reports_written(self, world, tmp_path):

@@ -1,16 +1,19 @@
 """Scoring criteria: frozen unit values, metric properties, ranking oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from driveselect.criteria import (
+    SCORE_COLUMNS,
     AgentForecast,
     agent_uncertainty,
     best_modality_traj,
     displacement_error,
     load_predictions,
+    load_scores,
     min_max_normalize,
     modality_entropy,
     overall_loss,
@@ -231,6 +234,17 @@ class TestRankAndTake:
         with pytest.raises(ValueError):
             rank_and_take({"a": 1.0}, 2)
 
+    def test_nan_score_is_rejected_in_any_key_order(self):
+        """A NaN used to win the top slot and make the rest order-dependent."""
+        scores = {"a": 0.5, "b": float("nan"), "c": 0.9, "d": 0.1}
+        for keys in (["a", "b", "c", "d"], ["d", "c", "b", "a"], ["c", "a", "d", "b"]):
+            with pytest.raises(ValueError, match="'b'"):
+                rank_and_take({k: scores[k] for k in keys}, 2)
+
+    def test_infinite_score_is_rejected(self):
+        with pytest.raises(ValueError, match="'x'"):
+            rank_and_take({"x": float("inf"), "y": 1.0}, 1)
+
     def brute_force(self, scores, n):
         return [cid for cid, _ in sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:n]]
 
@@ -299,3 +313,30 @@ class TestPredictionsIO:
     def test_parse_error_names_line(self):
         with pytest.raises(PoolFormatError, match="line 1"):
             parse_prediction_lines(["{bad"])
+
+
+class TestScoresFile:
+    def _write(self, tmp_path, *rows):
+        path = tmp_path / "scores.tsv"
+        path.write_text("\n".join(["\t".join(SCORE_COLUMNS), *rows]) + "\n")
+        return path
+
+    def test_round_trip_of_finite_rows(self, tmp_path):
+        path = self._write(tmp_path, "c0\t1.0\t0.0\t0.5\t1.0\t0.0\t0.5\t1.5")
+        (row,) = load_scores(path)
+        assert row.clip_id == "c0" and row.au_norm == 0.5 and row.overall == 1.5
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_names_file_and_line(self, tmp_path, bad):
+        path = self._write(
+            tmp_path,
+            "c0\t1.0\t0.0\t0.5\t1.0\t0.0\t0.5\t1.5",
+            f"c1\t1.0\t0.0\t0.5\t1.0\t0.0\t0.5\t{bad}",
+        )
+        with pytest.raises(PoolFormatError, match=rf"{re.escape(str(path))} line 3: non-finite overall"):
+            load_scores(path)
+
+    def test_unparsable_value_names_line(self, tmp_path):
+        path = self._write(tmp_path, "c0\t1.0\t0.0\tzero\t1.0\t0.0\t0.5\t1.5")
+        with pytest.raises(PoolFormatError, match="line 2"):
+            load_scores(path)

@@ -1,6 +1,7 @@
 """Synthetic world generation, toy planner behavior, and held-out evaluation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,39 @@ from driveselect.synthworld import (
 from driveselect.pool import load_pool, pool_to_lines
 
 N_CASES = 1000
+
+
+def brute_force_plans(planner, clips):
+    """Reference k-NN: one (queries x exemplars x 9) distance array, stable
+    argsort over the id-sorted exemplars."""
+    horizon = len(clips[0].gt_future)
+    steps = np.arange(1, horizon + 1) * FRAME_DT
+    if not planner.is_trained:
+        plans = np.zeros((len(clips), horizon, 2))
+        for i, clip in enumerate(clips):
+            plans[i, :, 0] = mean_speed(clip) * steps
+        return plans
+    queries = np.stack([planner._features(c) for c in clips])
+    dists = np.linalg.norm(queries[:, None, :] - planner._exemplar_feats[None, :, :], axis=2)
+    k = min(planner.n_neighbors, len(planner._exemplar_feats))
+    nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    return planner._exemplar_futures[nearest].mean(axis=1)
+
+
+def tagged_clip(cid, speed, weather="Sunny", lighting="Day", tag=0.0):
+    """One-frame straight clip whose future encodes ``tag``, so an averaged
+    plan shows which exemplars were picked."""
+    from conftest import make_clip
+
+    future = [(float(t), tag) for t in range(1, 7)]
+    return make_clip(cid, weather=weather, lighting=lighting, speeds=[speed], gt_future=future)
+
+
+def planner_over(clips, labeled, **kwargs):
+    truth = {c.id: ClipTruth(c.id, c.gt_future, ()) for c in clips}
+    planner = ToyPlanner(clips, truth, **kwargs)
+    planner.train(labeled)
+    return planner
 
 
 class TruthReplayProvider:
@@ -207,6 +241,119 @@ class TestToyPlanner:
         first = planner.predict(ids)
         second = planner.predict(ids)
         assert first == second
+
+
+class TestStratumLocalKnn:
+    """``ToyPlanner._plans`` must equal the brute-force k-NN bit for bit."""
+
+    def assert_matches_reference(self, planner, clips):
+        assert np.array_equal(planner._plans(clips), brute_force_plans(planner, clips))
+
+    def test_random_labeled_sets_over_seeded_worlds(self):
+        for seed in range(4):
+            clips, truth = generate_world(WorldConfig(n_clips=700, seed=60 + seed, agent_rate=0.0))
+            rng = np.random.default_rng(seed)
+            for n_labeled, k in ((20, 5), (150, 1), (300, 5), (500, 8)):
+                picked = rng.choice(len(clips), n_labeled, replace=False)
+                planner = ToyPlanner(clips, truth, n_neighbors=k)
+                planner.train([clips[i].id for i in picked])
+                self.assert_matches_reference(planner, clips)
+
+    def test_random_clips_with_mixed_strata_and_speeds(self, rng):
+        from conftest import random_clip
+
+        for trial in range(20):
+            clips = [random_clip(rng, f"r{trial}_{i:03d}") for i in range(150)]
+            labeled = [c.id for c in clips if rng.uniform() < 0.4]
+            planner = planner_over(clips, labeled, n_neighbors=int(rng.integers(1, 7)))
+            self.assert_matches_reference(planner, clips)
+
+    def test_duplicated_speeds_tie_break_by_id_on_both_sides(self):
+        # speed / 15 is exact for these speeds, so the gaps below and above
+        # the query (speed 15) are equal: every pick is decided by id order.
+        speeds = [22.5, 7.5, 22.5, 7.5, 22.5, 7.5, 3.75, 26.25, 22.5, 7.5]
+        exemplars = [tagged_clip(f"e{i}", v, tag=float(2**i)) for i, v in enumerate(speeds)]
+        queries = [tagged_clip("q0", 15.0), tagged_clip("q1", 15.0), tagged_clip("q2", 5.625)]
+        planner = planner_over(exemplars + queries, [c.id for c in exemplars], n_neighbors=5)
+        self.assert_matches_reference(planner, queries)
+        # q0's five nearest are the lowest ids at gap 0.5 from either side: e0..e4.
+        plan = planner._plans(queries[:1])[0]
+        assert plan[0, 1] == sum(2.0**i for i in range(5)) / 5
+
+    def test_sparse_and_empty_strata_fall_back_to_all_exemplars(self):
+        dense = [tagged_clip(f"d{i:02d}", 2.0 + 0.5 * i, tag=float(i)) for i in range(20)]
+        sparse = [tagged_clip(f"s{i}", 6.0 + i, weather="Rainy", lighting="Night", tag=50.0 + i)
+                  for i in range(2)]
+        queries = [
+            tagged_clip("q_sparse", 6.5, weather="Rainy", lighting="Night"),
+            tagged_clip("q_empty", 9.0, weather="Rainy"),
+            tagged_clip("q_dense", 9.0),
+        ]
+        planner = planner_over(dense + sparse + queries, [c.id for c in dense + sparse],
+                               n_neighbors=3)
+        self.assert_matches_reference(planner, queries)
+
+    def test_k_above_exemplar_count(self):
+        clips = [tagged_clip(f"c{i}", 3.0 + i, weather=("Sunny", "Rainy")[i % 2], tag=float(i))
+                 for i in range(8)]
+        planner = planner_over(clips, [c.id for c in clips[:4]], n_neighbors=10)
+        self.assert_matches_reference(planner, clips)
+
+    def test_far_same_stratum_exemplars_lose_to_other_strata(self):
+        """Speeds above 15 * sqrt(2) m/s can put a same-stratum exemplar
+        farther away than a clip from another stratum."""
+        same = [tagged_clip(f"a{i}", 2.0 + i, tag=float(i)) for i in range(6)]
+        other = [tagged_clip(f"b{i}", 40.0 + i, weather="Rainy", tag=100.0 + i) for i in range(6)]
+        query = [tagged_clip("q", 40.0)]
+        planner = planner_over(same + other + query, [c.id for c in same + other], n_neighbors=3)
+        self.assert_matches_reference(planner, query)
+        assert planner._plans(query)[0, 0, 1] == 101.0  # the three nearest are b0..b2
+
+    def test_untrained_fallback(self):
+        clips, truth = generate_world(WorldConfig(n_clips=50, seed=2, agent_rate=0.0))
+        planner = ToyPlanner(clips, truth)
+        planner.train([])
+        self.assert_matches_reference(planner, clips)
+
+    def test_memory_is_linear_in_queries_and_exemplars(self):
+        """3 000 queries x 1 500 exemplars: the brute-force array alone would
+        be 3000 * 1500 * 9 * 8 bytes = 324 MB."""
+        clips, truth = generate_world(WorldConfig(n_clips=4500, seed=5, agent_rate=0.0))
+        planner = ToyPlanner(clips, truth)
+        planner.train([c.id for c in clips[:1500]])
+        queries = clips[1500:]
+        tracemalloc.start()
+        try:
+            planner._plans(queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
+
+class TestForecastCache:
+    def test_forecasts_built_once_per_clip_across_rounds(self):
+        clips, truth = generate_world(WorldConfig(n_clips=120, seed=21, agent_rate=3.0))
+        planner = ToyPlanner(clips, truth)
+        built = []
+        build = planner._forecasts
+
+        def counting_build(clip_id, horizon):
+            built.append(clip_id)
+            return build(clip_id, horizon)
+
+        planner._forecasts = counting_build
+        ids = [c.id for c in clips]
+        heldout, pool = ids[:20], ids[20:]
+        predictions = {}
+        for n_labeled in (20, 50):
+            planner.train(pool[:n_labeled])
+            predictions.update(planner.predict(pool[n_labeled:]))
+            predictions.update(planner.predict(heldout))
+        assert sorted(built) == sorted(set(heldout) | set(pool[20:]))
+
+        fresh = ToyPlanner(clips, truth).predict(list(predictions))
+        assert all(predictions[i].agents == fresh[i].agents for i in predictions)
 
 
 class TestEvaluation:
