@@ -26,8 +26,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import report
 from .criteria import load_predictions, load_scores, rank_and_take, save_scores, score_pool
 from .diversity import ego_diversity_init
@@ -41,7 +39,7 @@ from .pool import (
     save_selection,
 )
 from .report import emit_report, mean_step_errors, stratified_metrics
-from .synthworld import ToyPlanner, WorldConfig, evaluate_clips, generate_pool, load_truth
+from .synthworld import ToyPlanner, WorldConfig, evaluate_clips, generate_pool, load_truth, summarize_evals
 
 CONFIG_ENV_VAR = "DRIVESELECT_CONFIG"
 
@@ -159,7 +157,7 @@ def cmd_init(args) -> int:
         return 1
     _echo_config({"mode": args.mode, "n0": args.n0, "gamma": args.gamma, "tau_c": args.tau_c, "seed": args.seed})
     if args.mode == "ego-diversity":
-        ids = ego_diversity_init(clips, args.n0, args.gamma, args.tau_c)
+        ids, _ = ego_diversity_init(clips, args.n0, args.gamma, args.tau_c)
     else:
         ids = random_init(clips, args.n0, args.seed)
     state.add_round(0, ids)
@@ -173,10 +171,6 @@ def cmd_score(args) -> int:
     state = load_selection(args.selection, [c.id for c in clips])
     predictions = load_predictions(args.predictions)
     unlabeled = state.unlabeled_ids
-    missing = [i for i in unlabeled if i not in predictions]
-    if missing:
-        print(f"error: missing prediction for clip {missing[0]!r}", file=sys.stderr)
-        return 1
     _echo_config({"alpha": args.alpha, "beta": args.beta, "eps_a": args.eps_a, "delta_d": args.delta_d})
     clips_by_id = {c.id: c for c in clips}
     rows = score_pool(
@@ -260,8 +254,7 @@ def _build_manifest(args, config: ActiveConfig, criterion: str, strategy: str,
     if heldout_clips:
         provider.train(result.state.labeled_ids)
         evals = evaluate_clips(provider, heldout_clips, truth)
-        avg_de = float(np.mean([e.de for e in evals]))
-        collision_pct = 100.0 * sum(e.collided for e in evals) / len(evals)
+        avg_de, collision_pct = summarize_evals(evals)
         heldout: dict = {
             "count": len(evals),
             "avg_de_m": avg_de,
@@ -285,7 +278,10 @@ def cmd_run(args) -> int:
     if args.heldout_count < 0:
         raise UsageError(f"--heldout-count must be >= 0, got {args.heldout_count}")
     clips, _ = load_pool(args.pool, horizon=args.horizon)
-    truth = load_truth(args.truth)
+    truth = load_truth(args.truth, horizon=args.horizon)
+    for clip in clips:
+        if clip.id not in truth:
+            raise PoolFormatError(f"truth file {args.truth}: no record for clip {clip.id!r}")
     heldout_clips = clips[len(clips) - args.heldout_count :] if args.heldout_count else []
     pool_clips = clips[: len(clips) - args.heldout_count] if args.heldout_count else clips
     if not pool_clips:
@@ -451,7 +447,9 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (PoolFormatError, OSError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A KeyError's str() is the repr of its message.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .pool import ClipRecord, PoolFormatError, atomic_write_text
+from .pool import ClipRecord, PoolFormatError, atomic_write_text, read_jsonl
 
 PROB_SUM_TOL = 1e-6
 
@@ -49,8 +49,8 @@ class AgentForecast:
             raise ValueError(
                 f"agent {self.agent_id}: {len(self.modality_trajs)} trajectories for {n_m} probabilities"
             )
-        if any(p < 0 for p in self.modality_probs):
-            raise ValueError(f"agent {self.agent_id}: negative modality probability")
+        if not all(p >= 0 for p in self.modality_probs):
+            raise ValueError(f"agent {self.agent_id}: negative or NaN modality probability")
         if abs(sum(self.modality_probs) - 1.0) > PROB_SUM_TOL:
             raise ValueError(
                 f"agent {self.agent_id}: modality probabilities sum to {sum(self.modality_probs)}"
@@ -281,25 +281,13 @@ def prediction_from_dict(record: dict) -> ClipPrediction:
     )
 
 
-def parse_prediction_lines(lines: Iterable[str]) -> dict[str, ClipPrediction]:
-    preds: dict[str, ClipPrediction] = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            pred = prediction_from_dict(json.loads(line))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise PoolFormatError(f"predictions line {lineno}: {exc}") from exc
-        if pred.clip_id in preds:
-            raise PoolFormatError(f"duplicate prediction for clip {pred.clip_id!r} (line {lineno})")
-        preds[pred.clip_id] = pred
-    return preds
+def parse_prediction_lines(lines: str | os.PathLike | Iterable[str]) -> dict[str, ClipPrediction]:
+    """Parse predictions lines, or the predictions file at a path, with :func:`read_jsonl`."""
+    return read_jsonl(lines, "predictions", "clip_id", prediction_from_dict)
 
 
 def load_predictions(path: str | os.PathLike) -> dict[str, ClipPrediction]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_prediction_lines(fh)
+    return parse_prediction_lines(path)
 
 
 def save_predictions(preds: Iterable[ClipPrediction], path: str | os.PathLike) -> None:

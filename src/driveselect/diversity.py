@@ -183,9 +183,10 @@ def allocate_budget(
 
 def ego_diversity_init(
     clips: Sequence[ClipRecord], n_init: int, gamma: float, tau_c: int
-) -> list[str]:
+) -> tuple[list[str], list[StratumAllocation]]:
     """Diversity-stratified initial selection of min(n_init, pool size) clips.
 
+    Returns the picked ids and the per-stratum allocations behind them.
     Deterministic for a fixed pool: strata are visited in canonical order and
     each stratum's members are sorted by (mean speed, id) before the
     interval picks.
@@ -205,4 +206,4 @@ def ego_diversity_init(
             strata[(alloc.bucket, alloc.command)], key=lambda c: (mean_speed(c), c.id)
         )
         selected.extend(select_by_speed([m.id for m in members], alloc.allocated))
-    return selected
+    return selected, allocations

@@ -93,9 +93,10 @@ class FilePredictionProvider:
     in the given directory; :meth:`predict` then serves from that file.
     """
 
-    def __init__(self, directory: str | os.PathLike, pattern: str = "predictions_round_{round}.jsonl"):
+    PATTERN = "predictions_round_{round}.jsonl"
+
+    def __init__(self, directory: str | os.PathLike):
         self.directory = os.fspath(directory)
-        self.pattern = pattern
         self.round_index = 0
         self.trained_ids: tuple[str, ...] = ()
 
@@ -104,7 +105,7 @@ class FilePredictionProvider:
         self.trained_ids = tuple(labeled_ids)
 
     def predict(self, ids: Sequence[str]) -> dict[str, ClipPrediction]:
-        path = os.path.join(self.directory, self.pattern.format(round=self.round_index))
+        path = os.path.join(self.directory, self.PATTERN.format(round=self.round_index))
         available = load_predictions(path)
         out: dict[str, ClipPrediction] = {}
         for clip_id in ids:
@@ -121,12 +122,6 @@ def random_init(clips: Sequence[ClipRecord], n_init: int, seed: int) -> list[str
     rng = np.random.default_rng(seed)
     picked = rng.choice(len(clips), size=n_init, replace=False)
     return [clips[i].id for i in sorted(picked)]
-
-
-def _check_coverage(ids: Sequence[str], predictions: Mapping[str, ClipPrediction]) -> None:
-    for clip_id in ids:
-        if clip_id not in predictions:
-            raise KeyError(f"provider returned no prediction for clip {clip_id!r}")
 
 
 def ranking_key(row: CriterionScores, criterion: str) -> float:
@@ -190,7 +185,6 @@ def run_round(
     clips_by_id = {c.id: c for c in clips}
     provider.train(state.labeled_ids)
     predictions = provider.predict(unlabeled)
-    _check_coverage(unlabeled, predictions)
     rows = score_pool(
         [clips_by_id[i] for i in unlabeled],
         predictions,
@@ -243,19 +237,10 @@ def run(
     config.validate_for_pool(len(clips))
 
     state = SelectionState(c.id for c in clips)
-    allocations = None
     if config.init_mode == "ego-diversity":
-        from .diversity import allocate_budget, stratify
-
-        strata = stratify(clips, config.tau_c)
-        allocations = allocate_budget(
-            {key: len(members) for key, members in strata.items()},
-            min(config.n_init, len(clips)),
-            config.gamma,
-        )
-        init_ids = ego_diversity_init(clips, config.n_init, config.gamma, config.tau_c)
+        init_ids, allocations = ego_diversity_init(clips, config.n_init, config.gamma, config.tau_c)
     else:
-        init_ids = random_init(clips, config.n_init, config.seed)
+        init_ids, allocations = random_init(clips, config.n_init, config.seed), None
     state.add_round(0, init_ids)
     traces: list[RoundTrace] = []
 

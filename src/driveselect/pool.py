@@ -10,6 +10,10 @@ An optional ``annotation`` field is carried through verbatim and never
 interpreted; the selection engine only cares about the labeled/unlabeled bit.
 Selections are stored separately as ``{"rounds": [{"round": k, "ids": [...]}]}``
 so that a selection file plus the pool file fully reproduce the split.
+
+Pool, predictions and truth files all go through :func:`read_jsonl`: ids are
+JSON strings, unique within the file, and an empty file or a malformed line
+raises :class:`PoolFormatError` naming the file and the 1-based line.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from functools import partial
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 WEATHER_VALUES = ("Sunny", "Rainy")
 LIGHTING_VALUES = ("Day", "Night")
@@ -42,6 +47,14 @@ def _check_finite_point(point: Sequence[float]) -> tuple[float, float]:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"waypoint coordinates must be finite, got ({x}, {y})")
     return (x, y)
+
+
+def _check_path(points: Iterable[Sequence[float]], horizon: int, name: str) -> tuple[tuple[float, float], ...]:
+    """A trajectory of exactly ``horizon`` finite (x, y) waypoints."""
+    path = tuple(_check_finite_point(p) for p in points)
+    if len(path) != horizon:
+        raise ValueError(f"{name} has {len(path)} waypoints, expected {horizon}")
+    return path
 
 
 @dataclass(frozen=True)
@@ -227,8 +240,6 @@ def clip_to_dict(clip: ClipRecord) -> dict:
 
 
 def clip_from_dict(record: dict, horizon: int) -> ClipRecord:
-    if not isinstance(record, dict):
-        raise ValueError("clip record must be a JSON object")
     extra = set(record) - {"id", "weather", "lighting", "frames", "gt_future", "annotation"}
     if extra:
         raise ValueError(f"unknown fields {sorted(extra)}")
@@ -236,17 +247,12 @@ def clip_from_dict(record: dict, horizon: int) -> ClipRecord:
         FrameState(speed=float(f["speed"]), command=str(f["command"]))
         for f in record["frames"]
     )
-    future = tuple(_check_finite_point(p) for p in record["gt_future"])
-    if len(future) != horizon:
-        raise ValueError(
-            f"clip {record.get('id')!r}: gt_future has {len(future)} waypoints, expected {horizon}"
-        )
     return ClipRecord(
         id=str(record["id"]),
         weather=str(record["weather"]),
         lighting=str(record["lighting"]),
         frames=frames,
-        gt_future=future,
+        gt_future=_check_path(record["gt_future"], horizon, "gt_future"),
         annotation=record.get("annotation"),
     )
 
@@ -255,32 +261,54 @@ def pool_to_lines(clips: Sequence[ClipRecord]) -> list[str]:
     return [json.dumps(clip_to_dict(c), separators=(",", ":")) for c in clips]
 
 
-def parse_pool_lines(lines: Iterable[str], horizon: int = 6) -> list[ClipRecord]:
-    """Parse pool lines; errors name the offending 1-based line number or id."""
-    clips: list[ClipRecord] = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(lines, start=1):
+T = TypeVar("T")
+
+
+def read_jsonl(
+    source: str | os.PathLike | Iterable[str], what: str, id_key: str, parse: Callable[[dict], T]
+) -> dict[str, T]:
+    """``{id: parse(record)}`` for each line of a JSONL file, in line order.
+
+    ``source`` is the file's path or its lines; blank lines are skipped. Each
+    record must be a JSON object whose ``id_key`` is a JSON string not seen on
+    an earlier line. Any bad line, and an input without records, raises
+    PoolFormatError naming ``what``, the file (for a path) and the line.
+    """
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8") as fh:
+            return read_jsonl(fh, f"{what} file {os.fspath(source)}", id_key, parse)
+    records: dict[str, T] = {}
+    for lineno, line in enumerate(source, start=1):
         line = line.strip()
         if not line:
             continue
         try:
             record = json.loads(line)
-            clip = clip_from_dict(record, horizon=horizon)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise PoolFormatError(f"line {lineno}: {exc}") from exc
-        if clip.id in seen:
-            raise PoolFormatError(f"duplicate clip id {clip.id!r} (line {lineno})")
-        seen.add(clip.id)
-        clips.append(clip)
-    if not clips:
-        raise PoolFormatError("pool is empty")
-    return clips
+            if not isinstance(record, dict):
+                raise ValueError("record must be a JSON object")
+            record_id = record[id_key]
+            if not isinstance(record_id, str):
+                raise ValueError(f"{id_key} must be a JSON string, got {json.dumps(record_id)}")
+            if record_id in records:
+                raise ValueError(f"duplicate {id_key} {record_id!r}")
+            records[record_id] = parse(record)
+        except KeyError as exc:
+            raise PoolFormatError(f"{what} line {lineno}: missing field {exc}") from exc
+        except (ValueError, TypeError, OverflowError, RecursionError) as exc:
+            raise PoolFormatError(f"{what} line {lineno}: {exc}") from exc
+    if not records:
+        raise PoolFormatError(f"{what} is empty")
+    return records
+
+
+def parse_pool_lines(lines: str | os.PathLike | Iterable[str], horizon: int = 6) -> list[ClipRecord]:
+    """Parse pool lines, or the pool file at a path, with :func:`read_jsonl`."""
+    return list(read_jsonl(lines, "pool", "id", partial(clip_from_dict, horizon=horizon)).values())
 
 
 def load_pool(path: str | os.PathLike, horizon: int = 6) -> tuple[list[ClipRecord], SelectionState]:
     """Load a pool file; all clips start unlabeled, in file order."""
-    with open(path, "r", encoding="utf-8") as fh:
-        clips = parse_pool_lines(fh, horizon=horizon)
+    clips = parse_pool_lines(path, horizon=horizon)
     return clips, SelectionState(c.id for c in clips)
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .pool import ClipRecord, atomic_write_text, classify_command
-from .synthworld import ClipEval
+from .synthworld import ClipEval, summarize_evals
 
 STEP_COUNT = 6       # fixed six steps at 0.5 s; other horizons are rejected here
 STEP_SECONDS = 0.5
@@ -100,11 +100,8 @@ def stratified_metrics(
         rows = members[key]
         if not rows:
             continue
-        table[key] = {
-            "count": len(rows),
-            "avg_de_m": float(np.mean([r.de for r in rows])),
-            "proxy_collision_pct": 100.0 * sum(r.collided for r in rows) / len(rows),
-        }
+        avg_de, collision_pct = summarize_evals(rows)
+        table[key] = {"count": len(rows), "avg_de_m": avg_de, "proxy_collision_pct": collision_pct}
     return table
 
 

@@ -20,6 +20,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -30,11 +31,13 @@ from .pool import (
     COMMAND_CLASSES,
     ClipRecord,
     FrameState,
-    PoolFormatError,
+    _check_finite_point,
+    _check_path,
     atomic_write_text,
     classify_command,
     mean_speed,
     pool_to_lines,
+    read_jsonl,
     weather_lighting_bucket,
 )
 
@@ -312,35 +315,24 @@ def save_truth(truth: Mapping[str, ClipTruth], order: Iterable[str], path: str |
     atomic_write_text(path, "\n".join(truth_to_lines(truth, order)) + "\n")
 
 
-def load_truth(path: str | os.PathLike) -> dict[str, ClipTruth]:
-    out: dict[str, ClipTruth] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                truth = ClipTruth(
-                    clip_id=str(rec["clip_id"]),
-                    ego_future=tuple((float(x), float(y)) for x, y in rec["ego_future"]),
-                    agents=tuple(
-                        AgentTruth(
-                            agent_id=str(a["agent_id"]),
-                            start=(float(a["start"][0]), float(a["start"][1])),
-                            track=tuple((float(x), float(y)) for x, y in a["track"]),
-                        )
-                        for a in rec["agents"]
-                    ),
-                )
-            except (ValueError, KeyError, TypeError) as exc:
-                raise PoolFormatError(f"truth line {lineno}: {exc}") from exc
-            if truth.clip_id in out:
-                raise PoolFormatError(f"duplicate truth for clip {truth.clip_id!r} (line {lineno})")
-            out[truth.clip_id] = truth
-    if not out:
-        raise PoolFormatError("truth file is empty")
-    return out
+def _truth_from_dict(record: dict, horizon: int) -> ClipTruth:
+    return ClipTruth(
+        clip_id=record["clip_id"],
+        ego_future=_check_path(record["ego_future"], horizon, "ego_future"),
+        agents=tuple(
+            AgentTruth(
+                agent_id=str(a["agent_id"]),
+                start=_check_finite_point(a["start"]),
+                track=_check_path(a["track"], horizon, f"agent {a['agent_id']} track"),
+            )
+            for a in record["agents"]
+        ),
+    )
+
+
+def load_truth(path: str | os.PathLike, horizon: int = 6) -> dict[str, ClipTruth]:
+    """Load a truth file; every future and agent track has ``horizon`` finite points."""
+    return read_jsonl(path, "truth", "clip_id", partial(_truth_from_dict, horizon=horizon))
 
 
 def generate_pool(config: WorldConfig, pool_path: str | os.PathLike, truth_path: str | os.PathLike) -> None:
@@ -386,6 +378,8 @@ class ToyPlanner:
     """
 
     MODALITY_ANGLES = (-15.0, 0.0, 15.0)  # degrees
+    AGENT_RADIUS = 30.0    # meters; agents starting farther out get no forecast
+    ENDPOINT_SCALE = 5.0   # meters; softmax temperature of the modality probabilities
 
     def __init__(
         self,
@@ -394,8 +388,6 @@ class ToyPlanner:
         *,
         tau_c: int = 4,
         n_neighbors: int = 5,
-        agent_radius: float = 30.0,
-        endpoint_scale: float = 5.0,
     ):
         self._clips = {c.id: c for c in clips}
         if len(self._clips) != len(clips):
@@ -403,8 +395,6 @@ class ToyPlanner:
         self._truth = dict(truth)
         self.tau_c = tau_c
         self.n_neighbors = n_neighbors
-        self.agent_radius = agent_radius
-        self.endpoint_scale = endpoint_scale
         self.trained_ids: tuple[str, ...] = ()
         self._exemplar_feats: np.ndarray | None = None
         self._exemplar_futures: np.ndarray | None = None
@@ -481,9 +471,9 @@ class ToyPlanner:
         for agent in truth.agents:
             start = np.asarray(agent.start)
             d0 = float(np.linalg.norm(start))
-            if d0 > self.agent_radius:
+            if d0 > self.AGENT_RADIUS:
                 continue
-            confidence = math.exp(-d0 / self.agent_radius)
+            confidence = math.exp(-d0 / self.AGENT_RADIUS)
             true_track = np.asarray(agent.track)
             vel = (true_track[0] - start) / FRAME_DT
             trajs = []
@@ -493,7 +483,7 @@ class ToyPlanner:
                 traj = start[None, :] + steps * rot_vel[None, :]
                 trajs.append(tuple((float(x), float(y)) for x, y in traj))
                 endpoint_err.append(float(np.linalg.norm(traj[-1] - true_track[-1])))
-            logits = -np.asarray(endpoint_err) / self.endpoint_scale
+            logits = -np.asarray(endpoint_err) / self.ENDPOINT_SCALE
             probs = np.exp(logits - logits.max())
             probs /= probs.sum()
             forecasts.append(
@@ -569,19 +559,22 @@ def evaluate_clips(
     return results
 
 
+def summarize_evals(results: Sequence[ClipEval]) -> tuple[float, float]:
+    """(average displacement error in meters, proxy collision rate in percent)."""
+    if not results:
+        raise ValueError("held-out set is empty")
+    return float(np.mean([r.de for r in results])), 100.0 * sum(r.collided for r in results) / len(results)
+
+
 def heldout_eval(
     provider, heldout_clips: Sequence[ClipRecord], truth: Mapping[str, ClipTruth]
 ) -> tuple[float, float]:
-    """(average displacement error in meters, proxy collision rate in percent).
+    """(average displacement error in meters, proxy collision rate in percent)
+    of the provider's plans on the held-out clips.
 
     The held-out set must be disjoint from the clips the provider trained on.
     """
     overlap = set(getattr(provider, "trained_ids", ())) & {c.id for c in heldout_clips}
     if overlap:
         raise ValueError(f"held-out clips overlap training set: {sorted(overlap)[:5]}")
-    results = evaluate_clips(provider, heldout_clips, truth)
-    if not results:
-        raise ValueError("held-out set is empty")
-    avg_de = float(np.mean([r.de for r in results]))
-    collision_pct = 100.0 * sum(r.collided for r in results) / len(results)
-    return avg_de, collision_pct
+    return summarize_evals(evaluate_clips(provider, heldout_clips, truth))

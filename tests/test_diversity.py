@@ -194,17 +194,17 @@ def _pool_with_tail_counts(counts):
 class TestEgoDiversityInit:
     def test_budget_equals_pool_selects_all(self):
         clips = _tiny_tail_pool()
-        picked = ego_diversity_init(clips, n_init=4, gamma=1.0, tau_c=4)
+        picked, _ = ego_diversity_init(clips, n_init=4, gamma=1.0, tau_c=4)
         assert sorted(picked) == [c.id for c in clips]
 
     def test_empty_bucket_is_redistributed(self):
         clips = [c for c in _tiny_tail_pool() if weather_lighting_bucket(c) != "NR"]
-        picked = ego_diversity_init(clips, n_init=3, gamma=0.5, tau_c=4)
+        picked, _ = ego_diversity_init(clips, n_init=3, gamma=0.5, tau_c=4)
         assert len(picked) == 3
 
     def test_published_bucket_totals(self):
         clips = _pool_with_tail_counts(TAIL_COUNTS)
-        picked = set(ego_diversity_init(clips, n_init=70, gamma=0.5, tau_c=4))
+        picked = set(ego_diversity_init(clips, n_init=70, gamma=0.5, tau_c=4)[0])
         by_id = {c.id: c for c in clips}
         per_bucket = {b: 0 for b in BUCKETS}
         for cid in picked:
@@ -218,8 +218,8 @@ class TestEgoDiversityInit:
                 counts["DS"] = 3
             clips = _pool_with_tail_counts(counts)
             n_init = int(rng.integers(1, sum(counts.values()) + 1))
-            first = ego_diversity_init(clips, n_init, 0.5, 4)
-            second = ego_diversity_init(clips, n_init, 0.5, 4)
+            first, _ = ego_diversity_init(clips, n_init, 0.5, 4)
+            second, _ = ego_diversity_init(clips, n_init, 0.5, 4)
             assert first == second
             assert len(set(first)) == len(first) == min(n_init, len(clips))
 

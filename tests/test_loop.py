@@ -259,7 +259,7 @@ class TestManualPipelineEquivalence:
         auto = run(clips, HashPlanProvider(clips), cfg)
 
         state = SelectionState(c.id for c in clips)
-        state.add_round(0, ego_diversity_init(clips, cfg.n_init, cfg.gamma, cfg.tau_c))
+        state.add_round(0, ego_diversity_init(clips, cfg.n_init, cfg.gamma, cfg.tau_c)[0])
         provider = HashPlanProvider(clips)
         by_id = {c.id: c for c in clips}
         for itr in (1, 2):
