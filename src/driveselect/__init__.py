@@ -12,6 +12,7 @@ from .criteria import (
     AgentForecast,
     ClipPrediction,
     CriterionScores,
+    PredictionBatch,
     agent_uncertainty,
     displacement_error,
     min_max_normalize,

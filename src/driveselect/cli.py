@@ -169,7 +169,7 @@ def cmd_init(args) -> int:
 def cmd_score(args) -> int:
     clips, _ = load_pool(args.pool, horizon=args.horizon)
     state = load_selection(args.selection, [c.id for c in clips])
-    predictions = load_predictions(args.predictions)
+    predictions = load_predictions(args.predictions, horizon=args.horizon)
     unlabeled = state.unlabeled_ids
     _echo_config({"alpha": args.alpha, "beta": args.beta, "eps_a": args.eps_a, "delta_d": args.delta_d})
     clips_by_id = {c.id: c for c in clips}

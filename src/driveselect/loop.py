@@ -14,7 +14,7 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .criteria import ClipPrediction, CriterionScores, load_predictions, rank_and_take, score_pool
+from .criteria import ClipPrediction, CriterionScores, PredictionBatch, load_predictions, rank_and_take, score_pool
 from .diversity import StratumAllocation, ego_diversity_init
 from .pool import ClipRecord, SelectionState
 
@@ -104,15 +104,14 @@ class FilePredictionProvider:
         self.round_index += 1
         self.trained_ids = tuple(labeled_ids)
 
-    def predict(self, ids: Sequence[str]) -> dict[str, ClipPrediction]:
+    def predict(self, ids: Sequence[str]) -> PredictionBatch:
         path = os.path.join(self.directory, self.PATTERN.format(round=self.round_index))
-        available = load_predictions(path)
-        out: dict[str, ClipPrediction] = {}
+        # The file's own horizon; score_pool checks it against the clips.
+        available = load_predictions(path, horizon=None)
         for clip_id in ids:
             if clip_id not in available:
                 raise KeyError(f"missing prediction for clip {clip_id!r} in {path}")
-            out[clip_id] = available[clip_id]
-        return out
+        return available.take(ids)
 
 
 def random_init(clips: Sequence[ClipRecord], n_init: int, seed: int) -> list[str]:

@@ -40,6 +40,14 @@ class PoolFormatError(ValueError):
     """Raised when a pool, selection, or related file is malformed."""
 
 
+class RowError(ValueError):
+    """A bad record found after parsing, by its 0-based position among the records."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
 def _check_finite_point(point: Sequence[float]) -> tuple[float, float]:
     if len(point) != 2:
         raise ValueError(f"waypoint must have 2 coordinates, got {len(point)}")
@@ -265,19 +273,26 @@ T = TypeVar("T")
 
 
 def read_jsonl(
-    source: str | os.PathLike | Iterable[str], what: str, id_key: str, parse: Callable[[dict], T]
-) -> dict[str, T]:
+    source: str | os.PathLike | Iterable[str],
+    what: str,
+    id_key: str,
+    parse: Callable[[dict], T],
+    finish: Callable[[dict[str, T]], Any] | None = None,
+):
     """``{id: parse(record)}`` for each line of a JSONL file, in line order.
 
     ``source`` is the file's path or its lines; blank lines are skipped. Each
     record must be a JSON object whose ``id_key`` is a JSON string not seen on
     an earlier line. Any bad line, and an input without records, raises
     PoolFormatError naming ``what``, the file (for a path) and the line.
+    ``finish``, if given, turns that dict into the result; a RowError it
+    raises is reported at the line of that record.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
-            return read_jsonl(fh, f"{what} file {os.fspath(source)}", id_key, parse)
+            return read_jsonl(fh, f"{what} file {os.fspath(source)}", id_key, parse, finish)
     records: dict[str, T] = {}
+    linenos: list[int] = []
     for lineno, line in enumerate(source, start=1):
         line = line.strip()
         if not line:
@@ -292,13 +307,19 @@ def read_jsonl(
             if record_id in records:
                 raise ValueError(f"duplicate {id_key} {record_id!r}")
             records[record_id] = parse(record)
+            linenos.append(lineno)
         except KeyError as exc:
             raise PoolFormatError(f"{what} line {lineno}: missing field {exc}") from exc
         except (ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise PoolFormatError(f"{what} line {lineno}: {exc}") from exc
     if not records:
         raise PoolFormatError(f"{what} is empty")
-    return records
+    if finish is None:
+        return records
+    try:
+        return finish(records)
+    except RowError as exc:
+        raise PoolFormatError(f"{what} line {linenos[exc.row]}: {exc}") from exc
 
 
 def parse_pool_lines(lines: str | os.PathLike | Iterable[str], horizon: int = 6) -> list[ClipRecord]:

@@ -19,13 +19,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .criteria import AgentForecast, ClipPrediction, displacement_error
+from .criteria import ClipPrediction, PredictionBatch, _distances, prediction_batch
 from .pool import (
     BUCKETS,
     COMMAND_CLASSES,
@@ -109,6 +109,12 @@ class ClipTruth:
 def _rotation(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Norms of the rows of an (n, 2) array, each bit-equal to np.linalg.norm
+    of that row alone (a dot product; norm(axis=1) rounds differently)."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0, 0]
 
 
 def _maneuver_curvature(
@@ -373,8 +379,9 @@ class ToyPlanner:
     far away). Queries go in blocks of ``KNN_BLOCK``, so memory is linear in
     the pool. Agent forecasts are built from the true agent tracks (a
     deliberate oracle shortcut) with three rotated constant-velocity
-    modalities; they do not depend on training, so they are built once per
-    clip and cached.
+    modalities; they do not depend on training, so they are built once, for
+    every clip in one array pass, and ``predict`` returns a
+    :class:`PredictionBatch` that takes its rows.
     """
 
     MODALITY_ANGLES = (-15.0, 0.0, 15.0)  # degrees
@@ -398,7 +405,7 @@ class ToyPlanner:
         self.trained_ids: tuple[str, ...] = ()
         self._exemplar_feats: np.ndarray | None = None
         self._exemplar_futures: np.ndarray | None = None
-        self._forecast_cache: dict[str, tuple[AgentForecast, ...]] = {}
+        self._forecasts: PredictionBatch | None = None
 
     def _features(self, clip: ClipRecord) -> np.ndarray:
         feats = np.zeros(len(BUCKETS) + len(COMMAND_CLASSES) + 1)
@@ -464,55 +471,52 @@ class ToyPlanner:
                     nearest[rows] = np.argsort(dists, axis=1, kind="stable")[:, :k]
         return self._exemplar_futures[nearest].mean(axis=1)
 
-    def _forecasts(self, clip_id: str, horizon: int) -> tuple[AgentForecast, ...]:
-        truth = self._truth[clip_id]
+    def _build_forecasts(self) -> PredictionBatch:
+        """Agent forecasts of every clip with truth, in one array pass; the ego
+        plans are placeholders that :meth:`predict` replaces."""
+        clip_ids = [clip_id for clip_id in self._clips if clip_id in self._truth]
+        horizon = len(next(iter(self._clips.values())).gt_future) if self._clips else 0
+        agents = [(row, a) for row, clip_id in enumerate(clip_ids) for a in self._truth[clip_id].agents]
+        starts = np.array([a.start for _, a in agents], dtype=float).reshape(-1, 2)
+        d0 = _norms(starts)
+        keep = np.flatnonzero(d0 <= self.AGENT_RADIUS)
+        agents = [agents[i] for i in keep]
+        starts = starts[keep]
+        firsts = np.array([a.track[0] for _, a in agents], dtype=float).reshape(-1, 2)
+        lasts = np.array([a.track[-1] for _, a in agents], dtype=float).reshape(-1, 2)
+        vel = (firsts - starts) / FRAME_DT
         steps = np.arange(1, horizon + 1)[:, None] * FRAME_DT
-        forecasts = []
-        for agent in truth.agents:
-            start = np.asarray(agent.start)
-            d0 = float(np.linalg.norm(start))
-            if d0 > self.AGENT_RADIUS:
-                continue
-            confidence = math.exp(-d0 / self.AGENT_RADIUS)
-            true_track = np.asarray(agent.track)
-            vel = (true_track[0] - start) / FRAME_DT
-            trajs = []
-            endpoint_err = []
-            for angle_deg in self.MODALITY_ANGLES:
-                rot_vel = _rotation(math.radians(angle_deg)) @ vel
-                traj = start[None, :] + steps * rot_vel[None, :]
-                trajs.append(tuple((float(x), float(y)) for x, y in traj))
-                endpoint_err.append(float(np.linalg.norm(traj[-1] - true_track[-1])))
-            logits = -np.asarray(endpoint_err) / self.ENDPOINT_SCALE
-            probs = np.exp(logits - logits.max())
-            probs /= probs.sum()
-            forecasts.append(
-                AgentForecast(
-                    agent_id=agent.agent_id,
-                    confidence=confidence,
-                    modality_probs=tuple(float(p) for p in probs),
-                    modality_trajs=tuple(trajs),
-                )
-            )
-        return tuple(forecasts)
+        n_modes = len(self.MODALITY_ANGLES)
+        trajs = np.empty((len(agents), n_modes, horizon, 2))
+        endpoint_err = np.empty((len(agents), n_modes))
+        for m, angle_deg in enumerate(self.MODALITY_ANGLES):
+            # One rotation per modality, applied as stacked 2x2 @ 2x1 products.
+            rot_vel = np.matmul(_rotation(math.radians(angle_deg)), vel[:, :, None])[:, :, 0]
+            trajs[:, m] = starts[:, None, :] + steps * rot_vel[:, None, :]
+            endpoint_err[:, m] = _norms(trajs[:, m, -1] - lasts)
+        logits = -endpoint_err / self.ENDPOINT_SCALE
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        # math.exp, not np.exp: the two round differently in the last bit.
+        confidence = [math.exp(-d / self.AGENT_RADIUS) for d in d0[keep].tolist()]
+        return PredictionBatch(
+            clip_ids=tuple(clip_ids),
+            ego_plans=np.zeros((len(clip_ids), horizon, 2)),
+            agent_clip=np.array([row for row, _ in agents], dtype=np.intp),
+            agent_ids=np.array([a.agent_id for _, a in agents], dtype=object),
+            confidence=np.array(confidence, dtype=float),
+            modality_counts=np.full(len(agents), n_modes, dtype=np.intp),
+            modality_probs=probs,
+            modality_trajs=trajs,
+        )
 
-    def predict(self, ids: Sequence[str]) -> dict[str, ClipPrediction]:
+    def predict(self, ids: Sequence[str]) -> Mapping[str, ClipPrediction]:
         clips = [self._clips[i] for i in ids]
         if not clips:
             return {}
-        plans = self._plans(clips)
-        out: dict[str, ClipPrediction] = {}
-        for clip, plan in zip(clips, plans):
-            agents = self._forecast_cache.get(clip.id)
-            if agents is None:
-                agents = self._forecasts(clip.id, len(clip.gt_future))
-                self._forecast_cache[clip.id] = agents
-            out[clip.id] = ClipPrediction(
-                clip_id=clip.id,
-                ego_plan=tuple((float(x), float(y)) for x, y in plan),
-                agents=agents,
-            )
-        return out
+        if self._forecasts is None:
+            self._forecasts = self._build_forecasts()
+        return replace(self._forecasts.take(ids), ego_plans=self._plans(clips))
 
 
 # ---------------------------------------------------------------------------
@@ -535,28 +539,23 @@ class ClipEval:
 def evaluate_clips(
     provider, clips: Sequence[ClipRecord], truth: Mapping[str, ClipTruth]
 ) -> list[ClipEval]:
-    predictions = provider.predict([c.id for c in clips])
-    results = []
-    for clip in clips:
-        t = truth[clip.id]
-        plan = np.asarray(predictions[clip.id].ego_plan)
-        target = np.asarray(t.ego_future)
-        step_errors = np.linalg.norm(plan - target, axis=1)
-        collided = False
-        for agent in t.agents:
-            track = np.asarray(agent.track)
-            if float(np.linalg.norm(plan - track, axis=1).min()) < COLLISION_RADIUS:
-                collided = True
-                break
-        results.append(
-            ClipEval(
-                clip_id=clip.id,
-                de=displacement_error(plan, target),
-                step_errors=tuple(float(e) for e in step_errors),
-                collided=collided,
-            )
+    if not clips:
+        return []
+    batch = prediction_batch(provider.predict([c.id for c in clips]), clips)
+    plans = batch.ego_plans
+    targets = np.array([truth[c.id].ego_future for c in clips], dtype=float).reshape(plans.shape)
+    step_errors = _distances(plans, targets)
+    tracks = [(row, a.track) for row, clip in enumerate(clips) for a in truth[clip.id].agents]
+    rows = np.array([row for row, _ in tracks], dtype=np.intp)
+    paths = np.array([track for _, track in tracks], dtype=float).reshape((len(tracks),) + plans.shape[1:])
+    collided = np.zeros(len(clips), dtype=bool)
+    collided[rows[_distances(plans[rows], paths).min(axis=1) < COLLISION_RADIUS]] = True
+    return [
+        ClipEval(clip_id=clip.id, de=de, step_errors=tuple(errors), collided=hit)
+        for clip, de, errors, hit in zip(
+            clips, step_errors.mean(axis=1).tolist(), step_errors.tolist(), collided.tolist()
         )
-    return results
+    ]
 
 
 def summarize_evals(results: Sequence[ClipEval]) -> tuple[float, float]:

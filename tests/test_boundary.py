@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driveselect.cli import main
-from driveselect.criteria import load_predictions, prediction_to_dict, rank_and_take
+from driveselect.criteria import load_predictions, prediction_to_dict, rank_and_take, score_pool
 from driveselect.pool import PoolFormatError, load_pool, pool_to_lines
 from driveselect.synthworld import ToyPlanner, WorldConfig, generate_world, load_truth, truth_to_lines
 
@@ -189,6 +189,41 @@ class TestRegressions:
             load_truth(path)
         check_error_names_line(info.value, "truth", path, index + 1)
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("ego_plan", "ego_plan has 5 waypoints, expected 6"),
+            ("modality_trajs", "modality_trajs have 5 waypoints, expected 6"),
+            ("both", "ego_plan has 5 waypoints, expected 6"),
+        ],
+    )
+    def test_predictions_horizon_is_checked(self, tmp_path, field, message):
+        """A short plan used to load and fail later with an unnamed shape error."""
+        lines, _, _ = VALID["predictions"]
+        index = next(i for i, line in enumerate(lines) if json.loads(line)["agents"])
+
+        def edit(record):
+            if field != "modality_trajs":
+                record["ego_plan"] = record["ego_plan"][:5]
+            if field != "ego_plan":
+                for agent in record["agents"]:
+                    agent["modality_trajs"] = [t[:5] for t in agent["modality_trajs"]]
+
+        path = _write(tmp_path / "preds.jsonl", _with_record(lines, index, edit))
+        with pytest.raises(PoolFormatError, match=message) as info:
+            load_predictions(path)
+        check_error_names_line(info.value, "predictions", path, index + 1)
+
+    def test_score_pool_names_a_clip_of_another_horizon(self):
+        scores = dict(alpha=1.0, beta=1.0, eps_a=0.5, delta_d=3.0)
+        short_clips, short_truth = generate_world(WorldConfig(n_clips=6, seed=3, horizon=5))
+        with pytest.raises(ValueError, match="clip 'clip_000002': gt_future has 5 waypoints, predictions have 6"):
+            score_pool(_CLIPS[:2] + short_clips[2:3], _PREDICTIONS, **scores)
+        preds = dict(_PREDICTIONS)
+        preds["clip_000004"] = ToyPlanner(short_clips, short_truth).predict(["clip_000004"])["clip_000004"]
+        with pytest.raises(ValueError, match="clip 'clip_000004': ego_plan has 5 waypoints, expected 6"):
+            score_pool(_CLIPS, preds, **scores)
+
     def test_non_finite_truth_start_is_rejected(self, tmp_path):
         lines, _, _ = VALID["truth"]
         index = next(i for i, line in enumerate(lines) if json.loads(line)["agents"])
@@ -296,3 +331,4 @@ class TestCli:
                      "--out", str(scores)]) == 1
         assert f"error: predictions file {bad} line 3: " in capsys.readouterr().err
         assert not scores.exists()
+

@@ -189,6 +189,41 @@ class TestScoreSelect:
                        "--predictions", pred_path, "--out", scores) == 0
         assert run_cli("select", "--scores", scores, "--selection", sel, "--n-itr", 10) == 1
 
+    def test_predictions_of_another_horizon_name_file_and_line(self, world, tmp_path, capsys):
+        pool, _ = world
+        sel = self._init(pool, tmp_path)
+        clips, _ = load_pool(pool, horizon=6)
+        from driveselect.criteria import ClipPrediction
+
+        pred_path = tmp_path / "preds.jsonl"
+        save_predictions([ClipPrediction(clip_id=c.id, ego_plan=c.gt_future[:5], agents=()) for c in clips],
+                         pred_path)
+        scores = tmp_path / "scores.tsv"
+        assert run_cli("score", "--pool", pool, "--selection", sel,
+                       "--predictions", pred_path, "--out", scores) == 1
+        assert (f"error: predictions file {pred_path} line 1: ego_plan has 5 waypoints, expected 6"
+                in capsys.readouterr().err)
+        assert not scores.exists()
+
+    def test_duplicate_scores_row_is_rejected(self, world, tmp_path, capsys):
+        """A second clip_000010 row used to override the first one's 0.9."""
+        from driveselect.criteria import SCORE_COLUMNS
+
+        pool, _ = world
+        sel = self._init(pool, tmp_path)
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("\n".join([
+            "\t".join(SCORE_COLUMNS),
+            "clip_000010\t0\t0\t0\t0\t0\t0\t0.9",
+            "clip_000011\t0\t0\t0\t0\t0\t0\t0.5",
+            "clip_000010\t0\t0\t0\t0\t0\t0\t0.1",
+        ]) + "\n")
+        before = sel.read_text()
+        for n_itr in (1, 3):
+            assert run_cli("select", "--scores", scores, "--selection", sel, "--n-itr", n_itr) == 1
+            assert f"error: scores file {scores} line 4: duplicate clip_id 'clip_000010'" in capsys.readouterr().err
+            assert sel.read_text() == before
+
     @pytest.mark.parametrize("content", ['{"init": []}', "[1, 2]"])
     def test_select_rejects_file_without_rounds(self, tmp_path, capsys, content):
         from driveselect.criteria import SCORE_COLUMNS

@@ -9,6 +9,7 @@ import pytest
 from driveselect.criteria import (
     SCORE_COLUMNS,
     AgentForecast,
+    PredictionBatch,
     agent_uncertainty,
     best_modality_traj,
     displacement_error,
@@ -18,6 +19,7 @@ from driveselect.criteria import (
     modality_entropy,
     overall_loss,
     parse_prediction_lines,
+    prediction_batch,
     prediction_to_dict,
     rank_and_take,
     save_predictions,
@@ -25,11 +27,147 @@ from driveselect.criteria import (
     soft_collision,
 )
 from driveselect.pool import PoolFormatError
+from driveselect.synthworld import ToyPlanner, WorldConfig, generate_world
 
 from conftest import make_clip, make_forecast, make_pred
 
 N_CASES = 1000
 ATOL = 1e-9
+
+
+# Reference criteria: the one-clip implementations the batch kernels replaced.
+# The kernels must reproduce them bit for bit.
+
+
+def reference_entropy(probs):
+    p = np.asarray(probs, dtype=float)
+    nonzero = p[p > 0]
+    return float(-(nonzero * np.log(nonzero)).sum())
+
+
+def reference_best_track(agent):
+    return np.asarray(agent.modality_trajs[int(np.argmax(agent.modality_probs))], dtype=float)
+
+
+def reference_soft_collision(pred, eps_a):
+    tracks = [reference_best_track(a) for a in pred.agents if a.confidence >= eps_a]
+    if not tracks:
+        return 0.0
+    ego = np.asarray(pred.ego_plan, dtype=float)
+    dists = np.linalg.norm(np.stack(tracks) - ego[None, :, :], axis=2)
+    return float(np.exp(-dists.min(axis=0)).sum())
+
+
+def reference_agent_uncertainty(pred, delta_d):
+    ego = np.asarray(pred.ego_plan, dtype=float)
+    total = 0.0
+    for agent in pred.agents:
+        d_a = float(np.linalg.norm(reference_best_track(agent) - ego, axis=1).min())
+        if d_a <= delta_d:
+            total += math.exp(delta_d - d_a) * reference_entropy(agent.modality_probs)
+    return total
+
+
+def reference_raw_scores(clips, preds, eps_a, delta_d):
+    """(DE, SC, AU) arrays, one clip at a time."""
+    return (
+        np.array([float(np.linalg.norm(np.asarray(preds[c.id].ego_plan) - np.asarray(c.gt_future), axis=1).mean())
+                  for c in clips]),
+        np.array([reference_soft_collision(preds[c.id], eps_a) for c in clips]),
+        np.array([reference_agent_uncertainty(preds[c.id], delta_d) for c in clips]),
+    )
+
+
+def assert_scores_match_reference(clips, preds, eps_a, delta_d):
+    expected = reference_raw_scores(clips, preds, eps_a, delta_d)
+    for predictions in (preds, prediction_batch(preds, clips)):
+        rows = score_pool(clips, predictions, alpha=1.0, beta=1.0, eps_a=eps_a, delta_d=delta_d)
+        got = (np.array([r.de_raw for r in rows]), np.array([r.sc_raw for r in rows]),
+               np.array([r.au_raw for r in rows]))
+        for name, g, e in zip(("DE", "SC", "AU"), got, expected):
+            assert np.array_equal(g, e), name
+    for clip, sc, au in zip(clips, expected[1], expected[2]):
+        assert soft_collision(preds[clip.id], eps_a) == sc
+        assert agent_uncertainty(preds[clip.id], delta_d) == au
+
+
+TIED_PROBS = [(1.0,), (0.5, 0.5), (0.5, 0.0, 0.5), (0.0, 1.0), (1 / 3, 1 / 3, 1 / 3),
+              (0.25, 0.25, 0.25, 0.25), (0.0, 0.0, 1.0, 0.0)]
+
+
+def ragged_scene(rng, n_clips, horizon, eps_a, delta_d, max_modalities=4):
+    """Clips with 0-4 agents of 1-``max_modalities`` modalities each, with zero
+    and tied probabilities, confidences equal to ``eps_a``, and agents exactly
+    ``delta_d`` from the plan. Plans lie on a quarter-meter grid, so a
+    ``delta_d`` offset stays exact."""
+    clips, preds = [], {}
+    for i in range(n_clips):
+        plan = rng.integers(-40, 40, size=(horizon, 2)) / 4.0
+        agents = []
+        for j in range(int(rng.integers(0, 5))):
+            if rng.uniform() < 0.4 and max_modalities <= 4:
+                probs = TIED_PROBS[int(rng.integers(0, len(TIED_PROBS)))]
+            else:
+                p = rng.dirichlet(np.ones(int(rng.integers(1, max_modalities + 1))))
+                p[rng.uniform(size=len(p)) < 0.3] = 0.0
+                p[int(rng.integers(0, len(p)))] += 1e-3
+                probs = tuple(p / p.sum())
+            trajs = []
+            for _ in probs:
+                kind = rng.uniform()
+                if kind < 0.3:
+                    trajs.append(plan + np.array([0.0, delta_d]))
+                elif kind < 0.6:
+                    trajs.append(plan + rng.normal(0, delta_d, size=(horizon, 2)))
+                else:
+                    trajs.append(rng.normal(0, 6, size=(horizon, 2)))
+            confidence = [eps_a, float(rng.uniform()), 0.0, 1.0][int(rng.integers(0, 4))]
+            agents.append(make_forecast(f"c{i}-a{j}", confidence=confidence, probs=probs,
+                                        trajs=trajs, horizon=horizon))
+        clip = make_clip(f"c{i:03d}", gt_future=plan + rng.normal(0, 1, size=(horizon, 2)), horizon=horizon)
+        clips.append(clip)
+        preds[clip.id] = make_pred(clip.id, ego_plan=plan, agents=agents, horizon=horizon)
+    return clips, preds
+
+
+class TestBitIdentity:
+    """The batch kernels equal the one-clip reference criteria exactly."""
+
+    def test_random_ragged_predictions(self, rng):
+        at_eps = at_delta = 0
+        for _ in range(150):
+            eps_a, delta_d = 0.5, [3.0, 1.5, 0.25][int(rng.integers(0, 3))]
+            clips, preds = ragged_scene(rng, int(rng.integers(1, 9)), int(rng.integers(1, 12)), eps_a, delta_d)
+            assert_scores_match_reference(clips, preds, eps_a, delta_d)
+            batch = prediction_batch(preds, clips)
+            assert dict(batch) == preds  # views keep ragged modality counts
+            for pred in preds.values():
+                for a in pred.agents:
+                    at_eps += a.confidence == eps_a
+                    d = np.linalg.norm(reference_best_track(a) - np.asarray(pred.ego_plan), axis=1).min()
+                    at_delta += d == delta_d
+        assert at_eps > 50 and at_delta > 50
+
+    def test_entropy_beyond_eight_modalities(self, rng):
+        """numpy sums eight or more terms pairwise, so each clip's nonzero
+        terms must be summed alone."""
+        for _ in range(20):
+            clips, preds = ragged_scene(rng, 6, 6, 0.5, 3.0, max_modalities=16)
+            assert_scores_match_reference(clips, preds, 0.5, 3.0)
+            for pred in preds.values():
+                for a in pred.agents:
+                    assert modality_entropy(a.modality_probs) == reference_entropy(a.modality_probs)
+
+    @pytest.mark.parametrize("horizon", [6, 10])
+    def test_seeded_worlds(self, horizon):
+        for seed in range(3):
+            clips, truth = generate_world(WorldConfig(n_clips=300, seed=90 + seed, agent_rate=3.0, horizon=horizon))
+            planner = ToyPlanner(clips, truth)
+            planner.train([c.id for c in clips[:60]])
+            batch = planner.predict([c.id for c in clips[60:]])
+            preds = dict(batch)
+            assert any(not p.agents for p in preds.values())
+            assert_scores_match_reference(clips[60:], preds, 0.5, 3.0)
 
 
 def straight_plan(horizon=6, dx=0.0, dy=0.0, step=1.0):
@@ -276,6 +414,17 @@ class TestScorePool:
         preds = {"c0": make_pred("c0")}
         with pytest.raises(KeyError, match="c1"):
             score_pool(clips, preds, alpha=1, beta=1, eps_a=0.5, delta_d=3.0)
+        with pytest.raises(KeyError, match="c1"):
+            score_pool(clips, prediction_batch(preds, clips[:1]), alpha=1, beta=1, eps_a=0.5, delta_d=3.0)
+
+    def test_batch_scores_only_the_given_clips(self, rng):
+        clips, preds = ragged_scene(rng, 8, 6, 0.5, 3.0)
+        batch = prediction_batch(preds, clips)
+        assert isinstance(batch, PredictionBatch) and list(batch) == [c.id for c in clips]
+        subset = clips[5:] + clips[:2]
+        by_batch = score_pool(subset, batch, alpha=1, beta=1, eps_a=0.5, delta_d=3.0)
+        assert by_batch == score_pool(subset, preds, alpha=1, beta=1, eps_a=0.5, delta_d=3.0)
+        assert [r.clip_id for r in by_batch] == [c.id for c in subset]
 
     def test_overall_matches_mixture(self, rng):
         clips = [make_clip(f"c{i}", gt_future=rng.normal(0, 3, size=(6, 2))) for i in range(20)]
@@ -339,4 +488,15 @@ class TestScoresFile:
     def test_unparsable_value_names_line(self, tmp_path):
         path = self._write(tmp_path, "c0\t1.0\t0.0\tzero\t1.0\t0.0\t0.5\t1.5")
         with pytest.raises(PoolFormatError, match="line 2"):
+            load_scores(path)
+
+    def test_duplicate_clip_id_names_file_and_line(self, tmp_path):
+        """A second row used to override the first one's score."""
+        path = self._write(
+            tmp_path,
+            "c0\t1.0\t0.0\t0.5\t1.0\t0.0\t0.5\t0.9",
+            "c1\t1.0\t0.0\t0.5\t1.0\t0.0\t0.5\t0.5",
+            "c0\t1.0\t0.0\t0.5\t1.0\t0.0\t0.5\t0.1",
+        )
+        with pytest.raises(PoolFormatError, match=rf"{re.escape(str(path))} line 4: duplicate clip_id 'c0'"):
             load_scores(path)

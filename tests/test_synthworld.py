@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from driveselect.criteria import ClipPrediction
+from driveselect.criteria import AgentForecast, ClipPrediction
 from driveselect.pool import BUCKETS, COMMAND_CLASSES, classify_command, mean_speed, weather_lighting_bucket
 from driveselect.synthworld import (
     AGENT_CLEARANCE,
@@ -15,6 +15,7 @@ from driveselect.synthworld import (
     ClipTruth,
     ToyPlanner,
     WorldConfig,
+    _rotation,
     evaluate_clips,
     generate_pool,
     generate_world,
@@ -42,6 +43,41 @@ def brute_force_plans(planner, clips):
     k = min(planner.n_neighbors, len(planner._exemplar_feats))
     nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
     return planner._exemplar_futures[nearest].mean(axis=1)
+
+
+def reference_forecasts(planner, clip_id, horizon):
+    """Reference agent forecasts: the per-agent loop ToyPlanner ran for each
+    clip before it built all forecasts in one array pass."""
+    truth = planner._truth[clip_id]
+    steps = np.arange(1, horizon + 1)[:, None] * FRAME_DT
+    forecasts = []
+    for agent in truth.agents:
+        start = np.asarray(agent.start)
+        d0 = float(np.linalg.norm(start))
+        if d0 > planner.AGENT_RADIUS:
+            continue
+        confidence = math.exp(-d0 / planner.AGENT_RADIUS)
+        true_track = np.asarray(agent.track)
+        vel = (true_track[0] - start) / FRAME_DT
+        trajs = []
+        endpoint_err = []
+        for angle_deg in planner.MODALITY_ANGLES:
+            rot_vel = _rotation(math.radians(angle_deg)) @ vel
+            traj = start[None, :] + steps * rot_vel[None, :]
+            trajs.append(tuple((float(x), float(y)) for x, y in traj))
+            endpoint_err.append(float(np.linalg.norm(traj[-1] - true_track[-1])))
+        logits = -np.asarray(endpoint_err) / planner.ENDPOINT_SCALE
+        probs = np.exp(logits - logits.max())
+        probs /= probs.sum()
+        forecasts.append(
+            AgentForecast(
+                agent_id=agent.agent_id,
+                confidence=confidence,
+                modality_probs=tuple(float(p) for p in probs),
+                modality_trajs=tuple(trajs),
+            )
+        )
+    return tuple(forecasts)
 
 
 def tagged_clip(cid, speed, weather="Sunny", lighting="Day", tag=0.0):
@@ -335,14 +371,14 @@ class TestForecastCache:
     def test_forecasts_built_once_per_clip_across_rounds(self):
         clips, truth = generate_world(WorldConfig(n_clips=120, seed=21, agent_rate=3.0))
         planner = ToyPlanner(clips, truth)
-        built = []
-        build = planner._forecasts
+        builds = []
+        build = planner._build_forecasts
 
-        def counting_build(clip_id, horizon):
-            built.append(clip_id)
-            return build(clip_id, horizon)
+        def counting_build():
+            builds.append(build())
+            return builds[-1]
 
-        planner._forecasts = counting_build
+        planner._build_forecasts = counting_build
         ids = [c.id for c in clips]
         heldout, pool = ids[:20], ids[20:]
         predictions = {}
@@ -350,10 +386,33 @@ class TestForecastCache:
             planner.train(pool[:n_labeled])
             predictions.update(planner.predict(pool[n_labeled:]))
             predictions.update(planner.predict(heldout))
-        assert sorted(built) == sorted(set(heldout) | set(pool[20:]))
+        assert len(builds) == 1
+        assert set(builds[0]) >= set(heldout) | set(pool[20:])
 
         fresh = ToyPlanner(clips, truth).predict(list(predictions))
         assert all(predictions[i].agents == fresh[i].agents for i in predictions)
+
+
+class TestForecastsMatchReference:
+    """The one-pass array forecasts equal the per-agent loop bit for bit."""
+
+    @pytest.mark.parametrize("horizon", [6, 9])
+    def test_seeded_worlds(self, horizon):
+        far = empty = 0
+        for seed in range(3):
+            clips, truth = generate_world(WorldConfig(n_clips=300, seed=50 + seed, agent_rate=3.0, horizon=horizon))
+            planner = ToyPlanner(clips, truth)
+            batch = planner.predict([c.id for c in clips])
+            for clip in clips:
+                expected = reference_forecasts(planner, clip.id, horizon)
+                got = batch[clip.id].agents
+                assert [a.agent_id for a in got] == [a.agent_id for a in expected]
+                for field in ("confidence", "modality_probs", "modality_trajs"):
+                    assert np.array_equal([getattr(a, field) for a in got],
+                                          [getattr(a, field) for a in expected]), (clip.id, field)
+                empty += not truth[clip.id].agents
+                far += sum(np.linalg.norm(a.start) > ToyPlanner.AGENT_RADIUS for a in truth[clip.id].agents)
+        assert far > 10 and empty > 10
 
 
 class TestEvaluation:
