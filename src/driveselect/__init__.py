@@ -41,7 +41,6 @@ from .loop import (
 )
 from .pool import (
     ClipRecord,
-    FrameState,
     SelectionState,
     classify_command,
     load_pool,

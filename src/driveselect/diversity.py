@@ -39,10 +39,10 @@ def _powered(count: float, gamma: float) -> float:
 def first_level_shares(counts: Mapping[str, int], gamma: float) -> dict[str, float]:
     """Budget share per weather-lighting bucket: count**gamma, normalized.
 
-    Raises ValueError if every count is zero.
+    Raises ValueError if gamma is outside (0, 1] or every count is zero.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if not 0 < gamma <= 1:
+        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
     if any(c < 0 for c in counts.values()):
         raise ValueError("counts must be non-negative")
     weights = {k: _powered(c, gamma) for k, c in counts.items()}

@@ -177,6 +177,8 @@ def run_round(
     is scored, and the top clips by the chosen ranking key move to labeled. A
     provider failure propagates before any state mutation.
     """
+    if criterion not in CRITERIA:
+        raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
     n = config.n_per_round if n_select is None else n_select
     unlabeled = state.unlabeled_ids
     if n > len(unlabeled):
@@ -192,15 +194,15 @@ def run_round(
         eps_a=config.eps_a,
         delta_d=config.delta_d,
     )
-    selected = rank_and_take({r.clip_id: ranking_key(r, criterion) for r in rows}, n)
     picks = {
         c: tuple(rank_and_take({r.clip_id: ranking_key(r, c) for r in rows}, n))
         for c in CRITERIA
     }
+    selected = picks[criterion]
     state.add_round(round_index, selected)
     return RoundTrace(
         round_index=round_index,
-        selected_ids=tuple(selected),
+        selected_ids=selected,
         scores=tuple(rows),
         summary=_summarize(rows),
         criterion_picks=picks,

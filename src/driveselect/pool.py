@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from functools import partial
@@ -66,31 +67,20 @@ def _check_path(points: Iterable[Sequence[float]], horizon: int, name: str) -> t
 
 
 @dataclass(frozen=True)
-class FrameState:
-    """Per-frame ego state: speed in m/s and the discrete driving command."""
-
-    speed: float
-    command: str
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.speed) or self.speed < 0:
-            raise ValueError(f"speed must be finite and non-negative, got {self.speed}")
-        if self.command not in COMMAND_VALUES:
-            raise ValueError(f"unknown command {self.command!r}")
-
-
-@dataclass(frozen=True)
 class ClipRecord:
     """One driving clip: cheap metadata plus the recorded ego future.
 
-    Immutable after load. ``annotation`` is an opaque payload that exists only
-    for clips that have been labeled; the engine never looks inside it.
+    Immutable after load. The recorded frames are two parallel columns:
+    ``speeds`` in m/s and the discrete driving ``commands``. ``annotation`` is
+    an opaque payload that exists only for clips that have been labeled; the
+    engine never looks inside it.
     """
 
     id: str
     weather: str
     lighting: str
-    frames: tuple[FrameState, ...]
+    speeds: tuple[float, ...]
+    commands: tuple[str, ...]
     gt_future: tuple[tuple[float, float], ...]
     annotation: Any = None
 
@@ -101,8 +91,18 @@ class ClipRecord:
             raise ValueError(f"unknown weather {self.weather!r}")
         if self.lighting not in LIGHTING_VALUES:
             raise ValueError(f"unknown lighting {self.lighting!r}")
-        if len(self.frames) == 0:
+        if len(self.speeds) == 0:
             raise ValueError(f"clip {self.id}: frames must be non-empty")
+        if len(self.commands) != len(self.speeds):
+            raise ValueError(
+                f"clip {self.id}: {len(self.speeds)} speeds but {len(self.commands)} commands"
+            )
+        for speed in self.speeds:
+            if not math.isfinite(speed) or speed < 0:
+                raise ValueError(f"speed must be finite and non-negative, got {speed}")
+        for command in self.commands:
+            if command not in COMMAND_VALUES:
+                raise ValueError(f"unknown command {command!r}")
         if len(self.gt_future) == 0:
             raise ValueError(f"clip {self.id}: gt_future must be non-empty")
 
@@ -123,8 +123,8 @@ def classify_command(clip: ClipRecord, tau_c: int) -> str:
     """
     if tau_c < 1:
         raise ValueError(f"tau_c must be >= 1, got {tau_c}")
-    n_left = sum(1 for f in clip.frames if f.command == "Left")
-    n_right = sum(1 for f in clip.frames if f.command == "Right")
+    n_left = clip.commands.count("Left")
+    n_right = clip.commands.count("Right")
     if n_left >= tau_c and n_right >= tau_c:
         return "O"
     if n_left >= tau_c:
@@ -136,7 +136,7 @@ def classify_command(clip: ClipRecord, tau_c: int) -> str:
 
 def mean_speed(clip: ClipRecord) -> float:
     """Arithmetic mean of the per-frame speeds, in m/s."""
-    return sum(f.speed for f in clip.frames) / len(clip.frames)
+    return sum(clip.speeds) / len(clip.speeds)
 
 
 class SelectionState:
@@ -178,9 +178,6 @@ class SelectionState:
     @property
     def rounds(self) -> tuple[tuple[int, tuple[str, ...]], ...]:
         return tuple(self._rounds)
-
-    def is_labeled(self, clip_id: str) -> bool:
-        return clip_id in self._labeled_set
 
     def add_round(self, round_index: int, ids: Sequence[str]) -> None:
         """Record one selection increment; ids must be distinct and unlabeled."""
@@ -239,7 +236,7 @@ def clip_to_dict(clip: ClipRecord) -> dict:
         "id": clip.id,
         "weather": clip.weather,
         "lighting": clip.lighting,
-        "frames": [{"speed": f.speed, "command": f.command} for f in clip.frames],
+        "frames": [{"speed": v, "command": c} for v, c in zip(clip.speeds, clip.commands)],
         "gt_future": [[x, y] for x, y in clip.gt_future],
     }
     if clip.annotation is not None:
@@ -251,15 +248,14 @@ def clip_from_dict(record: dict, horizon: int) -> ClipRecord:
     extra = set(record) - {"id", "weather", "lighting", "frames", "gt_future", "annotation"}
     if extra:
         raise ValueError(f"unknown fields {sorted(extra)}")
-    frames = tuple(
-        FrameState(speed=float(f["speed"]), command=str(f["command"]))
-        for f in record["frames"]
-    )
+    frames = record["frames"]
     return ClipRecord(
         id=str(record["id"]),
         weather=str(record["weather"]),
         lighting=str(record["lighting"]),
-        frames=frames,
+        speeds=tuple(float(f["speed"]) for f in frames),
+        # Interned, so every clip shares the same few command strings.
+        commands=tuple(sys.intern(str(f["command"])) for f in frames),
         gt_future=_check_path(record["gt_future"], horizon, "gt_future"),
         annotation=record.get("annotation"),
     )

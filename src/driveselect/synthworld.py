@@ -30,7 +30,6 @@ from .pool import (
     BUCKETS,
     COMMAND_CLASSES,
     ClipRecord,
-    FrameState,
     _check_finite_point,
     _check_path,
     atomic_write_text,
@@ -152,7 +151,7 @@ def _integrate(kappa: np.ndarray, v: float) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum(steps, axis=0), theta
 
 
-def _commands_from_curvature(kappa: np.ndarray) -> list[str]:
+def _commands_from_curvature(kappa: np.ndarray) -> tuple[str, ...]:
     commands = []
     for k in kappa[:HISTORY_FRAMES]:
         if k > 1e-12:
@@ -161,7 +160,7 @@ def _commands_from_curvature(kappa: np.ndarray) -> list[str]:
             commands.append("Right")
         else:
             commands.append("Straight")
-    return commands
+    return tuple(commands)
 
 
 # Every agent track keeps at least this same-timestep distance from the true
@@ -271,12 +270,12 @@ def generate_world(config: WorldConfig) -> tuple[list[ClipRecord], dict[str, Cli
         lighting = "Day" if bucket[0] == "D" else "Night"
         weather = "Sunny" if bucket[1] == "S" else "Rainy"
         commands = _commands_from_curvature(kappa)
-        frames = tuple(FrameState(speed=v, command=cmd) for cmd in commands)
         clip = ClipRecord(
             id=clip_id,
             weather=weather,
             lighting=lighting,
-            frames=frames,
+            speeds=(v,) * len(commands),
+            commands=commands,
             gt_future=tuple((float(x), float(y)) for x, y in gt_future),
         )
         clips.append(clip)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from driveselect.criteria import AgentForecast, ClipPrediction
-from driveselect.pool import ClipRecord, FrameState
+from driveselect.pool import ClipRecord
 
 
 def make_clip(
@@ -24,9 +24,9 @@ def make_clip(
         commands = ["Straight"] * len(speeds)
     if gt_future is None:
         gt_future = tuple((float(t), 0.0) for t in range(1, horizon + 1))
-    frames = tuple(FrameState(speed=s, command=c) for s, c in zip(speeds, commands))
     return ClipRecord(
-        id=cid, weather=weather, lighting=lighting, frames=frames,
+        id=cid, weather=weather, lighting=lighting,
+        speeds=tuple(float(s) for s in speeds), commands=tuple(commands),
         gt_future=tuple((float(x), float(y)) for x, y in gt_future),
     )
 

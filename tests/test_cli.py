@@ -65,6 +65,13 @@ class TestInit:
         assert run_cli("init", "--pool", pool, "--n0", 5000,
                        "--out", tmp_path / "sel.json") == 1
 
+    def test_gamma_above_one_is_data_error(self, world, tmp_path, capsys):
+        pool, _ = world
+        sel = tmp_path / "sel.json"
+        assert run_cli("init", "--pool", pool, "--n0", 12, "--gamma", 3, "--out", sel) == 1
+        assert "gamma must be in (0, 1], got 3.0" in capsys.readouterr().err
+        assert not sel.exists()
+
     def test_deterministic(self, world, tmp_path):
         pool, _ = world
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -58,6 +58,11 @@ class TestFirstLevelShares:
                 if counts[b] == 0:
                     assert shares[b] == 0.0
 
+    @pytest.mark.parametrize("gamma", [0.0, -0.5, 1.5, 3.0])
+    def test_gamma_outside_unit_interval_is_rejected(self, gamma):
+        with pytest.raises(ValueError, match=rf"gamma must be in \(0, 1\], got {gamma}"):
+            first_level_shares(TAIL_COUNTS, gamma)
+
     def test_all_zero_counts_error(self):
         with pytest.raises(ValueError, match="zero"):
             first_level_shares({b: 0 for b in BUCKETS}, gamma=0.5)

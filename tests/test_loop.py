@@ -16,6 +16,7 @@ from driveselect.loop import (
     run_round,
 )
 from driveselect.pool import SelectionState, selection_to_dict
+from driveselect.synthworld import ToyPlanner, WorldConfig, generate_world
 
 from conftest import ConstantProvider, HashPlanProvider, make_clip, random_clip
 
@@ -110,6 +111,27 @@ class TestRunRound:
         trace = run_round(clips, state, HashPlanProvider(clips), cfg, 0, n_select=5)
         assert sorted(trace.selected_ids) == sorted(c.id for c in clips)
         assert state.unlabeled_ids == ()
+
+    @pytest.mark.parametrize("criterion", ["de", "sc", "au", "mix"])
+    def test_selection_is_the_criterion_pick(self, criterion):
+        clips, truth = generate_world(WorldConfig(n_clips=150, seed=13, agent_rate=3.0))
+        state = SelectionState(c.id for c in clips)
+        state.add_round(0, [c.id for c in clips[:30]])
+        cfg = ActiveConfig(budget=50, n_init=30, n_rounds=1, n_per_round=20)
+        trace = run_round(clips, state, ToyPlanner(clips, truth), cfg, 1, criterion=criterion)
+        assert trace.selected_ids == trace.criterion_picks[criterion]
+        assert state.rounds[-1] == (1, trace.selected_ids)
+
+    def test_unknown_criterion_is_rejected_before_training(self, rng):
+        clips = small_pool(rng, 6)
+        state = SelectionState(c.id for c in clips)
+        state.add_round(0, [clips[0].id])
+        provider = HashPlanProvider(clips)
+        cfg = ActiveConfig(budget=3, n_init=1, n_rounds=1, n_per_round=2)
+        with pytest.raises(ValueError, match="criterion"):
+            run_round(clips, state, provider, cfg, 1, criterion="overall")
+        assert provider.train_calls == 0
+        assert state.rounds == ((0, (clips[0].id,)),)
 
     def test_provider_failure_leaves_state_untouched(self, rng):
         clips = small_pool(rng, 6)

@@ -1,6 +1,7 @@
 """Pool data model, classification, and persistence round-trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from driveselect.pool import (
     BUCKETS,
     COMMAND_CLASSES,
     ClipRecord,
-    FrameState,
     PoolFormatError,
     SelectionState,
     classify_command,
@@ -23,6 +23,7 @@ from driveselect.pool import (
     selection_to_dict,
     weather_lighting_bucket,
 )
+from driveselect.synthworld import WorldConfig, generate_pool, generate_world, load_truth, save_truth
 
 from conftest import make_clip, random_clip
 
@@ -32,16 +33,16 @@ N_CASES = 1000
 class TestClipValidation:
     def test_rejects_empty_frames(self):
         with pytest.raises(ValueError, match="frames"):
-            ClipRecord(id="c1", weather="Sunny", lighting="Day", frames=(),
+            ClipRecord(id="c1", weather="Sunny", lighting="Day", speeds=(), commands=(),
                        gt_future=((0.0, 0.0),))
 
     def test_rejects_negative_speed(self):
         with pytest.raises(ValueError, match="speed"):
-            FrameState(speed=-1.0, command="Straight")
+            make_clip("c1", speeds=[2.0, -1.0])
 
     def test_rejects_nan_speed(self):
         with pytest.raises(ValueError, match="speed"):
-            FrameState(speed=float("nan"), command="Straight")
+            make_clip("c1", speeds=[float("nan")])
 
     def test_rejects_unknown_enums(self):
         with pytest.raises(ValueError):
@@ -49,7 +50,26 @@ class TestClipValidation:
         with pytest.raises(ValueError):
             make_clip("c1", lighting="Dusk")
         with pytest.raises(ValueError):
-            FrameState(speed=1.0, command="UTurn")
+            make_clip("c1", speeds=[1.0], commands=["UTurn"])
+
+    @pytest.mark.parametrize("speeds,commands,message", [
+        ([], [], "clip c1: frames must be non-empty"),
+        ([2.0, -1.0], ["Left", "Left"], "speed must be finite and non-negative, got -1.0"),
+        ([float("inf")], ["Left"], "speed must be finite and non-negative, got inf"),
+        ([1.0, 2.0], ["Left", "UTurn"], "unknown command 'UTurn'"),
+        ([1.0, 2.0], ["Left"], "clip c1: 2 speeds but 1 commands"),
+    ])
+    def test_frame_column_messages(self, speeds, commands, message):
+        with pytest.raises(ValueError) as info:
+            make_clip("c1", speeds=speeds, commands=commands)
+        assert str(info.value) == message
+
+    def test_bad_frame_in_file_names_the_line(self):
+        record = json.loads(pool_to_lines([make_clip("c1", speeds=[1.0, 2.0])])[0])
+        record["frames"][1]["command"] = "UTurn"
+        lines = pool_to_lines([make_clip("c0")]) + [json.dumps(record)]
+        with pytest.raises(PoolFormatError, match="pool line 2: unknown command 'UTurn'"):
+            parse_pool_lines(lines)
 
 
 class TestBucketAndCommand:
@@ -142,7 +162,7 @@ class TestPoolIO:
     def test_annotation_round_trips(self):
         clip = ClipRecord(
             id="c1", weather="Sunny", lighting="Day",
-            frames=(FrameState(1.0, "Straight"),),
+            speeds=(1.0,), commands=("Straight",),
             gt_future=tuple((float(t), 0.0) for t in range(1, 7)),
             annotation={"boxes": [1, 2, 3]},
         )
@@ -156,6 +176,32 @@ class TestPoolIO:
             n = int(rng.integers(1, 6))
             clips = [random_clip(rng, f"p{case}_c{i}") for i in range(n)]
             assert parse_pool_lines(pool_to_lines(clips)) == clips
+
+
+class TestGeneratedFiles:
+    def test_load_save_round_trip_keeps_gen_bytes(self, tmp_path):
+        """Loading and re-saving a generated pool and truth file rewrites the same bytes."""
+        pool, truth = tmp_path / "pool.jsonl", tmp_path / "truth.jsonl"
+        generate_pool(WorldConfig(n_clips=200, seed=11), pool, truth)
+        clips, _ = load_pool(pool)
+        save_pool(clips, tmp_path / "pool2.jsonl")
+        assert (tmp_path / "pool2.jsonl").read_bytes() == pool.read_bytes()
+        save_truth(load_truth(truth), (c.id for c in clips), tmp_path / "truth2.jsonl")
+        assert (tmp_path / "truth2.jsonl").read_bytes() == truth.read_bytes()
+
+    def test_parsed_pool_memory_is_bounded(self):
+        """1000 parsed 40-frame clips retain well under what per-frame objects cost."""
+        clips, _ = generate_world(WorldConfig(n_clips=1000, seed=5))
+        lines = pool_to_lines(clips)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            parsed = parse_pool_lines(lines)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert parsed == clips
+        assert retained < 6.5 * 10**6
 
 
 class TestSelectionState:

@@ -175,7 +175,7 @@ class TestGeneration:
     def test_clip_shape(self):
         clips, truth = generate_world(WorldConfig(n_clips=5, seed=3))
         for clip in clips:
-            assert len(clip.frames) == HISTORY_FRAMES
+            assert len(clip.speeds) == len(clip.commands) == HISTORY_FRAMES
             assert len(clip.gt_future) == 6
             assert truth[clip.id].ego_future == clip.gt_future
 
