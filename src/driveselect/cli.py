@@ -27,7 +27,14 @@ import sys
 from pathlib import Path
 
 from . import report
-from .criteria import load_predictions, load_scores, rank_and_take, save_scores, score_pool
+from .criteria import (
+    check_score_settings,
+    load_predictions,
+    load_scores,
+    rank_and_take,
+    save_scores,
+    score_pool,
+)
 from .diversity import ego_diversity_init
 from .loop import ActiveConfig, CRITERIA, derive_schedule, random_init, run
 from .pool import (
@@ -167,6 +174,7 @@ def cmd_init(args) -> int:
 
 
 def cmd_score(args) -> int:
+    check_score_settings(alpha=args.alpha, beta=args.beta, eps_a=args.eps_a, delta_d=args.delta_d)
     clips, _ = load_pool(args.pool, horizon=args.horizon)
     state = load_selection(args.selection, [c.id for c in clips])
     predictions = load_predictions(args.predictions, horizon=args.horizon)
@@ -206,7 +214,7 @@ def cmd_select(args) -> int:
     next_round = max((int(e["round"]) for e in payload["rounds"]), default=-1) + 1
     payload["rounds"].append({"round": next_round, "ids": ids})
     out = args.out or args.selection
-    atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
+    atomic_write_text(out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
     print(f"wrote {out} (round {next_round}: {len(ids)} clips)")
     return 0
 
@@ -299,9 +307,11 @@ def cmd_run(args) -> int:
         args, config, args.criterion, strategy, result, pool_clips, heldout_clips, truth, provider
     )
 
+    # Serialized before the out-dir exists: a non-finite value writes nothing.
+    manifest_text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(out_dir / "manifest.json", manifest_text)
     state = result.state
     save_selection(state, out_dir / "selection.json")
     emit_report({"run": manifest}, out_dir / "report.json", "structured")
@@ -347,7 +357,7 @@ def cmd_report(args) -> int:
             sets[label] = {i for e in incremental for i in e["ids"]}
         labels, matrix = report.overlap_matrix(sets)
         doc = {"labels": labels, "matrix": matrix.tolist()}
-        atomic_write_text(out_dir / "overlap.json", json.dumps(doc, indent=2) + "\n")
+        atomic_write_text(out_dir / "overlap.json", json.dumps(doc, indent=2, allow_nan=False) + "\n")
         lines = ["# selection_overlap", "\t".join(["set"] + labels)]
         for i, label in enumerate(labels):
             lines.append("\t".join([label] + [repr(v) for v in matrix[i]]))

@@ -388,14 +388,29 @@ def modality_entropy(probs: Sequence[float]) -> float:
     return float(_entropies(np.asarray(probs, dtype=float)[None])[0])
 
 
+#: Largest mixing weight. The normalized criteria lie in [0, 1], so
+#: ``overall`` stays at most 1 + 2 * MAX_WEIGHT, and its mean over any pool
+#: stays finite.
+MAX_WEIGHT = 1e6
+
+
 def _check_eps_a(eps_a: float) -> None:
     if not 0.0 <= eps_a <= 1.0:
         raise ValueError(f"eps_a must be in [0, 1], got {eps_a}")
 
 
 def _check_delta_d(delta_d: float) -> None:
-    if delta_d <= 0:
-        raise ValueError(f"delta_d must be > 0, got {delta_d}")
+    if not (delta_d > 0 and math.isfinite(delta_d)):
+        raise ValueError(f"delta_d must be finite and > 0, got {delta_d}")
+
+
+def check_score_settings(*, alpha: float, beta: float, eps_a: float, delta_d: float) -> None:
+    """Raise ValueError naming the first scoring setting out of its range."""
+    for name, weight in (("alpha", alpha), ("beta", beta)):
+        if not 0.0 <= weight <= MAX_WEIGHT:
+            raise ValueError(f"{name} must be in [0, {MAX_WEIGHT:g}], got {weight}")
+    _check_eps_a(eps_a)
+    _check_delta_d(delta_d)
 
 
 def soft_collision(pred: ClipPrediction, eps_a: float) -> float:
@@ -475,8 +490,7 @@ def score_pool(
     """
     if not clips:
         raise ValueError("no clips to score")
-    _check_eps_a(eps_a)
-    _check_delta_d(delta_d)
+    check_score_settings(alpha=alpha, beta=beta, eps_a=eps_a, delta_d=delta_d)
     batch = prediction_batch(predictions, clips)
     gts = np.array([c.gt_future for c in clips], dtype=float).reshape(batch.ego_plans.shape)
     dists = _best_distances(batch)
@@ -556,7 +570,7 @@ def load_predictions(path: str | os.PathLike, horizon: int | None = 6) -> Predic
 
 
 def save_predictions(preds: Iterable[ClipPrediction], path: str | os.PathLike) -> None:
-    lines = [json.dumps(prediction_to_dict(p), separators=(",", ":")) for p in preds]
+    lines = [json.dumps(prediction_to_dict(p), separators=(",", ":"), allow_nan=False) for p in preds]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

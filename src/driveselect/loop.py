@@ -14,7 +14,15 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .criteria import ClipPrediction, CriterionScores, PredictionBatch, load_predictions, rank_and_take, score_pool
+from .criteria import (
+    ClipPrediction,
+    CriterionScores,
+    PredictionBatch,
+    check_score_settings,
+    load_predictions,
+    rank_and_take,
+    score_pool,
+)
 from .diversity import StratumAllocation, ego_diversity_init
 from .pool import ClipRecord, SelectionState
 
@@ -56,16 +64,11 @@ class ActiveConfig:
                 f"budget {self.budget} != n_init {self.n_init} + "
                 f"{self.n_rounds} rounds * {self.n_per_round}"
             )
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
+        check_score_settings(alpha=self.alpha, beta=self.beta, eps_a=self.eps_a, delta_d=self.delta_d)
         if not 0 < self.gamma <= 1:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.tau_c < 1:
             raise ValueError(f"tau_c must be >= 1, got {self.tau_c}")
-        if not 0 <= self.eps_a <= 1:
-            raise ValueError(f"eps_a must be in [0, 1], got {self.eps_a}")
-        if self.delta_d <= 0:
-            raise ValueError(f"delta_d must be > 0, got {self.delta_d}")
         if self.init_mode not in INIT_MODES:
             raise ValueError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
 

@@ -13,7 +13,9 @@ so that a selection file plus the pool file fully reproduce the split.
 
 Pool, predictions and truth files all go through :func:`read_jsonl`: ids are
 JSON strings, unique within the file, and an empty file or a malformed line
-raises :class:`PoolFormatError` naming the file and the 1-based line.
+(invalid UTF-8 included) raises :class:`PoolFormatError` naming the file and
+the 1-based line. Lines are decoded by orjson wherever it gives exactly what
+``json.loads`` gives, and by ``json.loads`` elsewhere (see :func:`_loads`).
 """
 
 from __future__ import annotations
@@ -25,11 +27,15 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence, TypeVar
+
+import orjson
 
 WEATHER_VALUES = ("Sunny", "Rainy")
 LIGHTING_VALUES = ("Day", "Night")
 COMMAND_VALUES = ("Left", "Right", "Straight")
+_COMMAND_SET = frozenset(COMMAND_VALUES)
 
 #: Weather-lighting buckets, in canonical (tie-break) order.
 BUCKETS = ("DS", "DR", "NS", "NR")
@@ -60,7 +66,7 @@ def _check_finite_point(point: Sequence[float]) -> tuple[float, float]:
 
 def _check_path(points: Iterable[Sequence[float]], horizon: int, name: str) -> tuple[tuple[float, float], ...]:
     """A trajectory of exactly ``horizon`` finite (x, y) waypoints."""
-    path = tuple(_check_finite_point(p) for p in points)
+    path = tuple(map(_check_finite_point, points))
     if len(path) != horizon:
         raise ValueError(f"{name} has {len(path)} waypoints, expected {horizon}")
     return path
@@ -97,12 +103,12 @@ class ClipRecord:
             raise ValueError(
                 f"clip {self.id}: {len(self.speeds)} speeds but {len(self.commands)} commands"
             )
-        for speed in self.speeds:
-            if not math.isfinite(speed) or speed < 0:
-                raise ValueError(f"speed must be finite and non-negative, got {speed}")
-        for command in self.commands:
-            if command not in COMMAND_VALUES:
-                raise ValueError(f"unknown command {command!r}")
+        if not (all(map(math.isfinite, self.speeds)) and min(self.speeds) >= 0):
+            speed = next(v for v in self.speeds if not math.isfinite(v) or v < 0)
+            raise ValueError(f"speed must be finite and non-negative, got {speed}")
+        if not _COMMAND_SET.issuperset(self.commands):
+            command = next(c for c in self.commands if c not in COMMAND_VALUES)
+            raise ValueError(f"unknown command {command!r}")
         if len(self.gt_future) == 0:
             raise ValueError(f"clip {self.id}: gt_future must be non-empty")
 
@@ -244,6 +250,10 @@ def clip_to_dict(clip: ClipRecord) -> dict:
     return record
 
 
+_SPEED = itemgetter("speed")
+_COMMAND = itemgetter("command")
+
+
 def clip_from_dict(record: dict, horizon: int) -> ClipRecord:
     extra = set(record) - {"id", "weather", "lighting", "frames", "gt_future", "annotation"}
     if extra:
@@ -253,23 +263,54 @@ def clip_from_dict(record: dict, horizon: int) -> ClipRecord:
         id=str(record["id"]),
         weather=str(record["weather"]),
         lighting=str(record["lighting"]),
-        speeds=tuple(float(f["speed"]) for f in frames),
+        speeds=tuple(map(float, map(_SPEED, frames))),
         # Interned, so every clip shares the same few command strings.
-        commands=tuple(sys.intern(str(f["command"])) for f in frames),
+        commands=tuple(map(sys.intern, map(str, map(_COMMAND, frames)))),
         gt_future=_check_path(record["gt_future"], horizon, "gt_future"),
         annotation=record.get("annotation"),
     )
 
 
 def pool_to_lines(clips: Sequence[ClipRecord]) -> list[str]:
-    return [json.dumps(clip_to_dict(c), separators=(",", ":")) for c in clips]
+    return [json.dumps(clip_to_dict(c), separators=(",", ":"), allow_nan=False) for c in clips]
 
 
 T = TypeVar("T")
 
+# Digits 1-9 become 0 and "{" becomes "[", so one translated copy of a line
+# shows both its digit runs and its bracket count.
+_GUARD_TABLE = bytes.maketrans(b"123456789{", b"000000000[")
+_DIGIT_RUN = b"0" * 19
+_MAX_OPENERS = 512
+_BLANK = object()
+
+
+def _loads(line: bytes) -> Any:
+    """``json.loads`` of one UTF-8 line stripped of whitespace, or ``_BLANK``.
+
+    orjson decodes the line when it gives the same types, values and float
+    bits. Everything else takes ``json.loads``, so its values and messages
+    stay the same:
+    - a line orjson rejects: NaN, Infinity, 1e400, lone surrogates, invalid
+      UTF-8, or text around the JSON that ``str.strip`` removes;
+    - a run of 19 or more digits, as orjson rounds integers beyond 64 bits to
+      floats;
+    - more than ``_MAX_OPENERS`` brackets, which bounds the nesting depth:
+      ``json.loads`` stops at Python's recursion limit, and orjson 3.8
+      recurses without one and crashes on a deep enough line.
+    """
+    guard = line.translate(_GUARD_TABLE)
+    if _DIGIT_RUN not in guard and guard.count(b"[") <= _MAX_OPENERS:
+        try:
+            return orjson.loads(line)
+        except orjson.JSONDecodeError:
+            pass
+    text = line.decode("utf-8").strip()
+    return json.loads(text) if text else _BLANK
+
 
 def read_jsonl(
-    source: str | os.PathLike | Iterable[str],
+    source: str | os.PathLike | Iterable[bytes | str],
     what: str,
     id_key: str,
     parse: Callable[[dict], T],
@@ -277,24 +318,23 @@ def read_jsonl(
 ):
     """``{id: parse(record)}`` for each line of a JSONL file, in line order.
 
-    ``source`` is the file's path or its lines; blank lines are skipped. Each
-    record must be a JSON object whose ``id_key`` is a JSON string not seen on
-    an earlier line. Any bad line, and an input without records, raises
-    PoolFormatError naming ``what``, the file (for a path) and the line.
-    ``finish``, if given, turns that dict into the result; a RowError it
-    raises is reported at the line of that record.
+    ``source`` is the file's path or its lines, as UTF-8 bytes or as str;
+    blank lines are skipped. Each record must be a JSON object whose
+    ``id_key`` is a JSON string not seen on an earlier line. Any bad line, and
+    an input without records, raises PoolFormatError naming ``what``, the
+    file (for a path) and the line. ``finish``, if given, turns that dict into
+    the result; a RowError it raises is reported at the line of that record.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "rb") as fh:
             return read_jsonl(fh, f"{what} file {os.fspath(source)}", id_key, parse, finish)
     records: dict[str, T] = {}
     linenos: list[int] = []
     for lineno, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
         try:
-            record = json.loads(line)
+            record = _loads(line.encode("utf-8") if isinstance(line, str) else line)
+            if record is _BLANK:
+                continue
             if not isinstance(record, dict):
                 raise ValueError("record must be a JSON object")
             record_id = record[id_key]
@@ -338,7 +378,7 @@ def selection_to_dict(state: SelectionState) -> dict:
 
 
 def save_selection(state: SelectionState, path: str | os.PathLike) -> None:
-    atomic_write_text(path, json.dumps(selection_to_dict(state), indent=2) + "\n")
+    atomic_write_text(path, json.dumps(selection_to_dict(state), indent=2, allow_nan=False) + "\n")
 
 
 def read_selection_payload(path: str | os.PathLike) -> dict:

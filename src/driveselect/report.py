@@ -263,7 +263,8 @@ def emit_report(
 ) -> None:
     """Write one report file; byte-identical output for identical inputs."""
     if fmt == "structured":
-        atomic_write_text(path, json.dumps(render_structured(manifests), indent=2, sort_keys=True) + "\n")
+        text = json.dumps(render_structured(manifests), indent=2, sort_keys=True, allow_nan=False)
+        atomic_write_text(path, text + "\n")
     elif fmt == "delimited":
         atomic_write_text(path, render_delimited(manifests))
     else:

@@ -35,8 +35,8 @@ from .pool import (
     atomic_write_text,
     classify_command,
     mean_speed,
-    pool_to_lines,
     read_jsonl,
+    save_pool,
     weather_lighting_bucket,
 )
 
@@ -76,14 +76,14 @@ class WorldConfig:
         ):
             if len(probs) != size:
                 raise ValueError(f"{name} must have {size} entries")
-            if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
+            if not all(p >= 0 for p in probs) or not abs(sum(probs) - 1.0) <= 1e-9:
                 raise ValueError(f"{name} must be non-negative and sum to 1")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.agent_rate < 0:
-            raise ValueError(f"agent_rate must be >= 0, got {self.agent_rate}")
-        if self.noise_scale < 0:
-            raise ValueError(f"noise_scale must be >= 0, got {self.noise_scale}")
+        if not (self.agent_rate >= 0 and math.isfinite(self.agent_rate)):
+            raise ValueError(f"agent_rate must be finite and >= 0, got {self.agent_rate}")
+        if not (self.noise_scale >= 0 and math.isfinite(self.noise_scale)):
+            raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
 
 
 @dataclass(frozen=True)
@@ -311,6 +311,7 @@ def truth_to_lines(truth: Mapping[str, ClipTruth], order: Iterable[str]) -> list
                     ],
                 },
                 separators=(",", ":"),
+                allow_nan=False,
             )
         )
     return lines
@@ -343,7 +344,7 @@ def load_truth(path: str | os.PathLike, horizon: int = 6) -> dict[str, ClipTruth
 def generate_pool(config: WorldConfig, pool_path: str | os.PathLike, truth_path: str | os.PathLike) -> None:
     """Generate and write the pool and truth files (atomically, byte-stable)."""
     clips, truth = generate_world(config)
-    atomic_write_text(pool_path, "\n".join(pool_to_lines(clips)) + "\n")
+    save_pool(clips, pool_path)
     save_truth(truth, (c.id for c in clips), truth_path)
 
 

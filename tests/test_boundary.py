@@ -2,19 +2,24 @@
 
 A file with one bad line must either load or raise a PoolFormatError that
 names the file and the line; through the CLI it must exit 1 with that
-message, before any output is written.
+message, before any output is written. Lines decode to exactly what
+``json.loads`` gives, whichever decoder read them.
 """
 
 import json
 import re
+import struct
+from unittest import mock
 
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driveselect import pool as pool_module
 from driveselect.cli import main
 from driveselect.criteria import load_predictions, prediction_to_dict, rank_and_take, score_pool
-from driveselect.pool import PoolFormatError, load_pool, pool_to_lines
+from driveselect.pool import PoolFormatError, load_pool, pool_to_lines, read_jsonl
 from driveselect.synthworld import ToyPlanner, WorldConfig, generate_world, load_truth, truth_to_lines
 
 HUGE_INT = 10**400  # parses as a JSON integer, overflows float()
@@ -62,7 +67,7 @@ def json_paths(value, prefix=()):
         yield from json_paths(child, prefix + (key,))
 
 
-def mutate_line(line: str, data) -> str:
+def mutate_line(line: str, data, values=JSON_VALUES) -> str:
     """One random edit of one line: a value, a deletion, a cut, or new text."""
     kind = data.draw(st.sampled_from(["set", "delete", "cut", "text"]))
     if kind == "cut":
@@ -77,7 +82,7 @@ def mutate_line(line: str, data) -> str:
     if kind == "delete":
         del parent[path[-1]]
     else:
-        parent[path[-1]] = data.draw(JSON_VALUES)
+        parent[path[-1]] = data.draw(values)
     return json.dumps(record)
 
 
@@ -108,6 +113,111 @@ class TestMutatedLines:
             load(path)
         except PoolFormatError as exc:
             check_error_names_line(exc, what, path, index + 1)
+
+
+#: kind -> the key that holds a record's id
+ID_KEYS = {"pool": "id", "predictions": "clip_id", "truth": "clip_id"}
+
+ANY_TEXT = st.text(st.characters(blacklist_categories=()), max_size=6)  # lone surrogates too
+DECODER_VALUES = st.recursive(
+    JSON_VALUES | st.integers(-(10**40), 10**40) | st.floats() | ANY_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+#: JSON literals: integers of 18 to 40 digits, decimals with 18 to 25
+#: fraction digits, any float as json.dumps prints it, and strings, escaped
+#: or raw.
+LITERALS = (
+    st.integers(10**17, 10**40 - 1).map(str)
+    | st.integers(10**17, 10**40 - 1).map("-{}".format)
+    | st.builds("{}.{:0>18}{}".format, st.integers(0, 99), st.integers(0, 10**25 - 1),
+                st.sampled_from(["", "e-7", "E+30"]))
+    | st.just("0.000123456789012345")
+    | st.floats().map(json.dumps)
+    | st.builds(json.dumps, ANY_TEXT, ensure_ascii=st.booleans())
+)
+
+
+def assert_same_json(got, want) -> None:
+    """Equal values, with the same type at every node and the same float bits."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(got, float):
+        assert struct.pack("<d", got) == struct.pack("<d", want), (got, want)
+    elif isinstance(got, dict):
+        assert list(got) == list(want)
+        for key in got:
+            assert_same_json(got[key], want[key])
+    elif isinstance(got, list):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same_json(a, b)
+    else:
+        assert got == want
+
+
+def _records_or_error(path, id_key):
+    try:
+        return read_jsonl(path, "in", id_key, lambda record: record)
+    except PoolFormatError as exc:
+        return str(exc)
+
+
+def assert_decodes_as_json_loads(path, id_key) -> None:
+    """read_jsonl gives the records or the error it gives with json.loads alone."""
+    got = _records_or_error(path, id_key)
+    with mock.patch.object(pool_module.orjson, "loads", side_effect=orjson.JSONDecodeError("off", "", 0)):
+        want = _records_or_error(path, id_key)
+    assert_same_json(got, want)
+    if isinstance(got, dict):
+        with open(path, encoding="utf-8") as fh:
+            plain = [json.loads(line) for line in map(str.strip, fh) if line]
+        assert_same_json(list(got.values()), plain)
+
+
+def _raw_non_ascii(line: str) -> str:
+    """The line re-dumped with its non-ASCII characters unescaped, if it can be."""
+    try:
+        text = json.dumps(json.loads(line), ensure_ascii=False)
+        text.encode("utf-8")
+    except ValueError:
+        return line
+    return text
+
+
+class TestDecoder:
+    """The orjson fast path against a plain json.loads loop."""
+
+    @pytest.mark.parametrize("kind", sorted(VALID))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_line_decodes_as_json_loads(self, workdir, kind, data):
+        lines = list(VALID[kind][0])
+        index = data.draw(st.integers(0, len(lines) - 1))
+        lines[index] = mutate_line(lines[index], data, DECODER_VALUES)
+        if data.draw(st.booleans()):
+            lines[index] = _raw_non_ascii(lines[index])
+        path = workdir / f"decoder_{kind}.jsonl"
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        assert_decodes_as_json_loads(path, ID_KEYS[kind])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), literal=LITERALS)
+    def test_literal_decodes_as_json_loads(self, workdir, data, literal):
+        """A literal in an id, an annotation payload, or a coordinate of a pool line."""
+        lines = list(VALID["pool"][0])
+        record = json.loads(lines[1])
+        where = data.draw(st.sampled_from(["id", "annotation", "coordinate"]))
+        if where == "id":
+            record["id"] = "@"
+        elif where == "annotation":
+            record["annotation"] = {"payload": ["@", {"n": "@"}]}
+        else:
+            record["gt_future"][2][data.draw(st.integers(0, 1))] = "@"
+        lines[1] = json.dumps(record).replace('"@"', literal)
+        path = workdir / "decoder_literal.jsonl"
+        # Raw lone surrogates make the line invalid UTF-8, which must fail alike.
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogatepass"))
+        assert_decodes_as_json_loads(path, "id")
 
 
 def _with_record(lines, index, edit):
@@ -155,6 +265,26 @@ class TestRegressions:
         with pytest.raises(PoolFormatError) as info:
             load(path)
         check_error_names_line(info.value, what, path, 4)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("kind", sorted(VALID))
+    def test_invalid_utf8_names_line(self, tmp_path, kind, newline):
+        lines, load, what = VALID[kind]
+        data = [line.encode("utf-8") for line in lines]
+        data[4] = data[4].replace(b'"', b'"\xff', 1)
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(newline.encode().join(data) + newline.encode())
+        with pytest.raises(PoolFormatError, match="'utf-8' codec can't decode byte 0xff") as info:
+            load(path)
+        check_error_names_line(info.value, what, path, 5)
+
+    @pytest.mark.parametrize("kind", sorted(VALID))
+    def test_crlf_file_reads_as_lf(self, tmp_path, kind):
+        lines = VALID[kind][0]
+        lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+        lf.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        crlf.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+        assert_same_json(_records_or_error(crlf, ID_KEYS[kind]), _records_or_error(lf, ID_KEYS[kind]))
 
     @pytest.mark.parametrize("kind", sorted(VALID))
     def test_empty_file_names_the_file(self, tmp_path, kind):
@@ -316,6 +446,23 @@ class TestCli:
         assert main(["init", "--pool", str(bad), "--n0", "4", "--out", str(sel)]) == 1
         assert f"error: pool file {bad} line 41: " in capsys.readouterr().err
         assert not sel.exists()
+
+    @pytest.mark.parametrize("command", ["run", "init"])
+    def test_invalid_utf8_pool_line(self, world, tmp_path, capsys, command):
+        pool, truth = world
+        data = pool.read_bytes().split(b"\n")
+        data[4] = data[4].replace(b'"id"', b'"\xffid"', 1)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\n".join(data))
+        out = tmp_path / "out"
+        if command == "run":
+            assert self._run(bad, truth, out) == 1
+        else:
+            assert main(["init", "--pool", str(bad), "--n0", "4", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: pool file {bad} line 5: 'utf-8' codec can't decode byte 0xff" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_huge_integer_in_predictions(self, world, tmp_path, capsys):
         pool, _ = world

@@ -244,6 +244,74 @@ class TestScoreSelect:
         assert sel.read_text() == content
 
 
+class TestNonFiniteSettings:
+    """A setting that is not finite, or would make scores overflow, exits 1
+    naming the key, and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("delta_d=nan", "delta_d must be finite and > 0, got nan"),
+            ("delta_d=inf", "delta_d must be finite and > 0, got inf"),
+            ("alpha=nan", "alpha must be in [0, 1e+06], got nan"),
+            ("alpha=-inf", "alpha must be in [0, 1e+06], got -inf"),
+            ("beta=1e308", "beta must be in [0, 1e+06], got 1e+308"),
+            ("eps_a=nan", "eps_a must be in [0, 1], got nan"),
+            ("gamma=nan", "gamma must be in (0, 1], got nan"),
+        ],
+    )
+    def test_run_setting(self, world, tmp_path, capsys, setting, message):
+        pool, truth = world
+        out = tmp_path / "out"
+        assert run_cli("run", "--pool", pool, "--truth", truth, "--out-dir", out,
+                       "--heldout-count", 12, "--set", setting) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--delta-d", "nan", "delta_d must be finite and > 0, got nan"),
+            ("--alpha", "inf", "alpha must be in [0, 1e+06], got inf"),
+            ("--beta", "1e308", "beta must be in [0, 1e+06], got 1e+308"),
+            ("--eps-a", "nan", "eps_a must be in [0, 1], got nan"),
+        ],
+    )
+    def test_score_flag(self, world, tmp_path, capsys, flag, value, message):
+        pool, _ = world
+        sel = tmp_path / "sel.json"
+        assert run_cli("init", "--pool", pool, "--n0", 10, "--out", sel) == 0
+        clips, _ = load_pool(pool)
+        preds = tmp_path / "preds.jsonl"
+        save_predictions(ToyPlanner(clips, load_truth(world[1])).predict([c.id for c in clips]).values(), preds)
+        scores = tmp_path / "scores.tsv"
+        assert run_cli("score", "--pool", pool, "--selection", sel, "--predictions", preds,
+                       "--out", scores, flag, value) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not scores.exists()
+
+    def test_init_gamma_flag(self, world, tmp_path, capsys):
+        pool, _ = world
+        sel = tmp_path / "sel.json"
+        assert run_cli("init", "--pool", pool, "--n0", 12, "--gamma", "nan", "--out", sel) == 1
+        assert "error: gamma must be in (0, 1], got nan" in capsys.readouterr().err
+        assert not sel.exists()
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("noise_scale=nan", "noise_scale must be finite and >= 0, got nan"),
+            ("agent_rate=inf", "agent_rate must be finite and >= 0, got inf"),
+            ("bucket_probs=[NaN, 0.5, 0.25, 0.25]", "bucket_probs must be non-negative and sum to 1"),
+        ],
+    )
+    def test_gen_setting(self, tmp_path, capsys, setting, message):
+        pool, truth = tmp_path / "pool.jsonl", tmp_path / "truth.jsonl"
+        assert run_cli("gen", "--n", 10, "--pool", pool, "--truth", truth, "--set", setting) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not pool.exists() and not truth.exists()
+
+
 class TestRun:
     def test_manifest_and_reports_written(self, world, tmp_path):
         pool, truth = world
