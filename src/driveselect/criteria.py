@@ -22,7 +22,6 @@ batch of one, and the one-clip dataclasses validate with the batch's checks.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import os
 from collections.abc import Mapping
@@ -31,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .pool import ClipRecord, PoolFormatError, RowError, atomic_write_text, read_jsonl
+from .pool import ClipRecord, PoolFormatError, RowError, atomic_write_text, read_jsonl, write_jsonl
 
 PROB_SUM_TOL = 1e-6
 
@@ -570,8 +569,7 @@ def load_predictions(path: str | os.PathLike, horizon: int | None = 6) -> Predic
 
 
 def save_predictions(preds: Iterable[ClipPrediction], path: str | os.PathLike) -> None:
-    lines = [json.dumps(prediction_to_dict(p), separators=(",", ":"), allow_nan=False) for p in preds]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_jsonl(path, map(prediction_to_dict, preds))
 
 
 SCORE_COLUMNS = ("clip_id", "de_raw", "sc_raw", "au_raw", "de_norm", "sc_norm", "au_norm", "overall")

@@ -118,12 +118,18 @@ class FilePredictionProvider:
 
 
 def random_init(clips: Sequence[ClipRecord], n_init: int, seed: int) -> list[str]:
-    """Seeded uniform sample of n_init clip ids, returned in pool order."""
+    """Seeded uniform sample of n_init clip ids, in id order.
+
+    The sample is drawn over the sorted ids, so it does not depend on the
+    order of the pool file."""
     if n_init > len(clips):
         raise ValueError(f"n_init {n_init} exceeds pool size {len(clips)}")
-    rng = np.random.default_rng(seed)
-    picked = rng.choice(len(clips), size=n_init, replace=False)
-    return [clips[i].id for i in sorted(picked)]
+    return _sample_in_id_order(np.random.default_rng(seed), [c.id for c in clips], n_init)
+
+
+def _sample_in_id_order(rng: np.random.Generator, ids: Sequence[str], n: int) -> list[str]:
+    ordered = sorted(ids)
+    return [ordered[i] for i in sorted(rng.choice(len(ordered), size=n, replace=False))]
 
 
 def ranking_key(row: CriterionScores, criterion: str) -> float:
@@ -230,7 +236,8 @@ def run(
     """Full budgeted selection: initialization plus n_rounds selection rounds.
 
     ``strategy="random"`` replaces the scored rounds with seeded uniform picks
-    (the random-selection comparator); the provider is then never consulted.
+    over the sorted unlabeled ids (the random-selection comparator); the
+    provider is then never consulted.
     The labeled set ends at exactly the configured budget, with disjoint
     per-round increments, and is bit-reproducible for a fixed seed.
     """
@@ -262,10 +269,7 @@ def run(
                 )
             )
         else:
-            rng = np.random.default_rng([config.seed, itr])
-            unlabeled = state.unlabeled_ids
-            picked = rng.choice(len(unlabeled), size=n_select, replace=False)
-            ids = [unlabeled[i] for i in sorted(picked)]
+            ids = _sample_in_id_order(np.random.default_rng([config.seed, itr]), state.unlabeled_ids, n_select)
             state.add_round(itr, ids)
             traces.append(RoundTrace(round_index=itr, selected_ids=tuple(ids)))
     return RunResult(state=state, traces=traces, init_allocations=allocations)

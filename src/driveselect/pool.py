@@ -16,6 +16,8 @@ JSON strings, unique within the file, and an empty file or a malformed line
 (invalid UTF-8 included) raises :class:`PoolFormatError` naming the file and
 the 1-based line. Lines are decoded by orjson wherever it gives exactly what
 ``json.loads`` gives, and by ``json.loads`` elsewhere (see :func:`_loads`).
+They are written by :func:`write_jsonl`, one :func:`encode_line` per record:
+orjson wherever its bytes are ``json.dumps``'s, and ``json.dumps`` elsewhere.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ import math
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import orjson
 
@@ -222,19 +225,101 @@ class SelectionState:
 # ---------------------------------------------------------------------------
 
 
+def _file_mode() -> int:
+    """The mode ``open(path, "w")`` gives a new file under the current umask."""
+    umask = os.umask(0o022)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
+def _naming(exc: OSError, path: str) -> OSError:
+    return OSError(exc.errno, exc.strerror, path)
+
+
+@contextmanager
+def atomic_outputs(*paths: str | os.PathLike) -> Iterator[list[str]]:
+    """Temp files beside ``paths``, renamed onto them in order once the block returns.
+
+    Every temp file is created before the block runs and none is renamed
+    before it returns, so a failure, a missing directory included, leaves no
+    partial or lone output and removes every temp file. An OSError names the
+    output path, never its temp file. Outputs get the mode ``open(path, "w")``
+    would give them, not ``mkstemp``'s 0600.
+    """
+    paths = [os.fspath(p) for p in paths]
+    mode = _file_mode()
+    temps: list[str] = []
+    try:
+        for path in paths:
+            try:
+                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix=".part")
+            except OSError as exc:
+                raise _naming(exc, path) from exc
+            temps.append(tmp)
+            try:
+                os.fchmod(fd, mode)
+            finally:
+                os.close(fd)
+        yield temps
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename in temps:
+            raise _naming(exc, paths[temps.index(exc.filename)]) from exc
+        raise
+
+
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     """Write text atomically (temp file + rename) so failures leave no partial file."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    with atomic_outputs(path) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+# Digits become "0", so one translated copy shows a digit before an exponent
+# as b"0e"; DEL and every non-ASCII byte become DEL.
+_ENCODE_GUARD = bytes.maketrans(
+    b"123456789" + bytes(range(0x7F, 0x100)), b"000000000" + b"\x7f" * (0x100 - 0x7F)
+)
+
+
+def encode_line(record: Any) -> bytes:
+    """``json.dumps(record, separators=(",", ":"), allow_nan=False)`` as ASCII bytes.
+
+    orjson encodes the record wherever its bytes are exactly those; the rest
+    takes ``json.dumps``, which also raises its own errors:
+    - a record orjson refuses: ints beyond 64 bits, non-str keys, lone
+      surrogates, types it does not know (numpy scalars);
+    - non-ASCII or DEL bytes, which ``json.dumps`` escapes;
+    - ``null``, as orjson writes NaN and infinities so where ``json.dumps``
+      raises;
+    - ``0.0000``, as orjson writes 0 < |x| < 1e-4 positionally (``0.0000909``
+      for ``9.09e-05``);
+    - a digit before ``e``, as orjson writes ``1e16`` and ``1.5e-7`` for
+      ``1e+16`` and ``1.5e-07``.
+    """
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        line = orjson.dumps(record)
+    except orjson.JSONEncodeError:
+        pass
+    else:
+        guard = line.translate(_ENCODE_GUARD)
+        if b"\x7f" not in guard and b"0e" not in guard and b"null" not in line and b"0.0000" not in line:
+            return line
+    return json.dumps(record, separators=(",", ":"), allow_nan=False).encode("ascii")
+
+
+def write_jsonl(path: str | os.PathLike, records: Iterable[Any]) -> None:
+    """Write one :func:`encode_line` per record atomically, each line ending
+    in a newline (a file of one newline for no records)."""
+    with atomic_outputs(path) as (tmp,), open(tmp, "wb") as fh:
+        for i, record in enumerate(records):
+            if i:
+                fh.write(b"\n")
+            fh.write(encode_line(record))
+        fh.write(b"\n")
 
 
 def clip_to_dict(clip: ClipRecord) -> dict:
@@ -272,7 +357,7 @@ def clip_from_dict(record: dict, horizon: int) -> ClipRecord:
 
 
 def pool_to_lines(clips: Sequence[ClipRecord]) -> list[str]:
-    return [json.dumps(clip_to_dict(c), separators=(",", ":"), allow_nan=False) for c in clips]
+    return [encode_line(clip_to_dict(c)).decode("ascii") for c in clips]
 
 
 T = TypeVar("T")
@@ -370,7 +455,7 @@ def load_pool(path: str | os.PathLike, horizon: int = 6) -> tuple[list[ClipRecor
 
 
 def save_pool(clips: Sequence[ClipRecord], path: str | os.PathLike) -> None:
-    atomic_write_text(path, "\n".join(pool_to_lines(clips)) + "\n")
+    write_jsonl(path, map(clip_to_dict, clips))
 
 
 def selection_to_dict(state: SelectionState) -> dict:

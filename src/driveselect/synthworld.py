@@ -12,13 +12,24 @@ stratum so memory stays linear in the pool. Its agent forecasts read the true
 agent tracks: the planner exists to give the selection criteria an
 informative signal at desk scale, not to model perception, and is labeled as
 such.
+
+Generation is bit-stable, and changing it changes the written files. Each clip
+draws from its own ``SeedSequence`` child, always in the same order: bucket,
+maneuver, speed, maneuver timing, noise, then per agent its count and
+placement draws. Buckets and maneuvers are drawn exactly as
+``Generator.choice(n, p=p)`` draws them, from the same normalised cdf. The ego
+rollout and its rotation are numpy array operations. The agent geometry runs
+in Python floats, in the operation order of the array code it replaced:
+elementwise ``+ - *``, ``math.cos``/``math.sin``, and ``sqrt(dx*dx + dy*dy)``
+for a row of ``np.linalg.norm(axis=1)``, all rounding alike. The tests keep
+that array code as the reference the written bytes must equal.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterable, Mapping, Sequence
@@ -32,12 +43,14 @@ from .pool import (
     ClipRecord,
     _check_finite_point,
     _check_path,
-    atomic_write_text,
+    atomic_outputs,
     classify_command,
+    encode_line,
     mean_speed,
     read_jsonl,
     save_pool,
     weather_lighting_bucket,
+    write_jsonl,
 )
 
 FRAME_DT = 0.5        # seconds between frames (2 Hz keyframes)
@@ -152,15 +165,23 @@ def _integrate(kappa: np.ndarray, v: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _commands_from_curvature(kappa: np.ndarray) -> tuple[str, ...]:
-    commands = []
-    for k in kappa[:HISTORY_FRAMES]:
-        if k > 1e-12:
-            commands.append("Left")
-        elif k < -1e-12:
-            commands.append("Right")
-        else:
-            commands.append("Straight")
-    return tuple(commands)
+    return tuple(
+        "Left" if k > 1e-12 else "Right" if k < -1e-12 else "Straight"
+        for k in kappa[:HISTORY_FRAMES].tolist()
+    )
+
+
+def _choice_cdf(probs: Sequence[float]) -> list[float]:
+    """The normalised cdf that ``Generator.choice(len(probs), p=probs)`` searches."""
+    cdf = np.cumsum(probs, dtype=float)
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _choose(rng: np.random.Generator, cdf: list[float]) -> int:
+    """``rng.choice(len(cdf), p=probs)`` for ``cdf = _choice_cdf(probs)``: the
+    same draw and the same index, without its per-call set-up."""
+    return bisect_right(cdf, rng.random())
 
 
 # Every agent track keeps at least this same-timestep distance from the true
@@ -168,75 +189,78 @@ def _commands_from_curvature(kappa: np.ndarray) -> tuple[str, ...]:
 # collisions are plan-error events, not luck.
 AGENT_CLEARANCE = 1.25
 
+Point = tuple[float, float]
+
 
 def _draw_agent(
-    rng: np.random.Generator, anchored_points: np.ndarray, v: float, horizon: int
-) -> tuple[np.ndarray, np.ndarray]:
+    rng: np.random.Generator, anchored_points: Sequence[Sequence[float]], v: float, horizon: int
+) -> tuple[Point, Point]:
+    """One candidate agent's start and velocity."""
     if rng.uniform() < 0.8:
         # Traffic near the ego path, offset laterally from a late future
         # waypoint: late anchors separate accurate plans from wrong ones,
         # whose lateral error is largest at the end of the horizon.
         t_a = int(rng.integers(max(1, horizon // 2), horizon + 1))
-        anchor = anchored_points[t_a]
-        direction = anchored_points[t_a] - anchored_points[t_a - 1]
-        heading = math.atan2(direction[1], direction[0])
-        perp = np.array([-math.sin(heading), math.cos(heading)])
-        ahead = np.array([math.cos(heading), math.sin(heading)])
-        side = 1.0 if rng.uniform() < 0.5 else -1.0
-        pos_at_anchor = (
-            anchor
-            + side * rng.uniform(1.5, 4.5) * perp
-            + rng.uniform(-2.0, 2.0) * ahead
-        )
+        (px, py), (ax, ay) = anchored_points[t_a - 1], anchored_points[t_a]
+        heading = math.atan2(ay - py, ax - px)
+        cos_h, sin_h = math.cos(heading), math.sin(heading)
+        lateral = (1.0 if rng.uniform() < 0.5 else -1.0) * rng.uniform(1.5, 4.5)
+        along = rng.uniform(-2.0, 2.0)
+        # anchor + lateral * perp + along * ahead, with perp = (-sin, cos).
+        x = ax + lateral * -sin_h + along * cos_h
+        y = ay + lateral * cos_h + along * sin_h
         speed = min(14.0, v * rng.uniform(0.3, 1.2))
         vel_heading = heading + rng.uniform(-0.6, 0.6)
-        vel = speed * np.array([math.cos(vel_heading), math.sin(vel_heading)])
-        start = pos_at_anchor - vel * (FRAME_DT * t_a)
-    else:
-        # Background traffic anywhere around the ego.
-        radius = rng.uniform(5.0, 35.0)
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        start = radius * np.array([math.cos(angle), math.sin(angle)])
-        speed = rng.uniform(0.0, 12.0)
-        vel_heading = rng.uniform(0.0, 2.0 * math.pi)
-        vel = speed * np.array([math.cos(vel_heading), math.sin(vel_heading)])
-    return start, vel
+        vx, vy = speed * math.cos(vel_heading), speed * math.sin(vel_heading)
+        lead = FRAME_DT * t_a
+        return (x - vx * lead, y - vy * lead), (vx, vy)
+    # Background traffic anywhere around the ego.
+    radius = rng.uniform(5.0, 35.0)
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    start = (radius * math.cos(angle), radius * math.sin(angle))
+    speed = rng.uniform(0.0, 12.0)
+    vel_heading = rng.uniform(0.0, 2.0 * math.pi)
+    return start, (speed * math.cos(vel_heading), speed * math.sin(vel_heading))
+
+
+def _track(start: Point, vel: Point, times: Sequence[float]) -> tuple[Point, ...]:
+    (x, y), (vx, vy) = start, vel
+    return tuple((x + t * vx, y + t * vy) for t in times)
+
+
+def _min_gap(track: Sequence[Point], path: Sequence[Sequence[float]]) -> float:
+    """Smallest same-step distance, as ``np.linalg.norm(track - path, axis=1).min()``."""
+    gaps = []
+    for (x, y), (px, py) in zip(track, path):
+        dx, dy = x - px, y - py
+        gaps.append(math.sqrt(dx * dx + dy * dy))
+    return min(gaps)
 
 
 def _make_agents(
     rng: np.random.Generator,
     clip_id: str,
-    plan_future: np.ndarray,
+    plan_future: list[list[float]],
     v: float,
     horizon: int,
     agent_rate: float,
 ) -> tuple[AgentTruth, ...]:
     n_agents = int(rng.poisson(agent_rate))
+    times = [t * FRAME_DT for t in range(1, horizon + 1)]
+    anchored_points = [[0.0, 0.0], *plan_future]
     agents = []
-    steps = np.arange(1, horizon + 1)[:, None] * FRAME_DT
-    anchored_points = np.vstack([[0.0, 0.0], plan_future])
     for j in range(n_agents):
-        track = None
         for _ in range(20):
             start, vel = _draw_agent(rng, anchored_points, v, horizon)
-            candidate = start[None, :] + steps * vel[None, :]
-            gap = float(np.linalg.norm(candidate - plan_future, axis=1).min())
-            if gap >= AGENT_CLEARANCE:
-                track = candidate
+            track = _track(start, vel, times)
+            if _min_gap(track, plan_future) >= AGENT_CLEARANCE:
                 break
-        if track is None:
+        else:
             # Could not place it near the path with clearance: park it far out.
             angle = rng.uniform(0.0, 2.0 * math.pi)
-            start = 25.0 * np.array([math.cos(angle), math.sin(angle)])
-            vel = np.zeros(2)
-            track = start[None, :] + steps * vel[None, :]
-        agents.append(
-            AgentTruth(
-                agent_id=f"{clip_id}-a{j}",
-                start=(float(start[0]), float(start[1])),
-                track=tuple((float(x), float(y)) for x, y in track),
-            )
-        )
+            start = (25.0 * math.cos(angle), 25.0 * math.sin(angle))
+            track = _track(start, (0.0, 0.0), times)
+        agents.append(AgentTruth(agent_id=f"{clip_id}-a{j}", start=start, track=track))
     return tuple(agents)
 
 
@@ -245,14 +269,16 @@ def generate_world(config: WorldConfig) -> tuple[list[ClipRecord], dict[str, Cli
     identical output."""
     children = np.random.SeedSequence(config.seed).spawn(config.n_clips)
     total_steps = HISTORY_FRAMES + config.horizon
+    bucket_cdf = _choice_cdf(config.bucket_probs)
+    maneuver_cdf = _choice_cdf(config.maneuver_probs)
     clips: list[ClipRecord] = []
     truth: dict[str, ClipTruth] = {}
-    for i in range(config.n_clips):
-        rng = np.random.default_rng(children[i])
+    for i, child in enumerate(children):
+        rng = np.random.default_rng(child)
         clip_id = f"clip_{i:06d}"
-        bucket = BUCKETS[int(rng.choice(len(BUCKETS), p=config.bucket_probs))]
-        maneuver = COMMAND_CLASSES[int(rng.choice(len(COMMAND_CLASSES), p=config.maneuver_probs))]
-        v = float(rng.uniform(2.0, 15.0))
+        bucket = BUCKETS[_choose(rng, bucket_cdf)]
+        maneuver = COMMAND_CLASSES[_choose(rng, maneuver_cdf)]
+        v = rng.uniform(2.0, 15.0)
 
         kappa = _maneuver_curvature(rng, maneuver, bucket, v, total_steps)
         positions, headings = _integrate(kappa, v)
@@ -267,22 +293,20 @@ def generate_world(config: WorldConfig) -> tuple[list[ClipRecord], dict[str, Cli
             sigma *= 2.0
         gt_future = plan_future + rng.normal(0.0, sigma, size=plan_future.shape)
 
-        lighting = "Day" if bucket[0] == "D" else "Night"
-        weather = "Sunny" if bucket[1] == "S" else "Rainy"
         commands = _commands_from_curvature(kappa)
         clip = ClipRecord(
             id=clip_id,
-            weather=weather,
-            lighting=lighting,
+            weather="Sunny" if bucket[1] == "S" else "Rainy",
+            lighting="Day" if bucket[0] == "D" else "Night",
             speeds=(v,) * len(commands),
             commands=commands,
-            gt_future=tuple((float(x), float(y)) for x, y in gt_future),
+            gt_future=tuple(map(tuple, gt_future.tolist())),
         )
         clips.append(clip)
         truth[clip_id] = ClipTruth(
             clip_id=clip_id,
             ego_future=clip.gt_future,
-            agents=_make_agents(rng, clip_id, plan_future, v, config.horizon, config.agent_rate),
+            agents=_make_agents(rng, clip_id, plan_future.tolist(), v, config.horizon, config.agent_rate),
         )
     return clips, truth
 
@@ -292,33 +316,23 @@ def generate_world(config: WorldConfig) -> tuple[list[ClipRecord], dict[str, Cli
 # ---------------------------------------------------------------------------
 
 
+def _truth_to_dict(t: ClipTruth) -> dict:
+    return {
+        "clip_id": t.clip_id,
+        "ego_future": [[x, y] for x, y in t.ego_future],
+        "agents": [
+            {"agent_id": a.agent_id, "start": [a.start[0], a.start[1]], "track": [[x, y] for x, y in a.track]}
+            for a in t.agents
+        ],
+    }
+
+
 def truth_to_lines(truth: Mapping[str, ClipTruth], order: Iterable[str]) -> list[str]:
-    lines = []
-    for clip_id in order:
-        t = truth[clip_id]
-        lines.append(
-            json.dumps(
-                {
-                    "clip_id": t.clip_id,
-                    "ego_future": [[x, y] for x, y in t.ego_future],
-                    "agents": [
-                        {
-                            "agent_id": a.agent_id,
-                            "start": [a.start[0], a.start[1]],
-                            "track": [[x, y] for x, y in a.track],
-                        }
-                        for a in t.agents
-                    ],
-                },
-                separators=(",", ":"),
-                allow_nan=False,
-            )
-        )
-    return lines
+    return [encode_line(_truth_to_dict(truth[clip_id])).decode("ascii") for clip_id in order]
 
 
 def save_truth(truth: Mapping[str, ClipTruth], order: Iterable[str], path: str | os.PathLike) -> None:
-    atomic_write_text(path, "\n".join(truth_to_lines(truth, order)) + "\n")
+    write_jsonl(path, (_truth_to_dict(truth[clip_id]) for clip_id in order))
 
 
 def _truth_from_dict(record: dict, horizon: int) -> ClipTruth:
@@ -342,10 +356,13 @@ def load_truth(path: str | os.PathLike, horizon: int = 6) -> dict[str, ClipTruth
 
 
 def generate_pool(config: WorldConfig, pool_path: str | os.PathLike, truth_path: str | os.PathLike) -> None:
-    """Generate and write the pool and truth files (atomically, byte-stable)."""
-    clips, truth = generate_world(config)
-    save_pool(clips, pool_path)
-    save_truth(truth, (c.id for c in clips), truth_path)
+    """Generate and write the pool and truth files (byte-stable). Both are
+    written in full before either is renamed into place, so a failure leaves
+    neither."""
+    with atomic_outputs(pool_path, truth_path) as (pool_tmp, truth_tmp):
+        clips, truth = generate_world(config)
+        save_pool(clips, pool_tmp)
+        save_truth(truth, (c.id for c in clips), truth_tmp)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from driveselect import pool as pool_module
 from driveselect.cli import main
 from driveselect.criteria import load_predictions, prediction_to_dict, rank_and_take, score_pool
-from driveselect.pool import PoolFormatError, load_pool, pool_to_lines, read_jsonl
+from driveselect.pool import PoolFormatError, clip_to_dict, encode_line, load_pool, pool_to_lines, read_jsonl
 from driveselect.synthworld import ToyPlanner, WorldConfig, generate_world, load_truth, truth_to_lines
 
 HUGE_INT = 10**400  # parses as a JSON integer, overflows float()
@@ -218,6 +218,104 @@ class TestDecoder:
         # Raw lone surrogates make the line invalid UTF-8, which must fail alike.
         path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogatepass"))
         assert_decodes_as_json_loads(path, "id")
+
+
+#: Floats where orjson and ``repr`` part ways, or that ``json.dumps`` refuses.
+ENCODER_FLOATS = (
+    st.floats()
+    | st.floats(-1e-4, 1e-4)
+    | st.floats(min_value=1e15, max_value=1e300)
+    | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 9.09e-05, 1e-05, 1.5e-07,
+                       1e16, -1.2345678901234568e17, 1e22, float("nan"), float("inf"), float("-inf")])
+)
+#: Text with control characters, DEL, U+2028, other non-ASCII and lone surrogates.
+ENCODER_TEXT = st.text(st.characters(blacklist_categories=()), max_size=6) | st.sampled_from(
+    ["\x7f", "\u2028", "\x00\x1f\b\t", "\u00e9", "\ud800", "null", "1e5", '"\\/']
+)
+ENCODER_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | ENCODER_FLOATS | ENCODER_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(ENCODER_TEXT, inner, max_size=4)
+    | st.dictionaries(st.integers() | st.booleans() | st.none(), inner, max_size=2),
+    max_leaves=12,
+)
+#: Pool records carrying any annotation, and any JSON-like record.
+ENCODER_RECORDS = (
+    st.builds(lambda clip, annotation: {**clip_to_dict(clip), "annotation": annotation},
+              st.sampled_from(_CLIPS), ENCODER_VALUES)
+    | st.dictionaries(ENCODER_TEXT, ENCODER_VALUES, max_size=4)
+    | ENCODER_VALUES
+)
+
+
+def _encoded(encode, record):
+    try:
+        return encode(record)
+    except Exception as exc:  # the error itself is compared
+        return exc
+
+
+def assert_encodes_as_json_dumps(record) -> None:
+    """encode_line gives json.dumps's bytes, or raises its error with its message."""
+    got = _encoded(encode_line, record)
+    want = _encoded(
+        lambda r: json.dumps(r, separators=(",", ":"), allow_nan=False).encode("ascii"), record
+    )
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want), (got, want)
+    else:
+        assert got == want
+
+
+class TestEncoder:
+    """The orjson fast path of the writer against json.dumps."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(record=ENCODER_RECORDS)
+    def test_record_encodes_as_json_dumps(self, record):
+        assert_encodes_as_json_dumps(record)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"n": 2**64},  # beyond 64 bits: orjson raises
+            {"n": -(2**63) - 1},
+            {1: "a", None: [True]},  # non-str keys: orjson raises
+            {"s": "\ud800"},  # lone surrogate: orjson raises
+            {"s": "caf\u00e9"},  # non-ASCII: json.dumps escapes
+            {"s": "\u2028"},
+            {"s": "\x7f"},  # DEL: orjson writes it raw
+            {"x": float("nan")},  # orjson writes null, json.dumps raises
+            {"x": [1.0, float("-inf")]},
+            {"x": None},
+            {"x": 9.094947017729282e-05},  # orjson: 0.0000909...
+            {"x": -1e-05},
+            {"x": 1e16},  # orjson: 1e16
+            {"x": 1.5e-07},  # orjson: 1.5e-7
+            {"x": 5e-324},
+            {"annotation": {"boxes": [[0.5, -0.0, 1e-300], {"k": [None]}], "note": "\u00e9"}},
+        ],
+    )
+    def test_fallback_cases(self, record):
+        assert_encodes_as_json_dumps(record)
+
+    def test_deeper_than_orjson_nests(self):
+        record = [0.5]
+        for _ in range(300):
+            record = [record]
+        assert_encodes_as_json_dumps(record)
+
+    def test_circular_record_raises_as_json_dumps(self):
+        record = {"a": []}
+        record["a"].append(record)
+        assert_encodes_as_json_dumps(record)
+
+    def test_generated_lines_mostly_take_orjson(self):
+        clips, _ = generate_world(WorldConfig(n_clips=300, seed=7))
+        with mock.patch.object(pool_module.json, "dumps", wraps=json.dumps) as dumps:
+            lines = pool_to_lines(clips)
+        assert dumps.call_count <= len(clips) // 20
+        assert all(json.loads(line) == clip_to_dict(c) for line, c in zip(lines, clips))
 
 
 def _with_record(lines, index, edit):

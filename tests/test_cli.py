@@ -2,12 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driveselect.cli import main
 from driveselect.criteria import save_predictions
 from driveselect.pool import BUCKETS, load_pool, weather_lighting_bucket
-from driveselect.synthworld import ToyPlanner, load_truth
+from driveselect.synthworld import ToyPlanner, WorldConfig, generate_pool, load_truth
 
 
 def run_cli(*argv):
@@ -43,6 +46,14 @@ class TestGen:
                        "--set", "bucket_probs=[0.5, 0.5, 0.5, 0.5]")
         assert code == 1
         assert not pool.exists() and not truth.exists()
+
+    def test_missing_truth_directory_leaves_no_pool(self, tmp_path, capsys):
+        pool = tmp_path / "pool.jsonl"
+        truth = tmp_path / "missing_dir" / "truth.jsonl"
+        assert run_cli("gen", "--n", 10, "--pool", pool, "--truth", truth) == 1
+        err = capsys.readouterr().err
+        assert f"error: [Errno 2] No such file or directory: '{truth}'" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         code = run_cli("gen", "--n", 10, "--pool", tmp_path / "p", "--truth", tmp_path / "t",
@@ -310,6 +321,42 @@ class TestNonFiniteSettings:
         assert run_cli("gen", "--n", 10, "--pool", pool, "--truth", truth, "--set", setting) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not pool.exists() and not truth.exists()
+
+
+@pytest.fixture(scope="module")
+def order_world(tmp_path_factory):
+    """A small world and, per (init mode, baseline), the selection of ``run`` on it."""
+    directory = tmp_path_factory.mktemp("order")
+    generate_pool(WorldConfig(n_clips=150, seed=21), directory / "pool.jsonl", directory / "truth.jsonl")
+    return directory, {}
+
+
+class TestInputOrder:
+    HELDOUT = 15
+
+    def selection(self, directory, pool, init_mode, baseline):
+        out = directory / "out"
+        argv = ["run", "--pool", pool, "--truth", directory / "truth.jsonl", "--out-dir", out,
+                "--heldout-count", self.HELDOUT, "--set", f"init_mode={init_mode}"]
+        assert run_cli(*argv, *(["--baseline", baseline] if baseline else [])) == 0
+        return (out / "selection.json").read_bytes()
+
+    @pytest.mark.parametrize("baseline", [None, "random"], ids=["active", "random"])
+    @pytest.mark.parametrize("init_mode", ["random", "ego-diversity"])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_permuted_pool_lines_select_the_same(self, order_world, init_mode, baseline, seed):
+        """The held-out clips are the last lines by design; the order of the
+        other lines must not change what is selected."""
+        directory, selections = order_world
+        lines = (directory / "pool.jsonl").read_text().splitlines()
+        key = (init_mode, baseline)
+        if key not in selections:
+            selections[key] = self.selection(directory, directory / "pool.jsonl", init_mode, baseline)
+        body = [lines[i] for i in np.random.default_rng(seed).permutation(len(lines) - self.HELDOUT)]
+        permuted = directory / "permuted.jsonl"
+        permuted.write_text("\n".join(body + lines[-self.HELDOUT :]) + "\n")
+        assert self.selection(directory, permuted, init_mode, baseline) == selections[key]
 
 
 class TestRun:

@@ -1,6 +1,8 @@
 """Pool data model, classification, and persistence round-trips."""
 
 import json
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -12,6 +14,8 @@ from driveselect.pool import (
     ClipRecord,
     PoolFormatError,
     SelectionState,
+    atomic_outputs,
+    atomic_write_text,
     classify_command,
     load_pool,
     load_selection,
@@ -176,6 +180,59 @@ class TestPoolIO:
             n = int(rng.integers(1, 6))
             clips = [random_clip(rng, f"p{case}_c{i}") for i in range(n)]
             assert parse_pool_lines(pool_to_lines(clips)) == clips
+
+
+def _mode(path) -> int:
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+class TestAtomicOutputs:
+    WRITERS = {
+        "text": lambda path: atomic_write_text(path, "x\n"),
+        "pool": lambda path: save_pool([make_clip("c0")], path),
+        "gen": lambda path: generate_pool(WorldConfig(n_clips=3, seed=1), path, f"{path}.truth"),
+    }
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077])
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_mode_is_that_of_open(self, tmp_path, umask, writer):
+        """Outputs get the umask's default mode, as open(path, "w") gives, not 0600."""
+        previous = os.umask(umask)
+        try:
+            with open(tmp_path / "plain", "w"):
+                pass
+            self.WRITERS[writer](tmp_path / "out")
+        finally:
+            os.umask(previous)
+        assert _mode(tmp_path / "out") == _mode(tmp_path / "plain") == 0o666 & ~umask
+        if writer == "gen":
+            assert _mode(tmp_path / "out.truth") == _mode(tmp_path / "plain")
+
+    def test_failure_in_the_block_keeps_old_outputs(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.write_text("old\n")
+        with pytest.raises(RuntimeError, match="boom"):
+            with atomic_outputs(first, second) as (tmp_first, tmp_second):
+                with open(tmp_first, "w") as fh:
+                    fh.write("new\n")
+                raise RuntimeError("boom")
+        assert first.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["first"]
+
+    def test_missing_directory_is_named_and_nothing_is_written(self, tmp_path):
+        missing = tmp_path / "missing_dir" / "b.jsonl"
+        with pytest.raises(FileNotFoundError) as info:
+            with atomic_outputs(tmp_path / "a.jsonl", missing):
+                pass
+        assert info.value.filename == str(missing)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rename_names_the_output(self, tmp_path):
+        (tmp_path / "out").mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            atomic_write_text(tmp_path / "out", "x")
+        assert info.value.filename == str(tmp_path / "out")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
 
 class TestGeneratedFiles:

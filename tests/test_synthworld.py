@@ -1,20 +1,36 @@
 """Synthetic world generation, toy planner behavior, and held-out evaluation."""
 
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from driveselect import synthworld
 from driveselect.criteria import AgentForecast, ClipPrediction
-from driveselect.pool import BUCKETS, COMMAND_CLASSES, classify_command, mean_speed, weather_lighting_bucket
+from driveselect.pool import (
+    BUCKETS,
+    COMMAND_CLASSES,
+    ClipRecord,
+    classify_command,
+    clip_to_dict,
+    mean_speed,
+    weather_lighting_bucket,
+)
 from driveselect.synthworld import (
     AGENT_CLEARANCE,
+    BUCKET_TURN_SCALE,
+    DEFAULT_BUCKET_PROBS,
+    DEFAULT_MANEUVER_PROBS,
     FRAME_DT,
     HISTORY_FRAMES,
+    AgentTruth,
     ClipTruth,
     ToyPlanner,
     WorldConfig,
+    _choice_cdf,
+    _choose,
     _rotation,
     evaluate_clips,
     generate_pool,
@@ -78,6 +94,152 @@ def reference_forecasts(planner, clip_id, horizon):
             )
         )
     return tuple(forecasts)
+
+
+def _reference_curvature(rng, maneuver, bucket, v, total_steps):
+    kappa = np.zeros(total_steps)
+    scale = BUCKET_TURN_SCALE[bucket]
+    if maneuver == "S":
+        return kappa
+    if maneuver in ("L", "R"):
+        duration = int(rng.integers(8, 11))
+        start = int(rng.integers(34, 36))
+        dtheta = scale * rng.uniform(0.08, 0.18)
+        sign = 1.0 if maneuver == "L" else -1.0
+        kappa[start : start + duration] = sign * dtheta / (v * FRAME_DT)
+        return kappa
+    start = int(rng.integers(29, 31))
+    phase1 = int(rng.integers(5, 7))
+    phase2 = int(rng.integers(7, 9))
+    dtheta = scale * rng.uniform(0.05, 0.10)
+    kappa[start : start + phase1] = dtheta / (v * FRAME_DT)
+    kappa[start + phase1 : start + phase1 + phase2] = -dtheta / (v * FRAME_DT)
+    return kappa
+
+
+def _reference_draw_agent(rng, anchored_points, v, horizon):
+    if rng.uniform() < 0.8:
+        t_a = int(rng.integers(max(1, horizon // 2), horizon + 1))
+        anchor = anchored_points[t_a]
+        direction = anchored_points[t_a] - anchored_points[t_a - 1]
+        heading = math.atan2(direction[1], direction[0])
+        perp = np.array([-math.sin(heading), math.cos(heading)])
+        ahead = np.array([math.cos(heading), math.sin(heading)])
+        side = 1.0 if rng.uniform() < 0.5 else -1.0
+        pos_at_anchor = anchor + side * rng.uniform(1.5, 4.5) * perp + rng.uniform(-2.0, 2.0) * ahead
+        speed = min(14.0, v * rng.uniform(0.3, 1.2))
+        vel_heading = heading + rng.uniform(-0.6, 0.6)
+        vel = speed * np.array([math.cos(vel_heading), math.sin(vel_heading)])
+        start = pos_at_anchor - vel * (FRAME_DT * t_a)
+    else:
+        radius = rng.uniform(5.0, 35.0)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        start = radius * np.array([math.cos(angle), math.sin(angle)])
+        speed = rng.uniform(0.0, 12.0)
+        vel_heading = rng.uniform(0.0, 2.0 * math.pi)
+        vel = speed * np.array([math.cos(vel_heading), math.sin(vel_heading)])
+    return start, vel
+
+
+def _reference_agents(rng, clip_id, plan_future, v, horizon, agent_rate):
+    n_agents = int(rng.poisson(agent_rate))
+    agents = []
+    steps = np.arange(1, horizon + 1)[:, None] * FRAME_DT
+    anchored_points = np.vstack([[0.0, 0.0], plan_future])
+    for j in range(n_agents):
+        track = None
+        for _ in range(20):
+            start, vel = _reference_draw_agent(rng, anchored_points, v, horizon)
+            candidate = start[None, :] + steps * vel[None, :]
+            gap = float(np.linalg.norm(candidate - plan_future, axis=1).min())
+            if gap >= synthworld.AGENT_CLEARANCE:
+                track = candidate
+                break
+        if track is None:
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            start = 25.0 * np.array([math.cos(angle), math.sin(angle)])
+            vel = np.zeros(2)
+            track = start[None, :] + steps * vel[None, :]
+        agents.append(
+            AgentTruth(
+                agent_id=f"{clip_id}-a{j}",
+                start=(float(start[0]), float(start[1])),
+                track=tuple((float(x), float(y)) for x, y in track),
+            )
+        )
+    return tuple(agents)
+
+
+def reference_generate_world(config):
+    """Reference generator: the array-per-agent code ``generate_world`` ran
+    before it did agent geometry in Python floats and drew buckets and
+    maneuvers from a precomputed cdf."""
+    children = np.random.SeedSequence(config.seed).spawn(config.n_clips)
+    total_steps = HISTORY_FRAMES + config.horizon
+    clips, truth = [], {}
+    for i in range(config.n_clips):
+        rng = np.random.default_rng(children[i])
+        clip_id = f"clip_{i:06d}"
+        bucket = BUCKETS[int(rng.choice(len(BUCKETS), p=config.bucket_probs))]
+        maneuver = COMMAND_CLASSES[int(rng.choice(len(COMMAND_CLASSES), p=config.maneuver_probs))]
+        v = float(rng.uniform(2.0, 15.0))
+        kappa = _reference_curvature(rng, maneuver, bucket, v, total_steps)
+        theta = np.cumsum(kappa * v * FRAME_DT)
+        positions = np.cumsum(v * FRAME_DT * np.stack([np.cos(theta), np.sin(theta)], axis=1), axis=0)
+        ref_pos = positions[HISTORY_FRAMES - 1]
+        ref_rot = _rotation(-theta[HISTORY_FRAMES - 1])
+        plan_future = (positions[HISTORY_FRAMES:] - ref_pos) @ ref_rot.T
+        sigma = config.noise_scale
+        if bucket in ("DR", "NR"):
+            sigma *= 2.0
+        if bucket in ("NS", "NR"):
+            sigma *= 2.0
+        gt_future = plan_future + rng.normal(0.0, sigma, size=plan_future.shape)
+        commands = []
+        for k in kappa[:HISTORY_FRAMES]:
+            if k > 1e-12:
+                commands.append("Left")
+            elif k < -1e-12:
+                commands.append("Right")
+            else:
+                commands.append("Straight")
+        clip = ClipRecord(
+            id=clip_id,
+            weather="Sunny" if bucket[1] == "S" else "Rainy",
+            lighting="Day" if bucket[0] == "D" else "Night",
+            speeds=(v,) * len(commands),
+            commands=tuple(commands),
+            gt_future=tuple((float(x), float(y)) for x, y in gt_future),
+        )
+        clips.append(clip)
+        truth[clip_id] = ClipTruth(
+            clip_id=clip_id,
+            ego_future=clip.gt_future,
+            agents=_reference_agents(rng, clip_id, plan_future, v, config.horizon, config.agent_rate),
+        )
+    return clips, truth
+
+
+def reference_files(config):
+    """Pool and truth bytes of the reference world, each line a ``json.dumps``."""
+    clips, truth = reference_generate_world(config)
+
+    def dumps(record):
+        return json.dumps(record, separators=(",", ":"), allow_nan=False)
+
+    pool = "\n".join(dumps(clip_to_dict(c)) for c in clips) + "\n"
+    truth_text = "\n".join(
+        dumps({
+            "clip_id": t.clip_id,
+            "ego_future": [[x, y] for x, y in t.ego_future],
+            "agents": [
+                {"agent_id": a.agent_id, "start": [a.start[0], a.start[1]], "track": [[x, y] for x, y in a.track]}
+                for a in t.agents
+            ],
+        })
+        for t in (truth[c.id] for c in clips)
+    ) + "\n"
+    return pool.encode("ascii"), truth_text.encode("ascii")
 
 
 def tagged_clip(cid, speed, weather="Sunny", lighting="Day", tag=0.0):
@@ -199,6 +361,74 @@ class TestGeneration:
         assert set(truth) == {c.id for c in clips}
         _, regenerated = generate_world(cfg)
         assert truth == regenerated
+
+
+def parked_agents(truth):
+    """Agents of the far-out fallback: the only ones with zero velocity."""
+    return [a for t in truth.values() for a in t.agents if len(set(a.track)) == 1]
+
+
+class TestGeneratorMatchesReference:
+    """``generate_pool`` writes the reference generator's bytes."""
+
+    CONFIGS = {
+        "default": WorldConfig(n_clips=600, seed=7),
+        "horizon_9_agents_4": WorldConfig(n_clips=300, seed=4242, horizon=9, agent_rate=4.0),
+        # Straight clips then have exact zero coordinates: 0.0 and -0.0
+        # compare equal as floats, so only the bytes show their sign.
+        "noiseless": WorldConfig(n_clips=300, seed=3, noise_scale=0.0),
+        "zero_probabilities": WorldConfig(
+            n_clips=300, seed=5, bucket_probs=(0.5, 0.0, 0.5, 0.0), maneuver_probs=(0.0, 0.5, 0.0, 0.5)
+        ),
+    }
+
+    def assert_same_files(self, config, tmp_path):
+        generate_pool(config, tmp_path / "pool.jsonl", tmp_path / "truth.jsonl")
+        pool, truth = reference_files(config)
+        assert (tmp_path / "pool.jsonl").read_bytes() == pool
+        assert (tmp_path / "truth.jsonl").read_bytes() == truth
+        return pool, truth
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_written_bytes(self, tmp_path, name):
+        pool, _ = self.assert_same_files(self.CONFIGS[name], tmp_path)
+        if name == "noiseless":
+            assert b",0.0]" in pool
+        if name == "zero_probabilities":
+            clips, _ = load_pool(tmp_path / "pool.jsonl")
+            assert {weather_lighting_bucket(c) for c in clips} == {"DS", "NS"}
+
+    def test_parked_agents(self, tmp_path, monkeypatch):
+        """A clearance few placements meet sends agents to the far-out fallback."""
+        monkeypatch.setattr(synthworld, "AGENT_CLEARANCE", 6.0)
+        config = WorldConfig(n_clips=200, seed=17, agent_rate=3.0)
+        self.assert_same_files(config, tmp_path)
+        parked = parked_agents(generate_world(config)[1])
+        assert len(parked) >= 5
+        assert all(math.isclose(math.hypot(*a.start), 25.0) for a in parked)
+        assert parked_agents(reference_generate_world(config)[1]) == parked
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            DEFAULT_BUCKET_PROBS,
+            DEFAULT_MANEUVER_PROBS,
+            (0.5, 0.0, 0.5, 0.0),
+            (0.0, 0.0, 0.0, 1.0),
+            (1 / 3, 1 / 3, 1 / 3),
+            (0.1,) * 10,
+            (1e-12, 1.0 - 1e-12),
+        ],
+    )
+    def test_cdf_draw_is_rng_choice(self, probs):
+        """Each draw takes the index and the stream position of
+        ``Generator.choice``, so a numpy change to either fails here."""
+        cdf = _choice_cdf(probs)
+        for seed in range(1000):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                assert _choose(ours, cdf) == int(theirs.choice(len(probs), p=probs))
+            assert ours.random() == theirs.random()
 
 
 class TestToyPlanner:
