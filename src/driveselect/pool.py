@@ -241,10 +241,11 @@ def atomic_outputs(*paths: str | os.PathLike) -> Iterator[list[str]]:
     """Temp files beside ``paths``, renamed onto them in order once the block returns.
 
     Every temp file is created before the block runs and none is renamed
-    before it returns, so a failure, a missing directory included, leaves no
-    partial or lone output and removes every temp file. An OSError names the
-    output path, never its temp file. Outputs get the mode ``open(path, "w")``
-    would give them, not ``mkstemp``'s 0600.
+    before it returns, so a failure in creating them (a missing directory) or
+    in the block leaves every output as it was. Any failure removes the temp
+    files that remain, and an OSError names the output path, never its temp
+    file. Outputs get the mode ``open(path, "w")`` would give them, not
+    ``mkstemp``'s 0600.
     """
     paths = [os.fspath(p) for p in paths]
     mode = _file_mode()
