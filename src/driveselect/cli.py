@@ -286,15 +286,14 @@ def cmd_run(args) -> int:
     if args.heldout_count < 0:
         raise UsageError(f"--heldout-count must be >= 0, got {args.heldout_count}")
     clips, _ = load_pool(args.pool, horizon=args.horizon)
+    if args.heldout_count >= len(clips):
+        raise ValueError(f"--heldout-count must be less than the {len(clips)} pool clips, got {args.heldout_count}")
     truth = load_truth(args.truth, horizon=args.horizon)
     for clip in clips:
         if clip.id not in truth:
             raise PoolFormatError(f"truth file {args.truth}: no record for clip {clip.id!r}")
-    heldout_clips = clips[len(clips) - args.heldout_count :] if args.heldout_count else []
-    pool_clips = clips[: len(clips) - args.heldout_count] if args.heldout_count else clips
-    if not pool_clips:
-        print("error: held-out count leaves an empty pool", file=sys.stderr)
-        return 1
+    split = len(clips) - args.heldout_count
+    pool_clips, heldout_clips = clips[:split], clips[split:]
     config = _active_config(args, len(pool_clips))
     strategy = "random" if args.baseline == "random" else "active"
     if strategy == "random":
@@ -434,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the random-selection comparator instead")
     p.add_argument("--criterion", choices=CRITERIA, default="mix")
     p.add_argument("--heldout-count", type=int, default=0,
-                   help="reserve the last N pool clips for held-out evaluation")
+                   help="reserve the last N pool clips for held-out evaluation (N < pool size)")
     p.add_argument("--horizon", type=int, default=6)
     p.set_defaults(func=cmd_run)
 

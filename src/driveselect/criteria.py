@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .pool import ClipRecord, PoolFormatError, RowError, atomic_write_text, read_jsonl, write_jsonl
+from .pool import ClipRecord, PoolFormatError, RowError, _check_string, atomic_write_text, read_jsonl, write_jsonl
 
 PROB_SUM_TOL = 1e-6
 
@@ -546,7 +546,7 @@ def _record_parts(record: dict) -> tuple:
         raise ValueError("ego_plan waypoints must be (x, y) pairs")
     agents = []
     for a in record["agents"]:
-        agent_id = str(a["agent_id"])
+        agent_id = _check_string(a["agent_id"], "agent_id")
         probs, trajs = _agent_arrays(agent_id, a["modality_probs"], a["modality_trajs"])
         agents.append((agent_id, float(a["confidence"]), probs, trajs))
     return plan, agents

@@ -67,6 +67,13 @@ def _check_finite_point(point: Sequence[float]) -> tuple[float, float]:
     return (x, y)
 
 
+def _check_string(value: Any, name: str) -> str:
+    """``value``, which must be a JSON string: ids are never coerced with ``str()``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a JSON string, got {json.dumps(value)}")
+    return value
+
+
 def _check_path(points: Iterable[Sequence[float]], horizon: int, name: str) -> tuple[tuple[float, float], ...]:
     """A trajectory of exactly ``horizon`` finite (x, y) waypoints."""
     path = tuple(map(_check_finite_point, points))
@@ -357,10 +364,6 @@ def clip_from_dict(record: dict, horizon: int) -> ClipRecord:
     )
 
 
-def pool_to_lines(clips: Sequence[ClipRecord]) -> list[str]:
-    return [encode_line(clip_to_dict(c)).decode("ascii") for c in clips]
-
-
 T = TypeVar("T")
 
 # Digits 1-9 become 0 and "{" becomes "[", so one translated copy of a line
@@ -423,9 +426,7 @@ def read_jsonl(
                 continue
             if not isinstance(record, dict):
                 raise ValueError("record must be a JSON object")
-            record_id = record[id_key]
-            if not isinstance(record_id, str):
-                raise ValueError(f"{id_key} must be a JSON string, got {json.dumps(record_id)}")
+            record_id = _check_string(record[id_key], id_key)
             if record_id in records:
                 raise ValueError(f"duplicate {id_key} {record_id!r}")
             records[record_id] = parse(record)

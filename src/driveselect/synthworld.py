@@ -13,6 +13,11 @@ agent tracks: the planner exists to give the selection criteria an
 informative signal at desk scale, not to model perception, and is labeled as
 such.
 
+A clip's hidden truth (:class:`ClipTruth`) is arrays: the ego future (H, 2),
+and its A agents' ids, starts (A, 2) and tracks (A, H, 2), which the planner
+and evaluation index and concatenate. The truth file holds the same floats:
+written with ``.tolist()``, read back through the pool's waypoint checks.
+
 Generation is bit-stable, and changing it changes the written files. Each clip
 draws from its own ``SeedSequence`` child, always in the same order: bucket,
 maneuver, speed, maneuver timing, noise, then per agent its count and
@@ -32,7 +37,7 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -43,9 +48,9 @@ from .pool import (
     ClipRecord,
     _check_finite_point,
     _check_path,
+    _check_string,
     atomic_outputs,
     classify_command,
-    encode_line,
     mean_speed,
     read_jsonl,
     save_pool,
@@ -99,23 +104,18 @@ class WorldConfig:
             raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
 
 
-@dataclass(frozen=True)
-class AgentTruth:
-    """One agent's true constant-velocity motion, in the clip's local frame."""
-
-    agent_id: str
-    start: tuple[float, float]
-    track: tuple[tuple[float, float], ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClipTruth:
     """Hidden ground truth for one clip: revealed only to evaluation and,
-    for labeled clips, to the provider."""
+    for labeled clips, to the provider. Its A agents move at constant
+    velocity in the clip's local frame. Readers share the arrays, so none
+    may write to them."""
 
     clip_id: str
-    ego_future: tuple[tuple[float, float], ...]
-    agents: tuple[AgentTruth, ...]
+    ego_future: np.ndarray         # (H, 2)
+    agent_ids: tuple[str, ...]     # (A,)
+    starts: np.ndarray             # (A, 2)
+    tracks: np.ndarray             # (A, H, 2)
 
 
 def _rotation(angle: float) -> np.ndarray:
@@ -244,12 +244,13 @@ def _make_agents(
     v: float,
     horizon: int,
     agent_rate: float,
-) -> tuple[AgentTruth, ...]:
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Agent ids, starts and tracks: the last three fields of a :class:`ClipTruth`."""
     n_agents = int(rng.poisson(agent_rate))
     times = [t * FRAME_DT for t in range(1, horizon + 1)]
     anchored_points = [[0.0, 0.0], *plan_future]
-    agents = []
-    for j in range(n_agents):
+    starts, tracks = [], []
+    for _ in range(n_agents):
         for _ in range(20):
             start, vel = _draw_agent(rng, anchored_points, v, horizon)
             track = _track(start, vel, times)
@@ -260,8 +261,10 @@ def _make_agents(
             angle = rng.uniform(0.0, 2.0 * math.pi)
             start = (25.0 * math.cos(angle), 25.0 * math.sin(angle))
             track = _track(start, (0.0, 0.0), times)
-        agents.append(AgentTruth(agent_id=f"{clip_id}-a{j}", start=start, track=track))
-    return tuple(agents)
+        starts.append(start)
+        tracks.append(track)
+    ids = tuple(f"{clip_id}-a{j}" for j in range(n_agents))
+    return ids, np.array(starts, dtype=float).reshape(-1, 2), np.array(tracks, dtype=float).reshape(-1, horizon, 2)
 
 
 def generate_world(config: WorldConfig) -> tuple[list[ClipRecord], dict[str, ClipTruth]]:
@@ -303,11 +306,8 @@ def generate_world(config: WorldConfig) -> tuple[list[ClipRecord], dict[str, Cli
             gt_future=tuple(map(tuple, gt_future.tolist())),
         )
         clips.append(clip)
-        truth[clip_id] = ClipTruth(
-            clip_id=clip_id,
-            ego_future=clip.gt_future,
-            agents=_make_agents(rng, clip_id, plan_future.tolist(), v, config.horizon, config.agent_rate),
-        )
+        agents = _make_agents(rng, clip_id, plan_future.tolist(), v, config.horizon, config.agent_rate)
+        truth[clip_id] = ClipTruth(clip_id, gt_future, *agents)
     return clips, truth
 
 
@@ -316,42 +316,38 @@ def generate_world(config: WorldConfig) -> tuple[list[ClipRecord], dict[str, Cli
 # ---------------------------------------------------------------------------
 
 
-def _truth_to_dict(t: ClipTruth) -> dict:
+def truth_to_dict(t: ClipTruth) -> dict:
     return {
         "clip_id": t.clip_id,
-        "ego_future": [[x, y] for x, y in t.ego_future],
+        "ego_future": t.ego_future.tolist(),
         "agents": [
-            {"agent_id": a.agent_id, "start": [a.start[0], a.start[1]], "track": [[x, y] for x, y in a.track]}
-            for a in t.agents
+            {"agent_id": agent_id, "start": start, "track": track}
+            for agent_id, start, track in zip(t.agent_ids, t.starts.tolist(), t.tracks.tolist())
         ],
     }
 
 
-def truth_to_lines(truth: Mapping[str, ClipTruth], order: Iterable[str]) -> list[str]:
-    return [encode_line(_truth_to_dict(truth[clip_id])).decode("ascii") for clip_id in order]
-
-
-def save_truth(truth: Mapping[str, ClipTruth], order: Iterable[str], path: str | os.PathLike) -> None:
-    write_jsonl(path, (_truth_to_dict(truth[clip_id]) for clip_id in order))
+def save_truth(truth: Mapping[str, ClipTruth], path: str | os.PathLike) -> None:
+    """Write the truth records in the mapping's order."""
+    write_jsonl(path, map(truth_to_dict, truth.values()))
 
 
 def _truth_from_dict(record: dict, horizon: int) -> ClipTruth:
+    agents = record["agents"]
+    ids = tuple(_check_string(a["agent_id"], "agent_id") for a in agents)
+    tracks = [_check_path(a["track"], horizon, f"agent {agent_id} track") for agent_id, a in zip(ids, agents)]
     return ClipTruth(
-        clip_id=record["clip_id"],
-        ego_future=_check_path(record["ego_future"], horizon, "ego_future"),
-        agents=tuple(
-            AgentTruth(
-                agent_id=str(a["agent_id"]),
-                start=_check_finite_point(a["start"]),
-                track=_check_path(a["track"], horizon, f"agent {a['agent_id']} track"),
-            )
-            for a in record["agents"]
-        ),
+        record["clip_id"],
+        np.array(_check_path(record["ego_future"], horizon, "ego_future"), dtype=float),
+        ids,
+        np.array([_check_finite_point(a["start"]) for a in agents], dtype=float).reshape(-1, 2),
+        np.array(tracks, dtype=float).reshape(-1, horizon, 2),
     )
 
 
 def load_truth(path: str | os.PathLike, horizon: int = 6) -> dict[str, ClipTruth]:
-    """Load a truth file; every future and agent track has ``horizon`` finite points."""
+    """Load a truth file; every future and agent track has ``horizon`` finite
+    points, and every ``agent_id`` is a JSON string."""
     return read_jsonl(path, "truth", "clip_id", partial(_truth_from_dict, horizon=horizon))
 
 
@@ -362,7 +358,7 @@ def generate_pool(config: WorldConfig, pool_path: str | os.PathLike, truth_path:
     with atomic_outputs(pool_path, truth_path) as (pool_tmp, truth_tmp):
         clips, truth = generate_world(config)
         save_pool(clips, pool_tmp)
-        save_truth(truth, (c.id for c in clips), truth_tmp)
+        save_truth(truth, truth_tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +370,18 @@ KNN_BLOCK = 128     # queries per k-NN block; bounds the distance arrays
 # Clips in different strata differ in at least two one-hot entries, so their
 # computed feature distance is never below this.
 STRATUM_GAP = math.sqrt(2.0)
+
+
+def _agents_of(truths: Sequence[ClipTruth], horizon: int) -> tuple[np.ndarray, ...]:
+    """Every agent of ``truths``, in order, as arrays: its row in ``truths``,
+    its id, start (A, 2) and track (A, ``horizon``, 2)."""
+    counts = [len(t.agent_ids) for t in truths]
+    return (
+        np.repeat(np.arange(len(truths), dtype=np.intp), counts),
+        np.array([agent_id for t in truths for agent_id in t.agent_ids], dtype=object),
+        np.concatenate([np.empty((0, 2)), *(t.starts for t in truths)]),
+        np.concatenate([np.empty((0, horizon, 2)), *(t.tracks for t in truths)]),
+    )
 
 
 def _strata(feats: np.ndarray) -> np.ndarray:
@@ -442,13 +450,8 @@ class ToyPlanner:
             self._exemplar_feats = None
             self._exemplar_futures = None
             return
-        feats, futures = [], []
-        for clip_id in ids:
-            clip = self._clips[clip_id]
-            feats.append(self._features(clip))
-            futures.append(np.asarray(self._truth[clip_id].ego_future))
-        self._exemplar_feats = np.stack(feats)
-        self._exemplar_futures = np.stack(futures)
+        self._exemplar_feats = np.stack([self._features(self._clips[clip_id]) for clip_id in ids])
+        self._exemplar_futures = np.stack([self._truth[clip_id].ego_future for clip_id in ids])
 
     @property
     def is_trained(self) -> bool:
@@ -493,24 +496,20 @@ class ToyPlanner:
         plans are placeholders that :meth:`predict` replaces."""
         clip_ids = [clip_id for clip_id in self._clips if clip_id in self._truth]
         horizon = len(next(iter(self._clips.values())).gt_future) if self._clips else 0
-        agents = [(row, a) for row, clip_id in enumerate(clip_ids) for a in self._truth[clip_id].agents]
-        starts = np.array([a.start for _, a in agents], dtype=float).reshape(-1, 2)
+        rows, agent_ids, starts, tracks = _agents_of([self._truth[clip_id] for clip_id in clip_ids], horizon)
         d0 = _norms(starts)
         keep = np.flatnonzero(d0 <= self.AGENT_RADIUS)
-        agents = [agents[i] for i in keep]
-        starts = starts[keep]
-        firsts = np.array([a.track[0] for _, a in agents], dtype=float).reshape(-1, 2)
-        lasts = np.array([a.track[-1] for _, a in agents], dtype=float).reshape(-1, 2)
-        vel = (firsts - starts) / FRAME_DT
+        rows, agent_ids, starts, tracks = rows[keep], agent_ids[keep], starts[keep], tracks[keep]
+        vel = (tracks[:, 0] - starts) / FRAME_DT
         steps = np.arange(1, horizon + 1)[:, None] * FRAME_DT
         n_modes = len(self.MODALITY_ANGLES)
-        trajs = np.empty((len(agents), n_modes, horizon, 2))
-        endpoint_err = np.empty((len(agents), n_modes))
+        trajs = np.empty((len(rows), n_modes, horizon, 2))
+        endpoint_err = np.empty((len(rows), n_modes))
         for m, angle_deg in enumerate(self.MODALITY_ANGLES):
             # One rotation per modality, applied as stacked 2x2 @ 2x1 products.
             rot_vel = np.matmul(_rotation(math.radians(angle_deg)), vel[:, :, None])[:, :, 0]
             trajs[:, m] = starts[:, None, :] + steps * rot_vel[:, None, :]
-            endpoint_err[:, m] = _norms(trajs[:, m, -1] - lasts)
+            endpoint_err[:, m] = _norms(trajs[:, m, -1] - tracks[:, -1])
         logits = -endpoint_err / self.ENDPOINT_SCALE
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
@@ -519,10 +518,10 @@ class ToyPlanner:
         return PredictionBatch(
             clip_ids=tuple(clip_ids),
             ego_plans=np.zeros((len(clip_ids), horizon, 2)),
-            agent_clip=np.array([row for row, _ in agents], dtype=np.intp),
-            agent_ids=np.array([a.agent_id for _, a in agents], dtype=object),
+            agent_clip=rows,
+            agent_ids=agent_ids,
             confidence=np.array(confidence, dtype=float),
-            modality_counts=np.full(len(agents), n_modes, dtype=np.intp),
+            modality_counts=np.full(len(rows), n_modes, dtype=np.intp),
             modality_probs=probs,
             modality_trajs=trajs,
         )
@@ -560,11 +559,9 @@ def evaluate_clips(
         return []
     batch = prediction_batch(provider.predict([c.id for c in clips]), clips)
     plans = batch.ego_plans
-    targets = np.array([truth[c.id].ego_future for c in clips], dtype=float).reshape(plans.shape)
-    step_errors = _distances(plans, targets)
-    tracks = [(row, a.track) for row, clip in enumerate(clips) for a in truth[clip.id].agents]
-    rows = np.array([row for row, _ in tracks], dtype=np.intp)
-    paths = np.array([track for _, track in tracks], dtype=float).reshape((len(tracks),) + plans.shape[1:])
+    truths = [truth[c.id] for c in clips]
+    step_errors = _distances(plans, np.stack([t.ego_future for t in truths]))
+    rows, _, _, paths = _agents_of(truths, plans.shape[1])
     collided = np.zeros(len(clips), dtype=bool)
     collided[rows[_distances(plans[rows], paths).min(axis=1) < COLLISION_RADIUS]] = True
     return [

@@ -1,4 +1,4 @@
-"""Shared builders for pool, prediction, and provider test objects."""
+"""Shared builders for pool, prediction, truth, and provider test objects."""
 
 from __future__ import annotations
 
@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from driveselect.criteria import AgentForecast, ClipPrediction
-from driveselect.pool import ClipRecord
+from driveselect.pool import ClipRecord, encode_line
+from driveselect.synthworld import ClipTruth
+
+
+def jsonl_lines(records) -> list[str]:
+    """The lines a JSONL writer writes for ``records``, as str."""
+    return [encode_line(record).decode("ascii") for record in records]
 
 
 def make_clip(
@@ -43,6 +49,18 @@ def random_clip(rng: np.random.Generator, cid: str, horizon: int = 6) -> ClipRec
         speeds=speeds,
         commands=commands,
         gt_future=gt,
+    )
+
+
+def make_truth(clip: ClipRecord, agents=()) -> ClipTruth:
+    """Truth for ``clip``: its recorded future and ``(agent_id, start, track)`` agents."""
+    horizon = len(clip.gt_future)
+    return ClipTruth(
+        clip.id,
+        np.array(clip.gt_future, dtype=float),
+        tuple(agent_id for agent_id, _, _ in agents),
+        np.array([start for _, start, _ in agents], dtype=float).reshape(-1, 2),
+        np.array([track for _, _, track in agents], dtype=float).reshape(-1, horizon, 2),
     )
 
 

@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 from driveselect import pool as pool_module
 from driveselect.cli import main
 from driveselect.criteria import load_predictions, prediction_to_dict, rank_and_take, score_pool
-from driveselect.pool import PoolFormatError, clip_to_dict, encode_line, load_pool, pool_to_lines, read_jsonl
-from driveselect.synthworld import ToyPlanner, WorldConfig, generate_world, load_truth, truth_to_lines
+from driveselect.pool import PoolFormatError, clip_to_dict, encode_line, load_pool, read_jsonl
+from driveselect.synthworld import ToyPlanner, WorldConfig, generate_world, load_truth, truth_to_dict
+
+from conftest import jsonl_lines
 
 HUGE_INT = 10**400  # parses as a JSON integer, overflows float()
 
@@ -31,13 +33,13 @@ _PREDICTIONS = _PLANNER.predict([c.id for c in _CLIPS])
 
 #: kind -> (valid lines, loader, the name errors start with)
 VALID = {
-    "pool": (pool_to_lines(_CLIPS), load_pool, "pool"),
+    "pool": (jsonl_lines(map(clip_to_dict, _CLIPS)), load_pool, "pool"),
     "predictions": (
         [json.dumps(prediction_to_dict(p)) for p in _PREDICTIONS.values()],
         load_predictions,
         "predictions",
     ),
-    "truth": (truth_to_lines(_TRUTH, [c.id for c in _CLIPS]), load_truth, "truth"),
+    "truth": (jsonl_lines(map(truth_to_dict, _TRUTH.values())), load_truth, "truth"),
 }
 
 JSON_VALUES = st.recursive(
@@ -313,7 +315,7 @@ class TestEncoder:
     def test_generated_lines_mostly_take_orjson(self):
         clips, _ = generate_world(WorldConfig(n_clips=300, seed=7))
         with mock.patch.object(pool_module.json, "dumps", wraps=json.dumps) as dumps:
-            lines = pool_to_lines(clips)
+            lines = jsonl_lines(map(clip_to_dict, clips))
         assert dumps.call_count <= len(clips) // 20
         assert all(json.loads(line) == clip_to_dict(c) for line, c in zip(lines, clips))
 
@@ -355,6 +357,18 @@ class TestRegressions:
         with pytest.raises(PoolFormatError, match=f"{key} must be a JSON string, got {re.escape(json.dumps(value))}") as info:
             load(path)
         check_error_names_line(info.value, what, path, 2)
+
+    @pytest.mark.parametrize("kind", ["predictions", "truth"])
+    @pytest.mark.parametrize("value", [None, 5, [1, 2]])
+    def test_non_string_agent_id_is_rejected(self, tmp_path, kind, value):
+        """An agent id is a JSON string, never str() of another value (null is not 'None')."""
+        lines, load, what = VALID[kind]
+        index = next(i for i, line in enumerate(lines) if json.loads(line)["agents"])
+        path = _write(tmp_path / "in.jsonl", _with_record(lines, index, lambda r: r["agents"][0].update(agent_id=value)))
+        message = f"agent_id must be a JSON string, got {json.dumps(value)}"
+        with pytest.raises(PoolFormatError, match=re.escape(message)) as info:
+            load(path)
+        check_error_names_line(info.value, what, path, index + 1)
 
     @pytest.mark.parametrize("kind", sorted(VALID))
     def test_deep_nesting_names_line(self, tmp_path, kind):
@@ -560,6 +574,29 @@ class TestCli:
         captured = capsys.readouterr()
         assert f"error: pool file {bad} line 5: 'utf-8' codec can't decode byte 0xff" in captured.err
         assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["predictions", "truth"])
+    @pytest.mark.parametrize("value", [None, 5, [1, 2]])
+    def test_non_string_agent_id(self, world, tmp_path, capsys, kind, value):
+        pool, truth = world
+        clips, _ = load_pool(pool)
+        preds = _write(tmp_path / "preds.jsonl", [
+            json.dumps(prediction_to_dict(p))
+            for p in ToyPlanner(clips, load_truth(truth)).predict([c.id for c in clips]).values()])
+        source = truth if kind == "truth" else preds
+        index = next(i for i, line in enumerate(source.read_text().splitlines()) if json.loads(line)["agents"])
+        bad = self._edit_line(source, index, lambda r: r["agents"][0].update(agent_id=value))
+        out = tmp_path / "out"
+        if kind == "truth":
+            assert self._run(pool, bad, out) == 1
+        else:
+            sel = tmp_path / "sel.json"
+            assert main(["init", "--pool", str(pool), "--n0", "4", "--out", str(sel)]) == 0
+            assert main(["score", "--pool", str(pool), "--selection", str(sel), "--predictions", str(bad),
+                         "--out", str(out)]) == 1
+        expected = f"agent_id must be a JSON string, got {json.dumps(value)}"
+        assert f"error: {kind} file {bad} line {index + 1}: {expected}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_huge_integer_in_predictions(self, world, tmp_path, capsys):

@@ -359,6 +359,27 @@ class TestInputOrder:
         assert self.selection(directory, permuted, init_mode, baseline) == selections[key]
 
 
+class TestHeldoutCount:
+    """The held-out set is the last N of the 120 pool lines, and N must leave a pool."""
+
+    @pytest.mark.parametrize("count", [120, 130])
+    def test_no_pool_left_is_rejected(self, world, tmp_path, capsys, count):
+        pool, truth = world
+        out = tmp_path / "out"
+        assert run_cli("run", "--pool", pool, "--truth", truth, "--out-dir", out, "--heldout-count", count) == 1
+        assert f"error: --heldout-count must be less than the 120 pool clips, got {count}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_pool_clip_left_runs(self, world, tmp_path):
+        pool, truth = world
+        out = tmp_path / "out"
+        assert run_cli("run", "--pool", pool, "--truth", truth, "--out-dir", out, "--heldout-count", 119,
+                       "--set", "budget=1", "--set", "n_init=1", "--set", "n_rounds=0", "--set", "n_per_round=0") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["pool"]["n_clips"] == 1
+        assert manifest["pool"]["heldout_count"] == manifest["heldout"]["count"] == 119
+
+
 class TestRun:
     def test_manifest_and_reports_written(self, world, tmp_path):
         pool, truth = world

@@ -17,11 +17,11 @@ from driveselect.pool import (
     atomic_outputs,
     atomic_write_text,
     classify_command,
+    clip_to_dict,
     load_pool,
     load_selection,
     mean_speed,
     parse_pool_lines,
-    pool_to_lines,
     save_pool,
     save_selection,
     selection_to_dict,
@@ -29,7 +29,7 @@ from driveselect.pool import (
 )
 from driveselect.synthworld import WorldConfig, generate_pool, generate_world, load_truth, save_truth
 
-from conftest import make_clip, random_clip
+from conftest import jsonl_lines, make_clip, random_clip
 
 N_CASES = 1000
 
@@ -69,9 +69,9 @@ class TestClipValidation:
         assert str(info.value) == message
 
     def test_bad_frame_in_file_names_the_line(self):
-        record = json.loads(pool_to_lines([make_clip("c1", speeds=[1.0, 2.0])])[0])
+        record = json.loads(jsonl_lines(map(clip_to_dict, [make_clip("c1", speeds=[1.0, 2.0])]))[0])
         record["frames"][1]["command"] = "UTurn"
-        lines = pool_to_lines([make_clip("c0")]) + [json.dumps(record)]
+        lines = jsonl_lines(map(clip_to_dict, [make_clip("c0")])) + [json.dumps(record)]
         with pytest.raises(PoolFormatError, match="pool line 2: unknown command 'UTurn'"):
             parse_pool_lines(lines)
 
@@ -137,17 +137,17 @@ class TestPoolIO:
         assert state.unlabeled_ids == ("c0", "c1", "c2")
 
     def test_duplicate_id_names_the_id(self):
-        lines = pool_to_lines([make_clip("c1")]) * 2
+        lines = jsonl_lines(map(clip_to_dict, [make_clip("c1")])) * 2
         with pytest.raises(PoolFormatError, match="c1"):
             parse_pool_lines(lines)
 
     def test_wrong_horizon_is_rejected(self):
         clip = make_clip("c1", gt_future=[(t, 0.0) for t in range(5)], horizon=5)
         with pytest.raises(PoolFormatError, match="gt_future"):
-            parse_pool_lines(pool_to_lines([clip]), horizon=6)
+            parse_pool_lines(jsonl_lines(map(clip_to_dict, [clip])), horizon=6)
 
     def test_parse_error_names_line(self):
-        lines = pool_to_lines([make_clip("c1")]) + ["{not json"]
+        lines = jsonl_lines(map(clip_to_dict, [make_clip("c1")])) + ["{not json"]
         with pytest.raises(PoolFormatError, match="line 2"):
             parse_pool_lines(lines)
 
@@ -158,7 +158,7 @@ class TestPoolIO:
             load_pool(path)
 
     def test_unknown_field_rejected(self):
-        record = json.loads(pool_to_lines([make_clip("c1")])[0])
+        record = json.loads(jsonl_lines(map(clip_to_dict, [make_clip("c1")]))[0])
         record["bogus"] = 1
         with pytest.raises(PoolFormatError, match="bogus"):
             parse_pool_lines([json.dumps(record)])
@@ -170,7 +170,7 @@ class TestPoolIO:
             gt_future=tuple((float(t), 0.0) for t in range(1, 7)),
             annotation={"boxes": [1, 2, 3]},
         )
-        [reloaded] = parse_pool_lines(pool_to_lines([clip]))
+        [reloaded] = parse_pool_lines(jsonl_lines(map(clip_to_dict, [clip])))
         assert reloaded.annotation == {"boxes": [1, 2, 3]}
         assert reloaded == clip
 
@@ -179,7 +179,7 @@ class TestPoolIO:
         for case in range(N_CASES):
             n = int(rng.integers(1, 6))
             clips = [random_clip(rng, f"p{case}_c{i}") for i in range(n)]
-            assert parse_pool_lines(pool_to_lines(clips)) == clips
+            assert parse_pool_lines(jsonl_lines(map(clip_to_dict, clips))) == clips
 
 
 def _mode(path) -> int:
@@ -243,13 +243,13 @@ class TestGeneratedFiles:
         clips, _ = load_pool(pool)
         save_pool(clips, tmp_path / "pool2.jsonl")
         assert (tmp_path / "pool2.jsonl").read_bytes() == pool.read_bytes()
-        save_truth(load_truth(truth), (c.id for c in clips), tmp_path / "truth2.jsonl")
+        save_truth(load_truth(truth), tmp_path / "truth2.jsonl")
         assert (tmp_path / "truth2.jsonl").read_bytes() == truth.read_bytes()
 
     def test_parsed_pool_memory_is_bounded(self):
         """1000 parsed 40-frame clips retain well under what per-frame objects cost."""
         clips, _ = generate_world(WorldConfig(n_clips=1000, seed=5))
-        lines = pool_to_lines(clips)
+        lines = jsonl_lines(map(clip_to_dict, clips))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -25,8 +25,6 @@ from driveselect.synthworld import (
     DEFAULT_MANEUVER_PROBS,
     FRAME_DT,
     HISTORY_FRAMES,
-    AgentTruth,
-    ClipTruth,
     ToyPlanner,
     WorldConfig,
     _choice_cdf,
@@ -37,9 +35,12 @@ from driveselect.synthworld import (
     generate_world,
     heldout_eval,
     load_truth,
-    truth_to_lines,
+    save_truth,
+    truth_to_dict,
 )
-from driveselect.pool import load_pool, pool_to_lines
+from driveselect.pool import load_pool
+
+from conftest import jsonl_lines, make_truth
 
 N_CASES = 1000
 
@@ -67,13 +68,11 @@ def reference_forecasts(planner, clip_id, horizon):
     truth = planner._truth[clip_id]
     steps = np.arange(1, horizon + 1)[:, None] * FRAME_DT
     forecasts = []
-    for agent in truth.agents:
-        start = np.asarray(agent.start)
+    for agent_id, start, true_track in zip(truth.agent_ids, truth.starts, truth.tracks):
         d0 = float(np.linalg.norm(start))
         if d0 > planner.AGENT_RADIUS:
             continue
         confidence = math.exp(-d0 / planner.AGENT_RADIUS)
-        true_track = np.asarray(agent.track)
         vel = (true_track[0] - start) / FRAME_DT
         trajs = []
         endpoint_err = []
@@ -87,7 +86,7 @@ def reference_forecasts(planner, clip_id, horizon):
         probs /= probs.sum()
         forecasts.append(
             AgentForecast(
-                agent_id=agent.agent_id,
+                agent_id=agent_id,
                 confidence=confidence,
                 modality_probs=tuple(float(p) for p in probs),
                 modality_trajs=tuple(trajs),
@@ -160,14 +159,9 @@ def _reference_agents(rng, clip_id, plan_future, v, horizon, agent_rate):
             start = 25.0 * np.array([math.cos(angle), math.sin(angle)])
             vel = np.zeros(2)
             track = start[None, :] + steps * vel[None, :]
-        agents.append(
-            AgentTruth(
-                agent_id=f"{clip_id}-a{j}",
-                start=(float(start[0]), float(start[1])),
-                track=tuple((float(x), float(y)) for x, y in track),
-            )
-        )
-    return tuple(agents)
+        agents.append((f"{clip_id}-a{j}", (float(start[0]), float(start[1])),
+                       tuple((float(x), float(y)) for x, y in track)))
+    return agents
 
 
 def reference_generate_world(config):
@@ -212,10 +206,8 @@ def reference_generate_world(config):
             gt_future=tuple((float(x), float(y)) for x, y in gt_future),
         )
         clips.append(clip)
-        truth[clip_id] = ClipTruth(
-            clip_id=clip_id,
-            ego_future=clip.gt_future,
-            agents=_reference_agents(rng, clip_id, plan_future, v, config.horizon, config.agent_rate),
+        truth[clip_id] = make_truth(
+            clip, _reference_agents(rng, clip_id, plan_future, v, config.horizon, config.agent_rate)
         )
     return clips, truth
 
@@ -231,10 +223,10 @@ def reference_files(config):
     truth_text = "\n".join(
         dumps({
             "clip_id": t.clip_id,
-            "ego_future": [[x, y] for x, y in t.ego_future],
+            "ego_future": [[x, y] for x, y in t.ego_future.tolist()],
             "agents": [
-                {"agent_id": a.agent_id, "start": [a.start[0], a.start[1]], "track": [[x, y] for x, y in a.track]}
-                for a in t.agents
+                {"agent_id": agent_id, "start": [start[0], start[1]], "track": [[x, y] for x, y in track]}
+                for agent_id, start, track in zip(t.agent_ids, t.starts.tolist(), t.tracks.tolist())
             ],
         })
         for t in (truth[c.id] for c in clips)
@@ -252,7 +244,7 @@ def tagged_clip(cid, speed, weather="Sunny", lighting="Day", tag=0.0):
 
 
 def planner_over(clips, labeled, **kwargs):
-    truth = {c.id: ClipTruth(c.id, c.gt_future, ()) for c in clips}
+    truth = {c.id: make_truth(c) for c in clips}
     planner = ToyPlanner(clips, truth, **kwargs)
     planner.train(labeled)
     return planner
@@ -268,7 +260,7 @@ class TruthReplayProvider:
 
     def predict(self, ids):
         return {
-            i: ClipPrediction(clip_id=i, ego_plan=self._truth[i].ego_future, agents=())
+            i: ClipPrediction(clip_id=i, ego_plan=tuple(map(tuple, self._truth[i].ego_future.tolist())), agents=())
             for i in ids
         }
 
@@ -309,9 +301,9 @@ class TestGeneration:
             cfg = WorldConfig(n_clips=n, seed=seed)
             clips_a, truth_a = generate_world(cfg)
             clips_b, truth_b = generate_world(cfg)
-            order = [c.id for c in clips_a]
-            assert pool_to_lines(clips_a) == pool_to_lines(clips_b)
-            assert truth_to_lines(truth_a, order) == truth_to_lines(truth_b, order)
+            assert jsonl_lines(map(clip_to_dict, clips_a)) == jsonl_lines(map(clip_to_dict, clips_b))
+            truth_lines = [jsonl_lines(map(truth_to_dict, t.values())) for t in (truth_a, truth_b)]
+            assert truth_lines[0] == truth_lines[1]
 
     def test_bucket_frequencies_match_config(self):
         """Law of large numbers: empirical bucket rates within +-2% absolute."""
@@ -339,15 +331,14 @@ class TestGeneration:
         for clip in clips:
             assert len(clip.speeds) == len(clip.commands) == HISTORY_FRAMES
             assert len(clip.gt_future) == 6
-            assert truth[clip.id].ego_future == clip.gt_future
+            assert np.array_equal(truth[clip.id].ego_future, clip.gt_future)
 
     def test_agent_tracks_keep_clearance_from_future(self):
         clips, truth = generate_world(WorldConfig(n_clips=200, seed=31, noise_scale=0.0))
         checked = 0
         for clip in clips:
             future = np.asarray(clip.gt_future)
-            for agent in truth[clip.id].agents:
-                track = np.asarray(agent.track)
+            for track in truth[clip.id].tracks:
                 gap = float(np.linalg.norm(track - future, axis=1).min())
                 assert gap >= AGENT_CLEARANCE - 1e-9
                 checked += 1
@@ -358,14 +349,34 @@ class TestGeneration:
         generate_pool(cfg, tmp_path / "pool.jsonl", tmp_path / "truth.jsonl")
         clips, _ = load_pool(tmp_path / "pool.jsonl")
         truth = load_truth(tmp_path / "truth.jsonl")
-        assert set(truth) == {c.id for c in clips}
+        assert list(truth) == [c.id for c in clips]
         _, regenerated = generate_world(cfg)
-        assert truth == regenerated
+        save_truth(truth, tmp_path / "loaded.jsonl")
+        save_truth(regenerated, tmp_path / "regenerated.jsonl")
+        written = (tmp_path / "truth.jsonl").read_bytes()
+        assert (tmp_path / "loaded.jsonl").read_bytes() == written
+        assert (tmp_path / "regenerated.jsonl").read_bytes() == written
+
+    def test_truth_without_agents_loads_empty_arrays(self, tmp_path):
+        path = tmp_path / "truth.jsonl"
+        record = {"clip_id": "c0", "ego_future": [[float(t), 0.0] for t in range(1, 10)], "agents": []}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        truth = load_truth(path, horizon=9)["c0"]
+        assert truth.ego_future.shape == (9, 2) and truth.ego_future.dtype == float
+        assert truth.agent_ids == ()
+        assert truth.starts.shape == (0, 2) and truth.starts.dtype == float
+        assert truth.tracks.shape == (0, 9, 2) and truth.tracks.dtype == float
 
 
 def parked_agents(truth):
-    """Agents of the far-out fallback: the only ones with zero velocity."""
-    return [a for t in truth.values() for a in t.agents if len(set(a.track)) == 1]
+    """Agents of the far-out fallback, the only ones with zero velocity, as
+    (id, start, track) lists."""
+    return [
+        (agent_id, start, track)
+        for t in truth.values()
+        for agent_id, start, track in zip(t.agent_ids, t.starts.tolist(), t.tracks.tolist())
+        if track.count(track[0]) == len(track)
+    ]
 
 
 class TestGeneratorMatchesReference:
@@ -405,7 +416,7 @@ class TestGeneratorMatchesReference:
         self.assert_same_files(config, tmp_path)
         parked = parked_agents(generate_world(config)[1])
         assert len(parked) >= 5
-        assert all(math.isclose(math.hypot(*a.start), 25.0) for a in parked)
+        assert all(math.isclose(math.hypot(*start), 25.0) for _, start, _ in parked)
         assert parked_agents(reference_generate_world(config)[1]) == parked
 
     @pytest.mark.parametrize(
@@ -436,7 +447,7 @@ class TestToyPlanner:
         from conftest import make_clip
 
         straight = make_clip("s0", speeds=[10.0] * 4)
-        planner = ToyPlanner([straight], {"s0": ClipTruth("s0", straight.gt_future, ())})
+        planner = ToyPlanner([straight], {"s0": make_truth(straight)})
         pred = planner.predict(["s0"])["s0"]
         expected = [(5.0 * t, 0.0) for t in range(1, 7)]
         assert np.allclose(pred.ego_plan, expected)
@@ -489,12 +500,10 @@ class TestToyPlanner:
 
     def test_no_agents_in_radius_gives_empty_forecasts(self):
         from conftest import make_clip
-        from driveselect.synthworld import AgentTruth
 
         clip = make_clip("far0", speeds=[5.0] * 4)
         far_agent_track = tuple((100.0 + t, 100.0) for t in range(1, 7))
-        truth = {"far0": ClipTruth("far0", clip.gt_future,
-                                   (AgentTruth("a", (100.0, 100.0), far_agent_track),))}
+        truth = {"far0": make_truth(clip, [("a", (100.0, 100.0), far_agent_track)])}
         planner = ToyPlanner([clip], truth)
         pred = planner.predict(["far0"])["far0"]
         assert pred.agents == ()
@@ -640,8 +649,8 @@ class TestForecastsMatchReference:
                 for field in ("confidence", "modality_probs", "modality_trajs"):
                     assert np.array_equal([getattr(a, field) for a in got],
                                           [getattr(a, field) for a in expected]), (clip.id, field)
-                empty += not truth[clip.id].agents
-                far += sum(np.linalg.norm(a.start) > ToyPlanner.AGENT_RADIUS for a in truth[clip.id].agents)
+                empty += not truth[clip.id].agent_ids
+                far += sum(np.linalg.norm(start) > ToyPlanner.AGENT_RADIUS for start in truth[clip.id].starts)
         assert far > 10 and empty > 10
 
 
@@ -656,7 +665,7 @@ class TestEvaluation:
         from conftest import make_clip
 
         clip = make_clip("e0", speeds=[5.0] * 4)
-        truth = {"e0": ClipTruth("e0", clip.gt_future, ())}
+        truth = {"e0": make_truth(clip)}
 
         class OffsetProvider:
             trained_ids = ()
