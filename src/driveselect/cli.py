@@ -211,7 +211,7 @@ def cmd_select(args) -> int:
         return 1
     _echo_config({"n_itr": args.n_itr})
     ids = rank_and_take({r.clip_id: r.overall for r in rows}, args.n_itr)
-    next_round = max((int(e["round"]) for e in payload["rounds"]), default=-1) + 1
+    next_round = max((e["round"] for e in payload["rounds"]), default=-1) + 1
     payload["rounds"].append({"round": next_round, "ids": ids})
     out = args.out or args.selection
     atomic_write_text(out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
@@ -347,7 +347,7 @@ def cmd_report(args) -> int:
             rounds = read_selection_payload(path)["rounds"]
             # Overlap compares the newly sampled clips, so skip the shared
             # initialization round when later rounds exist.
-            incremental = [e for e in rounds if int(e["round"]) > 0] or rounds
+            incremental = [e for e in rounds if e["round"] > 0] or rounds
             label = Path(path).stem
             if label in sets:
                 label = f"{Path(path).parent.name}/{label}"

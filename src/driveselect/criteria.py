@@ -30,7 +30,16 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .pool import ClipRecord, PoolFormatError, RowError, _check_string, atomic_write_text, read_jsonl, write_jsonl
+from .pool import (
+    ClipRecord,
+    PoolFormatError,
+    RowError,
+    _check_fields,
+    _check_string,
+    atomic_write_text,
+    read_jsonl,
+    write_jsonl,
+)
 
 PROB_SUM_TOL = 1e-6
 
@@ -537,8 +546,13 @@ def prediction_to_dict(pred: ClipPrediction) -> dict:
     }
 
 
+_PREDICTION_FIELDS = frozenset({"clip_id", "ego_plan", "agents"})
+_FORECAST_FIELDS = frozenset({"agent_id", "confidence", "modality_probs", "modality_trajs"})
+
+
 def _record_parts(record: dict) -> tuple:
     """A predictions record as the arrays of :func:`_batch_from_parts`."""
+    _check_fields(record, _PREDICTION_FIELDS, "record")
     plan = np.asarray(record["ego_plan"], dtype=float)
     if plan.size == 0:
         plan = plan.reshape(0, 2)
@@ -546,6 +560,7 @@ def _record_parts(record: dict) -> tuple:
         raise ValueError("ego_plan waypoints must be (x, y) pairs")
     agents = []
     for a in record["agents"]:
+        _check_fields(a, _FORECAST_FIELDS, "agent")
         agent_id = _check_string(a["agent_id"], "agent_id")
         probs, trajs = _agent_arrays(agent_id, a["modality_probs"], a["modality_trajs"])
         agents.append((agent_id, float(a["confidence"]), probs, trajs))

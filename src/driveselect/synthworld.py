@@ -18,11 +18,15 @@ and its A agents' ids, starts (A, 2) and tracks (A, H, 2), which the planner
 and evaluation index and concatenate. The truth file holds the same floats:
 written with ``.tolist()``, read back through the pool's waypoint checks.
 
-Generation is bit-stable, and changing it changes the written files. Each clip
-draws from its own ``SeedSequence`` child, always in the same order: bucket,
-maneuver, speed, maneuver timing, noise, then per agent its count and
-placement draws. Buckets and maneuvers are drawn exactly as
-``Generator.choice(n, p=p)`` draws them, from the same normalised cdf. The ego
+Generation is bit-stable, and changing it changes the written files. Clip
+``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``, which is
+``SeedSequence(seed).spawn(n_clips)[i]``, so any range of clips can be
+generated on its own: ``generate_pool`` generates chunks of them in worker
+processes. Each clip draws always in the same order: bucket, maneuver, speed,
+maneuver timing, noise, then per agent its count and placement draws. Buckets
+and maneuvers are drawn exactly as ``Generator.choice(n, p=p)`` draws them,
+from the same normalised cdf, and uniform floats as ``Generator.uniform``
+draws them: ``_uniform`` is its ``low + (high - low) * random()``. The ego
 rollout and its rotation are numpy array operations. The agent geometry runs
 in Python floats, in the operation order of the array code it replaced:
 elementwise ``+ - *``, ``math.cos``/``math.sin``, and ``sqrt(dx*dx + dy*dy)``
@@ -35,6 +39,7 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Mapping, Sequence
@@ -46,14 +51,16 @@ from .pool import (
     BUCKETS,
     COMMAND_CLASSES,
     ClipRecord,
+    _check_fields,
     _check_finite_point,
     _check_path,
     _check_string,
     atomic_outputs,
     classify_command,
+    clip_to_dict,
+    encode_line,
     mean_speed,
     read_jsonl,
-    save_pool,
     weather_lighting_bucket,
     write_jsonl,
 )
@@ -129,6 +136,12 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0, 0]
 
 
+def _uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """``rng.uniform(low, high)``: the same float from the same draw, without
+    its per-call set-up."""
+    return low + (high - low) * rng.random()
+
+
 def _maneuver_curvature(
     rng: np.random.Generator, maneuver: str, bucket: str, v: float, total_steps: int
 ) -> np.ndarray:
@@ -143,7 +156,7 @@ def _maneuver_curvature(
     if maneuver in ("L", "R"):
         duration = int(rng.integers(8, 11))
         start = int(rng.integers(34, 36))
-        dtheta = scale * rng.uniform(0.08, 0.18)
+        dtheta = scale * _uniform(rng, 0.08, 0.18)
         sign = 1.0 if maneuver == "L" else -1.0
         kappa[start : start + duration] = sign * dtheta / (v * dt)
         return kappa
@@ -151,7 +164,7 @@ def _maneuver_curvature(
     start = int(rng.integers(29, 31))
     phase1 = int(rng.integers(5, 7))
     phase2 = int(rng.integers(7, 9))
-    dtheta = scale * rng.uniform(0.05, 0.10)
+    dtheta = scale * _uniform(rng, 0.05, 0.10)
     kappa[start : start + phase1] = dtheta / (v * dt)
     kappa[start + phase1 : start + phase1 + phase2] = -dtheta / (v * dt)
     return kappa
@@ -196,7 +209,7 @@ def _draw_agent(
     rng: np.random.Generator, anchored_points: Sequence[Sequence[float]], v: float, horizon: int
 ) -> tuple[Point, Point]:
     """One candidate agent's start and velocity."""
-    if rng.uniform() < 0.8:
+    if rng.random() < 0.8:
         # Traffic near the ego path, offset laterally from a late future
         # waypoint: late anchors separate accurate plans from wrong ones,
         # whose lateral error is largest at the end of the horizon.
@@ -204,22 +217,22 @@ def _draw_agent(
         (px, py), (ax, ay) = anchored_points[t_a - 1], anchored_points[t_a]
         heading = math.atan2(ay - py, ax - px)
         cos_h, sin_h = math.cos(heading), math.sin(heading)
-        lateral = (1.0 if rng.uniform() < 0.5 else -1.0) * rng.uniform(1.5, 4.5)
-        along = rng.uniform(-2.0, 2.0)
+        lateral = (1.0 if rng.random() < 0.5 else -1.0) * _uniform(rng, 1.5, 4.5)
+        along = _uniform(rng, -2.0, 2.0)
         # anchor + lateral * perp + along * ahead, with perp = (-sin, cos).
         x = ax + lateral * -sin_h + along * cos_h
         y = ay + lateral * cos_h + along * sin_h
-        speed = min(14.0, v * rng.uniform(0.3, 1.2))
-        vel_heading = heading + rng.uniform(-0.6, 0.6)
+        speed = min(14.0, v * _uniform(rng, 0.3, 1.2))
+        vel_heading = heading + _uniform(rng, -0.6, 0.6)
         vx, vy = speed * math.cos(vel_heading), speed * math.sin(vel_heading)
         lead = FRAME_DT * t_a
         return (x - vx * lead, y - vy * lead), (vx, vy)
     # Background traffic anywhere around the ego.
-    radius = rng.uniform(5.0, 35.0)
-    angle = rng.uniform(0.0, 2.0 * math.pi)
+    radius = _uniform(rng, 5.0, 35.0)
+    angle = _uniform(rng, 0.0, 2.0 * math.pi)
     start = (radius * math.cos(angle), radius * math.sin(angle))
-    speed = rng.uniform(0.0, 12.0)
-    vel_heading = rng.uniform(0.0, 2.0 * math.pi)
+    speed = _uniform(rng, 0.0, 12.0)
+    vel_heading = _uniform(rng, 0.0, 2.0 * math.pi)
     return start, (speed * math.cos(vel_heading), speed * math.sin(vel_heading))
 
 
@@ -258,7 +271,7 @@ def _make_agents(
                 break
         else:
             # Could not place it near the path with clearance: park it far out.
-            angle = rng.uniform(0.0, 2.0 * math.pi)
+            angle = _uniform(rng, 0.0, 2.0 * math.pi)
             start = (25.0 * math.cos(angle), 25.0 * math.sin(angle))
             track = _track(start, (0.0, 0.0), times)
         starts.append(start)
@@ -267,21 +280,21 @@ def _make_agents(
     return ids, np.array(starts, dtype=float).reshape(-1, 2), np.array(tracks, dtype=float).reshape(-1, horizon, 2)
 
 
-def generate_world(config: WorldConfig) -> tuple[list[ClipRecord], dict[str, ClipTruth]]:
-    """Generate the clip pool and its hidden truth; identical seeds give
-    identical output."""
-    children = np.random.SeedSequence(config.seed).spawn(config.n_clips)
+def _generate_clips(config: WorldConfig, lo: int, hi: int) -> tuple[list[ClipRecord], dict[str, ClipTruth]]:
+    """Clips ``lo`` to ``hi - 1`` of the world and their truth. Clip ``i``
+    draws from ``SeedSequence(seed, spawn_key=(i,))``, which is
+    ``SeedSequence(seed).spawn(n_clips)[i]``."""
     total_steps = HISTORY_FRAMES + config.horizon
     bucket_cdf = _choice_cdf(config.bucket_probs)
     maneuver_cdf = _choice_cdf(config.maneuver_probs)
     clips: list[ClipRecord] = []
     truth: dict[str, ClipTruth] = {}
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
+    for i in range(lo, hi):
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(i,)))
         clip_id = f"clip_{i:06d}"
         bucket = BUCKETS[_choose(rng, bucket_cdf)]
         maneuver = COMMAND_CLASSES[_choose(rng, maneuver_cdf)]
-        v = rng.uniform(2.0, 15.0)
+        v = _uniform(rng, 2.0, 15.0)
 
         kappa = _maneuver_curvature(rng, maneuver, bucket, v, total_steps)
         positions, headings = _integrate(kappa, v)
@@ -311,6 +324,12 @@ def generate_world(config: WorldConfig) -> tuple[list[ClipRecord], dict[str, Cli
     return clips, truth
 
 
+def generate_world(config: WorldConfig) -> tuple[list[ClipRecord], dict[str, ClipTruth]]:
+    """Generate the clip pool and its hidden truth; identical seeds give
+    identical output."""
+    return _generate_clips(config, 0, config.n_clips)
+
+
 # ---------------------------------------------------------------------------
 # Truth file (JSONL, parallel to the pool file by clip_id)
 # ---------------------------------------------------------------------------
@@ -332,8 +351,13 @@ def save_truth(truth: Mapping[str, ClipTruth], path: str | os.PathLike) -> None:
     write_jsonl(path, map(truth_to_dict, truth.values()))
 
 
+_TRUTH_FIELDS = frozenset({"clip_id", "ego_future", "agents"})
+_TRUTH_AGENT_FIELDS = frozenset({"agent_id", "start", "track"})
+
+
 def _truth_from_dict(record: dict, horizon: int) -> ClipTruth:
-    agents = record["agents"]
+    _check_fields(record, _TRUTH_FIELDS, "record")
+    agents = [_check_fields(a, _TRUTH_AGENT_FIELDS, "agent") for a in record["agents"]]
     ids = tuple(_check_string(a["agent_id"], "agent_id") for a in agents)
     tracks = [_check_path(a["track"], horizon, f"agent {agent_id} track") for agent_id, a in zip(ids, agents)]
     return ClipTruth(
@@ -351,14 +375,60 @@ def load_truth(path: str | os.PathLike, horizon: int = 6) -> dict[str, ClipTruth
     return read_jsonl(path, "truth", "clip_id", partial(_truth_from_dict, horizon=horizon))
 
 
+GEN_CHUNK = 250  # clips per generation task; bounds gen's memory
+
+
+def _encode_chunk(config: WorldConfig, bounds: tuple[int, int]) -> tuple[bytes, bytes]:
+    """The pool lines and the truth lines of clips ``bounds[0]`` to
+    ``bounds[1] - 1``, as :func:`save_pool` and :func:`save_truth` write them."""
+    clips, truth = _generate_clips(config, *bounds)
+    return (
+        b"".join(encode_line(clip_to_dict(c)) + b"\n" for c in clips),
+        b"".join(encode_line(truth_to_dict(t)) + b"\n" for t in truth.values()),
+    )
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def generate_pool(config: WorldConfig, pool_path: str | os.PathLike, truth_path: str | os.PathLike) -> None:
     """Generate and write the pool and truth files (byte-stable). Both are
     written in full before either is renamed into place, so a failure leaves
-    neither."""
-    with atomic_outputs(pool_path, truth_path) as (pool_tmp, truth_tmp):
-        clips, truth = generate_world(config)
-        save_pool(clips, pool_tmp)
-        save_truth(truth, truth_tmp)
+    neither.
+
+    Chunks of ``GEN_CHUNK`` clips are generated and encoded by one forked
+    worker process per available CPU (in this process when that is one), and
+    written here in clip order, so memory does not grow with the pool. A
+    worker's exception reaches the caller, and a worker that dies raises
+    ``BrokenProcessPool``.
+    """
+    # Imported here, not at module level: only gen pays for them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunks = [(lo, min(lo + GEN_CHUNK, config.n_clips)) for lo in range(0, config.n_clips, GEN_CHUNK)]
+    workers = min(_cpu_count(), len(chunks))
+    task = partial(_encode_chunk, config)
+    with atomic_outputs(pool_path, truth_path) as (pool_tmp, truth_tmp), ExitStack() as stack:
+        if workers == 1:
+            encoded = map(task, chunks)
+        else:
+            # fork, not spawn: spawned workers import numpy again, which added
+            # 0.2-0.5 s to a 2 s gen of 10k clips. The executor forks all its
+            # workers at the first submit, before it starts any thread.
+            executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            # Leaving the block drops the chunks not yet started and joins the workers.
+            stack.callback(executor.shutdown, cancel_futures=True)
+            encoded = executor.map(task, chunks)
+        with open(pool_tmp, "wb") as pool_fh, open(truth_tmp, "wb") as truth_fh:
+            for pool_bytes, truth_bytes in encoded:
+                pool_fh.write(pool_bytes)
+                truth_fh.write(truth_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,25 @@ class TestRegressions:
             load(path)
         check_error_names_line(info.value, what, path, index + 1)
 
+    @pytest.mark.parametrize(
+        "kind, edit, field",
+        [
+            ("truth", lambda r: r.update(bogus=1), "bogus"),
+            ("truth", lambda r: r["agents"][0].update(velocity=[1.0, 0.0]), "velocity"),
+            ("predictions", lambda r: r.update(egoplan=r["ego_plan"]), "egoplan"),
+            ("predictions", lambda r: r["agents"][0].update(confidance=0.5), "confidance"),
+        ],
+        ids=["truth_record", "truth_agent", "predictions_record", "predictions_agent"],
+    )
+    def test_unknown_field_is_rejected(self, tmp_path, kind, edit, field):
+        """An unknown or misspelt key is an error, as in pool records, not silently dropped."""
+        lines, load, what = VALID[kind]
+        index = next(i for i, line in enumerate(lines) if json.loads(line)["agents"])
+        path = _write(tmp_path / "in.jsonl", _with_record(lines, index, edit))
+        with pytest.raises(PoolFormatError, match=re.escape(f"unknown fields ['{field}']")) as info:
+            load(path)
+        check_error_names_line(info.value, what, path, index + 1)
+
     @pytest.mark.parametrize("kind", sorted(VALID))
     def test_deep_nesting_names_line(self, tmp_path, kind):
         lines, load, what = VALID[kind]

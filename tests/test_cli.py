@@ -242,6 +242,33 @@ class TestScoreSelect:
             assert f"error: scores file {scores} line 4: duplicate clip_id 'clip_000010'" in capsys.readouterr().err
             assert sel.read_text() == before
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"round": "0"}, 'round must be a JSON integer, got "0"'),
+            ({"round": 1.9}, "round must be a JSON integer, got 1.9"),
+            ({"round": True}, "round must be a JSON integer, got true"),
+            ({"ids": [5]}, "id must be a JSON string, got 5"),
+            ({"ids": [None]}, "id must be a JSON string, got null"),
+        ],
+    )
+    def test_score_rejects_coercible_selection_values(self, world, tmp_path, capsys, entry, message):
+        pool, _ = world
+        sel = self._init(pool, tmp_path)
+        payload = json.loads(sel.read_text())
+        payload["rounds"][0].update(entry)
+        sel.write_text(json.dumps(payload))
+        clips, _ = load_pool(pool)
+        pred_path = tmp_path / "preds.jsonl"
+        from driveselect.criteria import ClipPrediction
+
+        save_predictions([ClipPrediction(clip_id=c.id, ego_plan=c.gt_future, agents=()) for c in clips], pred_path)
+        scores = tmp_path / "scores.tsv"
+        assert run_cli("score", "--pool", pool, "--selection", sel,
+                       "--predictions", pred_path, "--out", scores) == 1
+        assert f"error: selection file {sel}: {message}" in capsys.readouterr().err
+        assert not scores.exists()
+
     @pytest.mark.parametrize("content", ['{"init": []}', "[1, 2]"])
     def test_select_rejects_file_without_rounds(self, tmp_path, capsys, content):
         from driveselect.criteria import SCORE_COLUMNS

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 import tracemalloc
 
@@ -318,6 +319,23 @@ class TestSelectionIO:
         assert reloaded == state
         save_selection(reloaded, tmp_path / "sel2.json")
         assert (tmp_path / "sel.json").read_bytes() == (tmp_path / "sel2.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"round": "0", "ids": ["a"]}, 'round must be a JSON integer, got "0"'),
+            ({"round": 1.9, "ids": ["a"]}, "round must be a JSON integer, got 1.9"),
+            ({"round": True, "ids": ["a"]}, "round must be a JSON integer, got true"),
+            ({"round": 0, "ids": [5]}, "id must be a JSON string, got 5"),
+            ({"round": 0, "ids": [None]}, "id must be a JSON string, got null"),
+        ],
+    )
+    def test_values_are_not_coerced(self, tmp_path, entry, message):
+        """Rounds were int() and ids str() of any value: "0" loaded as 0, null as 'None'."""
+        path = tmp_path / "sel.json"
+        path.write_text(json.dumps({"rounds": [entry]}))
+        with pytest.raises(PoolFormatError, match=re.escape(f"selection file {path}: {message}")):
+            load_selection(path, ["a", "5", "None"])
 
     def test_empty_selection_file_shape(self, tmp_path):
         state = SelectionState(["a"])

@@ -2,10 +2,19 @@
 
 import json
 import math
+import multiprocessing
+import os
+import struct
+import subprocess
+import sys
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driveselect import synthworld
 from driveselect.criteria import AgentForecast, ClipPrediction
@@ -16,6 +25,7 @@ from driveselect.pool import (
     classify_command,
     clip_to_dict,
     mean_speed,
+    save_pool,
     weather_lighting_bucket,
 )
 from driveselect.synthworld import (
@@ -29,7 +39,9 @@ from driveselect.synthworld import (
     WorldConfig,
     _choice_cdf,
     _choose,
+    _generate_clips,
     _rotation,
+    _uniform,
     evaluate_clips,
     generate_pool,
     generate_world,
@@ -440,6 +452,112 @@ class TestGeneratorMatchesReference:
             for _ in range(3):
                 assert _choose(ours, cdf) == int(theirs.choice(len(probs), p=probs))
             assert ours.random() == theirs.random()
+
+
+class TestChunkedGeneration:
+    """``generate_pool`` generates and encodes chunks of ``GEN_CHUNK`` clips in
+    forked workers and writes what the sequential writers write."""
+
+    @staticmethod
+    def use_cpus(monkeypatch, cpus):
+        """Chunks of 7 clips, and ``cpus`` CPUs to run on."""
+        monkeypatch.setattr(synthworld, "GEN_CHUNK", 7)
+        monkeypatch.setattr(synthworld.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+    @pytest.fixture
+    def executor_workers(self, monkeypatch):
+        """Two CPUs; the list collects the worker count of each executor that maps."""
+        self.use_cpus(monkeypatch, 2)
+        counts = []
+        run_map = ProcessPoolExecutor.map
+        monkeypatch.setattr(
+            ProcessPoolExecutor, "map",
+            lambda executor, *args: counts.append(executor._max_workers) or run_map(executor, *args),
+        )
+        return counts
+
+    @pytest.mark.parametrize("n_clips, workers", [(1, []), (7, []), (17, [2])])
+    def test_bytes_equal_sequential_writers(self, tmp_path, executor_workers, n_clips, workers):
+        config = WorldConfig(n_clips=n_clips, seed=11)
+        generate_pool(config, tmp_path / "pool.jsonl", tmp_path / "truth.jsonl")
+        assert executor_workers == workers
+        clips, truth = generate_world(config)
+        save_pool(clips, tmp_path / "seq_pool.jsonl")
+        save_truth(truth, tmp_path / "seq_truth.jsonl")
+        written = [(tmp_path / name).read_bytes() for name in ("pool.jsonl", "truth.jsonl")]
+        assert written == [(tmp_path / name).read_bytes() for name in ("seq_pool.jsonl", "seq_truth.jsonl")]
+        assert written == list(reference_files(config))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**63), n_clips=st.integers(1, 12), data=st.data())
+    def test_clip_range_is_a_slice_of_the_world(self, seed, n_clips, data):
+        lo = data.draw(st.integers(0, n_clips))
+        hi = data.draw(st.integers(lo, n_clips))
+        config = WorldConfig(n_clips=n_clips, seed=seed, agent_rate=3.0)
+        clips, truth = generate_world(config)
+        part_clips, part_truth = _generate_clips(config, lo, hi)
+        assert jsonl_lines(map(clip_to_dict, part_clips)) == jsonl_lines(map(clip_to_dict, clips[lo:hi]))
+        assert jsonl_lines(map(truth_to_dict, part_truth.values())) == jsonl_lines(
+            truth_to_dict(truth[c.id]) for c in clips[lo:hi]
+        )
+
+    def fail_chunk_at_7(self, monkeypatch, failure):
+        generate_clips = synthworld._generate_clips
+
+        def failing(config, lo, hi):
+            if lo == 7:
+                failure()
+            return generate_clips(config, lo, hi)
+
+        monkeypatch.setattr(synthworld, "_generate_clips", failing)
+
+    def assert_fails_leaving_nothing(self, tmp_path, error, match=None):
+        with pytest.raises(error, match=match):
+            generate_pool(WorldConfig(n_clips=17, seed=3), tmp_path / "pool.jsonl", tmp_path / "truth.jsonl")
+        assert list(tmp_path.iterdir()) == []  # no output and no .tmp-*.part file
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_chunk_error_reaches_caller_and_leaves_nothing(self, tmp_path, monkeypatch, cpus):
+        self.use_cpus(monkeypatch, cpus)
+
+        def out_of_memory():
+            raise MemoryError("chunk at 7")
+
+        self.fail_chunk_at_7(monkeypatch, out_of_memory)
+        self.assert_fails_leaving_nothing(tmp_path, MemoryError, "chunk at 7")
+
+    def test_killed_worker_fails_instead_of_hanging(self, tmp_path, monkeypatch):
+        """A worker that dies without an exception, as under the OOM killer."""
+        self.use_cpus(monkeypatch, 2)
+        self.fail_chunk_at_7(monkeypatch, lambda: os._exit(1))
+        self.assert_fails_leaving_nothing(tmp_path, BrokenProcessPool)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63),
+        bounds=st.lists(
+            st.lists(st.floats(-1e9, 1e9), min_size=2, max_size=2)
+            .map(sorted)
+            .filter(lambda b: math.copysign(1.0, b[1] - b[0]) > 0),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_uniform_is_rng_uniform(self, seed, bounds):
+        """Bit-equal floats, and both streams stay in step. numpy refuses a
+        negative ``high - low``, -0.0 included."""
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for low, high in bounds:
+            assert struct.pack("<d", _uniform(ours, low, high)) == struct.pack("<d", theirs.uniform(low, high))
+        assert ours.random() == theirs.random()
+
+    def test_cli_import_leaves_out_multiprocessing(self):
+        """Only gen imports the process pool; every other command skips its cost."""
+        src = os.path.dirname(os.path.dirname(synthworld.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, driveselect.cli; sys.exit(int(bool({'multiprocessing', 'concurrent.futures'} & set(sys.modules))))"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestToyPlanner:
