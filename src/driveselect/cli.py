@@ -87,17 +87,32 @@ def _parse_override(item: str) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
-def _coerce(key: str, value, schema: dict):
+def _fits(value, caster) -> bool:
+    """Whether a decoded JSON value has the type of ``caster``'s keys: a file
+    value is never cast, so 10.7 is no int, true no number and "2" no float."""
+    if caster in (int, str):
+        return type(value) is caster
+    if caster is float:
+        return type(value) in (int, float)
+    return type(value) is list and all(type(x) in (int, float) for x in value)
+
+
+def _coerce(key: str, value, schema: dict, *, from_file: bool = False):
+    """``value`` cast for ``key``: a config file value of the key's JSON type,
+    or a ``--set`` string."""
     if key not in schema:
         raise UsageError(f"unknown config key {key!r}; known keys: {sorted(schema)}")
     caster = schema[key]
+    if from_file and not _fits(value, caster):
+        expected = {int: "a JSON integer", float: "a JSON number", str: "a JSON string"}
+        raise UsageError(
+            f"config key {key!r} must be {expected.get(caster, 'a list of JSON numbers')}, got {json.dumps(value)}"
+        )
     try:
-        if isinstance(value, str) and caster in (int, float):
-            return caster(value)
-        if isinstance(value, str) and caster not in (int, float, str):
-            return caster(json.loads(value))
+        if not from_file and caster not in (int, float, str):
+            value = json.loads(value)
         return caster(value)
-    except (ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OverflowError, json.JSONDecodeError) as exc:
         raise UsageError(f"config key {key!r}: cannot parse {value!r}: {exc}") from exc
 
 
@@ -113,7 +128,7 @@ def _load_config_dict(args, schema: dict) -> dict:
         if not isinstance(raw, dict):
             raise UsageError(f"config file {path}: expected a JSON object")
         for key, value in raw.items():
-            resolved[key] = _coerce(key, value, schema)
+            resolved[key] = _coerce(key, value, schema, from_file=True)
     for item in getattr(args, "set", None) or []:
         key, value = _parse_override(item)
         resolved[key] = _coerce(key, value, schema)

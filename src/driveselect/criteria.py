@@ -21,7 +21,6 @@ batch of one, and the one-clip dataclasses validate with the batch's checks.
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
 from collections.abc import Mapping
@@ -445,18 +444,24 @@ def agent_uncertainty(pred: ClipPrediction, delta_d: float) -> float:
     return float(_agent_uncertainties(batch, _best_distances(batch), delta_d)[0])
 
 
+def _normalized(values: np.ndarray) -> np.ndarray:
+    """:func:`min_max_normalize` of a float64 column. ``lo`` and ``hi`` are the
+    first of equal values, as ``min`` and ``max`` take them: 0.0 is not -0.0."""
+    if not len(values):
+        raise ValueError("cannot normalize an empty score map")
+    if not np.isfinite(values).all():
+        raise ValueError("scores must be finite")
+    lo, hi = values[values.argmin()], values[values.argmax()]
+    if hi == lo:
+        return np.zeros(len(values))
+    # Python floats overflow to inf and divide inf by inf to NaN silently.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (values - lo) / (hi - lo)
+
+
 def min_max_normalize(values: Mapping[str, float]) -> dict[str, float]:
     """Affine rescale of a score map to [0, 1]; a constant map becomes all zeros."""
-    if not values:
-        raise ValueError("cannot normalize an empty score map")
-    vals = list(values.values())
-    if any(not math.isfinite(v) for v in vals):
-        raise ValueError("scores must be finite")
-    lo, hi = min(vals), max(vals)
-    if hi == lo:
-        return {k: 0.0 for k in values}
-    span = hi - lo
-    return {k: (v - lo) / span for k, v in values.items()}
+    return dict(zip(values, _normalized(np.array(list(values.values()), dtype=float)).tolist()))
 
 
 def overall_loss(de_norm: float, sc_norm: float, au_norm: float, alpha: float, beta: float) -> float:
@@ -464,20 +469,61 @@ def overall_loss(de_norm: float, sc_norm: float, au_norm: float, alpha: float, b
     return de_norm + alpha * sc_norm + beta * au_norm
 
 
+def _top(ids: Sequence[str], keys: np.ndarray, n: int) -> list[str]:
+    """:func:`rank_and_take` of an id sequence and its float64 keys. Ids sort
+    as Python strings: numpy's string arrays drop trailing NULs."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n > len(ids):
+        raise ValueError(f"cannot take {n} of {len(ids)} scored clips")
+    bad = ~np.isfinite(keys)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"clip {ids[i]!r} has non-finite score {float(keys[i])}")
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    top = by_id[np.argsort(-keys[by_id], kind="stable")[:n]]
+    return [ids[i] for i in top.tolist()]
+
+
 def rank_and_take(scores: Mapping[str, float], n: int) -> list[str]:
     """Ids of the n largest scores, descending; ties break by ascending id.
 
     A non-finite score raises ValueError naming the clip: NaN has no rank.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n > len(scores):
-        raise ValueError(f"cannot take {n} of {len(scores)} scored clips")
-    for clip_id, score in scores.items():
-        if not math.isfinite(score):
-            raise ValueError(f"clip {clip_id!r} has non-finite score {score}")
-    best = heapq.nsmallest(n, scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [clip_id for clip_id, _ in best]
+    return _top(list(scores), np.array(list(scores.values()), dtype=float), n)
+
+
+SCORE_COLUMNS = ("clip_id", "de_raw", "sc_raw", "au_raw", "de_norm", "sc_norm", "au_norm", "overall")
+
+
+def score_columns(
+    clips: Sequence[ClipRecord],
+    predictions: Mapping[str, ClipPrediction],
+    *,
+    alpha: float,
+    beta: float,
+    eps_a: float,
+    delta_d: float,
+) -> dict:
+    """Score every clip, normalize each criterion over the batch, and mix,
+    into a dict keyed by :data:`SCORE_COLUMNS`: the clip-id tuple, then one
+    float64 array per score, in clip order. ``predictions`` is any mapping
+    from clip id (see :func:`prediction_batch`); every clip needs a prediction
+    of its horizon, and a missing one raises KeyError naming the clip.
+    """
+    if not clips:
+        raise ValueError("no clips to score")
+    check_score_settings(alpha=alpha, beta=beta, eps_a=eps_a, delta_d=delta_d)
+    batch = prediction_batch(predictions, clips)
+    gts = np.array([c.gt_future for c in clips], dtype=float).reshape(batch.ego_plans.shape)
+    dists = _best_distances(batch)
+    raw = (
+        _displacement_errors(batch.ego_plans, gts),
+        _soft_collisions(batch, dists, eps_a),
+        _agent_uncertainties(batch, dists, delta_d),
+    )
+    norm = [_normalized(column) for column in raw]
+    return dict(zip(SCORE_COLUMNS, (batch.clip_ids, *raw, *norm, overall_loss(*norm, alpha, beta))))
 
 
 def score_pool(
@@ -489,40 +535,10 @@ def score_pool(
     eps_a: float,
     delta_d: float,
 ) -> list[CriterionScores]:
-    """Score every clip, normalize each criterion over the batch, and mix.
-
-    ``predictions`` is any mapping from clip id (see :func:`prediction_batch`);
-    every clip needs a prediction of its horizon, and a missing one raises
-    KeyError naming the clip. The criteria are array reductions over the
-    batch; the normalization is a reduce over the whole batch.
-    """
-    if not clips:
-        raise ValueError("no clips to score")
-    check_score_settings(alpha=alpha, beta=beta, eps_a=eps_a, delta_d=delta_d)
-    batch = prediction_batch(predictions, clips)
-    gts = np.array([c.gt_future for c in clips], dtype=float).reshape(batch.ego_plans.shape)
-    dists = _best_distances(batch)
-    de_raw = dict(zip(batch.clip_ids, _displacement_errors(batch.ego_plans, gts).tolist()))
-    sc_raw = dict(zip(batch.clip_ids, _soft_collisions(batch, dists, eps_a).tolist()))
-    au_raw = dict(zip(batch.clip_ids, _agent_uncertainties(batch, dists, delta_d).tolist()))
-    de_norm = min_max_normalize(de_raw)
-    sc_norm = min_max_normalize(sc_raw)
-    au_norm = min_max_normalize(au_raw)
-    return [
-        CriterionScores(
-            clip_id=clip.id,
-            de_raw=de_raw[clip.id],
-            sc_raw=sc_raw[clip.id],
-            au_raw=au_raw[clip.id],
-            de_norm=de_norm[clip.id],
-            sc_norm=sc_norm[clip.id],
-            au_norm=au_norm[clip.id],
-            overall=overall_loss(
-                de_norm[clip.id], sc_norm[clip.id], au_norm[clip.id], alpha, beta
-            ),
-        )
-        for clip in clips
-    ]
+    """The rows of :func:`score_columns`, one per clip, in clip order."""
+    columns = score_columns(clips, predictions, alpha=alpha, beta=beta, eps_a=eps_a, delta_d=delta_d)
+    ids, *values = columns.values()
+    return list(map(CriterionScores, ids, *(v.tolist() for v in values)))
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +601,6 @@ def load_predictions(path: str | os.PathLike, horizon: int | None = 6) -> Predic
 
 def save_predictions(preds: Iterable[ClipPrediction], path: str | os.PathLike) -> None:
     write_jsonl(path, map(prediction_to_dict, preds))
-
-
-SCORE_COLUMNS = ("clip_id", "de_raw", "sc_raw", "au_raw", "de_norm", "sc_norm", "au_norm", "overall")
 
 
 def scores_to_table(rows: Sequence[CriterionScores]) -> str:

@@ -16,19 +16,18 @@ import numpy as np
 
 from .criteria import (
     ClipPrediction,
-    CriterionScores,
     PredictionBatch,
+    _top,
     check_score_settings,
     load_predictions,
-    rank_and_take,
-    score_pool,
+    score_columns,
 )
 from .diversity import StratumAllocation, ego_diversity_init
 from .pool import ClipRecord, SelectionState
 
 INIT_MODES = ("random", "ego-diversity")
-#: Ranking keys: the three single criteria plus their mixture.
-CRITERIA = ("de", "sc", "au", "mix")
+#: Ranking keys, the three single criteria plus their mixture, to the column each ranks.
+CRITERIA = {"de": "de_norm", "sc": "sc_norm", "au": "au_norm", "mix": "overall"}
 
 
 @dataclass(frozen=True)
@@ -132,41 +131,27 @@ def _sample_in_id_order(rng: np.random.Generator, ids: Sequence[str], n: int) ->
     return [ordered[i] for i in sorted(rng.choice(len(ordered), size=n, replace=False))]
 
 
-def ranking_key(row: CriterionScores, criterion: str) -> float:
-    if criterion == "de":
-        return row.de_norm
-    if criterion == "sc":
-        return row.sc_norm
-    if criterion == "au":
-        return row.au_norm
-    if criterion == "mix":
-        return row.overall
-    raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
-
-
 @dataclass
 class RoundTrace:
-    """What one scored round did: who was picked, and from what scores."""
+    """What one scored round did: who was picked, and a summary of the scores."""
 
     round_index: int
     selected_ids: tuple[str, ...]
-    scores: tuple[CriterionScores, ...] = ()
     summary: dict = field(default_factory=dict)
     # Hypothetical top-n sets under each single criterion, for overlap analysis.
     criterion_picks: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
-def _summarize(rows: Sequence[CriterionScores]) -> dict:
-    def mean(vals):
-        return float(np.mean(vals)) if vals else 0.0
-
+def _summarize(columns: dict) -> dict:
+    overall = columns["overall"]
     return {
-        "n_scored": len(rows),
-        "de_raw_mean": mean([r.de_raw for r in rows]),
-        "sc_raw_mean": mean([r.sc_raw for r in rows]),
-        "au_raw_mean": mean([r.au_raw for r in rows]),
-        "overall_mean": mean([r.overall for r in rows]),
-        "overall_max": float(max((r.overall for r in rows), default=0.0)),
+        "n_scored": len(columns["clip_id"]),
+        "de_raw_mean": float(np.mean(columns["de_raw"])),
+        "sc_raw_mean": float(np.mean(columns["sc_raw"])),
+        "au_raw_mean": float(np.mean(columns["au_raw"])),
+        "overall_mean": float(np.mean(overall)),
+        # The first of equal values, as max() takes it: 0.0 and -0.0 differ in JSON.
+        "overall_max": float(overall[overall.argmax()]),
     }
 
 
@@ -187,7 +172,7 @@ def run_round(
     provider failure propagates before any state mutation.
     """
     if criterion not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
+        raise ValueError(f"criterion must be one of {tuple(CRITERIA)}, got {criterion!r}")
     n = config.n_per_round if n_select is None else n_select
     unlabeled = state.unlabeled_ids
     if n > len(unlabeled):
@@ -195,7 +180,7 @@ def run_round(
     clips_by_id = {c.id: c for c in clips}
     provider.train(state.labeled_ids)
     predictions = provider.predict(unlabeled)
-    rows = score_pool(
+    columns = score_columns(
         [clips_by_id[i] for i in unlabeled],
         predictions,
         alpha=config.alpha,
@@ -203,17 +188,13 @@ def run_round(
         eps_a=config.eps_a,
         delta_d=config.delta_d,
     )
-    picks = {
-        c: tuple(rank_and_take({r.clip_id: ranking_key(r, c) for r in rows}, n))
-        for c in CRITERIA
-    }
+    picks = {c: tuple(_top(columns["clip_id"], columns[key], n)) for c, key in CRITERIA.items()}
     selected = picks[criterion]
     state.add_round(round_index, selected)
     return RoundTrace(
         round_index=round_index,
         selected_ids=selected,
-        scores=tuple(rows),
-        summary=_summarize(rows),
+        summary=_summarize(columns),
         criterion_picks=picks,
     )
 
@@ -244,7 +225,7 @@ def run(
     if strategy not in ("active", "random"):
         raise ValueError(f"strategy must be 'active' or 'random', got {strategy!r}")
     if criterion not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
+        raise ValueError(f"criterion must be one of {tuple(CRITERIA)}, got {criterion!r}")
     config.validate_for_pool(len(clips))
 
     state = SelectionState(c.id for c in clips)
@@ -256,20 +237,11 @@ def run(
     traces: list[RoundTrace] = []
 
     for itr in range(1, config.n_rounds + 1):
-        remaining = len(state.unlabeled_ids)
-        # Short final round if the pool runs out (unreachable when budget <= N).
-        n_select = min(config.n_per_round, remaining)
-        if n_select == 0:
-            break
         if strategy == "active":
-            traces.append(
-                run_round(
-                    clips, state, provider, config, itr,
-                    criterion=criterion, n_select=n_select,
-                )
-            )
+            traces.append(run_round(clips, state, provider, config, itr, criterion=criterion))
         else:
-            ids = _sample_in_id_order(np.random.default_rng([config.seed, itr]), state.unlabeled_ids, n_select)
+            rng = np.random.default_rng([config.seed, itr])
+            ids = _sample_in_id_order(rng, state.unlabeled_ids, config.n_per_round)
             state.add_round(itr, ids)
             traces.append(RoundTrace(round_index=itr, selected_ids=tuple(ids)))
     return RunResult(state=state, traces=traces, init_allocations=allocations)
@@ -297,7 +269,6 @@ __all__ = [
     "RunResult",
     "derive_schedule",
     "random_init",
-    "ranking_key",
     "run",
     "run_round",
 ]

@@ -350,6 +350,69 @@ class TestNonFiniteSettings:
         assert not pool.exists() and not truth.exists()
 
 
+class TestConfigFileTypes:
+    """A config file value of the wrong JSON type is a usage error naming the
+    key, where it used to be cast (10.7 to 10, true to 1, "2" to 2.0)."""
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("n_clips", 10.7, "config key 'n_clips' must be a JSON integer, got 10.7"),
+            ("n_clips", 10.0, "config key 'n_clips' must be a JSON integer, got 10.0"),
+            ("seed", True, "config key 'seed' must be a JSON integer, got true"),
+            ("horizon", 6.9, "config key 'horizon' must be a JSON integer, got 6.9"),
+            ("noise_scale", "0.5", 'config key \'noise_scale\' must be a JSON number, got "0.5"'),
+            ("agent_rate", False, "config key 'agent_rate' must be a JSON number, got false"),
+            ("bucket_probs", "[0.25, 0.25, 0.25, 0.25]",
+             'config key \'bucket_probs\' must be a list of JSON numbers, got "[0.25, 0.25, 0.25, 0.25]"'),
+            ("maneuver_probs", [0.5, True, 0.5],
+             "config key 'maneuver_probs' must be a list of JSON numbers, got [0.5, true, 0.5]"),
+            pytest.param("noise_scale", 10**400, "config key 'noise_scale': cannot parse", id="beyond-float"),
+        ],
+    )
+    def test_gen(self, tmp_path, capsys, key, value, message):
+        config = tmp_path / "world.json"
+        config.write_text(json.dumps({"n_clips": 10, key: value}))
+        pool, truth = tmp_path / "pool.jsonl", tmp_path / "truth.jsonl"
+        assert run_cli("gen", "--config", config, "--pool", pool, "--truth", truth) == 2
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not pool.exists() and not truth.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("budget", 30.9, "config key 'budget' must be a JSON integer, got 30.9"),
+            ("alpha", "2", 'config key \'alpha\' must be a JSON number, got "2"'),
+            ("beta", None, "config key 'beta' must be a JSON number, got null"),
+            ("init_mode", 5, "config key 'init_mode' must be a JSON string, got 5"),
+        ],
+    )
+    def test_run(self, world, tmp_path, capsys, key, value, message):
+        pool, truth = world
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"budget": 30, "n_init": 10, "n_rounds": 2, "n_per_round": 10, key: value}))
+        out = tmp_path / "out"
+        assert run_cli("run", "--pool", pool, "--truth", truth, "--out-dir", out,
+                       "--heldout-count", 12, "--config", config) == 2
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_file_numbers_and_set_strings_still_parse(self, world, tmp_path):
+        """An integer may fill a float key, and --set strings are parsed as before."""
+        pool, truth = world
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"budget": 30, "n_init": 10, "n_rounds": 2, "n_per_round": 10, "alpha": 2}))
+        from_file, from_set = tmp_path / "file", tmp_path / "set"
+        assert run_cli("run", "--pool", pool, "--truth", truth, "--out-dir", from_file,
+                       "--heldout-count", 12, "--config", config) == 0
+        assert run_cli("run", "--pool", pool, "--truth", truth, "--out-dir", from_set, "--heldout-count", 12,
+                       *[f"--set={k}={v}" for k, v in
+                         (("budget", 30), ("n_init", "10"), ("n_rounds", 2), ("n_per_round", 10), ("alpha", "2"))]) == 0
+        manifest = json.loads((from_file / "manifest.json").read_text())
+        assert manifest["config"]["alpha"] == 2.0 and isinstance(manifest["config"]["alpha"], float)
+        assert (from_file / "manifest.json").read_bytes() == (from_set / "manifest.json").read_bytes()
+
+
 @pytest.fixture(scope="module")
 def order_world(tmp_path_factory):
     """A small world and, per (init mode, baseline), the selection of ``run`` on it."""

@@ -1,10 +1,14 @@
 """Scoring criteria: frozen unit values, metric properties, ranking oracle."""
 
+import heapq
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driveselect.criteria import (
     SCORE_COLUMNS,
@@ -347,6 +351,102 @@ class TestNormalization:
             vals[0], vals[1] = vals.min() - 1, vals.max() + 1  # distinct endpoints
             normed = min_max_normalize({f"c{i}": float(v) for i, v in enumerate(vals)})
             assert min_max_normalize(normed) == normed
+
+
+def reference_min_max_normalize(values):
+    """min_max_normalize as a dict formula, before it ran on columns."""
+    if not values:
+        raise ValueError("cannot normalize an empty score map")
+    vals = list(values.values())
+    if any(not math.isfinite(v) for v in vals):
+        raise ValueError("scores must be finite")
+    lo, hi = min(vals), max(vals)
+    if hi == lo:
+        return {k: 0.0 for k in values}
+    span = hi - lo
+    return {k: (v - lo) / span for k, v in values.items()}
+
+
+def reference_rank_and_take(scores, n):
+    """rank_and_take as a heap over the items, before it ran on columns."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n > len(scores):
+        raise ValueError(f"cannot take {n} of {len(scores)} scored clips")
+    for clip_id, score in scores.items():
+        if not math.isfinite(score):
+            raise ValueError(f"clip {clip_id!r} has non-finite score {score}")
+    return [k for k, _ in heapq.nsmallest(n, scores.items(), key=lambda kv: (-kv[1], kv[0]))]
+
+
+def same_outcome(function, reference, *args):
+    """``(function(*args), reference(*args))``, or None when both raise the
+    same ValueError message."""
+    try:
+        expected = reference(*args)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            function(*args)
+        assert str(raised.value) == str(exc)
+        return None
+    return function(*args), expected
+
+
+def float_bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+TINY = 2.2250738585072014e-308
+EDGE_SCORES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, TINY, -TINY, 1.0, 1e308, -1e308, 1.7976931348623157e308])
+SCORES = EDGE_SCORES | st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e-300, 1e-300) | st.floats()
+
+
+class TestColumnsEqualDictFormulas:
+    """The column normalizer and ranker give the dict formulas' values, float
+    bits, order and messages."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(values=st.dictionaries(st.text(max_size=3), SCORES, max_size=8))
+    def test_min_max_normalize(self, values):
+        outcome = same_outcome(min_max_normalize, reference_min_max_normalize, values)
+        if outcome:
+            got, expected = outcome
+            assert list(got) == list(expected)
+            assert float_bits(got.values()) == float_bits(expected.values())
+
+    @pytest.mark.parametrize(
+        "values", [{"a": 0.0, "b": -0.0, "c": 1.0}, {"a": -0.0, "b": 0.0, "c": 1.0}, {"a": 1e308, "b": -1e308}]
+    )
+    def test_min_max_normalize_signed_zeros_and_overflow(self, values):
+        got, expected = same_outcome(min_max_normalize, reference_min_max_normalize, values)
+        assert float_bits(got.values()) == float_bits(expected.values())
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        scores=st.dictionaries(st.text(alphabet="ab\x00", max_size=3) | st.text(max_size=3), SCORES, max_size=12),
+        data=st.data(),
+    )
+    def test_rank_and_take(self, scores, data):
+        n = data.draw(st.integers(-1, len(scores) + 1))
+        outcome = same_outcome(rank_and_take, reference_rank_and_take, scores, n)
+        if outcome:
+            assert outcome[0] == outcome[1]
+
+    def test_rank_and_take_nul_suffix_and_signed_zero_ties(self):
+        scores = {"a\x00": 0.0, "a": -0.0, "b": 0.0, "": -0.0, "a\x00\x00": 1.0}
+        assert rank_and_take(scores, 5) == reference_rank_and_take(scores, 5) == ["a\x00\x00", "", "a", "a\x00", "b"]
+
+    def test_score_pool_normalizes_and_mixes_as_rows(self, rng):
+        for alpha, beta in ((1.0, 1.0), (0.3, 7.0), (0, 1e6)):
+            clips, preds = ragged_scene(rng, 40, 5, eps_a=0.5, delta_d=3.0)
+            rows = score_pool(clips, preds, alpha=alpha, beta=beta, eps_a=0.5, delta_d=3.0)
+            norms = [
+                reference_min_max_normalize({r.clip_id: getattr(r, f"{c}_raw") for r in rows}) for c in ("de", "sc", "au")
+            ]
+            for r in rows:
+                expected = [n[r.clip_id] for n in norms]
+                expected.append(overall_loss(*expected, alpha, beta))
+                assert float_bits((r.de_norm, r.sc_norm, r.au_norm, r.overall)) == float_bits(expected)
 
 
 class TestOverallLoss:

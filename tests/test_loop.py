@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from driveselect.criteria import save_predictions
+from driveselect.criteria import save_predictions, score_pool
 from driveselect.loop import (
     ActiveConfig,
     FilePredictionProvider,
@@ -159,6 +159,62 @@ class TestRunRound:
         cfg = ActiveConfig(budget=4, n_init=2, n_rounds=1, n_per_round=2)
         run_round(clips, state, provider, cfg, 1)
         assert provider.trained_ids == (clips[0].id, clips[3].id)
+
+
+def reference_summary(rows):
+    """The round summary as it was computed from score_pool's rows."""
+    def mean(vals):
+        return float(np.mean(vals)) if vals else 0.0
+
+    return {
+        "n_scored": len(rows),
+        "de_raw_mean": mean([r.de_raw for r in rows]),
+        "sc_raw_mean": mean([r.sc_raw for r in rows]),
+        "au_raw_mean": mean([r.au_raw for r in rows]),
+        "overall_mean": mean([r.overall for r in rows]),
+        "overall_max": float(max((r.overall for r in rows), default=0.0)),
+    }
+
+
+class TestColumnRanking:
+    """run_round ranks score columns; every criterion's picks and the summary
+    equal the row formulas over score_pool's rows."""
+
+    ROW_KEYS = {
+        "de": lambda r: r.de_norm,
+        "sc": lambda r: r.sc_norm,
+        "au": lambda r: r.au_norm,
+        "mix": lambda r: r.overall,
+    }
+
+    def check_round(self, clips, provider, n_init, n):
+        state = SelectionState(c.id for c in clips)
+        state.add_round(0, [c.id for c in clips[:n_init]])
+        cfg = ActiveConfig(budget=n_init + n, n_init=n_init, n_rounds=1, n_per_round=n)
+        by_id = {c.id: c for c in clips}
+        provider.train(state.labeled_ids)
+        rows = score_pool([by_id[i] for i in state.unlabeled_ids], provider.predict(state.unlabeled_ids),
+                          alpha=cfg.alpha, beta=cfg.beta, eps_a=cfg.eps_a, delta_d=cfg.delta_d)
+        trace = run_round(clips, state, provider, cfg, 1)
+        for criterion, key in self.ROW_KEYS.items():
+            expected = sorted(rows, key=lambda r: (-key(r), r.clip_id))[:n]
+            assert trace.criterion_picks[criterion] == tuple(r.clip_id for r in expected), criterion
+        # JSON tells 0.0 from -0.0, and the summary goes into manifest.json.
+        assert json.dumps(trace.summary) == json.dumps(reference_summary(rows))
+        return rows
+
+    @pytest.mark.parametrize("seed", [3, 13, 29])
+    def test_toy_planner_worlds(self, seed):
+        clips, truth = generate_world(WorldConfig(n_clips=150, seed=seed, agent_rate=3.0))
+        self.check_round(clips, ToyPlanner(clips, truth), 30, 20)
+
+    def test_hash_plan_pool_with_planted_ties(self):
+        # One recorded future for every clip: ids whose hash offsets collide
+        # tie on DE, and with no agents SC and AU tie everywhere.
+        clips = [make_clip(f"c{i:03d}") for i in range(200)]
+        rows = self.check_round(clips, HashPlanProvider(clips), 20, 40)
+        assert len({r.de_norm for r in rows}) < len(rows)
+        assert {r.sc_norm for r in rows} == {r.au_norm for r in rows} == {0.0}
 
 
 class TestRun:
