@@ -24,6 +24,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 from . import report
@@ -38,6 +39,7 @@ from .criteria import (
 from .diversity import ego_diversity_init
 from .loop import ActiveConfig, CRITERIA, derive_schedule, random_init, run
 from .pool import (
+    _NUMBER_TYPES,
     PoolFormatError,
     atomic_write_text,
     load_pool,
@@ -50,30 +52,17 @@ from .synthworld import ToyPlanner, WorldConfig, evaluate_clips, generate_pool, 
 
 CONFIG_ENV_VAR = "DRIVESELECT_CONFIG"
 
-# Config keys accepted from file / --set, with their coercions.
-ACTIVE_KEYS = {
-    "budget": int,
-    "n_init": int,
-    "n_rounds": int,
-    "n_per_round": int,
-    "alpha": float,
-    "beta": float,
-    "gamma": float,
-    "tau_c": int,
-    "eps_a": float,
-    "delta_d": float,
-    "seed": int,
-    "init_mode": str,
-}
-WORLD_KEYS = {
-    "n_clips": int,
-    "bucket_probs": lambda v: tuple(float(x) for x in v),
-    "maneuver_probs": lambda v: tuple(float(x) for x in v),
-    "horizon": int,
-    "agent_rate": float,
-    "noise_scale": float,
-    "seed": int,
-}
+
+def _config_keys(config_class) -> dict:
+    """The config keys accepted from file / --set: the fields of a config
+    dataclass, each with the coercion of its type."""
+    casters = {int: int, float: float, str: str, tuple[float, ...]: lambda v: tuple(float(x) for x in v)}
+    types = typing.get_type_hints(config_class)
+    return {f.name: casters[types[f.name]] for f in dataclasses.fields(config_class)}
+
+
+ACTIVE_KEYS = _config_keys(ActiveConfig)
+WORLD_KEYS = _config_keys(WorldConfig)
 
 
 class UsageError(Exception):
@@ -93,8 +82,8 @@ def _fits(value, caster) -> bool:
     if caster in (int, str):
         return type(value) is caster
     if caster is float:
-        return type(value) in (int, float)
-    return type(value) is list and all(type(x) in (int, float) for x in value)
+        return type(value) in _NUMBER_TYPES
+    return type(value) is list and _NUMBER_TYPES.issuperset(map(type, value))
 
 
 def _coerce(key: str, value, schema: dict, *, from_file: bool = False):
@@ -143,12 +132,9 @@ def _active_config(args, n_pool: int) -> ActiveConfig:
     values = _load_config_dict(args, ACTIVE_KEYS)
     if getattr(args, "seed", None) is not None:
         values["seed"] = args.seed
-    if not {"budget", "n_init", "n_rounds", "n_per_round"} <= set(values):
-        budget, n_init, n_rounds, n_per_round = derive_schedule(n_pool)
-        values.setdefault("budget", budget)
-        values.setdefault("n_init", n_init)
-        values.setdefault("n_rounds", n_rounds)
-        values.setdefault("n_per_round", n_per_round)
+    schedule = ("budget", "n_init", "n_rounds", "n_per_round")
+    if not set(schedule) <= set(values):
+        values = dict(zip(schedule, derive_schedule(n_pool))) | values
     return ActiveConfig(**values)
 
 
@@ -166,7 +152,7 @@ def cmd_gen(args) -> int:
     if "n_clips" not in values:
         raise UsageError("gen needs --n or a config with n_clips")
     config = WorldConfig(**values)
-    _echo_config({k: getattr(config, k) for k in WORLD_KEYS})
+    _echo_config(dataclasses.asdict(config))
     generate_pool(config, args.pool, args.truth)
     print(f"wrote {args.pool} and {args.truth} ({config.n_clips} clips)")
     return 0
@@ -238,7 +224,7 @@ def _build_manifest(args, config: ActiveConfig, criterion: str, strategy: str,
                     result, pool_clips, heldout_clips, truth, provider) -> dict:
     manifest: dict = {
         "config": {
-            **{k: getattr(config, k) for k in ACTIVE_KEYS},
+            **dataclasses.asdict(config),
             "criterion": criterion,
             "strategy": strategy,
         },
@@ -257,12 +243,7 @@ def _build_manifest(args, config: ActiveConfig, criterion: str, strategy: str,
     }
     if result.init_allocations is not None:
         manifest["init"]["allocations"] = [
-            {
-                "bucket": a.bucket,
-                "command": a.command,
-                "available": a.available,
-                "allocated": a.allocated,
-            }
+            {key: getattr(a, key) for key in ("bucket", "command", "available", "allocated")}
             for a in result.init_allocations
         ]
     for trace in result.traces:
@@ -313,7 +294,7 @@ def cmd_run(args) -> int:
     strategy = "random" if args.baseline == "random" else "active"
     if strategy == "random":
         config = dataclasses.replace(config, init_mode="random")
-    _echo_config({k: getattr(config, k) for k in ACTIVE_KEYS} | {"criterion": args.criterion, "strategy": strategy})
+    _echo_config(dataclasses.asdict(config) | {"criterion": args.criterion, "strategy": strategy})
 
     provider = ToyPlanner(clips, truth, tau_c=config.tau_c)
     result = run(pool_clips, provider, config, criterion=args.criterion, strategy=strategy)

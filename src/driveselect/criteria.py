@@ -25,6 +25,8 @@ import math
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -34,6 +36,7 @@ from .pool import (
     PoolFormatError,
     RowError,
     _check_fields,
+    _check_numbers,
     _check_string,
     atomic_write_text,
     read_jsonl,
@@ -52,7 +55,7 @@ def _agent_arrays(agent_id: str, probs, trajs) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"agent {agent_id}: needs at least one modality")
     if len(trajs) != len(p):
         raise ValueError(f"agent {agent_id}: {len(trajs)} trajectories for {len(p)} probabilities")
-    if len({len(t) for t in trajs}) != 1:
+    if len(set(map(len, trajs))) != 1:
         raise ValueError(f"agent {agent_id}: modality trajectories differ in length")
     t = np.asarray(trajs, dtype=float)
     if t.ndim != 3 or t.shape[2] != 2:
@@ -77,6 +80,26 @@ def _agent_errors(agent_ids, confidence, probs, trajs) -> list[tuple[int, str]]:
             i = int(bad.argmax())
             errors.append((i, f"agent {agent_ids[i]}: {message(i)}"))
     return errors
+
+
+def _check_plan(ego_plan, agent_horizons: Iterable[tuple[str, int]], horizon: int | None = None) -> np.ndarray:
+    """``ego_plan`` as an (H, 2) float array with H >= 1, where the plan and
+    each agent's ``(agent_id, trajectory waypoints)`` have ``horizon``
+    waypoints (None: the plan's). These are the plan rules of prediction
+    objects and predictions records alike."""
+    plan = np.asarray(ego_plan, dtype=float)
+    if plan.size == 0:
+        raise ValueError("ego_plan is empty")
+    if plan.ndim != 2 or plan.shape[1] != 2:
+        raise ValueError("ego_plan waypoints must be (x, y) pairs")
+    if horizon is None:
+        horizon = len(plan)
+    if len(plan) != horizon:
+        raise ValueError(f"ego_plan has {len(plan)} waypoints, expected {horizon}")
+    for agent_id, waypoints in agent_horizons:
+        if waypoints != horizon:
+            raise ValueError(f"agent {agent_id}: modality_trajs have {waypoints} waypoints, expected {horizon}")
+    return plan
 
 
 def _plan_errors(ego_plans: np.ndarray) -> list[tuple[int, str]]:
@@ -122,21 +145,13 @@ class ClipPrediction:
     agents: tuple[AgentForecast, ...]
 
     def __post_init__(self) -> None:
-        plan = np.asarray(self.ego_plan, dtype=float)
-        if len(plan) == 0:
-            raise ValueError(f"clip {self.clip_id}: empty ego plan")
-        if plan.ndim != 2 or plan.shape[1] != 2:
-            raise ValueError(f"clip {self.clip_id}: waypoints must be (x, y) pairs")
+        try:
+            plan = _check_plan(self.ego_plan, [(a.agent_id, len(a.modality_trajs[0])) for a in self.agents])
+        except ValueError as exc:
+            raise ValueError(f"clip {self.clip_id}: {exc}") from exc
         errors = _plan_errors(plan[None])
         if errors:
             raise ValueError(f"clip {self.clip_id}: {errors[0][1]}")
-        horizon = len(plan)
-        for agent in self.agents:
-            if len(agent.modality_trajs[0]) != horizon:
-                raise ValueError(
-                    f"clip {self.clip_id}: agent {agent.agent_id} horizon "
-                    f"{len(agent.modality_trajs[0])} != plan horizon {horizon}"
-                )
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,17 +242,14 @@ class PredictionBatch(Mapping):
 
 def _batch_from_parts(clip_ids: Sequence[str], parts: Sequence[tuple], horizon: int | None = None) -> PredictionBatch:
     """One batch from per-clip ``(plan, [(agent_id, confidence, probs, trajs), ...])``
-    arrays. Every plan and trajectory must have ``horizon`` waypoints (None:
-    the first plan's); a RowError names the first clip that fails this or a
-    value check."""
+    arrays, each clip's trajectories as long as its plan (see :func:`_check_plan`).
+    Every plan must have ``horizon`` waypoints (None: the first plan's); a
+    RowError names the first clip that fails this or a value check."""
     if horizon is None:
         horizon = len(parts[0][0]) if parts else 0
-    for row, (plan, clip_agents) in enumerate(parts):
+    for row, (plan, _) in enumerate(parts):
         if len(plan) != horizon:
             raise RowError(row, f"ego_plan has {len(plan)} waypoints, expected {horizon}")
-        for agent_id, _, _, trajs in clip_agents:
-            if trajs.shape[1] != horizon:
-                raise RowError(row, f"agent {agent_id}: modality_trajs have {trajs.shape[1]} waypoints, expected {horizon}")
     agents = [(row, agent) for row, (_, clip_agents) in enumerate(parts) for agent in clip_agents]
     counts = np.array([len(a[2]) for _, a in agents], dtype=np.intp)
     probs = np.zeros((len(agents), counts.max(initial=1)))
@@ -566,20 +578,21 @@ _PREDICTION_FIELDS = frozenset({"clip_id", "ego_plan", "agents"})
 _FORECAST_FIELDS = frozenset({"agent_id", "confidence", "modality_probs", "modality_trajs"})
 
 
-def _record_parts(record: dict) -> tuple:
-    """A predictions record as the arrays of :func:`_batch_from_parts`."""
+def _record_parts(record: dict, horizon: int | None) -> tuple:
+    """A predictions record as the arrays of :func:`_batch_from_parts`. Every
+    number in it must be a JSON number, and its plan must pass :func:`_check_plan`."""
     _check_fields(record, _PREDICTION_FIELDS, "record")
-    plan = np.asarray(record["ego_plan"], dtype=float)
-    if plan.size == 0:
-        plan = plan.reshape(0, 2)
-    if plan.ndim != 2 or plan.shape[1] != 2:
-        raise ValueError("ego_plan waypoints must be (x, y) pairs")
+    _check_numbers(record["ego_plan"], "ego_plan", 2)
     agents = []
     for a in record["agents"]:
         _check_fields(a, _FORECAST_FIELDS, "agent")
         agent_id = _check_string(a["agent_id"], "agent_id")
+        _check_numbers([a["confidence"]], f"agent {agent_id} confidence")
+        _check_numbers(a["modality_probs"], f"agent {agent_id} modality_probs")
+        _check_numbers(a["modality_trajs"], f"agent {agent_id} modality_trajs", 3)
         probs, trajs = _agent_arrays(agent_id, a["modality_probs"], a["modality_trajs"])
         agents.append((agent_id, float(a["confidence"]), probs, trajs))
+    plan = _check_plan(record["ego_plan"], [(agent_id, trajs.shape[1]) for agent_id, _, _, trajs in agents], horizon)
     return plan, agents
 
 
@@ -590,7 +603,7 @@ def parse_prediction_lines(
     :func:`read_jsonl`, into one batch. Every plan and agent trajectory has
     ``horizon`` waypoints; ``None`` takes the horizon of the first record."""
     return read_jsonl(
-        lines, "predictions", "clip_id", _record_parts,
+        lines, "predictions", "clip_id", partial(_record_parts, horizon=horizon),
         lambda parts: _batch_from_parts(list(parts), list(parts.values()), horizon),
     )
 
@@ -603,16 +616,13 @@ def save_predictions(preds: Iterable[ClipPrediction], path: str | os.PathLike) -
     write_jsonl(path, map(prediction_to_dict, preds))
 
 
+_SCORE_VALUES = attrgetter(*SCORE_COLUMNS[1:])
+
+
 def scores_to_table(rows: Sequence[CriterionScores]) -> str:
     """Render scores as a TSV table; floats use repr so they round-trip exactly."""
     out = ["\t".join(SCORE_COLUMNS)]
-    for r in rows:
-        out.append(
-            "\t".join(
-                [r.clip_id]
-                + [repr(v) for v in (r.de_raw, r.sc_raw, r.au_raw, r.de_norm, r.sc_norm, r.au_norm, r.overall)]
-            )
-        )
+    out += ["\t".join([r.clip_id, *map(repr, _SCORE_VALUES(r))]) for r in rows]
     return "\n".join(out) + "\n"
 
 

@@ -108,7 +108,8 @@ class FilePredictionProvider:
 
     def predict(self, ids: Sequence[str]) -> PredictionBatch:
         path = os.path.join(self.directory, self.PATTERN.format(round=self.round_index))
-        # The file's own horizon; score_pool checks it against the clips.
+        # The file's own horizon; score_columns' prediction_batch checks it
+        # against the clips.
         available = load_predictions(path, horizon=None)
         for clip_id in ids:
             if clip_id not in available:

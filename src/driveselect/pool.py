@@ -30,6 +30,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -58,10 +59,38 @@ class RowError(ValueError):
         self.row = row
 
 
-def _check_finite_point(point: Sequence[float]) -> tuple[float, float]:
+#: The types of a decoded JSON number. ``float()`` and numpy would also read
+#: a bool as 0 or 1 and a string such as "3.5" as a number.
+_NUMBER_TYPES = frozenset({int, float})
+
+
+def _check_numbers(values: Any, name: str, depth: int = 1) -> None:
+    """Raise ValueError naming ``name`` at the first item of ``values``, JSON
+    lists nested ``depth`` deep, that is not a JSON number. A number where a
+    list belongs is left to the caller's shape checks."""
+    items = values
+    for _ in range(depth - 1):
+        items = chain.from_iterable(items)
+    try:
+        if _NUMBER_TYPES.issuperset(map(type, items)):
+            return
+    except TypeError:  # a number where a list belongs
+        return
+    for item in values if type(values) is list else [values]:
+        if depth > 1 and type(item) is list:
+            _check_numbers(item, name, depth - 1)
+        elif type(item) not in _NUMBER_TYPES:
+            raise ValueError(f"{name} must be a JSON number, got {json.dumps(item)}")
+
+
+def _check_finite_point(point: Sequence[float], name: str) -> tuple[float, float]:
+    """A waypoint of ``name``: two finite JSON numbers, as floats."""
     if len(point) != 2:
         raise ValueError(f"waypoint must have 2 coordinates, got {len(point)}")
-    x, y = float(point[0]), float(point[1])
+    x, y = point
+    if type(x) is not float or type(y) is not float:
+        _check_numbers(point, name)
+        x, y = float(x), float(y)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"waypoint coordinates must be finite, got ({x}, {y})")
     return (x, y)
@@ -86,7 +115,7 @@ def _check_fields(record: Any, fields: frozenset[str], name: str) -> dict:
 
 def _check_path(points: Iterable[Sequence[float]], horizon: int, name: str) -> tuple[tuple[float, float], ...]:
     """A trajectory of exactly ``horizon`` finite (x, y) waypoints."""
-    path = tuple(map(_check_finite_point, points))
+    path = tuple([_check_finite_point(point, name) for point in points])
     if len(path) != horizon:
         raise ValueError(f"{name} has {len(path)} waypoints, expected {horizon}")
     return path
@@ -361,11 +390,13 @@ _CLIP_FIELDS = frozenset({"id", "weather", "lighting", "frames", "gt_future", "a
 def clip_from_dict(record: dict, horizon: int) -> ClipRecord:
     _check_fields(record, _CLIP_FIELDS, "record")
     frames = record["frames"]
+    speeds = list(map(_SPEED, frames))
+    _check_numbers(speeds, "speed")
     return ClipRecord(
         id=str(record["id"]),
         weather=str(record["weather"]),
         lighting=str(record["lighting"]),
-        speeds=tuple(map(float, map(_SPEED, frames))),
+        speeds=tuple(map(float, speeds)),
         # Interned, so every clip shares the same few command strings.
         commands=tuple(map(sys.intern, map(str, map(_COMMAND, frames)))),
         gt_future=_check_path(record["gt_future"], horizon, "gt_future"),

@@ -19,7 +19,6 @@ from .pool import ClipRecord, atomic_write_text, classify_command
 from .synthworld import ClipEval, summarize_evals
 
 STEP_COUNT = 6       # fixed six steps at 0.5 s; other horizons are rejected here
-STEP_SECONDS = 0.5
 
 #: Stratum display order for the scenario table.
 STRATA_ORDER = ("Day", "Night", "Sunny", "Rainy", "S", "L", "R", "O", "All")
@@ -118,6 +117,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+#: The comparison's columns after ``run``, in both report formats.
+_COMPARISON_COLUMNS = ("strategy", "budget", "heldout_avg_de_m", "heldout_proxy_collision_pct")
+
+
+def _comparison_row(m: dict, missing) -> tuple:
+    """One run's comparison values, with ``missing`` for what its manifest lacks."""
+    config, heldout = m["config"], m.get("heldout") or {}
+    return (config.get("strategy", missing), config.get("budget", missing),
+            heldout.get("avg_de_m", missing), heldout.get("proxy_collision_pct", missing))
+
+
 def render_structured(manifests: Mapping[str, dict]) -> dict:
     """One JSON-ready document covering every given (name -> run manifest)."""
     doc: dict = {"runs": {}}
@@ -146,115 +156,76 @@ def render_structured(manifests: Mapping[str, dict]) -> dict:
             entry["stratified"] = heldout.get("stratified")
         doc["runs"][name] = entry
     if len(manifests) > 1:
-        doc["comparison"] = [
-            {
-                "run": name,
-                "strategy": m["config"].get("strategy"),
-                "budget": m["config"].get("budget"),
-                "heldout_avg_de_m": (m.get("heldout") or {}).get("avg_de_m"),
-                "heldout_proxy_collision_pct": (m.get("heldout") or {}).get("proxy_collision_pct"),
-            }
-            for name, m in manifests.items()
-        ]
+        columns = ("run", *_COMPARISON_COLUMNS)
+        doc["comparison"] = [dict(zip(columns, (name, *_comparison_row(m, None)))) for name, m in manifests.items()]
     return doc
 
 
+def _config_rows(m: dict) -> list[tuple]:
+    return [(key, m["config"][key]) for key in sorted(m["config"])]
+
+
+_SUMMARY_MEANS = ("de_raw_mean", "sc_raw_mean", "au_raw_mean", "overall_mean")
+
+
+def _round_rows(m: dict) -> list[tuple]:
+    rows = [(0, len(m["init"]["ids"]), m["init"]["mode"], "", "", "", "")]
+    for r in m["rounds"]:
+        s = r.get("score_summary") or {}
+        kind = "scored" if s else "random"
+        rows.append((r["round"], len(r["ids"]), kind, *(s.get(key, "") for key in _SUMMARY_MEANS)))
+    return rows
+
+
+def _allocation_rows(m: dict) -> list[tuple]:
+    allocations = m["init"].get("allocations") or []
+    return [(a["bucket"], a["command"], a["available"], a["allocated"]) for a in allocations]
+
+
+def _overlap_rows(m: dict) -> list[tuple]:
+    rows = []
+    for r in m["rounds"]:
+        ov = r.get("criterion_overlap")
+        if ov:
+            rows += [(r["round"], label, *ov["matrix"][i]) for i, label in enumerate(ov["labels"])]
+    return rows
+
+
+def _stratified_rows(m: dict) -> list[tuple]:
+    stratified = (m.get("heldout") or {}).get("stratified") or {}
+    return [(key, c["count"], c["avg_de_m"], c["proxy_collision_pct"]) for key, c in stratified.items()]
+
+
+def _l2_rows(m: dict) -> list[tuple]:
+    conv = (m.get("heldout") or {}).get("l2_by_second")
+    return [(name, *conv[name]) for name in ("exact_step", "running_mean")] if conv else []
+
+
+#: The TSV sections in order: title, the columns after ``run``, the rows of
+#: one manifest, and whether the section is written without rows.
+_SECTIONS = (
+    ("config", ("key", "value"), _config_rows, True),
+    ("rounds", ("round", "n_selected", "kind", *_SUMMARY_MEANS), _round_rows, True),
+    ("init_allocations", ("bucket", "command", "available", "allocated"), _allocation_rows, False),
+    ("criterion_overlap", ("round", "criterion", "de", "sc", "au", "mix"), _overlap_rows, False),
+    ("stratified", ("stratum", "count", "avg_de_m", "proxy_collision_pct"), _stratified_rows, False),
+    ("l2_conventions", ("convention", "k1_m", "k2_m", "k3_m"), _l2_rows, False),
+)
+#: Written last, for two or more runs.
+_COMPARISON = ("comparison", _COMPARISON_COLUMNS, lambda m: [_comparison_row(m, "")], False)
+
+
 def render_delimited(manifests: Mapping[str, dict]) -> str:
-    """Sectioned TSV rendering of the same content; column names are stable."""
+    """Sectioned TSV rendering of the same content; column names are stable.
+    Each row starts with its run's name."""
+    sections = _SECTIONS + (_COMPARISON,) if len(manifests) > 1 else _SECTIONS
     lines: list[str] = []
-
-    def section(title: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-        lines.append(f"# {title}")
-        lines.append("\t".join(header))
-        for row in rows:
-            lines.append("\t".join(_fmt(v) for v in row))
-        lines.append("")
-
-    config_rows = []
-    for name, m in manifests.items():
-        for key in sorted(m["config"]):
-            config_rows.append((name, key, m["config"][key]))
-    section("config", ("run", "key", "value"), config_rows)
-
-    round_rows = []
-    for name, m in manifests.items():
-        init = m["init"]
-        round_rows.append((name, 0, len(init["ids"]), init["mode"], "", "", "", ""))
-        for r in m["rounds"]:
-            s = r.get("score_summary") or {}
-            round_rows.append(
-                (
-                    name,
-                    r["round"],
-                    len(r["ids"]),
-                    "scored" if s else "random",
-                    s.get("de_raw_mean", ""),
-                    s.get("sc_raw_mean", ""),
-                    s.get("au_raw_mean", ""),
-                    s.get("overall_mean", ""),
-                )
-            )
-    section(
-        "rounds",
-        ("run", "round", "n_selected", "kind", "de_raw_mean", "sc_raw_mean", "au_raw_mean", "overall_mean"),
-        round_rows,
-    )
-
-    alloc_rows = []
-    for name, m in manifests.items():
-        for a in m["init"].get("allocations") or []:
-            alloc_rows.append((name, a["bucket"], a["command"], a["available"], a["allocated"]))
-    if alloc_rows:
-        section("init_allocations", ("run", "bucket", "command", "available", "allocated"), alloc_rows)
-
-    overlap_rows = []
-    for name, m in manifests.items():
-        for r in m["rounds"]:
-            ov = r.get("criterion_overlap")
-            if not ov:
-                continue
-            for i, label in enumerate(ov["labels"]):
-                overlap_rows.append((name, r["round"], label, *ov["matrix"][i]))
-    if overlap_rows:
-        section("criterion_overlap", ("run", "round", "criterion", "de", "sc", "au", "mix"), overlap_rows)
-
-    strat_rows = []
-    for name, m in manifests.items():
-        heldout = m.get("heldout") or {}
-        for key, cell in (heldout.get("stratified") or {}).items():
-            strat_rows.append((name, key, cell["count"], cell["avg_de_m"], cell["proxy_collision_pct"]))
-    if strat_rows:
-        section("stratified", ("run", "stratum", "count", "avg_de_m", "proxy_collision_pct"), strat_rows)
-
-    l2_rows = []
-    for name, m in manifests.items():
-        conv = (m.get("heldout") or {}).get("l2_by_second")
-        if not conv:
-            continue
-        l2_rows.append((name, "exact_step", *conv["exact_step"]))
-        l2_rows.append((name, "running_mean", *conv["running_mean"]))
-    if l2_rows:
-        section("l2_conventions", ("run", "convention", "k1_m", "k2_m", "k3_m"), l2_rows)
-
-    if len(manifests) > 1:
-        comp_rows = []
-        for name, m in manifests.items():
-            heldout = m.get("heldout") or {}
-            comp_rows.append(
-                (
-                    name,
-                    m["config"].get("strategy", ""),
-                    m["config"].get("budget", ""),
-                    heldout.get("avg_de_m", ""),
-                    heldout.get("proxy_collision_pct", ""),
-                )
-            )
-        section(
-            "comparison",
-            ("run", "strategy", "budget", "heldout_avg_de_m", "heldout_proxy_collision_pct"),
-            comp_rows,
-        )
-
+    for title, columns, rows_of, always in sections:
+        rows = [(name, *row) for name, m in manifests.items() for row in rows_of(m)]
+        if rows or always:
+            lines += [f"# {title}", "\t".join(("run", *columns))]
+            lines += ["\t".join(map(_fmt, row)) for row in rows]
+            lines.append("")
     return "\n".join(lines) + "\n"
 
 

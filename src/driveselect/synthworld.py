@@ -360,11 +360,12 @@ def _truth_from_dict(record: dict, horizon: int) -> ClipTruth:
     agents = [_check_fields(a, _TRUTH_AGENT_FIELDS, "agent") for a in record["agents"]]
     ids = tuple(_check_string(a["agent_id"], "agent_id") for a in agents)
     tracks = [_check_path(a["track"], horizon, f"agent {agent_id} track") for agent_id, a in zip(ids, agents)]
+    starts = [_check_finite_point(a["start"], f"agent {agent_id} start") for agent_id, a in zip(ids, agents)]
     return ClipTruth(
         record["clip_id"],
         np.array(_check_path(record["ego_future"], horizon, "ego_future"), dtype=float),
         ids,
-        np.array([_check_finite_point(a["start"]) for a in agents], dtype=float).reshape(-1, 2),
+        np.array(starts, dtype=float).reshape(-1, 2),
         np.array(tracks, dtype=float).reshape(-1, horizon, 2),
     )
 

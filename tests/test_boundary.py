@@ -633,3 +633,119 @@ class TestCli:
         assert f"error: predictions file {bad} line 3: " in capsys.readouterr().err
         assert not scores.exists()
 
+
+
+def numeric_paths(kind, record):
+    """(path, field name in messages) of every value that a record of
+    ``kind`` holds as a number."""
+    if kind == "pool":
+        yield from ((("frames", i, "speed"), "speed") for i in range(len(record["frames"])))
+        plans = [(("gt_future",), record["gt_future"], "gt_future")]
+    elif kind == "truth":
+        plans = [(("ego_future",), record["ego_future"], "ego_future")]
+        for k, agent in enumerate(record["agents"]):
+            name = f"agent {agent['agent_id']}"
+            yield from ((("agents", k, "start", j), f"{name} start") for j in (0, 1))
+            plans.append((("agents", k, "track"), agent["track"], f"{name} track"))
+    else:
+        plans = [(("ego_plan",), record["ego_plan"], "ego_plan")]
+        for k, agent in enumerate(record["agents"]):
+            name = f"agent {agent['agent_id']}"
+            yield ("agents", k, "confidence"), f"{name} confidence"
+            yield from ((("agents", k, "modality_probs", m), f"{name} modality_probs")
+                        for m in range(len(agent["modality_probs"])))
+            for m, traj in enumerate(agent["modality_trajs"]):
+                plans.append((("agents", k, "modality_trajs", m), traj, f"{name} modality_trajs"))
+    for prefix, points, name in plans:
+        yield from ((prefix + (i, j), name) for i in range(len(points)) for j in (0, 1))
+
+
+def _get(record, path):
+    for key in path:
+        record = record[key]
+    return record
+
+
+def _set(record, path, value):
+    _get(record, path[:-1])[path[-1]] = value
+
+
+#: Strings (numeric ones among them), bools and null: JSON values float() or
+#: numpy would read as numbers, or as NaN.
+NOT_NUMBERS = (
+    st.floats().map(repr) | st.integers().map(str) | st.text(max_size=4) | st.booleans() | st.none()
+)
+
+
+class TestNumberFields:
+    """A string, bool or null where a pool, truth or predictions record holds
+    a number fails the load, naming the file, the line and the field."""
+
+    @pytest.mark.parametrize("kind", sorted(VALID))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), value=NOT_NUMBERS)
+    def test_non_number_names_file_line_and_field(self, workdir, kind, data, value):
+        lines, load, what = VALID[kind]
+        index = data.draw(st.integers(0, len(lines) - 1))
+        record = json.loads(lines[index])
+        path, field = data.draw(st.sampled_from(list(numeric_paths(kind, record))))
+        _set(record, path, value)
+        file = _write(workdir / f"numbers_{kind}.jsonl", lines[:index] + [json.dumps(record)] + lines[index + 1 :])
+        with pytest.raises(PoolFormatError) as info:
+            load(file)
+        check_error_names_line(info.value, what, file, index + 1)
+        assert str(info.value).endswith(f": {field} must be a JSON number, got {json.dumps(value)}")
+
+    @pytest.mark.parametrize("kind", sorted(VALID))
+    def test_integers_load_as_the_same_floats(self, tmp_path, kind):
+        """Numbers written as JSON integers load as the floats of the same values."""
+        lines, load, _ = VALID[kind]
+        as_ints, as_floats = [], []
+        for line in lines:
+            record = json.loads(line)
+            paths = [path for path, _ in numeric_paths(kind, record)]
+            for path in paths:
+                _set(record, path, round(_get(record, path)))
+            for agent in record["agents"] if kind == "predictions" else []:
+                agent["modality_probs"] = [1] + [0] * (len(agent["modality_probs"]) - 1)
+            as_ints.append(json.dumps(record))
+            for path in paths:
+                _set(record, path, float(_get(record, path)))
+            as_floats.append(json.dumps(record))
+        got = load(_write(tmp_path / "ints.jsonl", as_ints))
+        want = load(_write(tmp_path / "floats.jsonl", as_floats))
+        if kind == "pool":
+            got, want = got[0], want[0]
+            assert got == want
+            assert {type(v) for c in got for v in (*c.speeds, *(x for p in c.gt_future for x in p))} == {float}
+        elif kind == "truth":
+            for clip_id in want:
+                for name in ("ego_future", "starts", "tracks"):
+                    a, b = getattr(got[clip_id], name), getattr(want[clip_id], name)
+                    assert a.dtype == b.dtype == float and a.tobytes() == b.tobytes()
+        else:
+            for name in ("ego_plans", "confidence", "modality_probs", "modality_trajs"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype == float and a.tobytes() == b.tobytes()
+
+    def test_score_with_a_quoted_confidence_writes_nothing(self, tmp_path, capsys):
+        pool, truth = tmp_path / "pool.jsonl", tmp_path / "truth.jsonl"
+        assert main(["gen", "--n", "40", "--seed", "7", "--pool", str(pool), "--truth", str(truth)]) == 0
+        sel = tmp_path / "sel.json"
+        assert main(["init", "--pool", str(pool), "--n0", "4", "--out", str(sel)]) == 0
+        clips, _ = load_pool(pool)
+        lines = [json.dumps(prediction_to_dict(p))
+                 for p in ToyPlanner(clips, load_truth(truth)).predict([c.id for c in clips]).values()]
+        index = next(i for i, line in enumerate(lines) if json.loads(line)["agents"])
+        record = json.loads(lines[index])
+        agent = record["agents"][0]
+        agent["confidence"] = str(agent["confidence"])
+        preds = _write(tmp_path / "preds.jsonl", lines[:index] + [json.dumps(record)] + lines[index + 1 :])
+        scores = tmp_path / "scores.tsv"
+        capsys.readouterr()
+        assert main(["score", "--pool", str(pool), "--selection", str(sel), "--predictions", str(preds),
+                     "--out", str(scores)]) == 1
+        expected = (f"error: predictions file {preds} line {index + 1}: agent {agent['agent_id']} confidence "
+                    f"must be a JSON number, got {json.dumps(agent['confidence'])}")
+        assert expected in capsys.readouterr().err
+        assert not scores.exists()

@@ -1,5 +1,6 @@
 """End-to-end CLI flows: gen / init / score / select / run / report."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driveselect import cli
 from driveselect.cli import main
 from driveselect.criteria import save_predictions
+from driveselect.loop import ActiveConfig
 from driveselect.pool import BUCKETS, load_pool, weather_lighting_bucket
 from driveselect.synthworld import ToyPlanner, WorldConfig, generate_pool, load_truth
 
@@ -589,3 +592,14 @@ class TestReport:
 
     def test_no_inputs_is_usage_error(self, tmp_path):
         assert run_cli("report", "--out-dir", tmp_path / "rep") == 2
+
+
+@pytest.mark.parametrize("keys, config_class", [("ACTIVE_KEYS", ActiveConfig), ("WORLD_KEYS", WorldConfig)])
+def test_config_keys_are_the_dataclass_fields(keys, config_class):
+    """Every field of a config dataclass can be set, with the coercion of its type."""
+    schema = getattr(cli, keys)
+    assert list(schema) == [f.name for f in dataclasses.fields(config_class)]
+    for f in dataclasses.fields(config_class):
+        value = f.default if f.default is not dataclasses.MISSING else 3
+        assert schema[f.name](value) == value
+        assert type(schema[f.name](value)) is type(value)

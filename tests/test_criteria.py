@@ -1,6 +1,7 @@
 """Scoring criteria: frozen unit values, metric properties, ranking oracle."""
 
 import heapq
+import json
 import math
 import re
 import struct
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from driveselect.criteria import (
     SCORE_COLUMNS,
     AgentForecast,
+    ClipPrediction,
     PredictionBatch,
     agent_uncertainty,
     best_modality_traj,
@@ -600,3 +602,36 @@ class TestScoresFile:
         )
         with pytest.raises(PoolFormatError, match=rf"{re.escape(str(path))} line 4: duplicate clip_id 'c0'"):
             load_scores(path)
+
+
+class TestPlanChecks:
+    """A plan defect gives one message, in a prediction object and in a
+    predictions file alike."""
+
+    @pytest.mark.parametrize(
+        "plan, trajs, message",
+        [
+            ([], None, "ego_plan is empty"),
+            ([[1.0, 2.0, 3.0]] * 6, None, "ego_plan waypoints must be (x, y) pairs"),
+            ([1.0, 2.0], None, "ego_plan waypoints must be (x, y) pairs"),
+            (None, [[[float(t), 0.0] for t in range(5)]], "agent a0: modality_trajs have 5 waypoints, expected 6"),
+        ],
+        ids=["empty", "triples", "flat", "agent_horizon"],
+    )
+    def test_object_and_record_agree(self, plan, trajs, message):
+        plan = [[float(t), 0.0] for t in range(1, 7)] if plan is None else plan
+        agents = [] if trajs is None else [
+            {"agent_id": "a0", "confidence": 0.9, "modality_probs": [1.0], "modality_trajs": trajs}
+        ]
+        with pytest.raises(ValueError) as from_object:
+            ClipPrediction(
+                "c0",
+                plan,
+                tuple(AgentForecast(a["agent_id"], a["confidence"], tuple(a["modality_probs"]),
+                                    a["modality_trajs"]) for a in agents),
+            )
+        assert str(from_object.value) == f"clip c0: {message}"
+        line = json.dumps({"clip_id": "c0", "ego_plan": plan, "agents": agents})
+        with pytest.raises(PoolFormatError) as from_file:
+            parse_prediction_lines([line], horizon=None)
+        assert str(from_file.value) == f"predictions line 1: {message}"

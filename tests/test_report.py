@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driveselect.report import (
+    _fmt,
     emit_report,
     l2_at_k_uniad,
     l2_at_k_vad,
@@ -211,3 +214,185 @@ class TestEmitters:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
             emit_report({"run": _tiny_manifest()}, tmp_path / "r.xml", "xml")
+
+
+def reference_render_delimited(manifests):
+    """render_delimited as it was before its sections became one table: one
+    hand-written loop per section."""
+    lines = []
+
+    def section(title, header, rows):
+        lines.append(f"# {title}")
+        lines.append("\t".join(header))
+        for row in rows:
+            lines.append("\t".join(_fmt(v) for v in row))
+        lines.append("")
+
+    config_rows = []
+    for name, m in manifests.items():
+        for key in sorted(m["config"]):
+            config_rows.append((name, key, m["config"][key]))
+    section("config", ("run", "key", "value"), config_rows)
+
+    round_rows = []
+    for name, m in manifests.items():
+        init = m["init"]
+        round_rows.append((name, 0, len(init["ids"]), init["mode"], "", "", "", ""))
+        for r in m["rounds"]:
+            s = r.get("score_summary") or {}
+            round_rows.append(
+                (
+                    name,
+                    r["round"],
+                    len(r["ids"]),
+                    "scored" if s else "random",
+                    s.get("de_raw_mean", ""),
+                    s.get("sc_raw_mean", ""),
+                    s.get("au_raw_mean", ""),
+                    s.get("overall_mean", ""),
+                )
+            )
+    section(
+        "rounds",
+        ("run", "round", "n_selected", "kind", "de_raw_mean", "sc_raw_mean", "au_raw_mean", "overall_mean"),
+        round_rows,
+    )
+
+    alloc_rows = []
+    for name, m in manifests.items():
+        for a in m["init"].get("allocations") or []:
+            alloc_rows.append((name, a["bucket"], a["command"], a["available"], a["allocated"]))
+    if alloc_rows:
+        section("init_allocations", ("run", "bucket", "command", "available", "allocated"), alloc_rows)
+
+    overlap_rows = []
+    for name, m in manifests.items():
+        for r in m["rounds"]:
+            ov = r.get("criterion_overlap")
+            if not ov:
+                continue
+            for i, label in enumerate(ov["labels"]):
+                overlap_rows.append((name, r["round"], label, *ov["matrix"][i]))
+    if overlap_rows:
+        section("criterion_overlap", ("run", "round", "criterion", "de", "sc", "au", "mix"), overlap_rows)
+
+    strat_rows = []
+    for name, m in manifests.items():
+        heldout = m.get("heldout") or {}
+        for key, cell in (heldout.get("stratified") or {}).items():
+            strat_rows.append((name, key, cell["count"], cell["avg_de_m"], cell["proxy_collision_pct"]))
+    if strat_rows:
+        section("stratified", ("run", "stratum", "count", "avg_de_m", "proxy_collision_pct"), strat_rows)
+
+    l2_rows = []
+    for name, m in manifests.items():
+        conv = (m.get("heldout") or {}).get("l2_by_second")
+        if not conv:
+            continue
+        l2_rows.append((name, "exact_step", *conv["exact_step"]))
+        l2_rows.append((name, "running_mean", *conv["running_mean"]))
+    if l2_rows:
+        section("l2_conventions", ("run", "convention", "k1_m", "k2_m", "k3_m"), l2_rows)
+
+    if len(manifests) > 1:
+        comp_rows = []
+        for name, m in manifests.items():
+            heldout = m.get("heldout") or {}
+            comp_rows.append(
+                (
+                    name,
+                    m["config"].get("strategy", ""),
+                    m["config"].get("budget", ""),
+                    heldout.get("avg_de_m", ""),
+                    heldout.get("proxy_collision_pct", ""),
+                )
+            )
+        section(
+            "comparison",
+            ("run", "strategy", "budget", "heldout_avg_de_m", "heldout_proxy_collision_pct"),
+            comp_rows,
+        )
+
+    return "\n".join(lines) + "\n"
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _heldout(kind, data):
+    """None, or a held-out block with its stratified table and, for "l2",
+    both L2 conventions."""
+    if kind is None:
+        return None
+    heldout = {
+        "count": data.draw(st.integers(1, 50)),
+        "avg_de_m": data.draw(FLOATS),
+        "proxy_collision_pct": data.draw(FLOATS),
+        "per_clip": [{"clip_id": "x", "de": 0.5, "collided": False}],
+        "stratified": {
+            key: {"count": data.draw(st.integers(1, 9)), "avg_de_m": data.draw(FLOATS),
+                  "proxy_collision_pct": data.draw(FLOATS)}
+            for key in data.draw(st.lists(st.sampled_from(["Day", "Night", "Rainy", "S", "All"]), unique=True))
+        },
+    }
+    if kind == "l2":
+        heldout["l2_by_second"] = {
+            "exact_step": data.draw(st.lists(FLOATS, min_size=3, max_size=3)),
+            "running_mean": data.draw(st.lists(FLOATS, min_size=3, max_size=3)),
+        }
+    return heldout
+
+
+def _manifest_variant(data):
+    """A manifest with or without rounds, allocations and held-out results."""
+    m = _tiny_manifest()
+    m["config"].update(alpha=data.draw(FLOATS), criterion="mix", budget=data.draw(st.integers(1, 10**6)))
+    if data.draw(st.booleans()):
+        del m["config"]["strategy"]
+    rounds = data.draw(st.sampled_from(["none", "scored", "scored_and_random"]))
+    if rounds == "none":
+        m["rounds"] = []
+    elif rounds == "scored_and_random":
+        m["rounds"].append({"round": 2, "ids": ["d"]})
+    allocations = data.draw(st.sampled_from(["some", "empty", "null", "absent"]))
+    if allocations == "empty":
+        m["init"]["allocations"] = []
+    elif allocations == "null":
+        m["init"]["allocations"] = None
+    elif allocations == "absent":
+        del m["init"]["allocations"]
+    m["heldout"] = _heldout(data.draw(st.sampled_from([None, "stratified", "l2"])), data)
+    return m
+
+
+class TestDelimitedMatchesReference:
+    """render_delimited writes the reference's bytes for every mix of sections."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), runs=st.integers(1, 3))
+    def test_random_manifests(self, data, runs):
+        manifests = {f"run{i}": _manifest_variant(data) for i in range(runs)}
+        assert render_delimited(manifests) == reference_render_delimited(manifests)
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("heldout", [None, "stratified", "l2"])
+    @pytest.mark.parametrize("rounds", [True, False])
+    def test_named_cases(self, runs, heldout, rounds):
+        """1 and 3 runs; with and without rounds and allocations; ``heldout``
+        null, and with and without ``l2_by_second``."""
+        manifests = {}
+        for i in range(runs):
+            m = _tiny_manifest()
+            if not rounds:
+                m["rounds"] = []
+                del m["init"]["allocations"]
+            if heldout:
+                m["heldout"] = {"count": 2, "avg_de_m": 1.25, "proxy_collision_pct": 50.0, "per_clip": [],
+                                "stratified": {"Day": {"count": 2, "avg_de_m": 1.25, "proxy_collision_pct": 50.0}}}
+                if heldout == "l2":
+                    m["heldout"]["l2_by_second"] = {"exact_step": [0.5, 1.0, 1.5], "running_mean": [0.25, 0.5, 0.75]}
+            manifests[f"run{i}"] = m
+        text = render_delimited(manifests)
+        assert text == reference_render_delimited(manifests)
+        assert ("# comparison" in text) == (runs > 1)
+        assert ("# l2_conventions" in text) == (heldout == "l2")
