@@ -11,7 +11,6 @@ usage.
 from .criteria import (
     AgentForecast,
     ClipPrediction,
-    CriterionScores,
     PredictionBatch,
     agent_uncertainty,
     displacement_error,

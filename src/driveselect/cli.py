@@ -182,7 +182,7 @@ def cmd_score(args) -> int:
     unlabeled = state.unlabeled_ids
     _echo_config({"alpha": args.alpha, "beta": args.beta, "eps_a": args.eps_a, "delta_d": args.delta_d})
     clips_by_id = {c.id: c for c in clips}
-    rows = score_pool(
+    columns = score_pool(
         [clips_by_id[i] for i in unlabeled],
         predictions,
         alpha=args.alpha,
@@ -190,8 +190,8 @@ def cmd_score(args) -> int:
         eps_a=args.eps_a,
         delta_d=args.delta_d,
     )
-    save_scores(rows, args.out)
-    print(f"wrote {args.out} ({len(rows)} clips scored)")
+    save_scores(columns, args.out)
+    print(f"wrote {args.out} ({len(unlabeled)} clips scored)")
     return 0
 
 
@@ -199,19 +199,19 @@ def cmd_select(args) -> int:
     if args.n_itr < 1:
         print(f"error: n_itr must be >= 1, got {args.n_itr}", file=sys.stderr)
         return 1
-    rows = load_scores(args.scores)
+    columns = load_scores(args.scores)
+    scored = columns["clip_id"]
     payload = read_selection_payload(args.selection)
     labeled = {i for entry in payload["rounds"] for i in entry["ids"]}
-    scored = {r.clip_id for r in rows}
-    already = sorted(scored & labeled)
+    already = sorted(labeled.intersection(scored))
     if already:
         print(f"error: scored clip {already[0]!r} is already labeled", file=sys.stderr)
         return 1
-    if args.n_itr > len(rows):
-        print(f"error: n_itr {args.n_itr} exceeds {len(rows)} scored clips", file=sys.stderr)
+    if args.n_itr > len(scored):
+        print(f"error: n_itr {args.n_itr} exceeds {len(scored)} scored clips", file=sys.stderr)
         return 1
     _echo_config({"n_itr": args.n_itr})
-    ids = rank_and_take({r.clip_id: r.overall for r in rows}, args.n_itr)
+    ids = rank_and_take(dict(zip(scored, columns["overall"].tolist())), args.n_itr)
     next_round = max((e["round"] for e in payload["rounds"]), default=-1) + 1
     payload["rounds"].append({"round": next_round, "ids": ids})
     out = args.out or args.selection
@@ -260,16 +260,17 @@ def _build_manifest(args, config: ActiveConfig, criterion: str, strategy: str,
         evals = evaluate_clips(provider, heldout_clips, truth)
         avg_de, collision_pct = summarize_evals(evals)
         heldout: dict = {
-            "count": len(evals),
+            "count": len(heldout_clips),
             "avg_de_m": avg_de,
             "proxy_collision_pct": collision_pct,
             "per_clip": [
-                {"clip_id": e.clip_id, "de": e.de, "collided": e.collided} for e in evals
+                {"clip_id": i, "de": de, "collided": hit}
+                for i, de, hit in zip(evals["clip_id"], evals["de"].tolist(), evals["collided"].tolist())
             ],
             "stratified": stratified_metrics(evals, heldout_clips, config.tau_c),
         }
         if args.horizon == report.STEP_COUNT:
-            steps = mean_step_errors([e.step_errors for e in evals])
+            steps = mean_step_errors(evals["step_errors"])
             heldout["l2_by_second"] = {
                 "exact_step": [report.l2_at_k_uniad(steps, k) for k in (1, 2, 3)],
                 "running_mean": [report.l2_at_k_vad(steps, k) for k in (1, 2, 3)],
@@ -354,8 +355,7 @@ def cmd_report(args) -> int:
         doc = {"labels": labels, "matrix": matrix.tolist()}
         atomic_write_text(out_dir / "overlap.json", json.dumps(doc, indent=2, allow_nan=False) + "\n")
         lines = ["# selection_overlap", "\t".join(["set"] + labels)]
-        for i, label in enumerate(labels):
-            lines.append("\t".join([label] + [repr(v) for v in matrix[i]]))
+        lines += ["\t".join([label, *map(repr, row)]) for label, row in zip(labels, doc["matrix"])]
         atomic_write_text(out_dir / "overlap.tsv", "\n".join(lines) + "\n")
         wrote += ["overlap.json", "overlap.tsv"]
 

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
-from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -313,20 +313,6 @@ def prediction_batch(predictions: Mapping[str, ClipPrediction], clips: Sequence[
     return batch
 
 
-@dataclass(frozen=True)
-class CriterionScores:
-    """Raw and normalized criterion values plus the mixed overall loss."""
-
-    clip_id: str
-    de_raw: float
-    sc_raw: float
-    au_raw: float
-    de_norm: float
-    sc_norm: float
-    au_norm: float
-    overall: float
-
-
 # ---------------------------------------------------------------------------
 # Criterion kernels. Each reduces in the order the one-clip definition does,
 # so a batch value is bit-equal to scoring that clip on its own: row sums
@@ -508,7 +494,7 @@ def rank_and_take(scores: Mapping[str, float], n: int) -> list[str]:
 SCORE_COLUMNS = ("clip_id", "de_raw", "sc_raw", "au_raw", "de_norm", "sc_norm", "au_norm", "overall")
 
 
-def score_columns(
+def score_pool(
     clips: Sequence[ClipRecord],
     predictions: Mapping[str, ClipPrediction],
     *,
@@ -536,21 +522,6 @@ def score_columns(
     )
     norm = [_normalized(column) for column in raw]
     return dict(zip(SCORE_COLUMNS, (batch.clip_ids, *raw, *norm, overall_loss(*norm, alpha, beta))))
-
-
-def score_pool(
-    clips: Sequence[ClipRecord],
-    predictions: Mapping[str, ClipPrediction],
-    *,
-    alpha: float,
-    beta: float,
-    eps_a: float,
-    delta_d: float,
-) -> list[CriterionScores]:
-    """The rows of :func:`score_columns`, one per clip, in clip order."""
-    columns = score_columns(clips, predictions, alpha=alpha, beta=beta, eps_a=eps_a, delta_d=delta_d)
-    ids, *values = columns.values()
-    return list(map(CriterionScores, ids, *(v.tolist() for v in values)))
 
 
 # ---------------------------------------------------------------------------
@@ -596,60 +567,60 @@ def _record_parts(record: dict, horizon: int | None) -> tuple:
     return plan, agents
 
 
-def parse_prediction_lines(
-    lines: str | os.PathLike | Iterable[str], horizon: int | None = 6
-) -> PredictionBatch:
-    """Parse predictions lines, or the predictions file at a path, with
+def load_predictions(path: str | os.PathLike | Iterable[str], horizon: int | None = 6) -> PredictionBatch:
+    """Parse the predictions file at a path, or predictions lines, with
     :func:`read_jsonl`, into one batch. Every plan and agent trajectory has
     ``horizon`` waypoints; ``None`` takes the horizon of the first record."""
     return read_jsonl(
-        lines, "predictions", "clip_id", partial(_record_parts, horizon=horizon),
+        path, "predictions", "clip_id", partial(_record_parts, horizon=horizon),
         lambda parts: _batch_from_parts(list(parts), list(parts.values()), horizon),
     )
-
-
-def load_predictions(path: str | os.PathLike, horizon: int | None = 6) -> PredictionBatch:
-    return parse_prediction_lines(path, horizon)
 
 
 def save_predictions(preds: Iterable[ClipPrediction], path: str | os.PathLike) -> None:
     write_jsonl(path, map(prediction_to_dict, preds))
 
 
-_SCORE_VALUES = attrgetter(*SCORE_COLUMNS[1:])
+#: A float cell as ``repr`` writes it, or a plain integer: ASCII digits, no
+#: underscores or spaces.
+_DECIMAL = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]\d+)?", re.ASCII)
+_DECIMAL_CELLS = re.compile("\t".join([_DECIMAL.pattern] * (len(SCORE_COLUMNS) - 1)), re.ASCII)
 
 
-def scores_to_table(rows: Sequence[CriterionScores]) -> str:
-    """Render scores as a TSV table; floats use repr so they round-trip exactly."""
-    out = ["\t".join(SCORE_COLUMNS)]
-    out += ["\t".join([r.clip_id, *map(repr, _SCORE_VALUES(r))]) for r in rows]
-    return "\n".join(out) + "\n"
+def save_scores(columns: Mapping, path: str | os.PathLike) -> None:
+    """Write the columns of :func:`score_pool` as a TSV table; floats use
+    repr so they round-trip exactly."""
+    ids, *values = (columns[name] for name in SCORE_COLUMNS)
+    rows = zip(ids, *(map(repr, v.tolist()) for v in values))
+    atomic_write_text(path, "\n".join(["\t".join(SCORE_COLUMNS), *map("\t".join, rows)]) + "\n")
 
 
-def save_scores(rows: Sequence[CriterionScores], path: str | os.PathLike) -> None:
-    atomic_write_text(path, scores_to_table(rows))
-
-
-def load_scores(path: str | os.PathLike) -> list[CriterionScores]:
+def load_scores(path: str | os.PathLike) -> dict:
+    """The columns of a scores table, as :func:`score_pool` returns them.
+    Errors name the file and its line, counting blank lines."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or tuple(lines[0].split("\t")) != SCORE_COLUMNS:
+        lines = [(lineno, ln.rstrip("\n")) for lineno, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines or tuple(lines[0][1].split("\t")) != SCORE_COLUMNS:
         raise PoolFormatError(f"scores file {path}: bad or missing header")
-    rows = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split("\t")
-        if len(parts) != len(SCORE_COLUMNS):
-            raise PoolFormatError(f"scores file {path} line {lineno}: expected {len(SCORE_COLUMNS)} columns")
-        if parts[0] in seen:
-            raise PoolFormatError(f"scores file {path} line {lineno}: duplicate clip_id {parts[0]!r}")
-        seen.add(parts[0])
+    rows: dict[str, list[float]] = {}
+    for lineno, line in lines[1:]:
+        where = f"scores file {path} line {lineno}"
+        clip_id, *cells = line.split("\t")
+        if len(cells) != len(SCORE_COLUMNS) - 1:
+            raise PoolFormatError(f"{where}: expected {len(SCORE_COLUMNS)} columns")
+        if clip_id in rows:
+            raise PoolFormatError(f"{where}: duplicate clip_id {clip_id!r}")
         try:
-            values = [float(v) for v in parts[1:]]
+            values = [float(v) for v in cells]
         except ValueError as exc:
-            raise PoolFormatError(f"scores file {path} line {lineno}: {exc}") from exc
-        bad = [c for c, v in zip(SCORE_COLUMNS[1:], values) if not math.isfinite(v)]
-        if bad:
-            raise PoolFormatError(f"scores file {path} line {lineno}: non-finite {bad[0]}")
-        rows.append(CriterionScores(parts[0], *values))
-    return rows
+            raise PoolFormatError(f"{where}: {exc}") from exc
+        if not (all(map(math.isfinite, values)) and _DECIMAL_CELLS.fullmatch(line, len(clip_id) + 1)):
+            # One match per line; the cell loop only names the bad cell.
+            for column, cell, value in zip(SCORE_COLUMNS[1:], cells, values):
+                if not math.isfinite(value):
+                    raise PoolFormatError(f"{where}: non-finite {column}")
+                if not _DECIMAL.fullmatch(cell):
+                    raise PoolFormatError(f"{where}: {column} {cell!r} is not a decimal number")
+        rows[clip_id] = values
+    table = np.array(list(rows.values()), dtype=float).reshape(len(rows), len(SCORE_COLUMNS) - 1).T.copy()
+    return dict(zip(SCORE_COLUMNS, (tuple(rows), *table)))

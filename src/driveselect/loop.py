@@ -20,7 +20,7 @@ from .criteria import (
     _top,
     check_score_settings,
     load_predictions,
-    score_columns,
+    score_pool,
 )
 from .diversity import StratumAllocation, ego_diversity_init
 from .pool import ClipRecord, SelectionState
@@ -108,7 +108,7 @@ class FilePredictionProvider:
 
     def predict(self, ids: Sequence[str]) -> PredictionBatch:
         path = os.path.join(self.directory, self.PATTERN.format(round=self.round_index))
-        # The file's own horizon; score_columns' prediction_batch checks it
+        # The file's own horizon; score_pool's prediction_batch checks it
         # against the clips.
         available = load_predictions(path, horizon=None)
         for clip_id in ids:
@@ -164,24 +164,23 @@ def run_round(
     round_index: int,
     *,
     criterion: str = "mix",
-    n_select: int | None = None,
 ) -> RoundTrace:
     """One train/predict/score/select cycle; the state is updated on success.
 
     The provider is trained on the current labeled set, every unlabeled clip
-    is scored, and the top clips by the chosen ranking key move to labeled. A
-    provider failure propagates before any state mutation.
+    is scored, and the top ``config.n_per_round`` clips by the chosen ranking
+    key move to labeled. A provider failure propagates before any state mutation.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {tuple(CRITERIA)}, got {criterion!r}")
-    n = config.n_per_round if n_select is None else n_select
+    n = config.n_per_round
     unlabeled = state.unlabeled_ids
     if n > len(unlabeled):
         raise ValueError(f"cannot select {n} clips, only {len(unlabeled)} unlabeled")
     clips_by_id = {c.id: c for c in clips}
     provider.train(state.labeled_ids)
     predictions = provider.predict(unlabeled)
-    columns = score_columns(
+    columns = score_pool(
         [clips_by_id[i] for i in unlabeled],
         predictions,
         alpha=config.alpha,

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .pool import ClipRecord, atomic_write_text, classify_command
-from .synthworld import ClipEval, summarize_evals
+from .synthworld import summarize_evals
 
 STEP_COUNT = 6       # fixed six steps at 0.5 s; other horizons are rejected here
 
@@ -24,10 +24,13 @@ STEP_COUNT = 6       # fixed six steps at 0.5 s; other horizons are rejected her
 STRATA_ORDER = ("Day", "Night", "Sunny", "Rainy", "S", "L", "R", "O", "All")
 
 
-def _check_step_errors(errors: Sequence[float]) -> np.ndarray:
+def _check_step_errors(errors, rows: bool = False) -> np.ndarray:
+    """``errors`` as a float array of STEP_COUNT step errors, or with ``rows``
+    as an (N, STEP_COUNT) array of them; every error finite and non-negative."""
     arr = np.asarray(errors, dtype=float)
-    if arr.shape != (STEP_COUNT,):
-        raise ValueError(f"expected {STEP_COUNT} step errors, got shape {arr.shape}")
+    shape = arr.shape[1:] if rows else arr.shape
+    if shape != (STEP_COUNT,):
+        raise ValueError(f"expected {STEP_COUNT} step errors, got shape {shape}")
     if not np.all(np.isfinite(arr)) or np.any(arr < 0):
         raise ValueError("step errors must be finite and non-negative")
     return arr
@@ -49,10 +52,12 @@ def l2_at_k_vad(errors: Sequence[float], k: int) -> float:
     return float(arr[: 2 * k].mean())
 
 
-def mean_step_errors(rows: Iterable[Sequence[float]]) -> np.ndarray:
-    """Average per-step errors over clips -> one 6-vector."""
-    stacked = np.stack([_check_step_errors(r) for r in rows])
-    return stacked.mean(axis=0)
+def mean_step_errors(step_errors) -> np.ndarray:
+    """Average (N, 6) per-step errors over the N clips -> one 6-vector."""
+    arr = _check_step_errors(step_errors, rows=True)
+    if not len(arr):
+        raise ValueError("no step errors to average")
+    return arr.mean(axis=0)
 
 
 def overlap_rate(set_a: Iterable[str], set_b: Iterable[str]) -> float:
@@ -75,32 +80,28 @@ def overlap_matrix(sets: Mapping[str, Iterable[str]]) -> tuple[list[str], np.nda
     return labels, mat
 
 
-def stratified_metrics(
-    results: Sequence[ClipEval], clips: Sequence[ClipRecord], tau_c: int
-) -> dict[str, dict]:
-    """Per-scenario (avg DE, proxy collision %) table.
+def stratified_metrics(evals: Mapping, clips: Sequence[ClipRecord], tau_c: int) -> dict[str, dict]:
+    """Per-scenario (avg DE, proxy collision %) table of the columns of
+    :func:`~driveselect.synthworld.evaluate_clips`.
 
     Each clip contributes to one lighting stratum, one weather stratum, one
     command stratum, and "All". Empty strata are absent from the result, not
     reported as zero.
     """
     clips_by_id = {c.id: c for c in clips}
-    members: dict[str, list[ClipEval]] = {key: [] for key in STRATA_ORDER}
-    for res in results:
-        if res.clip_id not in clips_by_id:
-            raise KeyError(f"evaluated clip {res.clip_id!r} not in pool")
-        clip = clips_by_id[res.clip_id]
-        members[clip.lighting].append(res)
-        members[clip.weather].append(res)
-        members[classify_command(clip, tau_c)].append(res)
-        members["All"].append(res)
+    strata = []
+    for clip_id in evals["clip_id"]:
+        if clip_id not in clips_by_id:
+            raise KeyError(f"evaluated clip {clip_id!r} not in pool")
+        clip = clips_by_id[clip_id]
+        strata.append((clip.lighting, clip.weather, classify_command(clip, tau_c), "All"))
     table: dict[str, dict] = {}
     for key in STRATA_ORDER:
-        rows = members[key]
-        if not rows:
-            continue
-        avg_de, collision_pct = summarize_evals(rows)
-        table[key] = {"count": len(rows), "avg_de_m": avg_de, "proxy_collision_pct": collision_pct}
+        mask = np.array([key in keys for keys in strata], dtype=bool)
+        count = int(mask.sum())
+        if count:
+            avg_de, collision_pct = summarize_evals({"de": evals["de"][mask], "collided": evals["collided"][mask]})
+            table[key] = {"count": count, "avg_de_m": avg_de, "proxy_collision_pct": collision_pct}
     return table
 
 

@@ -613,21 +613,12 @@ class ToyPlanner:
 COLLISION_RADIUS = 0.5  # meters; proxy threshold against true agent tracks
 
 
-@dataclass(frozen=True)
-class ClipEval:
-    """Held-out evaluation of one clip's plan against the hidden truth."""
-
-    clip_id: str
-    de: float
-    step_errors: tuple[float, ...]
-    collided: bool
-
-
-def evaluate_clips(
-    provider, clips: Sequence[ClipRecord], truth: Mapping[str, ClipTruth]
-) -> list[ClipEval]:
+def evaluate_clips(provider, clips: Sequence[ClipRecord], truth: Mapping[str, ClipTruth]) -> dict:
+    """The provider's plans for ``clips`` against the hidden truth, as columns
+    in clip order: ``clip_id`` (the id tuple), ``de`` (N,) and ``step_errors``
+    (N, H) displacement errors in meters, and ``collided`` (N,) bool."""
     if not clips:
-        return []
+        return {"clip_id": (), "de": np.empty(0), "step_errors": np.empty((0, 0)), "collided": np.zeros(0, bool)}
     batch = prediction_batch(provider.predict([c.id for c in clips]), clips)
     plans = batch.ego_plans
     truths = [truth[c.id] for c in clips]
@@ -635,19 +626,16 @@ def evaluate_clips(
     rows, _, _, paths = _agents_of(truths, plans.shape[1])
     collided = np.zeros(len(clips), dtype=bool)
     collided[rows[_distances(plans[rows], paths).min(axis=1) < COLLISION_RADIUS]] = True
-    return [
-        ClipEval(clip_id=clip.id, de=de, step_errors=tuple(errors), collided=hit)
-        for clip, de, errors, hit in zip(
-            clips, step_errors.mean(axis=1).tolist(), step_errors.tolist(), collided.tolist()
-        )
-    ]
+    return {"clip_id": batch.clip_ids, "de": step_errors.mean(axis=1), "step_errors": step_errors, "collided": collided}
 
 
-def summarize_evals(results: Sequence[ClipEval]) -> tuple[float, float]:
-    """(average displacement error in meters, proxy collision rate in percent)."""
-    if not results:
+def summarize_evals(evals: Mapping[str, np.ndarray]) -> tuple[float, float]:
+    """(average displacement error in meters, proxy collision rate in percent)
+    of the ``de`` and ``collided`` columns of :func:`evaluate_clips`."""
+    n = len(evals["de"])
+    if not n:
         raise ValueError("held-out set is empty")
-    return float(np.mean([r.de for r in results])), 100.0 * sum(r.collided for r in results) / len(results)
+    return float(np.mean(evals["de"])), 100.0 * int(np.count_nonzero(evals["collided"])) / n
 
 
 def heldout_eval(

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import zlib
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from driveselect.criteria import AgentForecast, ClipPrediction
+from driveselect.criteria import SCORE_COLUMNS, AgentForecast, ClipPrediction
 from driveselect.pool import ClipRecord, encode_line
 from driveselect.synthworld import ClipTruth
 
@@ -15,6 +16,17 @@ from driveselect.synthworld import ClipTruth
 def jsonl_lines(records) -> list[str]:
     """The lines a JSONL writer writes for ``records``, as str."""
     return [encode_line(record).decode("ascii") for record in records]
+
+
+#: One clip's scores, as the ``CriterionScores`` row that score columns replaced.
+ScoreRow = namedtuple("ScoreRow", SCORE_COLUMNS)
+
+
+def score_rows(columns) -> list[ScoreRow]:
+    """Score columns as rows, one per clip in clip order, built as
+    ``score_pool`` built its rows before it returned the columns."""
+    ids, *values = (columns[name] for name in SCORE_COLUMNS)
+    return list(map(ScoreRow, ids, *(v.tolist() for v in values)))
 
 
 def make_clip(

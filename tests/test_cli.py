@@ -144,9 +144,9 @@ class TestScoreSelect:
                        "--predictions", pred_path, "--out", scores) == 0
         from driveselect.criteria import load_scores
 
-        rows = load_scores(scores)
-        assert len(rows) == len(unlabeled)
-        assert all(r.de_raw == 0.0 and r.sc_raw == 0.0 and r.au_raw == 0.0 for r in rows)
+        columns = load_scores(scores)
+        assert len(columns["clip_id"]) == len(unlabeled)
+        assert all((columns[c] == 0.0).all() for c in ("de_raw", "sc_raw", "au_raw"))
 
     def test_missing_prediction_names_clip(self, world, tmp_path, capsys):
         pool, truth = world
@@ -188,8 +188,8 @@ class TestScoreSelect:
         # normalized columns are already in [0,1]: re-normalizing is a no-op
         from driveselect.criteria import load_scores, min_max_normalize
 
-        rows = load_scores(scores)
-        de_norm = {r.clip_id: r.de_norm for r in rows}
+        columns = load_scores(scores)
+        de_norm = dict(zip(columns["clip_id"], columns["de_norm"].tolist()))
         assert min_max_normalize(de_norm) == de_norm
 
     def test_select_too_many_is_data_error(self, world, tmp_path):
@@ -584,6 +584,11 @@ class TestReport:
             assert mat[i][i] == 1.0
             for j in range(4):
                 assert 0.0 <= mat[i][j] <= 1.0
+        # Each overlap.tsv cell is the float literal of its overlap.json value.
+        lines = (out / "overlap.tsv").read_text().splitlines()
+        assert lines[:2] == ["# selection_overlap", "\t".join(["set", *doc["labels"]])]
+        for line, label, row in zip(lines[2:], doc["labels"], mat, strict=True):
+            assert line.split("\t") == [label, *map(repr, row)]
 
     def test_bad_manifest_schema_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.json"

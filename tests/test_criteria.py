@@ -24,18 +24,18 @@ from driveselect.criteria import (
     min_max_normalize,
     modality_entropy,
     overall_loss,
-    parse_prediction_lines,
     prediction_batch,
     prediction_to_dict,
     rank_and_take,
     save_predictions,
+    save_scores,
     score_pool,
     soft_collision,
 )
 from driveselect.pool import PoolFormatError
 from driveselect.synthworld import ToyPlanner, WorldConfig, generate_world
 
-from conftest import make_clip, make_forecast, make_pred
+from conftest import make_clip, make_forecast, make_pred, score_rows
 
 N_CASES = 1000
 ATOL = 1e-9
@@ -87,9 +87,8 @@ def reference_raw_scores(clips, preds, eps_a, delta_d):
 def assert_scores_match_reference(clips, preds, eps_a, delta_d):
     expected = reference_raw_scores(clips, preds, eps_a, delta_d)
     for predictions in (preds, prediction_batch(preds, clips)):
-        rows = score_pool(clips, predictions, alpha=1.0, beta=1.0, eps_a=eps_a, delta_d=delta_d)
-        got = (np.array([r.de_raw for r in rows]), np.array([r.sc_raw for r in rows]),
-               np.array([r.au_raw for r in rows]))
+        columns = score_pool(clips, predictions, alpha=1.0, beta=1.0, eps_a=eps_a, delta_d=delta_d)
+        got = (columns["de_raw"], columns["sc_raw"], columns["au_raw"])
         for name, g, e in zip(("DE", "SC", "AU"), got, expected):
             assert np.array_equal(g, e), name
     for clip, sc, au in zip(clips, expected[1], expected[2]):
@@ -441,7 +440,7 @@ class TestColumnsEqualDictFormulas:
     def test_score_pool_normalizes_and_mixes_as_rows(self, rng):
         for alpha, beta in ((1.0, 1.0), (0.3, 7.0), (0, 1e6)):
             clips, preds = ragged_scene(rng, 40, 5, eps_a=0.5, delta_d=3.0)
-            rows = score_pool(clips, preds, alpha=alpha, beta=beta, eps_a=0.5, delta_d=3.0)
+            rows = score_rows(score_pool(clips, preds, alpha=alpha, beta=beta, eps_a=0.5, delta_d=3.0))
             norms = [
                 reference_min_max_normalize({r.clip_id: getattr(r, f"{c}_raw") for r in rows}) for c in ("de", "sc", "au")
             ]
@@ -524,14 +523,14 @@ class TestScorePool:
         batch = prediction_batch(preds, clips)
         assert isinstance(batch, PredictionBatch) and list(batch) == [c.id for c in clips]
         subset = clips[5:] + clips[:2]
-        by_batch = score_pool(subset, batch, alpha=1, beta=1, eps_a=0.5, delta_d=3.0)
-        assert by_batch == score_pool(subset, preds, alpha=1, beta=1, eps_a=0.5, delta_d=3.0)
+        by_batch = score_rows(score_pool(subset, batch, alpha=1, beta=1, eps_a=0.5, delta_d=3.0))
+        assert by_batch == score_rows(score_pool(subset, preds, alpha=1, beta=1, eps_a=0.5, delta_d=3.0))
         assert [r.clip_id for r in by_batch] == [c.id for c in subset]
 
     def test_overall_matches_mixture(self, rng):
         clips = [make_clip(f"c{i}", gt_future=rng.normal(0, 3, size=(6, 2))) for i in range(20)]
         preds = {c.id: make_pred(c.id, ego_plan=rng.normal(0, 3, size=(6, 2))) for c in clips}
-        rows = score_pool(clips, preds, alpha=0.7, beta=1.3, eps_a=0.5, delta_d=3.0)
+        rows = score_rows(score_pool(clips, preds, alpha=0.7, beta=1.3, eps_a=0.5, delta_d=3.0))
         for r in rows:
             assert r.overall == pytest.approx(r.de_norm + 0.7 * r.sc_norm + 1.3 * r.au_norm, abs=ATOL)
             assert 0.0 <= r.de_norm <= 1.0
@@ -559,11 +558,27 @@ class TestPredictionsIO:
 
         line = json.dumps(prediction_to_dict(pred))
         with pytest.raises(PoolFormatError, match="c0"):
-            parse_prediction_lines([line, line])
+            load_predictions([line, line])
 
     def test_parse_error_names_line(self):
         with pytest.raises(PoolFormatError, match="line 1"):
-            parse_prediction_lines(["{bad"])
+            load_predictions(["{bad"])
+
+
+def reference_scores_to_table(rows):
+    """scores.tsv as it was rendered from CriterionScores rows."""
+    out = ["\t".join(SCORE_COLUMNS)]
+    out += ["\t".join([r.clip_id, *map(repr, r[1:])]) for r in rows]
+    return "\n".join(out) + "\n"
+
+
+@pytest.fixture(scope="module")
+def scores_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("scores")
+
+
+SCORE_IDS = st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"), max_size=4)
+FINITE = EDGE_SCORES | st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestScoresFile:
@@ -572,9 +587,60 @@ class TestScoresFile:
         path.write_text("\n".join(["\t".join(SCORE_COLUMNS), *rows]) + "\n")
         return path
 
+    @pytest.mark.parametrize("seed", [3, 13, 29])
+    def test_toy_planner_scores_match_the_row_formulas(self, tmp_path, seed):
+        """save_scores writes the bytes of the row renderer, and load_scores
+        gives back the columns' float bits."""
+        clips, truth = generate_world(WorldConfig(n_clips=200, seed=seed, agent_rate=3.0))
+        planner = ToyPlanner(clips, truth)
+        planner.train([c.id for c in clips[:40]])
+        columns = score_pool(clips[40:], planner.predict([c.id for c in clips[40:]]),
+                             alpha=1.0, beta=1.0, eps_a=0.5, delta_d=3.0)
+        rows = score_rows(columns)
+        path = tmp_path / "scores.tsv"
+        save_scores(columns, path)
+        assert path.read_text() == reference_scores_to_table(rows)
+        loaded = score_rows(load_scores(path))
+        assert [r.clip_id for r in loaded] == [r.clip_id for r in rows]
+        assert [float_bits(r[1:]) for r in loaded] == [float_bits(r[1:]) for r in rows]
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(SCORE_IDS, st.lists(FINITE, min_size=7, max_size=7)),
+                         max_size=6, unique_by=lambda r: r[0]))
+    def test_save_then_load_keeps_ids_and_float_bits(self, scores_dir, rows):
+        columns = dict(zip(SCORE_COLUMNS, (tuple(r[0] for r in rows),
+                                           *np.array([r[1] for r in rows], dtype=float).reshape(-1, 7).T.copy())))
+        path = scores_dir / "property.tsv"
+        save_scores(columns, path)
+        loaded = load_scores(path)
+        assert loaded["clip_id"] == columns["clip_id"]
+        for name in SCORE_COLUMNS[1:]:
+            assert loaded[name].dtype == np.float64
+            assert float_bits(loaded[name].tolist()) == float_bits(columns[name].tolist()), name
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = self._write(tmp_path, "c0\t1.0\t0.0\t0.5\t1.0\t0.0\t0.5\t1.5", "", "",
+                           "c1\t1.0\t0.0\t0.5\t1.0\t0.0\t0.5\tnan")
+        with pytest.raises(PoolFormatError, match=rf"{re.escape(str(path))} line 5: non-finite overall"):
+            load_scores(path)
+
+    @pytest.mark.parametrize("cell", ["1_0", " 0.9_9 ", "\u0661", "+1.0", "1e5", "1E+05"])
+    def test_cells_repr_never_writes_are_rejected(self, tmp_path, cell):
+        """float() reads these cells, but repr never writes them."""
+        path = self._write(tmp_path, "c0\t1.0\t0.0\t0.5\t1.0\t0.0\t0.5\t1.5",
+                           f"c1\t1.0\t0.0\t0.5\t1.0\t{cell}\t0.5\t1.5")
+        message = rf"{re.escape(str(path))} line 3: sc_norm {re.escape(repr(cell))} is not a decimal number"
+        with pytest.raises(PoolFormatError, match=message):
+            load_scores(path)
+
+    def test_plain_integers_load(self, tmp_path):
+        path = self._write(tmp_path, "c0\t1\t0\t5\t1\t-0\t10\t2")
+        columns = load_scores(path)
+        assert float_bits(columns[c][0] for c in SCORE_COLUMNS[1:]) == float_bits([1.0, 0.0, 5.0, 1.0, -0.0, 10.0, 2.0])
+
     def test_round_trip_of_finite_rows(self, tmp_path):
         path = self._write(tmp_path, "c0\t1.0\t0.0\t0.5\t1.0\t0.0\t0.5\t1.5")
-        (row,) = load_scores(path)
+        (row,) = score_rows(load_scores(path))
         assert row.clip_id == "c0" and row.au_norm == 0.5 and row.overall == 1.5
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
@@ -633,5 +699,5 @@ class TestPlanChecks:
         assert str(from_object.value) == f"clip c0: {message}"
         line = json.dumps({"clip_id": "c0", "ego_plan": plan, "agents": agents})
         with pytest.raises(PoolFormatError) as from_file:
-            parse_prediction_lines([line], horizon=None)
+            load_predictions([line], horizon=None)
         assert str(from_file.value) == f"predictions line 1: {message}"

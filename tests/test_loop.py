@@ -18,7 +18,7 @@ from driveselect.loop import (
 from driveselect.pool import SelectionState, selection_to_dict
 from driveselect.synthworld import ToyPlanner, WorldConfig, generate_world
 
-from conftest import ConstantProvider, HashPlanProvider, make_clip, random_clip
+from conftest import ConstantProvider, HashPlanProvider, make_clip, random_clip, score_rows
 
 N_CASES = 1000
 
@@ -101,14 +101,14 @@ class TestRunRound:
         class StraightProvider(ConstantProvider):
             pass
 
-        trace = run_round(clips, state, StraightProvider(clips), cfg, 0, n_select=1)
+        trace = run_round(clips, state, StraightProvider(clips), cfg, 0)
         assert trace.selected_ids == ("u",)
 
     def test_exhaustive_round(self, rng):
         clips = small_pool(rng, 5)
         state = SelectionState(c.id for c in clips)
-        cfg = ActiveConfig(budget=5, n_init=5, n_rounds=0, n_per_round=0)
-        trace = run_round(clips, state, HashPlanProvider(clips), cfg, 0, n_select=5)
+        cfg = ActiveConfig(budget=5, n_init=5, n_rounds=0, n_per_round=5)
+        trace = run_round(clips, state, HashPlanProvider(clips), cfg, 0)
         assert sorted(trace.selected_ids) == sorted(c.id for c in clips)
         assert state.unlabeled_ids == ()
 
@@ -193,8 +193,9 @@ class TestColumnRanking:
         cfg = ActiveConfig(budget=n_init + n, n_init=n_init, n_rounds=1, n_per_round=n)
         by_id = {c.id: c for c in clips}
         provider.train(state.labeled_ids)
-        rows = score_pool([by_id[i] for i in state.unlabeled_ids], provider.predict(state.unlabeled_ids),
-                          alpha=cfg.alpha, beta=cfg.beta, eps_a=cfg.eps_a, delta_d=cfg.delta_d)
+        columns = score_pool([by_id[i] for i in state.unlabeled_ids], provider.predict(state.unlabeled_ids),
+                             alpha=cfg.alpha, beta=cfg.beta, eps_a=cfg.eps_a, delta_d=cfg.delta_d)
+        rows = score_rows(columns)
         trace = run_round(clips, state, provider, cfg, 1)
         for criterion, key in self.ROW_KEYS.items():
             expected = sorted(rows, key=lambda r: (-key(r), r.clip_id))[:n]
@@ -343,9 +344,9 @@ class TestManualPipelineEquivalence:
         for itr in (1, 2):
             provider.train(state.labeled_ids)
             preds = provider.predict(state.unlabeled_ids)
-            rows = score_pool([by_id[i] for i in state.unlabeled_ids], preds,
-                              alpha=cfg.alpha, beta=cfg.beta,
-                              eps_a=cfg.eps_a, delta_d=cfg.delta_d)
-            ids = rank_and_take({r.clip_id: r.overall for r in rows}, cfg.n_per_round)
+            columns = score_pool([by_id[i] for i in state.unlabeled_ids], preds,
+                                 alpha=cfg.alpha, beta=cfg.beta,
+                                 eps_a=cfg.eps_a, delta_d=cfg.delta_d)
+            ids = rank_and_take(dict(zip(columns["clip_id"], columns["overall"].tolist())), cfg.n_per_round)
             state.add_round(itr, ids)
         assert selection_to_dict(state) == selection_to_dict(auto.state)

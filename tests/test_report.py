@@ -1,13 +1,17 @@
 """L2 conventions, overlap analysis, stratified tables, and report emitters."""
 
 import json
+import re
+from collections import namedtuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driveselect.pool import classify_command
 from driveselect.report import (
+    STRATA_ORDER,
     _fmt,
     emit_report,
     l2_at_k_uniad,
@@ -18,7 +22,7 @@ from driveselect.report import (
     render_delimited,
     stratified_metrics,
 )
-from driveselect.synthworld import ClipEval
+from driveselect.synthworld import ToyPlanner, WorldConfig, evaluate_clips, generate_world, summarize_evals
 
 from conftest import make_clip
 
@@ -101,20 +105,87 @@ class TestOverlap:
             assert np.all((mat >= 0.0) & (mat <= 1.0))
 
 
+#: One clip's held-out evaluation, as the ``ClipEval`` row that evaluation columns replaced.
+EvalRow = namedtuple("EvalRow", "clip_id de step_errors collided")
+
+
 def _eval(clip_id, de, collided=False):
-    return ClipEval(clip_id=clip_id, de=de, step_errors=tuple([de] * 6), collided=collided)
+    return EvalRow(clip_id=clip_id, de=de, step_errors=tuple([de] * 6), collided=collided)
+
+
+def eval_columns(rows):
+    """The evaluate_clips columns of evaluation rows."""
+    return {
+        "clip_id": tuple(r.clip_id for r in rows),
+        "de": np.array([r.de for r in rows], dtype=float),
+        "step_errors": np.array([r.step_errors for r in rows], dtype=float).reshape(len(rows), 6),
+        "collided": np.array([r.collided for r in rows], dtype=bool),
+    }
+
+
+def eval_rows(columns):
+    """Evaluation columns as rows, built as evaluate_clips built them from its arrays."""
+    step_errors = columns["step_errors"]
+    return [
+        EvalRow(clip_id=i, de=de, step_errors=tuple(errors), collided=hit)
+        for i, de, errors, hit in zip(
+            columns["clip_id"], step_errors.mean(axis=1).tolist(), step_errors.tolist(), columns["collided"].tolist()
+        )
+    ]
+
+
+def reference_summarize_evals(results):
+    """summarize_evals over evaluation rows."""
+    if not results:
+        raise ValueError("held-out set is empty")
+    return float(np.mean([r.de for r in results])), 100.0 * sum(r.collided for r in results) / len(results)
+
+
+def reference_stratified_metrics(results, clips, tau_c):
+    """stratified_metrics over evaluation rows: each stratum's rows in evaluation order."""
+    clips_by_id = {c.id: c for c in clips}
+    members = {key: [] for key in STRATA_ORDER}
+    for res in results:
+        if res.clip_id not in clips_by_id:
+            raise KeyError(f"evaluated clip {res.clip_id!r} not in pool")
+        clip = clips_by_id[res.clip_id]
+        members[clip.lighting].append(res)
+        members[clip.weather].append(res)
+        members[classify_command(clip, tau_c)].append(res)
+        members["All"].append(res)
+    table = {}
+    for key in STRATA_ORDER:
+        rows = members[key]
+        if rows:
+            avg_de, collision_pct = reference_summarize_evals(rows)
+            table[key] = {"count": len(rows), "avg_de_m": avg_de, "proxy_collision_pct": collision_pct}
+    return table
+
+
+def reference_check_step_errors(errors):
+    arr = np.asarray(errors, dtype=float)
+    if arr.shape != (6,):
+        raise ValueError(f"expected 6 step errors, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        raise ValueError("step errors must be finite and non-negative")
+    return arr
+
+
+def reference_mean_step_errors(rows):
+    """mean_step_errors over per-clip step-error rows: each row checked, then stacked."""
+    return np.stack([reference_check_step_errors(r) for r in rows]).mean(axis=0)
 
 
 class TestStratifiedMetrics:
     def test_absent_strata_are_omitted(self):
         clips = [make_clip("c0"), make_clip("c1")]  # both Day-Sunny, Straight
-        table = stratified_metrics([_eval("c0", 1.0), _eval("c1", 3.0)], clips, tau_c=4)
+        table = stratified_metrics(eval_columns([_eval("c0", 1.0), _eval("c1", 3.0)]), clips, tau_c=4)
         assert set(table) == {"Day", "Sunny", "S", "All"}
         assert "Night" not in table and "Rainy" not in table
 
     def test_stratum_average(self):
         clips = [make_clip("c0"), make_clip("c1")]
-        table = stratified_metrics([_eval("c0", 1.0), _eval("c1", 3.0)], clips, tau_c=4)
+        table = stratified_metrics(eval_columns([_eval("c0", 1.0), _eval("c1", 3.0)]), clips, tau_c=4)
         assert table["Day"]["avg_de_m"] == pytest.approx(2.0)
         assert table["All"]["avg_de_m"] == pytest.approx(2.0)
 
@@ -128,7 +199,7 @@ class TestStratifiedMetrics:
             )
             clips.append(clip)
             evals.append(_eval(clip.id, float(rng.uniform(0, 5)), bool(rng.uniform() < 0.2)))
-        table = stratified_metrics(evals, clips, tau_c=4)
+        table = stratified_metrics(eval_columns(evals), clips, tau_c=4)
         assert table["All"]["avg_de_m"] == pytest.approx(np.mean([e.de for e in evals]))
 
     def test_all_row_is_lighting_weighted_mean(self, rng):
@@ -140,7 +211,7 @@ class TestStratifiedMetrics:
                 clip = make_clip(f"c{i}", lighting=["Day", "Night"][int(rng.integers(0, 2))])
                 clips.append(clip)
                 evals.append(_eval(clip.id, float(rng.uniform(0, 5))))
-            table = stratified_metrics(evals, clips, tau_c=4)
+            table = stratified_metrics(eval_columns(evals), clips, tau_c=4)
             total, count = 0.0, 0
             for key in ("Day", "Night"):
                 if key in table:
@@ -151,7 +222,73 @@ class TestStratifiedMetrics:
 
     def test_unknown_clip_rejected(self):
         with pytest.raises(KeyError):
-            stratified_metrics([_eval("ghost", 1.0)], [make_clip("c0")], tau_c=4)
+            stratified_metrics(eval_columns([_eval("ghost", 1.0)]), [make_clip("c0")], tau_c=4)
+
+
+class TestEvalColumnsMatchRows:
+    """summarize_evals, stratified_metrics and mean_step_errors on evaluation
+    columns equal the row formulas bit for bit (JSON tells 0.0 from -0.0)."""
+
+    def check(self, columns, clips, tau_c=4):
+        rows = eval_rows(columns)
+        assert json.dumps(summarize_evals(columns)) == json.dumps(reference_summarize_evals(rows))
+        table = stratified_metrics(columns, clips, tau_c)
+        assert json.dumps(table) == json.dumps(reference_stratified_metrics(rows, clips, tau_c))
+        steps = mean_step_errors(columns["step_errors"])
+        assert steps.tobytes() == reference_mean_step_errors([r.step_errors for r in rows]).tobytes()
+        return table
+
+    @pytest.mark.parametrize("seed", [3, 13, 29])
+    def test_toy_planner_worlds(self, seed):
+        clips, truth = generate_world(WorldConfig(n_clips=300, seed=seed, agent_rate=3.0))
+        planner = ToyPlanner(clips, truth)
+        planner.train([c.id for c in clips[:150]])
+        heldout = clips[150:]
+        columns = evaluate_clips(planner, heldout, truth)
+        assert columns["clip_id"] == tuple(c.id for c in heldout)
+        assert columns["step_errors"].shape == (150, 6) and columns["collided"].dtype == bool
+        self.check(columns, heldout)
+
+        # A subset where one command stratum holds only collided clips and
+        # Night holds one clip.
+        hit = dict(zip(columns["clip_id"], columns["collided"].tolist()))
+        first_hit = next(c for c in heldout if hit[c.id])
+        command = classify_command(first_hit, 4)
+        keep = [c for c in heldout if classify_command(c, 4) != command or hit[c.id]]
+        night = first_hit if first_hit.lighting == "Night" else next(c for c in keep if c.lighting == "Night")
+        subset = [c for c in keep if c.lighting == "Day" or c is night]
+        table = self.check(evaluate_clips(planner, subset, truth), subset)
+        assert table["Night"]["count"] == 1
+        assert table[command]["proxy_collision_pct"] == 100.0
+
+    def test_hand_built_columns(self, rng):
+        clips, rows = [], []
+        for i in range(60):
+            clip = make_clip(f"c{i}", weather=["Sunny", "Rainy"][i % 2], lighting=["Day", "Night"][i % 3 == 0])
+            clips.append(clip)
+            errors = tuple(rng.uniform(0, 5, size=6).tolist())
+            rows.append(EvalRow(clip.id, float(np.mean(errors)), errors, bool(rng.uniform() < 0.3)))
+        self.check(eval_columns(rows), clips)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1.0] * 5] * 2, [[1.0] * 6, [float("nan")] * 6], [[1.0] * 6, [-1.0] + [1.0] * 5],
+         [[1.0] * 6, [float("inf")] + [1.0] * 5], [1.0] * 6, np.ones((2, 6, 1))],
+        ids=["short_rows", "nan", "negative", "inf", "one_vector", "3d"],
+    )
+    def test_mean_step_errors_rejects_as_the_row_checks(self, rows):
+        with pytest.raises(ValueError) as expected:
+            reference_mean_step_errors(rows)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            mean_step_errors(rows)
+
+    def test_mean_step_errors_of_no_rows(self):
+        with pytest.raises(ValueError, match="no step errors"):
+            mean_step_errors(np.empty((0, 6)))
+
+    def test_empty_columns_have_no_summary(self):
+        with pytest.raises(ValueError, match="held-out set is empty"):
+            summarize_evals(evaluate_clips(None, [], {}))
 
 
 def _tiny_manifest(name="run"):

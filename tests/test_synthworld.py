@@ -828,4 +828,4 @@ class TestEvaluation:
     def test_step_errors_have_horizon_entries(self):
         clips, truth = generate_world(WorldConfig(n_clips=10, seed=15))
         results = evaluate_clips(TruthReplayProvider(truth), clips, truth)
-        assert all(len(r.step_errors) == 6 for r in results)
+        assert results["step_errors"].shape == (10, 6)
