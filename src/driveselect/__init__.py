@@ -40,8 +40,10 @@ from .loop import (
 )
 from .pool import (
     ClipRecord,
+    ClipTable,
     SelectionState,
     classify_command,
+    clip_table,
     load_pool,
     load_selection,
     mean_speed,
@@ -58,12 +60,14 @@ from .report import (
 from .synthworld import (
     ClipTruth,
     ToyPlanner,
+    TruthTable,
     WorldConfig,
     evaluate_clips,
     generate_pool,
     generate_world,
     heldout_eval,
     load_truth,
+    truth_table,
 )
 
 __version__ = "0.1.0"

@@ -177,13 +177,12 @@ def cmd_init(args) -> int:
 def cmd_score(args) -> int:
     check_score_settings(alpha=args.alpha, beta=args.beta, eps_a=args.eps_a, delta_d=args.delta_d)
     clips, _ = load_pool(args.pool, horizon=args.horizon)
-    state = load_selection(args.selection, [c.id for c in clips])
+    state = load_selection(args.selection, clips.ids)
     predictions = load_predictions(args.predictions, horizon=args.horizon)
     unlabeled = state.unlabeled_ids
     _echo_config({"alpha": args.alpha, "beta": args.beta, "eps_a": args.eps_a, "delta_d": args.delta_d})
-    clips_by_id = {c.id: c for c in clips}
     columns = score_pool(
-        [clips_by_id[i] for i in unlabeled],
+        clips.take(unlabeled),
         predictions,
         alpha=args.alpha,
         beta=args.beta,
@@ -286,9 +285,9 @@ def cmd_run(args) -> int:
     if args.heldout_count >= len(clips):
         raise ValueError(f"--heldout-count must be less than the {len(clips)} pool clips, got {args.heldout_count}")
     truth = load_truth(args.truth, horizon=args.horizon)
-    for clip in clips:
-        if clip.id not in truth:
-            raise PoolFormatError(f"truth file {args.truth}: no record for clip {clip.id!r}")
+    missing = next((clip_id for clip_id in clips.ids if clip_id not in truth), None)
+    if missing is not None:
+        raise PoolFormatError(f"truth file {args.truth}: no record for clip {missing!r}")
     split = len(clips) - args.heldout_count
     pool_clips, heldout_clips = clips[:split], clips[split:]
     config = _active_config(args, len(pool_clips))
@@ -339,6 +338,8 @@ def cmd_report(args) -> int:
         wrote += ["report.json", "report.tsv"]
 
     if args.selection:
+        # A stem that several files share is labelled with its directory.
+        stems = [Path(path).stem for path in args.selection]
         sets = {}
         for path in args.selection:
             rounds = read_selection_payload(path)["rounds"]
@@ -346,7 +347,7 @@ def cmd_report(args) -> int:
             # initialization round when later rounds exist.
             incremental = [e for e in rounds if e["round"] > 0] or rounds
             label = Path(path).stem
-            if label in sets:
+            if stems.count(label) > 1:
                 label = f"{Path(path).parent.name}/{label}"
             if label in sets:
                 label = f"{label}:{len(sets)}"

@@ -33,13 +33,18 @@ import numpy as np
 
 from .pool import (
     ClipRecord,
+    ClipTable,
     PoolFormatError,
     RowError,
     _check_fields,
     _check_numbers,
     _check_string,
+    _unchecked,
     atomic_write_text,
+    clip_table,
+    ragged_take,
     read_jsonl,
+    row_index,
     write_jsonl,
 )
 
@@ -108,14 +113,6 @@ def _plan_errors(ego_plans: np.ndarray) -> list[tuple[int, str]]:
     return [(int(bad.argmax()), "non-finite plan waypoint")] if bad.any() else []
 
 
-def _unchecked(cls, *values):
-    """An instance of a frozen prediction dataclass, from batch rows already validated."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 def _points(rows: list) -> tuple[tuple[float, float], ...]:
     return tuple(map(tuple, rows))
 
@@ -178,10 +175,7 @@ class PredictionBatch(Mapping):
     _offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rows = {clip_id: row for row, clip_id in enumerate(self.clip_ids)}
-        if len(rows) != len(self.clip_ids):
-            duplicate = next(i for row, i in enumerate(self.clip_ids) if rows[i] != row)
-            raise ValueError(f"duplicate clip id {duplicate!r} in a prediction batch")
+        rows = row_index(self.clip_ids, "a prediction batch")
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_offsets", np.searchsorted(self.agent_clip, np.arange(len(rows) + 1)))
         agent_errors = _agent_errors(self.agent_ids, self.confidence, self.modality_probs, self.modality_trajs)
@@ -224,10 +218,7 @@ class PredictionBatch(Mapping):
     def take(self, clip_ids: Sequence[str]) -> PredictionBatch:
         """The batch of the given clips' rows, in that order."""
         rows = np.array([self._rows[i] for i in clip_ids], dtype=np.intp)
-        starts = self._offsets[rows]
-        counts = self._offsets[rows + 1] - starts
-        new_starts = np.cumsum(counts) - counts
-        agents = np.arange(counts.sum()) + np.repeat(starts - new_starts, counts)
+        agents, counts = ragged_take(self._offsets, rows)
         return PredictionBatch(
             clip_ids=tuple(clip_ids),
             ego_plans=self.ego_plans[rows],
@@ -288,27 +279,33 @@ def _batch_of(clip_ids: Sequence[str], preds: Sequence[ClipPrediction], horizon:
         raise ValueError(f"clip {clip_ids[exc.row]!r}: {exc}") from exc
 
 
-def prediction_batch(predictions: Mapping[str, ClipPrediction], clips: Sequence[ClipRecord]) -> PredictionBatch:
-    """The predictions for ``clips``, as one batch in clip order.
+def prediction_batch(
+    predictions: Mapping[str, ClipPrediction], clips: ClipTable | Sequence[ClipRecord]
+) -> PredictionBatch:
+    """The predictions for ``clips`` (a table or records), as one batch in
+    clip order.
 
     A PredictionBatch gives its rows as they are; any other mapping is
     converted. A clip without a prediction raises KeyError, and one whose
     ``gt_future`` has another horizon than the predictions raises
     ValueError; both name the clip.
     """
-    ids = [c.id for c in clips]
+    if isinstance(clips, ClipTable):
+        # One horizon for the whole table: its first clip stands for all.
+        ids, horizons = list(clips.ids), [clips.horizon] * min(len(clips), 1)
+    else:
+        ids, horizons = [c.id for c in clips], [len(c.gt_future) for c in clips]
     for clip_id in ids:
         if clip_id not in predictions:
             raise KeyError(f"missing prediction for clip {clip_id!r}")
     if isinstance(predictions, PredictionBatch):
         batch = predictions.take(ids)
     else:
-        batch = _batch_of(ids, [predictions[i] for i in ids], len(clips[0].gt_future) if clips else None)
-    for clip in clips:
-        if len(clip.gt_future) != batch.horizon:
+        batch = _batch_of(ids, [predictions[i] for i in ids], horizons[0] if horizons else None)
+    for clip_id, horizon in zip(ids, horizons):
+        if horizon != batch.horizon:
             raise ValueError(
-                f"clip {clip.id!r}: gt_future has {len(clip.gt_future)} waypoints, "
-                f"predictions have {batch.horizon}"
+                f"clip {clip_id!r}: gt_future has {horizon} waypoints, predictions have {batch.horizon}"
             )
     return batch
 
@@ -495,7 +492,7 @@ SCORE_COLUMNS = ("clip_id", "de_raw", "sc_raw", "au_raw", "de_norm", "sc_norm", 
 
 
 def score_pool(
-    clips: Sequence[ClipRecord],
+    clips: ClipTable | Sequence[ClipRecord],
     predictions: Mapping[str, ClipPrediction],
     *,
     alpha: float,
@@ -513,7 +510,7 @@ def score_pool(
         raise ValueError("no clips to score")
     check_score_settings(alpha=alpha, beta=beta, eps_a=eps_a, delta_d=delta_d)
     batch = prediction_batch(predictions, clips)
-    gts = np.array([c.gt_future for c in clips], dtype=float).reshape(batch.ego_plans.shape)
+    gts = clip_table(clips).gt_future
     dists = _best_distances(batch)
     raw = (
         _displacement_errors(batch.ego_plans, gts),

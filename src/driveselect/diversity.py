@@ -5,7 +5,8 @@ pool — weather-lighting buckets, then clip-level command classes — with
 shares proportional to ``count**gamma``. ``gamma = 1`` allocates
 proportionally to stratum size; ``gamma < 1`` shifts budget toward rare
 strata. Within each stratum, clips are sorted by mean speed and picked at
-regular intervals so the selection covers the speed range.
+regular intervals so the selection covers the speed range. Strata and speeds
+come from the pool's columns (:class:`~driveselect.pool.ClipTable`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .pool import BUCKETS, COMMAND_CLASSES, ClipRecord, classify_command, mean_speed, weather_lighting_bucket
+import numpy as np
+
+from .pool import BUCKETS, COMMAND_CLASSES, ClipRecord, ClipTable, clip_table
 
 #: All (bucket, command-class) strata in canonical tie-break order.
 STRATUM_ORDER = tuple((b, c) for b in BUCKETS for c in COMMAND_CLASSES)
@@ -141,13 +144,12 @@ def select_by_speed(sorted_ids: Sequence[str], k: int) -> list[str]:
     return [sorted_ids[math.floor((j + 0.5) * m / k)] for j in range(k)]
 
 
-def stratify(clips: Sequence[ClipRecord], tau_c: int) -> dict[tuple[str, str], list[ClipRecord]]:
-    """Group clips by (bucket, command class); every stratum key is present."""
-    strata: dict[tuple[str, str], list[ClipRecord]] = {key: [] for key in STRATUM_ORDER}
-    for clip in clips:
-        key = (weather_lighting_bucket(clip), classify_command(clip, tau_c))
-        strata[key].append(clip)
-    return strata
+def stratify(clips: ClipTable | Sequence[ClipRecord], tau_c: int) -> dict[tuple[str, str], np.ndarray]:
+    """The rows of each (bucket, command class) stratum, in pool order;
+    every stratum key is present."""
+    clips = clip_table(clips)
+    codes = clips.buckets() * len(COMMAND_CLASSES) + clips.command_classes(tau_c)
+    return {key: np.flatnonzero(codes == code) for code, key in enumerate(STRATUM_ORDER)}
 
 
 def allocate_budget(
@@ -182,7 +184,7 @@ def allocate_budget(
 
 
 def ego_diversity_init(
-    clips: Sequence[ClipRecord], n_init: int, gamma: float, tau_c: int
+    clips: ClipTable | Sequence[ClipRecord], n_init: int, gamma: float, tau_c: int
 ) -> tuple[list[str], list[StratumAllocation]]:
     """Diversity-stratified initial selection of min(n_init, pool size) clips.
 
@@ -193,17 +195,17 @@ def ego_diversity_init(
     """
     if n_init < 1:
         raise ValueError(f"n_init must be >= 1, got {n_init}")
+    clips = clip_table(clips)
     strata = stratify(clips, tau_c)
     budget = min(n_init, len(clips))
     allocations = allocate_budget(
         {key: len(members) for key, members in strata.items()}, budget, gamma
     )
+    ids, speeds = clips.ids, clips.mean_speeds().tolist()
     selected: list[str] = []
     for alloc in allocations:
         if alloc.allocated == 0:
             continue
-        members = sorted(
-            strata[(alloc.bucket, alloc.command)], key=lambda c: (mean_speed(c), c.id)
-        )
-        selected.extend(select_by_speed([m.id for m in members], alloc.allocated))
+        members = sorted(strata[(alloc.bucket, alloc.command)].tolist(), key=lambda row: (speeds[row], ids[row]))
+        selected.extend(select_by_speed([ids[row] for row in members], alloc.allocated))
     return selected, allocations

@@ -23,7 +23,7 @@ from .criteria import (
     score_pool,
 )
 from .diversity import StratumAllocation, ego_diversity_init
-from .pool import ClipRecord, SelectionState
+from .pool import ClipRecord, ClipTable, SelectionState, clip_table
 
 INIT_MODES = ("random", "ego-diversity")
 #: Ranking keys, the three single criteria plus their mixture, to the column each ranks.
@@ -117,14 +117,15 @@ class FilePredictionProvider:
         return available.take(ids)
 
 
-def random_init(clips: Sequence[ClipRecord], n_init: int, seed: int) -> list[str]:
+def random_init(clips: ClipTable | Sequence[ClipRecord], n_init: int, seed: int) -> list[str]:
     """Seeded uniform sample of n_init clip ids, in id order.
 
     The sample is drawn over the sorted ids, so it does not depend on the
     order of the pool file."""
-    if n_init > len(clips):
-        raise ValueError(f"n_init {n_init} exceeds pool size {len(clips)}")
-    return _sample_in_id_order(np.random.default_rng(seed), [c.id for c in clips], n_init)
+    ids = clip_table(clips).ids
+    if n_init > len(ids):
+        raise ValueError(f"n_init {n_init} exceeds pool size {len(ids)}")
+    return _sample_in_id_order(np.random.default_rng(seed), ids, n_init)
 
 
 def _sample_in_id_order(rng: np.random.Generator, ids: Sequence[str], n: int) -> list[str]:
@@ -157,7 +158,7 @@ def _summarize(columns: dict) -> dict:
 
 
 def run_round(
-    clips: Sequence[ClipRecord],
+    clips: ClipTable | Sequence[ClipRecord],
     state: SelectionState,
     provider: PredictionProvider,
     config: ActiveConfig,
@@ -177,11 +178,10 @@ def run_round(
     unlabeled = state.unlabeled_ids
     if n > len(unlabeled):
         raise ValueError(f"cannot select {n} clips, only {len(unlabeled)} unlabeled")
-    clips_by_id = {c.id: c for c in clips}
     provider.train(state.labeled_ids)
     predictions = provider.predict(unlabeled)
     columns = score_pool(
-        [clips_by_id[i] for i in unlabeled],
+        clip_table(clips).take(unlabeled),
         predictions,
         alpha=config.alpha,
         beta=config.beta,
@@ -207,7 +207,7 @@ class RunResult:
 
 
 def run(
-    clips: Sequence[ClipRecord],
+    clips: ClipTable | Sequence[ClipRecord],
     provider: PredictionProvider,
     config: ActiveConfig,
     *,
@@ -226,9 +226,10 @@ def run(
         raise ValueError(f"strategy must be 'active' or 'random', got {strategy!r}")
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {tuple(CRITERIA)}, got {criterion!r}")
+    clips = clip_table(clips)
     config.validate_for_pool(len(clips))
 
-    state = SelectionState(c.id for c in clips)
+    state = SelectionState(clips.ids)
     if config.init_mode == "ego-diversity":
         init_ids, allocations = ego_diversity_init(clips, config.n_init, config.gamma, config.tau_c)
     else:

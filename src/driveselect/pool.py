@@ -11,37 +11,51 @@ interpreted; the selection engine only cares about the labeled/unlabeled bit.
 Selections are stored separately as ``{"rounds": [{"round": k, "ids": [...]}]}``
 so that a selection file plus the pool file fully reproduce the split.
 
-Pool, predictions and truth files all go through :func:`read_jsonl`: ids are
-JSON strings, unique within the file, and an empty file or a malformed line
-(invalid UTF-8 included) raises :class:`PoolFormatError` naming the file and
-the 1-based line. Lines are decoded by orjson wherever it gives exactly what
-``json.loads`` gives, and by ``json.loads`` elsewhere (see :func:`_loads`).
-They are written by :func:`write_jsonl`, one :func:`encode_line` per record:
-orjson wherever its bytes are ``json.dumps``'s, and ``json.dumps`` elsewhere.
+A loaded pool is a :class:`ClipTable`: one column per field, with the
+frames of all clips back to back. Its rows are :class:`ClipRecord` views.
+
+Pool, predictions and truth files all follow :func:`read_jsonl`'s rules: ids
+are JSON strings, unique within the file, and an empty file or a malformed
+line (invalid UTF-8 included) raises :class:`PoolFormatError` naming the file
+and the 1-based line. Pool and truth files are read into columns by
+:func:`read_table`, which falls back to :func:`read_jsonl`'s per-record checks
+on any input that fails its column checks, so every message is the same.
+Lines are decoded by orjson wherever it gives exactly what ``json.loads``
+gives, and by ``json.loads`` elsewhere (see :func:`_loads`). They are written
+by :func:`write_jsonl`, one :func:`encode_line` per record: orjson wherever its
+bytes are ``json.dumps``'s, and ``json.dumps`` elsewhere.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 import sys
 import tempfile
+from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
+import numpy as np
 import orjson
 
 WEATHER_VALUES = ("Sunny", "Rainy")
 LIGHTING_VALUES = ("Day", "Night")
 COMMAND_VALUES = ("Left", "Right", "Straight")
 _COMMAND_SET = frozenset(COMMAND_VALUES)
+# The int8 codes of the table columns: indices into the value tuples.
+_WEATHER_CODES = {value: code for code, value in enumerate(WEATHER_VALUES)}
+_LIGHTING_CODES = {value: code for code, value in enumerate(LIGHTING_VALUES)}
+_COMMAND_CODES = {value: code for code, value in enumerate(COMMAND_VALUES)}
 
-#: Weather-lighting buckets, in canonical (tie-break) order.
+#: Weather-lighting buckets, in canonical (tie-break) order: lighting-major,
+#: so a clip's bucket index is ``lighting code * 2 + weather code``.
 BUCKETS = ("DS", "DR", "NS", "NR")
 #: Clip-level command classes, in canonical (tie-break) order.
 COMMAND_CLASSES = ("L", "R", "O", "S")
@@ -125,10 +139,12 @@ def _check_path(points: Iterable[Sequence[float]], horizon: int, name: str) -> t
 class ClipRecord:
     """One driving clip: cheap metadata plus the recorded ego future.
 
-    Immutable after load. The recorded frames are two parallel columns:
-    ``speeds`` in m/s and the discrete driving ``commands``. ``annotation`` is
-    an opaque payload that exists only for clips that have been labeled; the
-    engine never looks inside it.
+    Immutable. The recorded frames are two parallel columns: ``speeds`` in
+    m/s and the discrete driving ``commands``. ``annotation`` is an opaque
+    payload that exists only for clips that have been labeled; the engine
+    never looks inside it. A record built here is checked; the rows of a
+    :class:`ClipTable` are views of its columns, built unchecked because the
+    table's values were checked when it was read.
     """
 
     id: str
@@ -162,36 +178,194 @@ class ClipRecord:
             raise ValueError(f"clip {self.id}: gt_future must be non-empty")
 
 
+def _unchecked(cls, *values):
+    """An instance of a frozen dataclass, from column rows already validated."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def row_index(ids: tuple[str, ...], what: str) -> dict[str, int]:
+    """Each id's row; an id on two rows raises ValueError naming it and ``what``."""
+    rows = {clip_id: row for row, clip_id in enumerate(ids)}
+    if len(rows) != len(ids):
+        duplicate = next(i for row, i in enumerate(ids) if rows[i] != row)
+        raise ValueError(f"duplicate clip id {duplicate!r} in {what}")
+    return rows
+
+
+def _offsets(counts: Sequence[int]) -> np.ndarray:
+    """(N + 1,) offsets of N ragged rows of ``counts`` items stored back to back."""
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
+
+
+def ragged_take(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The items of ``rows`` of a ragged column whose row ``r`` holds items
+    ``offsets[r]:offsets[r + 1]``: their indices, row after row, and each
+    row's item count."""
+    starts = offsets[rows]
+    counts = offsets[rows + 1] - starts
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - counts), counts), counts
+
+
+@dataclass(frozen=True, eq=False)
+class ClipTable(Sequence):
+    """N clips as columns, in pool order, with the frames of all clips back
+    to back: clip ``i``'s frames are ``offsets[i]:offsets[i + 1]`` of
+    ``speeds`` and ``commands``, so frame counts may differ.
+
+    Weather, lighting and commands are int8 indices into ``WEATHER_VALUES``,
+    ``LIGHTING_VALUES`` and ``COMMAND_VALUES``. The table is a Sequence of
+    :class:`ClipRecord`: an index gives a row view, a slice a table. Readers
+    share the arrays, so none may write to them. Ids are unique.
+    """
+
+    ids: tuple[str, ...]
+    weather: np.ndarray      # (N,) int8
+    lighting: np.ndarray     # (N,) int8
+    offsets: np.ndarray      # (N + 1,) intp
+    speeds: np.ndarray       # (F,) float64, m/s
+    commands: np.ndarray     # (F,) int8
+    gt_future: np.ndarray    # (N, H, 2)
+    annotations: tuple       # (N,) opaque payloads, None where absent
+    _rows: dict = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_rows", row_index(self.ids, "a clip table"))
+
+    @property
+    def horizon(self) -> int:
+        return self.gt_future.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[ClipRecord]:
+        return map(self._row, range(len(self.ids)))
+
+    def __getitem__(self, key):
+        if not isinstance(key, slice):
+            return self._row(range(len(self.ids))[key])
+        lo, hi, step = key.indices(len(self.ids))
+        if step != 1:
+            return self.take_rows(np.arange(lo, hi, step))
+        hi = max(lo, hi)
+        first, last = self.offsets[lo], self.offsets[hi]
+        return ClipTable(
+            self.ids[lo:hi], self.weather[lo:hi], self.lighting[lo:hi], self.offsets[lo : hi + 1] - first,
+            self.speeds[first:last], self.commands[first:last], self.gt_future[lo:hi], self.annotations[lo:hi],
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ClipTable):
+            return NotImplemented
+        return (
+            self.ids == other.ids
+            and self.annotations == other.annotations
+            and all(np.array_equal(getattr(self, name), getattr(other, name))
+                    for name in ("weather", "lighting", "offsets", "speeds", "commands", "gt_future"))
+        )
+
+    def _row(self, i: int) -> ClipRecord:
+        first, last = self.offsets[i : i + 2].tolist()
+        return _unchecked(
+            ClipRecord,
+            self.ids[i],
+            WEATHER_VALUES[self.weather[i]],
+            LIGHTING_VALUES[self.lighting[i]],
+            tuple(self.speeds[first:last].tolist()),
+            tuple([COMMAND_VALUES[c] for c in self.commands[first:last].tolist()]),
+            tuple(map(tuple, self.gt_future[i].tolist())),
+            self.annotations[i],
+        )
+
+    def rows_of(self, ids: Iterable[str]) -> np.ndarray:
+        """The rows of the given clip ids; an unknown id raises KeyError."""
+        return np.array([self._rows[i] for i in ids], dtype=np.intp)
+
+    def take(self, ids: Iterable[str]) -> ClipTable:
+        """The table of the given clips' rows, in that order."""
+        return self.take_rows(self.rows_of(ids))
+
+    def take_rows(self, rows: np.ndarray) -> ClipTable:
+        frames, counts = ragged_take(self.offsets, rows)
+        return ClipTable(
+            tuple(self.ids[i] for i in rows.tolist()), self.weather[rows], self.lighting[rows], _offsets(counts),
+            self.speeds[frames], self.commands[frames], self.gt_future[rows],
+            tuple(self.annotations[i] for i in rows.tolist()),
+        )
+
+    def _frame_counts(self, flags: np.ndarray) -> np.ndarray:
+        """Per clip, how many of its frames have a true flag."""
+        total = _offsets(flags)
+        return total[self.offsets[1:]] - total[self.offsets[:-1]]
+
+    def buckets(self) -> np.ndarray:
+        """Each clip's index in ``BUCKETS``."""
+        return self.lighting.astype(np.intp) * len(WEATHER_VALUES) + self.weather
+
+    def command_classes(self, tau_c: int) -> np.ndarray:
+        """Each clip's index in ``COMMAND_CLASSES``. A clip is an overtake (O)
+        when both its Left and Right frame counts reach ``tau_c``, a turn (L
+        or R) when only one side does, and straight (S) otherwise."""
+        if tau_c < 1:
+            raise ValueError(f"tau_c must be >= 1, got {tau_c}")
+        left = self._frame_counts(self.commands == _COMMAND_CODES["Left"]) >= tau_c
+        right = self._frame_counts(self.commands == _COMMAND_CODES["Right"]) >= tau_c
+        code = COMMAND_CLASSES.index
+        return np.select([left & right, left, right], [code("O"), code("L"), code("R")], code("S"))
+
+    def mean_speeds(self) -> np.ndarray:
+        """Each clip's mean frame speed in m/s, as ``sum(speeds) / len(speeds)``
+        computes it: summed left to right from 0, frame by frame. Not
+        ``np.mean``, which sums 8 or more terms pairwise."""
+        counts = np.diff(self.offsets)
+        starts = self.offsets[:-1]
+        total = np.zeros(len(self.ids))
+        for j in range(counts.max(initial=0)):
+            rows = np.flatnonzero(counts > j)
+            total[rows] += self.speeds[starts[rows] + j]
+        return total / counts
+
+
+def clip_table(clips: Sequence[ClipRecord]) -> ClipTable:
+    """``clips`` as a table: a ClipTable as it is, and a sequence of records
+    converted, in order. Every record must have the same horizon."""
+    if isinstance(clips, ClipTable):
+        return clips
+    speeds = [c.speeds for c in clips]
+    return ClipTable(
+        ids=tuple(c.id for c in clips),
+        weather=np.array([_WEATHER_CODES[c.weather] for c in clips], dtype=np.int8),
+        lighting=np.array([_LIGHTING_CODES[c.lighting] for c in clips], dtype=np.int8),
+        offsets=_offsets(list(map(len, speeds))),
+        speeds=np.array(list(chain.from_iterable(speeds)), dtype=float),
+        commands=np.frombuffer(
+            bytes(map(_COMMAND_CODES.__getitem__, chain.from_iterable(c.commands for c in clips))), dtype=np.int8
+        ),
+        gt_future=np.array([c.gt_future for c in clips], dtype=float).reshape(
+            len(clips), len(clips[0].gt_future) if len(clips) else 0, 2
+        ),
+        annotations=tuple(c.annotation for c in clips),
+    )
+
+
 def weather_lighting_bucket(clip: ClipRecord) -> str:
     """Map a clip to its weather-lighting bucket: DS, DR, NS, or NR."""
-    lighting = "D" if clip.lighting == "Day" else "N"
-    weather = "S" if clip.weather == "Sunny" else "R"
-    return lighting + weather
+    return BUCKETS[clip_table([clip]).buckets()[0]]
 
 
 def classify_command(clip: ClipRecord, tau_c: int) -> str:
-    """Classify a clip into L / R / O / S from its per-frame commands.
-
-    A clip counts as an overtake (O) when both the Left and Right command
-    counts reach ``tau_c``; as a turn when only one side does; as straight (S)
-    otherwise.
-    """
-    if tau_c < 1:
-        raise ValueError(f"tau_c must be >= 1, got {tau_c}")
-    n_left = clip.commands.count("Left")
-    n_right = clip.commands.count("Right")
-    if n_left >= tau_c and n_right >= tau_c:
-        return "O"
-    if n_left >= tau_c:
-        return "L"
-    if n_right >= tau_c:
-        return "R"
-    return "S"
+    """Classify a clip into L / R / O / S from its per-frame commands (see
+    :meth:`ClipTable.command_classes`)."""
+    return COMMAND_CLASSES[clip_table([clip]).command_classes(tau_c)[0]]
 
 
 def mean_speed(clip: ClipRecord) -> float:
     """Arithmetic mean of the per-frame speeds, in m/s."""
-    return sum(clip.speeds) / len(clip.speeds)
+    return float(clip_table([clip]).mean_speeds()[0])
 
 
 class SelectionState:
@@ -410,8 +584,19 @@ T = TypeVar("T")
 # shows both its digit runs and its bracket count.
 _GUARD_TABLE = bytes.maketrans(b"123456789{", b"000000000[")
 _DIGIT_RUN = b"0" * 19
+_FRACTION_OR_DIGIT = frozenset(b".0")
 _MAX_OPENERS = 512
 _BLANK = object()
+
+
+def _long_integer_run(guard: bytes) -> bool:
+    """Whether a line's guard copy holds a run of 19 or more digits that no
+    "." precedes. ``find`` gives the leftmost 19 digits from where it looks,
+    so a hit that a digit precedes continues a run already judged."""
+    at = guard.find(_DIGIT_RUN)
+    while at > 0 and guard[at - 1] in _FRACTION_OR_DIGIT:
+        at = guard.find(_DIGIT_RUN, at + len(_DIGIT_RUN))
+    return at >= 0
 
 
 def _loads(line: bytes) -> Any:
@@ -422,14 +607,16 @@ def _loads(line: bytes) -> Any:
     stay the same:
     - a line orjson rejects: NaN, Infinity, 1e400, lone surrogates, invalid
       UTF-8, or text around the JSON that ``str.strip`` removes;
-    - a run of 19 or more digits, as orjson rounds integers beyond 64 bits to
-      floats;
+    - a run of 19 or more digits that no "." precedes (an integer, the
+      integer part of a decimal, or an exponent), as orjson rounds integers
+      beyond 64 bits to floats. Long fractions, such as ``repr`` writes for
+      floats below 1e-3, are parsed exactly by orjson and stay with it;
     - more than ``_MAX_OPENERS`` brackets, which bounds the nesting depth:
       ``json.loads`` stops at Python's recursion limit, and orjson 3.8
       recurses without one and crashes on a deep enough line.
     """
     guard = line.translate(_GUARD_TABLE)
-    if _DIGIT_RUN not in guard and guard.count(b"[") <= _MAX_OPENERS:
+    if not _long_integer_run(guard) and guard.count(b"[") <= _MAX_OPENERS:
         try:
             return orjson.loads(line)
         except orjson.JSONDecodeError:
@@ -485,15 +672,169 @@ def read_jsonl(
         raise PoolFormatError(f"{what} line {linenos[exc.row]}: {exc}") from exc
 
 
-def parse_pool_lines(lines: str | os.PathLike | Iterable[str], horizon: int = 6) -> list[ClipRecord]:
-    """Parse pool lines, or the pool file at a path, with :func:`read_jsonl`."""
-    return list(read_jsonl(lines, "pool", "id", partial(clip_from_dict, horizon=horizon)).values())
+#: Lines decoded at a time by :func:`read_table`. Only one block's decoded
+#: records are alive at once: on an 8k-clip pool, 64-line blocks held 10 MB
+#: during the load and 1000-line blocks 36 MB, at about the same speed.
+READ_BLOCK = 64
 
 
-def load_pool(path: str | os.PathLike, horizon: int = 6) -> tuple[list[ClipRecord], SelectionState]:
+class _NotColumnar(Exception):
+    """Input that fails a column check; the per-record reader decides."""
+
+
+def _decoded_blocks(lines: Iterable[bytes | str]) -> Iterator[list]:
+    """The non-blank records of ``lines``, decoded by :func:`_loads`
+    ``READ_BLOCK`` lines at a time with the cyclic garbage collector paused."""
+    lines = iter(lines)
+    while block := list(islice(lines, READ_BLOCK)):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            records = [_loads(line.encode("utf-8") if isinstance(line, str) else line) for line in block]
+        finally:
+            if enabled:
+                gc.enable()
+        records = [record for record in records if record is not _BLANK]
+        if records:
+            yield records
+
+
+def read_table(
+    source: str | os.PathLike | Iterable[bytes | str],
+    what: str,
+    id_key: str,
+    parse_block: Callable[[list], tuple],
+    build: Callable[[list[tuple]], T],
+    parse_record: Callable[[dict], Any],
+    from_rows: Callable[[dict], T],
+) -> T:
+    """A JSONL file, or its lines, read into columns.
+
+    ``parse_block`` turns each block of decoded records into column parts,
+    and ``build`` joins the parts of the whole input into the table and runs
+    the whole-table checks. Either raises (:class:`_NotColumnar` or an
+    error of a bad value) on input it does not take; the input is then read
+    again by :func:`read_jsonl` with ``parse_record``, whose per-record
+    checks raise the PoolFormatError naming the file and line, and whose
+    rows, if every record passes, ``from_rows`` turns into the table.
+    """
+    if not isinstance(source, (str, os.PathLike)):
+        source = list(source)  # to read it again
+    try:
+        if isinstance(source, list):
+            return build([parse_block(block) for block in _decoded_blocks(source)])
+        with open(source, "rb") as fh:
+            return build([parse_block(block) for block in _decoded_blocks(fh)])
+    except (_NotColumnar, KeyError, ValueError, TypeError, OverflowError, RecursionError):
+        pass
+    return from_rows(read_jsonl(source, what, id_key, parse_record))
+
+
+_DICT, _LIST, _STR = {dict}, {list}, {str}
+
+
+def _check_objects(records: list, fields: frozenset[str]) -> None:
+    """JSON objects with no keys outside ``fields``."""
+    if set(map(type, records)) - _DICT or not fields.issuperset(chain.from_iterable(records)):
+        raise _NotColumnar
+
+
+def _check_ids(ids: tuple) -> None:
+    if set(map(type, ids)) - _STR:
+        raise _NotColumnar
+
+
+def _pair_numbers(points: Iterable) -> list:
+    """The numbers of JSON ``[x, y]`` lists, flat."""
+    points = list(points)
+    if set(map(type, points)) - _LIST or set(map(len, points)) - {2}:
+        raise _NotColumnar
+    return list(chain.from_iterable(points))
+
+
+def _path_numbers(paths: Iterable, horizon: int) -> list:
+    """The numbers of JSON lists of ``horizon`` ``[x, y]`` lists, flat."""
+    paths = list(paths)
+    if horizon < 1 or set(map(type, paths)) - _LIST or set(map(len, paths)) - {horizon}:
+        raise _NotColumnar
+    return _pair_numbers(chain.from_iterable(paths))
+
+
+def _numbers(values: list) -> np.ndarray:
+    """JSON numbers as a float64 array, each converted as ``float()`` converts it."""
+    types = set(map(type, values))
+    if not _NUMBER_TYPES.issuperset(types):
+        raise _NotColumnar
+    if int in types:
+        values = list(map(float, values))
+    return np.array(values, dtype=float)
+
+
+_CLIP_COLUMNS = itemgetter("id", "weather", "lighting", "frames", "gt_future")
+
+
+def _pool_block(records: list, horizon: int) -> tuple:
+    """The column parts of a block of pool records."""
+    _check_objects(records, _CLIP_FIELDS)
+    ids, weather, lighting, frames, gt_futures = zip(*map(_CLIP_COLUMNS, records))
+    _check_ids(ids)
+    if not all(ids) or set(map(type, frames)) - _LIST:
+        raise _NotColumnar
+    counts = list(map(len, frames))
+    if 0 in counts:
+        raise _NotColumnar
+    frames = list(chain.from_iterable(frames))
+    speeds = list(map(_SPEED, frames))
+    numbers = _numbers(speeds + _path_numbers(gt_futures, horizon))
+    return (
+        ids,
+        bytes(map(_WEATHER_CODES.__getitem__, weather)),
+        bytes(map(_LIGHTING_CODES.__getitem__, lighting)),
+        counts,
+        bytes(map(_COMMAND_CODES.__getitem__, map(_COMMAND, frames))),
+        numbers[: len(speeds)],
+        numbers[len(speeds) :],
+        [record.get("annotation") for record in records],
+    )
+
+
+def _pool_table(parts: list[tuple], horizon: int) -> ClipTable:
+    """The table of a pool's block parts; the whole-table value checks."""
+    if not parts:
+        raise _NotColumnar
+    ids, weather, lighting, counts, commands, speeds, points, annotations = zip(*parts)
+    table = ClipTable(
+        ids=tuple(chain.from_iterable(ids)),
+        weather=np.frombuffer(b"".join(weather), dtype=np.int8),
+        lighting=np.frombuffer(b"".join(lighting), dtype=np.int8),
+        offsets=_offsets(list(chain.from_iterable(counts))),
+        speeds=np.concatenate(speeds),
+        commands=np.frombuffer(b"".join(commands), dtype=np.int8),
+        gt_future=np.concatenate(points).reshape(-1, horizon, 2),
+        annotations=tuple(chain.from_iterable(annotations)),
+    )
+    speeds = table.speeds
+    if not (np.isfinite(speeds).all() and (speeds >= 0).all() and np.isfinite(table.gt_future).all()):
+        raise _NotColumnar
+    return table
+
+
+def parse_pool_lines(lines: str | os.PathLike | Iterable[str], horizon: int = 6) -> ClipTable:
+    """The table of the pool file at a path, or of pool lines, read by
+    :func:`read_table` with :func:`clip_from_dict`'s checks."""
+    return read_table(
+        lines, "pool", "id",
+        partial(_pool_block, horizon=horizon),
+        partial(_pool_table, horizon=horizon),
+        partial(clip_from_dict, horizon=horizon),
+        lambda rows: clip_table(list(rows.values())),
+    )
+
+
+def load_pool(path: str | os.PathLike, horizon: int = 6) -> tuple[ClipTable, SelectionState]:
     """Load a pool file; all clips start unlabeled, in file order."""
     clips = parse_pool_lines(path, horizon=horizon)
-    return clips, SelectionState(c.id for c in clips)
+    return clips, SelectionState(clips.ids)
 
 
 def save_pool(clips: Sequence[ClipRecord], path: str | os.PathLike) -> None:

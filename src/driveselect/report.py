@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .pool import ClipRecord, atomic_write_text, classify_command
+from .pool import COMMAND_CLASSES, LIGHTING_VALUES, WEATHER_VALUES, ClipRecord, ClipTable, atomic_write_text, clip_table
 from .synthworld import summarize_evals
 
 STEP_COUNT = 6       # fixed six steps at 0.5 s; other horizons are rejected here
@@ -80,7 +80,7 @@ def overlap_matrix(sets: Mapping[str, Iterable[str]]) -> tuple[list[str], np.nda
     return labels, mat
 
 
-def stratified_metrics(evals: Mapping, clips: Sequence[ClipRecord], tau_c: int) -> dict[str, dict]:
+def stratified_metrics(evals: Mapping, clips: ClipTable | Sequence[ClipRecord], tau_c: int) -> dict[str, dict]:
     """Per-scenario (avg DE, proxy collision %) table of the columns of
     :func:`~driveselect.synthworld.evaluate_clips`.
 
@@ -88,16 +88,21 @@ def stratified_metrics(evals: Mapping, clips: Sequence[ClipRecord], tau_c: int) 
     command stratum, and "All". Empty strata are absent from the result, not
     reported as zero.
     """
-    clips_by_id = {c.id: c for c in clips}
-    strata = []
-    for clip_id in evals["clip_id"]:
-        if clip_id not in clips_by_id:
-            raise KeyError(f"evaluated clip {clip_id!r} not in pool")
-        clip = clips_by_id[clip_id]
-        strata.append((clip.lighting, clip.weather, classify_command(clip, tau_c), "All"))
+    clips = clip_table(clips)
+    try:
+        rows = clips.rows_of(evals["clip_id"])
+    except KeyError as exc:
+        raise KeyError(f"evaluated clip {exc.args[0]!r} not in pool") from None
+    masks = {"All": np.ones(len(rows), dtype=bool)}
+    for names, codes in (
+        (LIGHTING_VALUES, clips.lighting[rows]),
+        (WEATHER_VALUES, clips.weather[rows]),
+        (COMMAND_CLASSES, clips.command_classes(tau_c)[rows]),
+    ):
+        masks.update((name, codes == code) for code, name in enumerate(names))
     table: dict[str, dict] = {}
     for key in STRATA_ORDER:
-        mask = np.array([key in keys for keys in strata], dtype=bool)
+        mask = masks[key]
         count = int(mask.sum())
         if count:
             avg_de, collision_pct = summarize_evals({"de": evals["de"][mask], "collided": evals["collided"][mask]})

@@ -14,9 +14,11 @@ informative signal at desk scale, not to model perception, and is labeled as
 such.
 
 A clip's hidden truth (:class:`ClipTruth`) is arrays: the ego future (H, 2),
-and its A agents' ids, starts (A, 2) and tracks (A, H, 2), which the planner
-and evaluation index and concatenate. The truth file holds the same floats:
-written with ``.tolist()``, read back through the pool's waypoint checks.
+and its A agents' ids, starts (A, 2) and tracks (A, H, 2). A loaded truth
+file is a :class:`TruthTable`, the same arrays for every clip, whose rows are
+ClipTruth views; the planner and evaluation index its columns. The truth file
+holds the same floats: written with ``.tolist()``, read back with the pool's
+waypoint checks.
 
 Generation is bit-stable, and changing it changes the written files. Clip
 ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``, which is
@@ -40,9 +42,12 @@ import math
 import os
 from bisect import bisect_right
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Mapping, Sequence
+from itertools import chain
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -51,17 +56,25 @@ from .pool import (
     BUCKETS,
     COMMAND_CLASSES,
     ClipRecord,
+    ClipTable,
     _check_fields,
     _check_finite_point,
+    _check_ids,
+    _check_objects,
     _check_path,
     _check_string,
+    _NotColumnar,
+    _numbers,
+    _pair_numbers,
+    _path_numbers,
+    _unchecked,
     atomic_outputs,
-    classify_command,
+    clip_table,
     clip_to_dict,
     encode_line,
-    mean_speed,
-    read_jsonl,
-    weather_lighting_bucket,
+    ragged_take,
+    read_table,
+    row_index,
     write_jsonl,
 )
 
@@ -115,14 +128,82 @@ class WorldConfig:
 class ClipTruth:
     """Hidden ground truth for one clip: revealed only to evaluation and,
     for labeled clips, to the provider. Its A agents move at constant
-    velocity in the clip's local frame. Readers share the arrays, so none
-    may write to them."""
+    velocity in the clip's local frame. The rows of a :class:`TruthTable`
+    are ClipTruth views whose arrays are slices of the table's columns.
+    Readers share the arrays, so none may write to them."""
 
     clip_id: str
     ego_future: np.ndarray         # (H, 2)
     agent_ids: tuple[str, ...]     # (A,)
     starts: np.ndarray             # (A, 2)
     tracks: np.ndarray             # (A, H, 2)
+
+
+@dataclass(frozen=True, eq=False)
+class TruthTable(Mapping):
+    """The truth of N clips as columns, with their A agents clip by clip.
+
+    A Mapping from clip id to a :class:`ClipTruth` view of that clip's rows.
+    Readers share the arrays, so none may write to them.
+    """
+
+    clip_ids: tuple[str, ...]
+    ego_future: np.ndarray         # (N, H, 2)
+    agent_clip: np.ndarray         # (A,) row of each agent's clip, non-decreasing
+    agent_ids: np.ndarray          # (A,) str objects
+    starts: np.ndarray             # (A, 2)
+    tracks: np.ndarray             # (A, H, 2)
+    _rows: dict = field(init=False, repr=False)
+    _offsets: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        rows = row_index(self.clip_ids, "a truth table")
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_offsets", np.searchsorted(self.agent_clip, np.arange(len(rows) + 1)))
+
+    def __len__(self) -> int:
+        return len(self.clip_ids)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.clip_ids)
+
+    def __contains__(self, clip_id: object) -> bool:
+        return clip_id in self._rows
+
+    def __getitem__(self, clip_id: str) -> ClipTruth:
+        row = self._rows[clip_id]
+        agents = slice(self._offsets[row], self._offsets[row + 1])
+        return _unchecked(
+            ClipTruth, clip_id, self.ego_future[row], tuple(self.agent_ids[agents].tolist()),
+            self.starts[agents], self.tracks[agents],
+        )
+
+    def rows_of(self, clip_ids: Sequence[str]) -> np.ndarray:
+        """The rows of the given clip ids; an unknown id raises KeyError."""
+        return np.array([self._rows[i] for i in clip_ids], dtype=np.intp)
+
+    def agents_in(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The agents of the given rows, row after row: each one's position
+        in ``rows``, and its index in the agent columns."""
+        agents, counts = ragged_take(self._offsets, rows)
+        return np.repeat(np.arange(len(rows)), counts), agents
+
+
+def truth_table(truth: Mapping[str, ClipTruth]) -> TruthTable:
+    """``truth`` as a table: a TruthTable as it is, and any other mapping
+    from clip id converted, in its order."""
+    if isinstance(truth, TruthTable):
+        return truth
+    rows = list(truth.values())
+    horizon = len(rows[0].ego_future) if rows else 0
+    return TruthTable(
+        clip_ids=tuple(truth),
+        ego_future=np.array([t.ego_future for t in rows], dtype=float).reshape(len(rows), horizon, 2),
+        agent_clip=np.repeat(np.arange(len(rows)), [len(t.agent_ids) for t in rows]),
+        agent_ids=np.array([agent_id for t in rows for agent_id in t.agent_ids], dtype=object),
+        starts=np.concatenate([np.empty((0, 2)), *(t.starts for t in rows)]),
+        tracks=np.concatenate([np.empty((0, horizon, 2)), *(t.tracks for t in rows)]),
+    )
 
 
 def _rotation(angle: float) -> np.ndarray:
@@ -370,10 +451,57 @@ def _truth_from_dict(record: dict, horizon: int) -> ClipTruth:
     )
 
 
-def load_truth(path: str | os.PathLike, horizon: int = 6) -> dict[str, ClipTruth]:
-    """Load a truth file; every future and agent track has ``horizon`` finite
-    points, and every ``agent_id`` is a JSON string."""
-    return read_jsonl(path, "truth", "clip_id", partial(_truth_from_dict, horizon=horizon))
+_TRUTH_COLUMNS = itemgetter("clip_id", "ego_future", "agents")
+_AGENT_COLUMNS = itemgetter("agent_id", "start", "track")
+
+
+def _truth_block(records: list, horizon: int) -> tuple:
+    """The column parts of a block of truth records."""
+    _check_objects(records, _TRUTH_FIELDS)
+    ids, egos, agents = zip(*map(_TRUTH_COLUMNS, records))
+    _check_ids(ids)
+    if set(map(type, agents)) - {list}:
+        raise _NotColumnar
+    counts = list(map(len, agents))
+    agents = list(chain.from_iterable(agents))
+    _check_objects(agents, _TRUTH_AGENT_FIELDS)
+    agent_ids, starts, tracks = zip(*map(_AGENT_COLUMNS, agents)) if agents else ((), (), ())
+    _check_ids(agent_ids)
+    ego, start, track = _path_numbers(egos, horizon), _pair_numbers(starts), _path_numbers(tracks, horizon)
+    numbers = _numbers(ego + start + track)
+    return ids, counts, agent_ids, *np.split(numbers, [len(ego), len(ego) + len(start)])
+
+
+def _truth_table(parts: list[tuple], horizon: int) -> TruthTable:
+    """The table of a truth file's block parts; the whole-table value checks."""
+    if not parts:
+        raise _NotColumnar
+    ids, counts, agent_ids, egos, starts, tracks = zip(*parts)
+    counts = list(chain.from_iterable(counts))
+    agent_ids = list(chain.from_iterable(agent_ids))
+    table = TruthTable(
+        clip_ids=tuple(chain.from_iterable(ids)),
+        ego_future=np.concatenate(egos).reshape(-1, horizon, 2),
+        agent_clip=np.repeat(np.arange(len(counts)), counts),
+        agent_ids=np.fromiter(agent_ids, dtype=object, count=len(agent_ids)),
+        starts=np.concatenate(starts).reshape(-1, 2),
+        tracks=np.concatenate(tracks).reshape(-1, horizon, 2),
+    )
+    if not all(np.isfinite(a).all() for a in (table.ego_future, table.starts, table.tracks)):
+        raise _NotColumnar
+    return table
+
+
+def load_truth(path: str | os.PathLike, horizon: int = 6) -> TruthTable:
+    """Load a truth file into a table; every future and agent track has
+    ``horizon`` finite points, and every ``agent_id`` is a JSON string."""
+    return read_table(
+        path, "truth", "clip_id",
+        partial(_truth_block, horizon=horizon),
+        partial(_truth_table, horizon=horizon),
+        partial(_truth_from_dict, horizon=horizon),
+        truth_table,
+    )
 
 
 GEN_CHUNK = 250  # clips per generation task; bounds gen's memory
@@ -443,18 +571,6 @@ KNN_BLOCK = 128     # queries per k-NN block; bounds the distance arrays
 STRATUM_GAP = math.sqrt(2.0)
 
 
-def _agents_of(truths: Sequence[ClipTruth], horizon: int) -> tuple[np.ndarray, ...]:
-    """Every agent of ``truths``, in order, as arrays: its row in ``truths``,
-    its id, start (A, 2) and track (A, ``horizon``, 2)."""
-    counts = [len(t.agent_ids) for t in truths]
-    return (
-        np.repeat(np.arange(len(truths), dtype=np.intp), counts),
-        np.array([agent_id for t in truths for agent_id in t.agent_ids], dtype=object),
-        np.concatenate([np.empty((0, 2)), *(t.starts for t in truths)]),
-        np.concatenate([np.empty((0, horizon, 2)), *(t.tracks for t in truths)]),
-    )
-
-
 def _strata(feats: np.ndarray) -> np.ndarray:
     """(bucket, command) stratum code of each feature row."""
     n_b = len(BUCKETS)
@@ -486,29 +602,28 @@ class ToyPlanner:
 
     def __init__(
         self,
-        clips: Sequence[ClipRecord],
+        clips: ClipTable | Sequence[ClipRecord],
         truth: Mapping[str, ClipTruth],
         *,
         tau_c: int = 4,
         n_neighbors: int = 5,
     ):
-        self._clips = {c.id: c for c in clips}
-        if len(self._clips) != len(clips):
-            raise ValueError("duplicate clip ids")
-        self._truth = dict(truth)
+        self._clips = clip_table(clips)
+        self._truth = truth_table(truth)
         self.tau_c = tau_c
         self.n_neighbors = n_neighbors
         self.trained_ids: tuple[str, ...] = ()
         self._exemplar_feats: np.ndarray | None = None
         self._exemplar_futures: np.ndarray | None = None
         self._forecasts: PredictionBatch | None = None
-
-    def _features(self, clip: ClipRecord) -> np.ndarray:
-        feats = np.zeros(len(BUCKETS) + len(COMMAND_CLASSES) + 1)
-        feats[BUCKETS.index(weather_lighting_bucket(clip))] = 1.0
-        feats[len(BUCKETS) + COMMAND_CLASSES.index(classify_command(clip, self.tau_c))] = 1.0
-        feats[-1] = mean_speed(clip) / SPEED_SCALE
-        return feats
+        # Every clip's features, built once: bucket one-hot, command one-hot,
+        # mean speed / SPEED_SCALE.
+        n = len(self._clips)
+        self._mean_speeds = self._clips.mean_speeds()
+        self._features = np.zeros((n, len(BUCKETS) + len(COMMAND_CLASSES) + 1))
+        self._features[np.arange(n), self._clips.buckets()] = 1.0
+        self._features[np.arange(n), len(BUCKETS) + self._clips.command_classes(tau_c)] = 1.0
+        self._features[:, -1] = self._mean_speeds / SPEED_SCALE
 
     def train(self, labeled_ids: Sequence[str]) -> None:
         """Store exemplars for the labeled clips; their truth is now revealed."""
@@ -521,22 +636,22 @@ class ToyPlanner:
             self._exemplar_feats = None
             self._exemplar_futures = None
             return
-        self._exemplar_feats = np.stack([self._features(self._clips[clip_id]) for clip_id in ids])
-        self._exemplar_futures = np.stack([self._truth[clip_id].ego_future for clip_id in ids])
+        self._exemplar_feats = self._features[self._clips.rows_of(ids)]
+        self._exemplar_futures = self._truth.ego_future[self._truth.rows_of(ids)]
 
     @property
     def is_trained(self) -> bool:
         return self._exemplar_feats is not None
 
-    def _plans(self, clips: Sequence[ClipRecord]) -> np.ndarray:
-        horizon = len(clips[0].gt_future)
+    def _plans(self, clip_rows: np.ndarray) -> np.ndarray:
+        """The k-NN plans of the clips at the given table rows."""
+        horizon = self._clips.horizon
         steps = np.arange(1, horizon + 1) * FRAME_DT
         if not self.is_trained:
-            plans = np.zeros((len(clips), horizon, 2))
-            for i, clip in enumerate(clips):
-                plans[i, :, 0] = mean_speed(clip) * steps
+            plans = np.zeros((len(clip_rows), horizon, 2))
+            plans[:, :, 0] = self._mean_speeds[clip_rows, None] * steps
             return plans
-        queries = np.stack([self._features(c) for c in clips])
+        queries = self._features[clip_rows]
         exemplars = self._exemplar_feats
         k = min(self.n_neighbors, len(exemplars))
         q_strata, e_strata = _strata(queries), _strata(exemplars)
@@ -565,9 +680,11 @@ class ToyPlanner:
     def _build_forecasts(self) -> PredictionBatch:
         """Agent forecasts of every clip with truth, in one array pass; the ego
         plans are placeholders that :meth:`predict` replaces."""
-        clip_ids = [clip_id for clip_id in self._clips if clip_id in self._truth]
-        horizon = len(next(iter(self._clips.values())).gt_future) if self._clips else 0
-        rows, agent_ids, starts, tracks = _agents_of([self._truth[clip_id] for clip_id in clip_ids], horizon)
+        clip_ids = [clip_id for clip_id in self._clips.ids if clip_id in self._truth]
+        horizon = self._clips.horizon
+        rows, agents = self._truth.agents_in(self._truth.rows_of(clip_ids))
+        agent_ids, starts, tracks = (self._truth.agent_ids[agents], self._truth.starts[agents],
+                                     self._truth.tracks[agents])
         d0 = _norms(starts)
         keep = np.flatnonzero(d0 <= self.AGENT_RADIUS)
         rows, agent_ids, starts, tracks = rows[keep], agent_ids[keep], starts[keep], tracks[keep]
@@ -598,12 +715,12 @@ class ToyPlanner:
         )
 
     def predict(self, ids: Sequence[str]) -> Mapping[str, ClipPrediction]:
-        clips = [self._clips[i] for i in ids]
-        if not clips:
+        rows = self._clips.rows_of(ids)
+        if not len(rows):
             return {}
         if self._forecasts is None:
             self._forecasts = self._build_forecasts()
-        return replace(self._forecasts.take(ids), ego_plans=self._plans(clips))
+        return replace(self._forecasts.take(ids), ego_plans=self._plans(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -613,19 +730,21 @@ class ToyPlanner:
 COLLISION_RADIUS = 0.5  # meters; proxy threshold against true agent tracks
 
 
-def evaluate_clips(provider, clips: Sequence[ClipRecord], truth: Mapping[str, ClipTruth]) -> dict:
+def evaluate_clips(provider, clips: ClipTable | Sequence[ClipRecord], truth: Mapping[str, ClipTruth]) -> dict:
     """The provider's plans for ``clips`` against the hidden truth, as columns
     in clip order: ``clip_id`` (the id tuple), ``de`` (N,) and ``step_errors``
     (N, H) displacement errors in meters, and ``collided`` (N,) bool."""
-    if not clips:
+    clips = clip_table(clips)
+    if not len(clips):
         return {"clip_id": (), "de": np.empty(0), "step_errors": np.empty((0, 0)), "collided": np.zeros(0, bool)}
-    batch = prediction_batch(provider.predict([c.id for c in clips]), clips)
+    batch = prediction_batch(provider.predict(list(clips.ids)), clips)
     plans = batch.ego_plans
-    truths = [truth[c.id] for c in clips]
-    step_errors = _distances(plans, np.stack([t.ego_future for t in truths]))
-    rows, _, _, paths = _agents_of(truths, plans.shape[1])
+    truth = truth_table(truth)
+    rows = truth.rows_of(clips.ids)
+    step_errors = _distances(plans, truth.ego_future[rows])
+    owners, agents = truth.agents_in(rows)
     collided = np.zeros(len(clips), dtype=bool)
-    collided[rows[_distances(plans[rows], paths).min(axis=1) < COLLISION_RADIUS]] = True
+    collided[owners[_distances(plans[owners], truth.tracks[agents]).min(axis=1) < COLLISION_RADIUS]] = True
     return {"clip_id": batch.clip_ids, "de": step_errors.mean(axis=1), "step_errors": step_errors, "collided": collided}
 
 
@@ -639,14 +758,15 @@ def summarize_evals(evals: Mapping[str, np.ndarray]) -> tuple[float, float]:
 
 
 def heldout_eval(
-    provider, heldout_clips: Sequence[ClipRecord], truth: Mapping[str, ClipTruth]
+    provider, heldout_clips: ClipTable | Sequence[ClipRecord], truth: Mapping[str, ClipTruth]
 ) -> tuple[float, float]:
     """(average displacement error in meters, proxy collision rate in percent)
     of the provider's plans on the held-out clips.
 
     The held-out set must be disjoint from the clips the provider trained on.
     """
-    overlap = set(getattr(provider, "trained_ids", ())) & {c.id for c in heldout_clips}
+    heldout_clips = clip_table(heldout_clips)
+    overlap = set(getattr(provider, "trained_ids", ())) & set(heldout_clips.ids)
     if overlap:
         raise ValueError(f"held-out clips overlap training set: {sorted(overlap)[:5]}")
     return summarize_evals(evaluate_clips(provider, heldout_clips, truth))

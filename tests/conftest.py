@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import operator
 import zlib
 from collections import namedtuple
 
@@ -11,6 +13,30 @@ import pytest
 from driveselect.criteria import SCORE_COLUMNS, AgentForecast, ClipPrediction
 from driveselect.pool import ClipRecord, encode_line
 from driveselect.synthworld import ClipTruth
+
+
+def reference_bucket(clip) -> str:
+    """The weather-lighting bucket, as the per-clip formula computed it
+    before the pool became columns."""
+    return ("D" if clip.lighting == "Day" else "N") + ("S" if clip.weather == "Sunny" else "R")
+
+
+def reference_command_class(clip, tau_c: int) -> str:
+    """The command class, as the per-clip formula counted it."""
+    n_left, n_right = clip.commands.count("Left"), clip.commands.count("Right")
+    if n_left >= tau_c and n_right >= tau_c:
+        return "O"
+    if n_left >= tau_c:
+        return "L"
+    if n_right >= tau_c:
+        return "R"
+    return "S"
+
+
+def reference_mean_speed(clip) -> float:
+    """``sum(speeds) / len(speeds)`` with the sum taken left to right from 0,
+    as Python 3.11's ``sum`` takes it."""
+    return functools.reduce(operator.add, clip.speeds, 0) / len(clip.speeds)
 
 
 def jsonl_lines(records) -> list[str]:

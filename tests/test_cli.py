@@ -590,6 +590,26 @@ class TestReport:
         for line, label, row in zip(lines[2:], doc["labels"], mat, strict=True):
             assert line.split("\t") == [label, *map(repr, row)]
 
+    def test_selection_labels_name_the_directory_of_every_shared_stem(self, world, tmp_path):
+        """Files whose stems collide are all labelled <parent>/<stem>, the first
+        one too; a full collision keeps its :<n> suffix, and a unique stem stays bare."""
+        pool, truth = world
+        for name in ("run_de", "run_sc"):
+            run_cli("run", "--pool", pool, "--truth", truth, "--out-dir", tmp_path / name, "--criterion", "de")
+        (tmp_path / "other.json").write_text((tmp_path / "run_sc" / "selection.json").read_text())
+        out = tmp_path / "rep"
+        assert run_cli(
+            "report",
+            "--selection", tmp_path / "run_de" / "selection.json",
+            "--selection", tmp_path / "run_sc" / "selection.json",
+            "--selection", tmp_path / "run_sc" / "selection.json",
+            "--selection", tmp_path / "other.json",
+            "--out-dir", out,
+        ) == 0
+        labels = ["run_de/selection", "run_sc/selection", "run_sc/selection:2", "other"]
+        assert json.loads((out / "overlap.json").read_text())["labels"] == labels
+        assert (out / "overlap.tsv").read_text().splitlines()[1] == "\t".join(["set", *labels])
+
     def test_bad_manifest_schema_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"not": "a manifest"}))

@@ -4,10 +4,17 @@ import json
 import os
 import re
 import stat
+import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from driveselect import pool as pool_module
 
 from driveselect.pool import (
     BUCKETS,
@@ -180,7 +187,59 @@ class TestPoolIO:
         for case in range(N_CASES):
             n = int(rng.integers(1, 6))
             clips = [random_clip(rng, f"p{case}_c{i}") for i in range(n)]
-            assert parse_pool_lines(jsonl_lines(map(clip_to_dict, clips))) == clips
+            assert list(parse_pool_lines(jsonl_lines(map(clip_to_dict, clips)))) == clips
+
+
+#: Decimals with 19 to 40 fraction digits, a sign, an integer part and an
+#: optional exponent: the numbers the decoder leaves to orjson.
+LONG_FRACTIONS = st.builds(
+    "{}{}.{}{}".format,
+    st.sampled_from(["", "-"]),
+    st.integers(0, 10**6),
+    st.text("0123456789", min_size=19, max_size=40),
+    st.just("") | st.builds("{}{}{}".format, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), st.integers(0, 400)),
+)
+
+
+class TestLongFractions:
+    """orjson parses long fractions as json.loads does, so lines holding them
+    stay on the orjson path; long integer runs still go to json.loads."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(literal=LONG_FRACTIONS)
+    def test_orjson_parses_long_fractions_as_json_loads(self, literal):
+        want = json.loads(literal)
+        try:
+            got = orjson.loads(literal)
+        except orjson.JSONDecodeError:  # out of range: the decoder falls back
+            assert not np.isfinite(want)
+            return
+        assert type(got) is float and struct.pack("<d", got) == struct.pack("<d", want), (literal, got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(literal=LONG_FRACTIONS)
+    def test_fraction_lines_take_orjson(self, literal):
+        line = f'{{"gt_future": [[{literal}, 0.5]], "n": 123456789012345678}}'.encode()
+        want = json.loads(line)
+        if not np.isfinite(want["gt_future"][0][0]):
+            return
+        with mock.patch.object(pool_module.json, "loads", side_effect=AssertionError("json.loads used")):
+            got = pool_module._loads(line)
+        assert struct.pack("<d", got["gt_future"][0][0]) == struct.pack("<d", want["gt_future"][0][0])
+
+    @pytest.mark.parametrize("literal", [
+        "1234567890123456789",          # an integer of 19 digits
+        "-12345678901234567890123",
+        "1234567890123456789.5",        # the integer part of a decimal
+        "0.5e1234567890123456789",      # an exponent
+        "0.1234567890123456789e-0000000000000000001",
+    ])
+    def test_long_integer_runs_take_json_loads(self, literal):
+        line = f'{{"x": [0.12345678901234567890123, {literal}]}}'.encode()
+        with mock.patch.object(pool_module.json, "loads", wraps=json.loads) as loads:
+            got = pool_module._loads(line)
+        assert loads.call_count == 1
+        assert got == json.loads(line)
 
 
 def _mode(path) -> int:
@@ -258,7 +317,7 @@ class TestGeneratedFiles:
             retained = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert parsed == clips
+        assert list(parsed) == clips
         assert retained < 6.5 * 10**6
 
 

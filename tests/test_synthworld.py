@@ -24,7 +24,6 @@ from driveselect.pool import (
     ClipRecord,
     classify_command,
     clip_to_dict,
-    mean_speed,
     save_pool,
     weather_lighting_bucket,
 )
@@ -35,6 +34,7 @@ from driveselect.synthworld import (
     DEFAULT_MANEUVER_PROBS,
     FRAME_DT,
     HISTORY_FRAMES,
+    SPEED_SCALE,
     ToyPlanner,
     WorldConfig,
     _choice_cdf,
@@ -52,9 +52,24 @@ from driveselect.synthworld import (
 )
 from driveselect.pool import load_pool
 
-from conftest import jsonl_lines, make_truth
+from conftest import jsonl_lines, make_truth, reference_bucket, reference_command_class, reference_mean_speed
 
 N_CASES = 1000
+
+
+def reference_features(clip, tau_c):
+    """Reference features: the per-clip 9-vector ToyPlanner built on every
+    predict before it built every clip's row once from the pool's columns."""
+    feats = np.zeros(len(BUCKETS) + len(COMMAND_CLASSES) + 1)
+    feats[BUCKETS.index(reference_bucket(clip))] = 1.0
+    feats[len(BUCKETS) + COMMAND_CLASSES.index(reference_command_class(clip, tau_c))] = 1.0
+    feats[-1] = reference_mean_speed(clip) / SPEED_SCALE
+    return feats
+
+
+def plans_of(planner, clips):
+    """``ToyPlanner._plans`` of clips of the planner's pool."""
+    return planner._plans(planner._clips.rows_of([c.id for c in clips]))
 
 
 def brute_force_plans(planner, clips):
@@ -65,9 +80,9 @@ def brute_force_plans(planner, clips):
     if not planner.is_trained:
         plans = np.zeros((len(clips), horizon, 2))
         for i, clip in enumerate(clips):
-            plans[i, :, 0] = mean_speed(clip) * steps
+            plans[i, :, 0] = reference_mean_speed(clip) * steps
         return plans
-    queries = np.stack([planner._features(c) for c in clips])
+    queries = np.stack([reference_features(c, planner.tau_c) for c in clips])
     dists = np.linalg.norm(queries[:, None, :] - planner._exemplar_feats[None, :, :], axis=2)
     k = min(planner.n_neighbors, len(planner._exemplar_feats))
     nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
@@ -640,7 +655,7 @@ class TestStratumLocalKnn:
     """``ToyPlanner._plans`` must equal the brute-force k-NN bit for bit."""
 
     def assert_matches_reference(self, planner, clips):
-        assert np.array_equal(planner._plans(clips), brute_force_plans(planner, clips))
+        assert np.array_equal(plans_of(planner, clips), brute_force_plans(planner, clips))
 
     def test_random_labeled_sets_over_seeded_worlds(self):
         for seed in range(4):
@@ -670,7 +685,7 @@ class TestStratumLocalKnn:
         planner = planner_over(exemplars + queries, [c.id for c in exemplars], n_neighbors=5)
         self.assert_matches_reference(planner, queries)
         # q0's five nearest are the lowest ids at gap 0.5 from either side: e0..e4.
-        plan = planner._plans(queries[:1])[0]
+        plan = plans_of(planner, queries[:1])[0]
         assert plan[0, 1] == sum(2.0**i for i in range(5)) / 5
 
     def test_sparse_and_empty_strata_fall_back_to_all_exemplars(self):
@@ -700,7 +715,7 @@ class TestStratumLocalKnn:
         query = [tagged_clip("q", 40.0)]
         planner = planner_over(same + other + query, [c.id for c in same + other], n_neighbors=3)
         self.assert_matches_reference(planner, query)
-        assert planner._plans(query)[0, 0, 1] == 101.0  # the three nearest are b0..b2
+        assert plans_of(planner, query)[0, 0, 1] == 101.0  # the three nearest are b0..b2
 
     def test_untrained_fallback(self):
         clips, truth = generate_world(WorldConfig(n_clips=50, seed=2, agent_rate=0.0))
@@ -714,7 +729,7 @@ class TestStratumLocalKnn:
         clips, truth = generate_world(WorldConfig(n_clips=4500, seed=5, agent_rate=0.0))
         planner = ToyPlanner(clips, truth)
         planner.train([c.id for c in clips[:1500]])
-        queries = clips[1500:]
+        queries = planner._clips.rows_of([c.id for c in clips[1500:]])
         tracemalloc.start()
         try:
             planner._plans(queries)

@@ -1,0 +1,485 @@
+"""Pool and truth files as column tables: ClipTable and TruthTable against the
+per-record loaders and per-clip formulas they replaced."""
+
+import json
+import tracemalloc
+from functools import partial
+from itertools import accumulate
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from driveselect import pool as pool_module
+from driveselect.cli import main
+from driveselect.criteria import _distances, prediction_batch, save_predictions
+from driveselect.diversity import STRATUM_ORDER, ego_diversity_init, stratify
+from driveselect.pool import (
+    COMMAND_VALUES,
+    LIGHTING_VALUES,
+    WEATHER_VALUES,
+    ClipRecord,
+    ClipTable,
+    classify_command,
+    clip_from_dict,
+    clip_table,
+    clip_to_dict,
+    encode_line,
+    load_pool,
+    mean_speed,
+    parse_pool_lines,
+    read_jsonl,
+    save_pool,
+    weather_lighting_bucket,
+)
+from driveselect.synthworld import (
+    ClipTruth,
+    ToyPlanner,
+    TruthTable,
+    WorldConfig,
+    _truth_from_dict,
+    evaluate_clips,
+    generate_pool,
+    generate_world,
+    load_truth,
+    truth_table,
+    truth_to_dict,
+)
+
+from conftest import random_clip, reference_bucket, reference_command_class, reference_mean_speed
+from test_boundary import mutate_line
+
+
+def reference_load_pool(source, horizon=6) -> list[ClipRecord]:
+    """The pool loader before the pool became columns: one checked
+    ClipRecord per line."""
+    return list(read_jsonl(source, "pool", "id", partial(clip_from_dict, horizon=horizon)).values())
+
+
+def reference_load_truth(source, horizon=6) -> dict[str, ClipTruth]:
+    """The truth loader before truth became columns: three arrays per line."""
+    return read_jsonl(source, "truth", "clip_id", partial(_truth_from_dict, horizon=horizon))
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def assert_table_equals_rows(table: ClipTable, rows: list[ClipRecord]) -> None:
+    """Every column holds the records' values, floats bit for bit."""
+    assert table.ids == tuple(c.id for c in rows)
+    assert [WEATHER_VALUES[w] for w in table.weather.tolist()] == [c.weather for c in rows]
+    assert [LIGHTING_VALUES[v] for v in table.lighting.tolist()] == [c.lighting for c in rows]
+    assert table.offsets.tolist() == [0, *accumulate(len(c.speeds) for c in rows)]
+    assert table.speeds.dtype == float and table.speeds.tobytes() == bits([v for c in rows for v in c.speeds])
+    assert [COMMAND_VALUES[x] for x in table.commands.tolist()] == [x for c in rows for x in c.commands]
+    assert table.gt_future.tobytes() == bits([c.gt_future for c in rows])
+    assert table.annotations == tuple(c.annotation for c in rows)
+    views = list(table)
+    assert views == rows
+    assert {type(v) for c in views for v in (*c.speeds, *(x for p in c.gt_future for x in p))} <= {float}
+
+
+def assert_truth_equals_rows(table: TruthTable, rows: dict[str, ClipTruth]) -> None:
+    assert table.clip_ids == tuple(rows)
+    assert table.ego_future.tobytes() == bits([t.ego_future for t in rows.values()])
+    assert table.agent_clip.tolist() == [row for row, t in enumerate(rows.values()) for _ in t.agent_ids]
+    assert table.agent_ids.tolist() == [a for t in rows.values() for a in t.agent_ids]
+    for clip_id, want in rows.items():
+        got = table[clip_id]
+        assert got.clip_id == want.clip_id and got.agent_ids == want.agent_ids
+        for name in ("ego_future", "starts", "tracks"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype == float and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def no_row_path():
+    """Fails the test if a reader falls back to the per-record path."""
+    return mock.patch.object(pool_module, "read_jsonl", side_effect=AssertionError("per-record path taken"))
+
+
+# ---------------------------------------------------------------------------
+# Generated files: ragged frame counts, JSON integers, annotations, blank
+# lines and long fractions
+# ---------------------------------------------------------------------------
+
+#: Numbers as pool and truth files may hold them: floats, JSON integers (some
+#: of 19+ digits, which json.loads decodes), and fractions of 19+ digits.
+SPEEDS = (
+    st.floats(0, 40)
+    | st.integers(0, 40)
+    | st.integers(10**18, 10**24)
+    | st.sampled_from([0.0, -0.0, 5e-324, 0.00011746968799702769, 3.0000000000000004e-07])
+)
+COORDS = (
+    st.floats(-1e3, 1e3)
+    | st.integers(-50, 50)
+    | st.sampled_from([-0.0, -0.00011746968799702769, 1.2345678901234567e-05, -9.094947017729282e-13])
+)
+ANNOTATIONS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _points(draw, n):
+    return [[draw(COORDS), draw(COORDS)] for _ in range(n)]
+
+
+@st.composite
+def pool_records(draw, horizon):
+    records = []
+    for i in range(draw(st.integers(1, 12))):
+        record = {
+            "id": f"c{i}",
+            "weather": draw(st.sampled_from(WEATHER_VALUES)),
+            "lighting": draw(st.sampled_from(LIGHTING_VALUES)),
+            "frames": [{"speed": draw(SPEEDS), "command": draw(st.sampled_from(COMMAND_VALUES))}
+                       for _ in range(draw(st.integers(1, 6)))],
+            "gt_future": _points(draw, horizon),
+        }
+        if draw(st.booleans()):
+            record["annotation"] = draw(ANNOTATIONS)
+        records.append(record)
+    return records
+
+
+@st.composite
+def truth_records(draw, horizon):
+    return [
+        {
+            "clip_id": f"c{i}",
+            "ego_future": _points(draw, horizon),
+            "agents": [
+                {"agent_id": f"c{i}-a{j}", "start": _points(draw, 1)[0], "track": _points(draw, horizon)}
+                for j in range(draw(st.integers(0, 3)))
+            ],
+        }
+        for i in range(draw(st.integers(1, 12)))
+    ]
+
+
+@st.composite
+def jsonl_text(draw, records):
+    """Lines of the records, as the writer or json.dumps writes them, with
+    blank lines among them."""
+    lines = [draw(st.sampled_from([encode_line, lambda r: json.dumps(r).encode()]))(r).decode() for r in records]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    return lines
+
+
+class TestColumnsEqualRows:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), horizon=st.integers(1, 4), block=st.integers(1, 5))
+    def test_pool(self, data, horizon, block):
+        lines = data.draw(jsonl_text(data.draw(pool_records(horizon))))
+        want = reference_load_pool(lines, horizon)
+        with mock.patch.object(pool_module, "READ_BLOCK", block), no_row_path():
+            table = parse_pool_lines(lines, horizon)
+        assert_table_equals_rows(table, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), horizon=st.integers(1, 4), block=st.integers(1, 5))
+    def test_truth(self, tmp_path_factory, data, horizon, block):
+        lines = data.draw(jsonl_text(data.draw(truth_records(horizon))))
+        path = tmp_path_factory.mktemp("truth") / "truth.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        want = reference_load_truth(path, horizon)
+        with mock.patch.object(pool_module, "READ_BLOCK", block), no_row_path():
+            table = load_truth(path, horizon)
+        assert_truth_equals_rows(table, want)
+
+    def test_generated_files(self, tmp_path):
+        pool, truth = tmp_path / "pool.jsonl", tmp_path / "truth.jsonl"
+        generate_pool(WorldConfig(n_clips=300, seed=7, agent_rate=3.0), pool, truth)
+        with no_row_path():
+            table, state = load_pool(pool)
+            truth_columns = load_truth(truth)
+        assert state.pool_ids == table.ids
+        assert_table_equals_rows(table, reference_load_pool(pool))
+        assert_truth_equals_rows(truth_columns, reference_load_truth(truth))
+
+    def test_truth_rows_are_views(self, tmp_path):
+        _, truth = generate_world(WorldConfig(n_clips=20, seed=3, agent_rate=3.0))
+        table = truth_table(truth)
+        row = table[next(i for i, t in truth.items() if len(t.agent_ids))]
+        assert np.shares_memory(row.tracks, table.tracks) and np.shares_memory(row.ego_future, table.ego_future)
+
+
+_WORLD = generate_world(WorldConfig(n_clips=6, seed=3, agent_rate=3.0))
+#: kind -> (valid lines, table loader, reference loader, check of a table against reference rows)
+LOADERS = {
+    "pool": ([encode_line(clip_to_dict(c)).decode() for c in _WORLD[0]],
+             lambda path: load_pool(path)[0], reference_load_pool, assert_table_equals_rows),
+    "truth": ([encode_line(truth_to_dict(t)).decode() for t in _WORLD[1].values()],
+              load_truth, reference_load_truth, assert_truth_equals_rows),
+}
+#: Values a mutated line may hold: what the column checks must reject just
+#: as the per-record checks do (NaN, infinities, negatives, huge and
+#: non-numbers), and valid replacements.
+BAD_VALUES = st.recursive(
+    st.sampled_from([float("nan"), float("inf"), -1.0, -0.0, 0, 10**400, "", "Left", "Sunny", "Day", None, True])
+    | st.floats() | st.integers() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except pool_module.PoolFormatError as exc:
+        return str(exc)
+
+
+class TestSameErrors:
+    """On any edited line the column reader loads what the per-record reader
+    loads, or raises its error with the same text: file, line and message."""
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_line(self, tmp_path_factory, kind, data):
+        lines, load, reference, check = LOADERS[kind]
+        lines = list(lines)
+        index = data.draw(st.integers(0, len(lines) - 1))
+        lines[index] = mutate_line(lines[index], data, BAD_VALUES)
+        if data.draw(st.booleans()):  # a clashing id
+            lines.append(lines[data.draw(st.integers(0, len(lines) - 1))])
+        path = tmp_path_factory.mktemp(kind) / "in.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self.check_same(kind, path)
+
+    @pytest.mark.parametrize("kind, edit", [
+        ("pool", lambda r: r.update(id="")),
+        ("pool", lambda r: r.update(weather="Foggy")),
+        ("pool", lambda r: r.update(frames=[])),
+        ("pool", lambda r: r.update(frames={})),
+        ("pool", lambda r: r["frames"][1].update(speed=float("nan"))),
+        ("pool", lambda r: r["frames"][1].update(speed=-1e-300)),
+        ("pool", lambda r: r["frames"][1].update(speed=10**400)),
+        ("pool", lambda r: r["frames"][1].update(command="UTurn")),
+        ("pool", lambda r: r["frames"][1].update(extra=1)),  # frames keep no key list
+        ("pool", lambda r: r["gt_future"][2].pop()),
+        ("pool", lambda r: r["gt_future"].pop()),
+        ("pool", lambda r: r["gt_future"][2].__setitem__(0, float("-inf"))),
+        ("pool", lambda r: r.update(annotation=[1, {"a": None}])),
+        ("truth", lambda r: r.update(agents="")),  # iterates as no agents
+        ("truth", lambda r: r.update(clip_id="")),
+        ("truth", lambda r: r["agents"][0]["start"].__setitem__(1, float("inf"))),
+        ("truth", lambda r: r["agents"][0].update(agent_id=None)),
+        ("truth", lambda r: r["agents"][0]["track"].pop()),
+        ("truth", lambda r: r["ego_future"][0].__setitem__(0, float("nan"))),
+    ])
+    def test_edited_line(self, tmp_path, kind, edit):
+        lines = list(LOADERS[kind][0])
+        index = next(i for i, line in enumerate(lines) if kind == "pool" or json.loads(line)["agents"])
+        record = json.loads(lines[index])
+        edit(record)
+        lines[index] = json.dumps(record)
+        path = tmp_path / "in.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self.check_same(kind, path)
+
+    def check_same(self, kind, path):
+        _, load, reference, check = LOADERS[kind]
+        got, want = _outcome(load, path), _outcome(reference, path)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            check(got, want)
+
+
+# ---------------------------------------------------------------------------
+# The table API
+# ---------------------------------------------------------------------------
+
+
+class TestClipTable:
+    @pytest.fixture
+    def clips(self, rng):
+        return [random_clip(rng, f"c{i}") for i in range(9)]
+
+    def test_converts_rows_and_keeps_a_table(self, clips):
+        table = clip_table(clips)
+        assert_table_equals_rows(table, clips)
+        assert clip_table(table) is table
+
+    def test_indexes_slices_and_takes(self, clips):
+        table = clip_table(clips)
+        assert table[-1] == clips[-1] and table[3] == clips[3]
+        with pytest.raises(IndexError):
+            table[9]
+        for key in (slice(2, 7), slice(None, None, 3), slice(7, 2), slice(-4, None)):
+            assert_table_equals_rows(table[key], clips[key])
+        order = ["c5", "c0", "c8"]
+        assert_table_equals_rows(table.take(order), [clips[5], clips[0], clips[8]])
+        with pytest.raises(KeyError):
+            table.take(["nope"])
+
+    def test_equality_compares_columns(self, clips):
+        assert clip_table(clips) == clip_table(list(clips))
+        assert clip_table(clips) != clip_table(clips[:-1])
+        assert clip_table(clips) != clips
+
+    def test_duplicate_ids_are_rejected(self, clips):
+        with pytest.raises(ValueError, match="duplicate clip id 'c1' in a clip table"):
+            clip_table(clips + [clips[1]])
+
+    def test_save_pool_writes_the_rows_bytes(self, clips, tmp_path):
+        save_pool(clips, tmp_path / "rows.jsonl")
+        save_pool(clip_table(clips), tmp_path / "table.jsonl")
+        assert (tmp_path / "rows.jsonl").read_bytes() == (tmp_path / "table.jsonl").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Column kernels against the per-clip formulas
+# ---------------------------------------------------------------------------
+
+
+class TestKernelsEqualRowFormulas:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_seeded_worlds(self, seed):
+        clips, _ = generate_world(WorldConfig(n_clips=800, seed=seed))
+        self.check(clips)
+
+    def test_ragged_random_clips(self, rng):
+        self.check([random_clip(rng, f"c{i}") for i in range(500)])
+
+    def check(self, clips):
+        table = clip_table(clips)
+        assert table.mean_speeds().tobytes() == bits([reference_mean_speed(c) for c in clips])
+        assert [mean_speed(c) for c in clips] == [reference_mean_speed(c) for c in clips]
+        assert [weather_lighting_bucket(c) for c in clips] == [reference_bucket(c) for c in clips]
+        for tau_c in (1, 3, 4, 9):
+            classes = [reference_command_class(c, tau_c) for c in clips]
+            assert [classify_command(c, tau_c) for c in clips] == classes
+            strata = stratify(table, tau_c)
+            assert list(strata) == list(STRATUM_ORDER)
+            for key, rows in strata.items():
+                want = [c.id for c, cls in zip(clips, classes) if (reference_bucket(c), cls) == key]
+                assert [table.ids[r] for r in rows.tolist()] == want
+
+    def test_ego_diversity_init_sorts_by_the_row_mean_speed(self, rng):
+        """Each stratum's picks come from its members sorted by (mean speed, id)."""
+        clips = [random_clip(rng, f"c{i:03d}") for i in range(300)]
+        picked, allocations = ego_diversity_init(clips, 60, 0.5, 4)
+        expected = []
+        for alloc in allocations:
+            members = sorted((c for c in clips if (reference_bucket(c), reference_command_class(c, 4))
+                              == (alloc.bucket, alloc.command)), key=lambda c: (reference_mean_speed(c), c.id))
+            m, k = len(members), alloc.allocated
+            expected += [members[int((j + 0.5) * m / k)].id for j in range(k)]
+        assert picked == expected
+
+
+def reference_evaluate_clips(provider, clips, truth):
+    """evaluate_clips over truth rows: each clip's agents on their own."""
+    batch = prediction_batch(provider.predict([c.id for c in clips]), clips)
+    step_errors, collided = [], []
+    for plan, clip in zip(batch.ego_plans, clips):
+        t = truth[clip.id]
+        step_errors.append(_distances(plan, t.ego_future))
+        collided.append(bool(len(t.agent_ids)) and bool((_distances(plan, t.tracks).min(axis=1) < 0.5).any()))
+    return np.array(step_errors), np.array(collided)
+
+
+class TestPlannerOverTables:
+    def test_loaded_tables_equal_generated_rows(self, tmp_path):
+        """The planner and evaluation give the same bits on loaded tables as
+        on the generated rows, and evaluation equals the per-clip reference."""
+        config = WorldConfig(n_clips=400, seed=23, agent_rate=3.0)
+        generate_pool(config, tmp_path / "pool.jsonl", tmp_path / "truth.jsonl")
+        clips, truth = generate_world(config)
+        table, _ = load_pool(tmp_path / "pool.jsonl")
+        truth_columns = load_truth(tmp_path / "truth.jsonl")
+        labeled = [c.id for c in clips[:120]]
+        heldout = clips[300:]
+        results = []
+        for planner_clips, planner_truth in ((clips, truth), (table, truth_columns)):
+            planner = ToyPlanner(planner_clips, planner_truth)
+            planner.train(labeled)
+            batch = planner.predict([c.id for c in clips[120:]])
+            evals = evaluate_clips(planner, table[300:], truth_columns)
+            results.append((batch.ego_plans.tobytes(), batch.modality_trajs.tobytes(), evals["de"].tobytes(),
+                            evals["step_errors"].tobytes(), evals["collided"].tolist()))
+        assert results[0] == results[1]
+        step_errors, collided = reference_evaluate_clips(planner, heldout, truth)
+        assert results[1][3] == step_errors.tobytes()
+        assert results[1][2] == step_errors.mean(axis=1).tobytes()
+        assert results[1][4] == collided.tolist() and any(collided)
+
+
+# ---------------------------------------------------------------------------
+# Memory
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def world_3000(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("world_3000")
+    pool, truth = directory / "pool.jsonl", directory / "truth.jsonl"
+    generate_pool(WorldConfig(n_clips=3000, seed=5), pool, truth)
+    return pool, truth
+
+
+def retained_bytes(load, *args):
+    """Bytes that ``load(*args)`` allocates and its result keeps."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = load(*args)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return result, retained
+
+
+class TestMemory:
+    """On this 3000-clip world the per-record loaders kept 2744 bytes per
+    pool clip and 1371 per truth record (tracemalloc); the tables keep 657
+    and 625."""
+
+    def test_load_pool_per_clip(self, world_3000):
+        (table, _), retained = retained_bytes(load_pool, world_3000[0])
+        assert len(table) == 3000
+        assert retained / 3000 < 900
+
+    def test_load_truth_per_clip(self, world_3000):
+        truth, retained = retained_bytes(load_truth, world_3000[1])
+        assert len(truth) == 3000
+        assert retained / 3000 < 750
+
+    def test_commands_build_no_row_views(self, tmp_path, monkeypatch):
+        """run, init and score index the columns: no clip or truth row is built."""
+        pool, truth = tmp_path / "pool.jsonl", tmp_path / "truth.jsonl"
+        assert main(["gen", "--n", "300", "--seed", "7", "--pool", str(pool), "--truth", str(truth)]) == 0
+        clips, _ = load_pool(pool)
+        planner = ToyPlanner(clips, load_truth(truth))
+        planner.train(clips.ids[:30])
+        preds = tmp_path / "preds.jsonl"
+        save_predictions(planner.predict(clips.ids).values(), preds)
+        built = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                built.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(ClipTable, "_row", counting("clip view", ClipTable._row))
+        monkeypatch.setattr(TruthTable, "__getitem__", counting("truth view", TruthTable.__getitem__))
+        monkeypatch.setattr(ClipRecord, "__post_init__", counting("clip", ClipRecord.__post_init__))
+        monkeypatch.setattr(ClipTruth, "__init__", counting("truth", ClipTruth.__init__))
+        sel = tmp_path / "sel.json"
+        assert main(["run", "--pool", str(pool), "--truth", str(truth), "--out-dir", str(tmp_path / "out"),
+                     "--heldout-count", "30"]) == 0
+        assert main(["init", "--pool", str(pool), "--n0", "30", "--out", str(sel)]) == 0
+        assert main(["score", "--pool", str(pool), "--selection", str(sel), "--predictions", str(preds),
+                     "--out", str(tmp_path / "scores.tsv")]) == 0
+        assert built == []
