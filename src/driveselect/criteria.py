@@ -37,6 +37,7 @@ from .pool import (
     PoolFormatError,
     RowError,
     _check_fields,
+    _check_list,
     _check_numbers,
     _check_string,
     _unchecked,
@@ -285,21 +286,21 @@ def prediction_batch(
     """The predictions for ``clips`` (a table or records), as one batch in
     clip order.
 
-    A PredictionBatch gives its rows as they are; any other mapping is
-    converted. A clip without a prediction raises KeyError, and one whose
-    ``gt_future`` has another horizon than the predictions raises
-    ValueError; both name the clip.
+    A PredictionBatch of just these clips in this order is returned as it
+    is, any other gives its rows, and any other mapping is converted. A clip
+    without a prediction raises KeyError, and one whose ``gt_future`` has
+    another horizon than the predictions raises ValueError; both name the clip.
     """
     if isinstance(clips, ClipTable):
         # One horizon for the whole table: its first clip stands for all.
-        ids, horizons = list(clips.ids), [clips.horizon] * min(len(clips), 1)
+        ids, horizons = clips.ids, [clips.horizon] * min(len(clips), 1)
     else:
-        ids, horizons = [c.id for c in clips], [len(c.gt_future) for c in clips]
+        ids, horizons = tuple(c.id for c in clips), [len(c.gt_future) for c in clips]
     for clip_id in ids:
         if clip_id not in predictions:
             raise KeyError(f"missing prediction for clip {clip_id!r}")
     if isinstance(predictions, PredictionBatch):
-        batch = predictions.take(ids)
+        batch = predictions if predictions.clip_ids == ids else predictions.take(ids)
     else:
         batch = _batch_of(ids, [predictions[i] for i in ids], horizons[0] if horizons else None)
     for clip_id, horizon in zip(ids, horizons):
@@ -552,7 +553,7 @@ def _record_parts(record: dict, horizon: int | None) -> tuple:
     _check_fields(record, _PREDICTION_FIELDS, "record")
     _check_numbers(record["ego_plan"], "ego_plan", 2)
     agents = []
-    for a in record["agents"]:
+    for a in _check_list(record["agents"], "agents"):
         _check_fields(a, _FORECAST_FIELDS, "agent")
         agent_id = _check_string(a["agent_id"], "agent_id")
         _check_numbers([a["confidence"]], f"agent {agent_id} confidence")

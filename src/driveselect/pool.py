@@ -117,6 +117,13 @@ def _check_string(value: Any, name: str) -> str:
     return value
 
 
+def _check_list(value: Any, name: str) -> list:
+    """``value``, which must be a JSON list."""
+    if type(value) is not list:
+        raise ValueError(f"{name} must be a JSON list")
+    return value
+
+
 def _check_fields(record: Any, fields: frozenset[str], name: str) -> dict:
     """``record``, which must be a JSON object with no keys outside ``fields``."""
     if not isinstance(record, dict):
@@ -559,11 +566,12 @@ def clip_to_dict(clip: ClipRecord) -> dict:
 _SPEED = itemgetter("speed")
 _COMMAND = itemgetter("command")
 _CLIP_FIELDS = frozenset({"id", "weather", "lighting", "frames", "gt_future", "annotation"})
+_FRAME_FIELDS = frozenset({"speed", "command"})
 
 
 def clip_from_dict(record: dict, horizon: int) -> ClipRecord:
     _check_fields(record, _CLIP_FIELDS, "record")
-    frames = record["frames"]
+    frames = [_check_fields(frame, _FRAME_FIELDS, "frame") for frame in _check_list(record["frames"], "frames")]
     speeds = list(map(_SPEED, frames))
     _check_numbers(speeds, "speed")
     return ClipRecord(
@@ -785,6 +793,10 @@ def _pool_block(records: list, horizon: int) -> tuple:
         raise _NotColumnar
     frames = list(chain.from_iterable(frames))
     speeds = list(map(_SPEED, frames))
+    # Every frame is an object with a speed, and its command is taken below:
+    # two keys each means no other key.
+    if sum(map(len, frames)) != 2 * len(frames):
+        raise _NotColumnar
     numbers = _numbers(speeds + _path_numbers(gt_futures, horizon))
     return (
         ids,

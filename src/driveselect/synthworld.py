@@ -43,7 +43,7 @@ import os
 from bisect import bisect_right
 from contextlib import ExitStack
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from operator import itemgetter
@@ -59,6 +59,7 @@ from .pool import (
     ClipTable,
     _check_fields,
     _check_finite_point,
+    _check_list,
     _check_ids,
     _check_objects,
     _check_path,
@@ -438,7 +439,7 @@ _TRUTH_AGENT_FIELDS = frozenset({"agent_id", "start", "track"})
 
 def _truth_from_dict(record: dict, horizon: int) -> ClipTruth:
     _check_fields(record, _TRUTH_FIELDS, "record")
-    agents = [_check_fields(a, _TRUTH_AGENT_FIELDS, "agent") for a in record["agents"]]
+    agents = [_check_fields(a, _TRUTH_AGENT_FIELDS, "agent") for a in _check_list(record["agents"], "agents")]
     ids = tuple(_check_string(a["agent_id"], "agent_id") for a in agents)
     tracks = [_check_path(a["track"], horizon, f"agent {agent_id} track") for agent_id, a in zip(ids, agents)]
     starts = [_check_finite_point(a["start"], f"agent {agent_id} start") for agent_id, a in zip(ids, agents)]
@@ -591,9 +592,9 @@ class ToyPlanner:
     far away). Queries go in blocks of ``KNN_BLOCK``, so memory is linear in
     the pool. Agent forecasts are built from the true agent tracks (a
     deliberate oracle shortcut) with three rotated constant-velocity
-    modalities; they do not depend on training, so they are built once, for
-    every clip in one array pass, and ``predict`` returns a
-    :class:`PredictionBatch` that takes its rows.
+    modalities. They do not depend on training, so ``predict`` builds them
+    per call, for the asked clips only, in one array pass, and returns them
+    with the plans as one :class:`PredictionBatch`.
     """
 
     MODALITY_ANGLES = (-15.0, 0.0, 15.0)  # degrees
@@ -615,7 +616,6 @@ class ToyPlanner:
         self.trained_ids: tuple[str, ...] = ()
         self._exemplar_feats: np.ndarray | None = None
         self._exemplar_futures: np.ndarray | None = None
-        self._forecasts: PredictionBatch | None = None
         # Every clip's features, built once: bucket one-hot, command one-hot,
         # mean speed / SPEED_SCALE.
         n = len(self._clips)
@@ -675,14 +675,22 @@ class ToyPlanner:
                 if len(rows):
                     dists = np.linalg.norm(queries[rows, None, :] - exemplars[None, :, :], axis=2)
                     nearest[rows] = np.argsort(dists, axis=1, kind="stable")[:, :k]
-        return self._exemplar_futures[nearest].mean(axis=1)
+        # .mean(axis=1) of the k futures without its (Q, k, H, 2) copy: the
+        # same sum from 0.0 in neighbour order (so -0.0 turns to 0.0), over k.
+        plans = np.zeros((len(queries), horizon, 2))
+        for j in range(k):
+            plans += self._exemplar_futures[nearest[:, j]]
+        plans /= k
+        return plans
 
-    def _build_forecasts(self) -> PredictionBatch:
-        """Agent forecasts of every clip with truth, in one array pass; the ego
-        plans are placeholders that :meth:`predict` replaces."""
-        clip_ids = [clip_id for clip_id in self._clips.ids if clip_id in self._truth]
+    def predict(self, ids: Sequence[str]) -> Mapping[str, ClipPrediction]:
+        """The plans and agent forecasts of the given clips, as one
+        :class:`PredictionBatch` in that order; no row depends on the others."""
+        clip_rows = self._clips.rows_of(ids)
+        if not len(clip_rows):
+            return {}
         horizon = self._clips.horizon
-        rows, agents = self._truth.agents_in(self._truth.rows_of(clip_ids))
+        rows, agents = self._truth.agents_in(self._truth.rows_of(ids))
         agent_ids, starts, tracks = (self._truth.agent_ids[agents], self._truth.starts[agents],
                                      self._truth.tracks[agents])
         d0 = _norms(starts)
@@ -704,8 +712,8 @@ class ToyPlanner:
         # math.exp, not np.exp: the two round differently in the last bit.
         confidence = [math.exp(-d / self.AGENT_RADIUS) for d in d0[keep].tolist()]
         return PredictionBatch(
-            clip_ids=tuple(clip_ids),
-            ego_plans=np.zeros((len(clip_ids), horizon, 2)),
+            clip_ids=tuple(ids),
+            ego_plans=self._plans(clip_rows),
             agent_clip=rows,
             agent_ids=agent_ids,
             confidence=np.array(confidence, dtype=float),
@@ -713,14 +721,6 @@ class ToyPlanner:
             modality_probs=probs,
             modality_trajs=trajs,
         )
-
-    def predict(self, ids: Sequence[str]) -> Mapping[str, ClipPrediction]:
-        rows = self._clips.rows_of(ids)
-        if not len(rows):
-            return {}
-        if self._forecasts is None:
-            self._forecasts = self._build_forecasts()
-        return replace(self._forecasts.take(ids), ego_plans=self._plans(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -389,6 +389,36 @@ class TestRegressions:
             load(path)
         check_error_names_line(info.value, what, path, index + 1)
 
+    @pytest.mark.parametrize("kind", ["predictions", "truth"])
+    @pytest.mark.parametrize("value", ["", {}, None, 3])
+    def test_agents_that_are_not_a_list_are_rejected(self, tmp_path, kind, value):
+        """Not a clip without agents: "" and {} would iterate as none."""
+        lines, load, what = VALID[kind]
+        path = _write(tmp_path / "in.jsonl", _with_record(lines, 1, lambda r: r.update(agents=value)))
+        with pytest.raises(PoolFormatError, match="agents must be a JSON list") as info:
+            load(path)
+        check_error_names_line(info.value, what, path, 2)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: r["frames"][1].update(extra=1), "unknown fields ['extra']"),
+            (lambda r: r["frames"].__setitem__(1, {"speed": 1.0, "extra": 1}), "unknown fields ['extra']"),
+            (lambda r: r["frames"].__setitem__(1, "Left"), "frame must be a JSON object"),
+            (lambda r: r["frames"].__setitem__(1, [1.0, "Left"]), "frame must be a JSON object"),
+            (lambda r: r.update(frames={"speed": 1.0, "command": "Left"}), "frames must be a JSON list"),
+            (lambda r: r.update(frames=""), "frames must be a JSON list"),
+        ],
+        ids=["extra_key", "extra_key_no_command", "string", "list", "object", "empty_string"],
+    )
+    def test_bad_frame_is_rejected(self, tmp_path, edit, message):
+        """Frames are checked like the other objects: none is dropped or misread."""
+        lines, load, what = VALID["pool"]
+        path = _write(tmp_path / "in.jsonl", _with_record(lines, 4, edit))
+        with pytest.raises(PoolFormatError, match=re.escape(message)) as info:
+            load(path)
+        check_error_names_line(info.value, what, path, 5)
+
     @pytest.mark.parametrize("kind", sorted(VALID))
     def test_deep_nesting_names_line(self, tmp_path, kind):
         lines, load, what = VALID[kind]

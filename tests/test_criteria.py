@@ -32,7 +32,7 @@ from driveselect.criteria import (
     score_pool,
     soft_collision,
 )
-from driveselect.pool import PoolFormatError
+from driveselect.pool import PoolFormatError, clip_table
 from driveselect.synthworld import ToyPlanner, WorldConfig, generate_world
 
 from conftest import make_clip, make_forecast, make_pred, score_rows
@@ -526,6 +526,20 @@ class TestScorePool:
         by_batch = score_rows(score_pool(subset, batch, alpha=1, beta=1, eps_a=0.5, delta_d=3.0))
         assert by_batch == score_rows(score_pool(subset, preds, alpha=1, beta=1, eps_a=0.5, delta_d=3.0))
         assert [r.clip_id for r in by_batch] == [c.id for c in subset]
+
+    def test_batch_of_exactly_the_clips_is_not_copied(self, rng):
+        clips, preds = ragged_scene(rng, 8, 6, 0.5, 3.0)
+        batch = prediction_batch(preds, clips)
+        assert prediction_batch(batch, clips) is batch
+        assert prediction_batch(batch, clip_table(clips)) is batch
+        for order in (clips[::-1], clips[:-1], clips[1:] + clips[:1]):
+            taken = prediction_batch(batch, clip_table(order))
+            assert taken is not batch and list(taken) == [c.id for c in order]
+            assert [taken[c.id] for c in order] == [preds[c.id] for c in order]
+        other_horizon = [make_clip(c.id, horizon=4) for c in clips]
+        for clips_of in (list, clip_table):
+            with pytest.raises(ValueError, match="gt_future has 4 waypoints, predictions have 6"):
+                prediction_batch(batch, clips_of(other_horizon))
 
     def test_overall_matches_mixture(self, rng):
         clips = [make_clip(f"c{i}", gt_future=rng.normal(0, 3, size=(6, 2))) for i in range(20)]

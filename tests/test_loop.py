@@ -1,6 +1,7 @@
 """Selection loop: config invariants, round mechanics, budget properties."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from driveselect.loop import (
     run,
     run_round,
 )
-from driveselect.pool import SelectionState, selection_to_dict
+from driveselect.pool import SelectionState, clip_table, selection_to_dict
 from driveselect.synthworld import ToyPlanner, WorldConfig, generate_world
 
 from conftest import ConstantProvider, HashPlanProvider, make_clip, random_clip, score_rows
@@ -150,6 +151,25 @@ class TestRunRound:
         with pytest.raises(RuntimeError):
             run_round(clips, state, FailingProvider(), cfg, 1)
         assert selection_to_dict(state) == before
+
+    def test_round_memory_has_no_per_pool_forecasts(self):
+        """One round predicts and scores the 300 unlabeled clips of 3000.
+        Its traced peak is 6.2 MB; forecasts cached for the whole pool and
+        the batch copied twice more on the way to scoring made it 15.6 MB."""
+        clips, truth = generate_world(WorldConfig(n_clips=3000, seed=9, agent_rate=8.0))
+        clips = clip_table(clips)
+        planner = ToyPlanner(clips, truth)
+        state = SelectionState(clips.ids)
+        state.add_round(0, clips.ids[:2700])
+        cfg = ActiveConfig(budget=2800, n_init=2700, n_rounds=1, n_per_round=100)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_round(clips, state, planner, cfg, 1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
     def test_trains_on_current_labeled_set(self, rng):
         clips = small_pool(rng, 8)

@@ -739,30 +739,48 @@ class TestStratumLocalKnn:
         assert peak < 40 * 2**20
 
 
-class TestForecastCache:
-    def test_forecasts_built_once_per_clip_across_rounds(self):
+FORECAST_COLUMNS = ("agent_clip", "agent_ids", "confidence", "modality_counts", "modality_probs", "modality_trajs")
+
+
+def assert_same_batch(got, want, columns=("ego_plans", *FORECAST_COLUMNS)):
+    """Two prediction batches with the same ids and the same column bytes."""
+    assert got.clip_ids == want.clip_ids
+    for name in columns:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape, name
+        if name == "agent_ids":
+            assert a.tolist() == b.tolist()
+        else:
+            assert a.tobytes() == b.tobytes(), name
+
+
+class TestPredictSubsets:
+    """``predict`` builds the forecasts of the asked clips only: any subset,
+    in any order and in any round, equals the rows of the whole-pool predict
+    bit for bit, and the forecasts never depend on training."""
+
+    def test_subsets_orders_and_rounds_equal_whole_pool_rows(self):
         clips, truth = generate_world(WorldConfig(n_clips=120, seed=21, agent_rate=3.0))
-        planner = ToyPlanner(clips, truth)
-        builds = []
-        build = planner._build_forecasts
-
-        def counting_build():
-            builds.append(build())
-            return builds[-1]
-
-        planner._build_forecasts = counting_build
         ids = [c.id for c in clips]
         heldout, pool = ids[:20], ids[20:]
-        predictions = {}
-        for n_labeled in (20, 50):
+        rng = np.random.default_rng(21)
+        untrained = ToyPlanner(clips, truth).predict(ids)
+        planner = ToyPlanner(clips, truth)
+        for n_labeled in (0, 20, 50):
             planner.train(pool[:n_labeled])
-            predictions.update(planner.predict(pool[n_labeled:]))
-            predictions.update(planner.predict(heldout))
-        assert len(builds) == 1
-        assert set(builds[0]) >= set(heldout) | set(pool[20:])
+            whole = planner.predict(ids)
+            assert_same_batch(whole, untrained, FORECAST_COLUMNS)
+            for subset in (pool[n_labeled:], heldout, rng.permutation(ids).tolist(), ids[7:8], ids[::-3]):
+                assert_same_batch(planner.predict(subset), whole.take(subset))
 
-        fresh = ToyPlanner(clips, truth).predict(list(predictions))
-        assert all(predictions[i].agents == fresh[i].agents for i in predictions)
+    def test_ids_without_truth_or_twice_are_rejected(self):
+        clips, truth = generate_world(WorldConfig(n_clips=6, seed=3, agent_rate=3.0))
+        planner = ToyPlanner(clips, {i: t for i, t in truth.items() if i != clips[4].id})
+        assert planner.predict([]) == {}
+        with pytest.raises(KeyError, match=clips[4].id):
+            planner.predict([clips[0].id, clips[4].id])
+        with pytest.raises(ValueError, match="duplicate clip id"):
+            planner.predict([clips[1].id, clips[0].id, clips[1].id])
 
 
 class TestForecastsMatchReference:

@@ -263,12 +263,14 @@ class TestSameErrors:
         ("pool", lambda r: r["frames"][1].update(speed=-1e-300)),
         ("pool", lambda r: r["frames"][1].update(speed=10**400)),
         ("pool", lambda r: r["frames"][1].update(command="UTurn")),
-        ("pool", lambda r: r["frames"][1].update(extra=1)),  # frames keep no key list
+        ("pool", lambda r: r["frames"][1].update(extra=1)),
+        ("pool", lambda r: r["frames"].__setitem__(1, "Left")),
         ("pool", lambda r: r["gt_future"][2].pop()),
         ("pool", lambda r: r["gt_future"].pop()),
         ("pool", lambda r: r["gt_future"][2].__setitem__(0, float("-inf"))),
         ("pool", lambda r: r.update(annotation=[1, {"a": None}])),
-        ("truth", lambda r: r.update(agents="")),  # iterates as no agents
+        ("truth", lambda r: r.update(agents="")),
+        ("truth", lambda r: r.update(agents={})),
         ("truth", lambda r: r.update(clip_id="")),
         ("truth", lambda r: r["agents"][0]["start"].__setitem__(1, float("inf"))),
         ("truth", lambda r: r["agents"][0].update(agent_id=None)),
