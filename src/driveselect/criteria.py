@@ -27,6 +27,8 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -37,14 +39,19 @@ from .pool import (
     PoolFormatError,
     RowError,
     _check_fields,
+    _check_ids,
     _check_list,
     _check_numbers,
+    _check_objects,
     _check_string,
+    _NotColumnar,
+    _numbers,
+    _path_numbers,
     _unchecked,
     atomic_write_text,
     clip_table,
     ragged_take,
-    read_jsonl,
+    read_table,
     row_index,
     write_jsonl,
 )
@@ -232,6 +239,34 @@ class PredictionBatch(Mapping):
         )
 
 
+def _batch_of_groups(clip_ids: Iterable[str], ego_plans: np.ndarray, agent_counts: Sequence[int],
+                     agent_ids: list, confidence: np.ndarray, probs: Sequence[np.ndarray],
+                     trajs: Sequence[np.ndarray]) -> PredictionBatch:
+    """One batch from (N, H, 2) plans, each clip's agent count, and the
+    agents in groups, clip after clip: ``probs`` and ``trajs`` hold each
+    group's (A, M) probabilities and (A, M, H, 2) trajectories, padded here
+    to the largest M (at least 1)."""
+    modality_counts = np.repeat(np.array([p.shape[1] for p in probs], dtype=np.intp), [len(p) for p in probs])
+    modality_probs = np.zeros((len(agent_ids), max([1, *(p.shape[1] for p in probs)])))
+    modality_trajs = np.zeros(modality_probs.shape + ego_plans.shape[1:])
+    at = 0
+    for p, t in zip(probs, trajs):
+        a, m = p.shape
+        modality_probs[at : at + a, :m] = p
+        modality_trajs[at : at + a, :m] = t
+        at += a
+    return PredictionBatch(
+        clip_ids=tuple(clip_ids),
+        ego_plans=ego_plans,
+        agent_clip=np.repeat(np.arange(len(agent_counts)), agent_counts),
+        agent_ids=np.fromiter(agent_ids, dtype=object, count=len(agent_ids)),
+        confidence=confidence,
+        modality_counts=modality_counts,
+        modality_probs=modality_probs,
+        modality_trajs=modality_trajs,
+    )
+
+
 def _batch_from_parts(clip_ids: Sequence[str], parts: Sequence[tuple], horizon: int | None = None) -> PredictionBatch:
     """One batch from per-clip ``(plan, [(agent_id, confidence, probs, trajs), ...])``
     arrays, each clip's trajectories as long as its plan (see :func:`_check_plan`).
@@ -242,22 +277,15 @@ def _batch_from_parts(clip_ids: Sequence[str], parts: Sequence[tuple], horizon: 
     for row, (plan, _) in enumerate(parts):
         if len(plan) != horizon:
             raise RowError(row, f"ego_plan has {len(plan)} waypoints, expected {horizon}")
-    agents = [(row, agent) for row, (_, clip_agents) in enumerate(parts) for agent in clip_agents]
-    counts = np.array([len(a[2]) for _, a in agents], dtype=np.intp)
-    probs = np.zeros((len(agents), counts.max(initial=1)))
-    trajs = np.zeros(probs.shape + (horizon, 2))
-    for i, (_, (_, _, p, t)) in enumerate(agents):
-        probs[i, : len(p)] = p
-        trajs[i, : len(p)] = t
-    return PredictionBatch(
-        clip_ids=tuple(clip_ids),
-        ego_plans=np.array([plan for plan, _ in parts], dtype=float).reshape(len(parts), horizon, 2),
-        agent_clip=np.array([row for row, _ in agents], dtype=np.intp),
-        agent_ids=np.array([a[0] for _, a in agents], dtype=object),
-        confidence=np.array([a[1] for _, a in agents], dtype=float),
-        modality_counts=counts,
-        modality_probs=probs,
-        modality_trajs=trajs,
+    agents = [agent for _, clip_agents in parts for agent in clip_agents]
+    return _batch_of_groups(
+        clip_ids,
+        np.array([plan for plan, _ in parts], dtype=float).reshape(len(parts), horizon, 2),
+        [len(clip_agents) for _, clip_agents in parts],
+        [a[0] for a in agents],
+        np.array([a[1] for a in agents], dtype=float),
+        [a[2][None] for a in agents],
+        [a[3][None] for a in agents],
     )
 
 
@@ -565,12 +593,61 @@ def _record_parts(record: dict, horizon: int | None) -> tuple:
     return plan, agents
 
 
+_PREDICTION_COLUMNS = itemgetter("clip_id", "ego_plan", "agents")
+_FORECAST_COLUMNS = itemgetter("agent_id", "confidence", "modality_probs", "modality_trajs")
+
+
+def _prediction_block(records: list, horizon: int | None) -> tuple:
+    """The column parts of a block of predictions records. The horizon, if
+    None, is the block's first plan's, and the modality count M its first
+    agent's: every agent of the block must have M modalities."""
+    _check_objects(records, _PREDICTION_FIELDS)
+    ids, plans, agents = zip(*map(_PREDICTION_COLUMNS, records))
+    _check_ids(ids)
+    if horizon is None:
+        horizon = len(plans[0])
+    if set(map(type, agents)) - {list}:
+        raise _NotColumnar
+    counts = list(map(len, agents))
+    agents = list(chain.from_iterable(agents))
+    _check_objects(agents, _FORECAST_FIELDS)
+    agent_ids, confidence, probs, trajs = zip(*map(_FORECAST_COLUMNS, agents)) if agents else ((),) * 4
+    _check_ids(agent_ids)
+    m = len(probs[0]) if agents else 1
+    for column in (probs, trajs):
+        if m < 1 or set(map(type, column)) - {list} or set(map(len, column)) - {m}:
+            raise _NotColumnar
+    plan, prob = _path_numbers(plans, horizon), list(chain.from_iterable(probs))
+    numbers = _numbers(plan + list(confidence) + prob + _path_numbers(chain.from_iterable(trajs), horizon))
+    plans, confidence, probs, trajs = np.split(numbers, np.cumsum([len(plan), len(agents), len(prob)]))
+    a = len(agents)
+    return ids, horizon, counts, agent_ids, plans, confidence, probs.reshape(a, m), trajs.reshape(a, m, horizon, 2)
+
+
+def _prediction_table(parts: list[tuple]) -> PredictionBatch:
+    """The batch of a predictions file's block parts, with agents padded to
+    the largest M of any block."""
+    if not parts:
+        raise _NotColumnar
+    ids, horizons, counts, agent_ids, plans, confidence, probs, trajs = zip(*parts)
+    if len(set(horizons)) != 1:
+        raise _NotColumnar
+    return _batch_of_groups(
+        chain.from_iterable(ids), np.concatenate(plans).reshape(-1, horizons[0], 2), list(chain.from_iterable(counts)),
+        list(chain.from_iterable(agent_ids)), np.concatenate(confidence), probs, trajs,
+    )
+
+
 def load_predictions(path: str | os.PathLike | Iterable[str], horizon: int | None = 6) -> PredictionBatch:
-    """Parse the predictions file at a path, or predictions lines, with
-    :func:`read_jsonl`, into one batch. Every plan and agent trajectory has
-    ``horizon`` waypoints; ``None`` takes the horizon of the first record."""
-    return read_jsonl(
-        path, "predictions", "clip_id", partial(_record_parts, horizon=horizon),
+    """Parse the predictions file at a path, or predictions lines, into one
+    batch, by :func:`read_table` with :func:`_record_parts`'s checks. Every
+    plan and agent trajectory has ``horizon`` waypoints; ``None`` takes the
+    horizon of the first record."""
+    return read_table(
+        path, "predictions", "clip_id",
+        partial(_prediction_block, horizon=horizon),
+        _prediction_table,
+        partial(_record_parts, horizon=horizon),
         lambda parts: _batch_from_parts(list(parts), list(parts.values()), horizon),
     )
 

@@ -17,9 +17,12 @@ frames of all clips back to back. Its rows are :class:`ClipRecord` views.
 Pool, predictions and truth files all follow :func:`read_jsonl`'s rules: ids
 are JSON strings, unique within the file, and an empty file or a malformed
 line (invalid UTF-8 included) raises :class:`PoolFormatError` naming the file
-and the 1-based line. Pool and truth files are read into columns by
-:func:`read_table`, which falls back to :func:`read_jsonl`'s per-record checks
-on any input that fails its column checks, so every message is the same.
+and the 1-based line. The three are read into columns by :func:`read_table`,
+which falls back to :func:`read_jsonl`'s per-record checks on any input that
+fails its column checks, so every message is the same. A file of 2 MiB or
+more is split at line starts into byte ranges, up to one per CPU, and forked
+processes read all ranges but the first; the columns, and every message, are
+the same as from one read in this process.
 Lines are decoded by orjson wherever it gives exactly what ``json.loads``
 gives, and by ``json.loads`` elsewhere (see :func:`_loads`). They are written
 by :func:`write_jsonl`, one :func:`encode_line` per record: orjson wherever its
@@ -32,15 +35,18 @@ import gc
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 import tempfile
+import threading
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, NoReturn, TypeVar
 
 import numpy as np
 import orjson
@@ -707,6 +713,114 @@ def _decoded_blocks(lines: Iterable[bytes | str]) -> Iterator[list]:
             yield records
 
 
+#: Least bytes per range when :func:`read_table` splits a file across CPUs.
+#: On 2 vCPUs a 0.9 MB pool file took 14.3 ms in one range and 15.6 ms in
+#: two: a forked reader pays for itself only on about 1 MiB.
+READ_RANGE = 1 << 20
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _ranges(path: str | os.PathLike) -> list[tuple[int, float]]:
+    """``[start, end)`` byte ranges that cover the file at ``path``, each
+    starting a line: one per CPU, at least ``READ_RANGE`` bytes each. One
+    range, to the end of the file, where a read cannot fork: one CPU, a
+    small file, no ``os.fork``, or another live thread (which a forked child
+    would not have)."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        n = min(_cpu_count(), size // READ_RANGE)
+        if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+            return [(0, math.inf)]
+        cuts = [0]
+        for k in range(1, n):
+            fh.seek(k * size // n - 1)
+            fh.readline()  # to the end of the line that holds the byte
+            cuts.append(fh.tell())
+    cuts.append(size)
+    return [(start, end) for start, end in zip(cuts, cuts[1:]) if start < end]
+
+
+def _range_parts(path: str | os.PathLike, start: int, end: float, parse_block: Callable[[list], tuple]) -> list:
+    """``parse_block`` of each block of the lines that start in ``[start, end)``."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+
+        def lines() -> Iterator[bytes]:
+            at = start
+            for line in fh:
+                if at >= end:
+                    return
+                at += len(line)
+                yield line
+
+        return [parse_block(block) for block in _decoded_blocks(lines())]
+
+
+def _send_parts(write_fd: int, path: str | os.PathLike, start: int, end: int,
+                parse_block: Callable[[list], tuple]) -> NoReturn:
+    """In a forked child: pickle the range's parts, or None if parsing them
+    raised, down ``write_fd``, and end the process without any clean-up."""
+    status = 1
+    try:
+        try:
+            parts = _range_parts(path, start, end, parse_block)
+        except Exception:
+            parts = None  # the parent reads the whole file record by record
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(parts, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _file_parts(path: str | os.PathLike, what: str, parse_block: Callable[[list], tuple]) -> list:
+    """The block parts of the file at ``path``, in line order. Each range of
+    :func:`_ranges` after the first is parsed by a forked child, which sends
+    its parts back down a pipe; this process parses the first meanwhile.
+    A range that fails raises :class:`_NotColumnar`, and a child that ends
+    without sending its parts raises ChildProcessError naming the file. No
+    child outlives the call."""
+    first, *rest = _ranges(path)
+    children: list[tuple[int, Any]] = []
+    try:
+        for start, end in rest:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _send_parts(write_fd, path, start, end, parse_block)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        parts = _range_parts(path, *first, parse_block)
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                try:
+                    received, complete = pickle.load(pipe), True
+                except (EOFError, pickle.UnpicklingError):
+                    complete = False
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if not complete:
+                raise ChildProcessError(f"{what} file {os.fspath(path)}: reader process {pid} ended without "
+                                        f"its result (exit code {status})")
+            if received is None:
+                raise _NotColumnar
+            parts += received
+        return parts
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def read_table(
     source: str | os.PathLike | Iterable[bytes | str],
     what: str,
@@ -720,22 +834,23 @@ def read_table(
 
     ``parse_block`` turns each block of decoded records into column parts,
     and ``build`` joins the parts of the whole input into the table and runs
-    the whole-table checks. Either raises (:class:`_NotColumnar` or an
-    error of a bad value) on input it does not take; the input is then read
-    again by :func:`read_jsonl` with ``parse_record``, whose per-record
-    checks raise the PoolFormatError naming the file and line, and whose
-    rows, if every record passes, ``from_rows`` turns into the table.
+    the whole-table checks. A file is parsed in byte ranges, up to one per
+    CPU (see :func:`_file_parts`); the parts, and so the table, are the same
+    for any split. Either function raises (:class:`_NotColumnar` or an error
+    of a bad value) on input it does not take; the input is then read again by
+    :func:`read_jsonl` with ``parse_record``, whose per-record checks raise
+    the PoolFormatError naming the file and line, and with ``from_rows`` as
+    its ``finish``, which turns the rows into the table.
     """
     if not isinstance(source, (str, os.PathLike)):
         source = list(source)  # to read it again
     try:
         if isinstance(source, list):
             return build([parse_block(block) for block in _decoded_blocks(source)])
-        with open(source, "rb") as fh:
-            return build([parse_block(block) for block in _decoded_blocks(fh)])
+        return build(_file_parts(source, what, parse_block))
     except (_NotColumnar, KeyError, ValueError, TypeError, OverflowError, RecursionError):
         pass
-    return from_rows(read_jsonl(source, what, id_key, parse_record))
+    return read_jsonl(source, what, id_key, parse_record, from_rows)
 
 
 _DICT, _LIST, _STR = {dict}, {list}, {str}

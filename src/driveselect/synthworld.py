@@ -64,6 +64,7 @@ from .pool import (
     _check_objects,
     _check_path,
     _check_string,
+    _cpu_count,
     _NotColumnar,
     _numbers,
     _pair_numbers,
@@ -518,14 +519,6 @@ def _encode_chunk(config: WorldConfig, bounds: tuple[int, int]) -> tuple[bytes, 
     )
 
 
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def generate_pool(config: WorldConfig, pool_path: str | os.PathLike, truth_path: str | os.PathLike) -> None:
     """Generate and write the pool and truth files (byte-stable). Both are
     written in full before either is renamed into place, so a failure leaves
@@ -609,6 +602,8 @@ class ToyPlanner:
         tau_c: int = 4,
         n_neighbors: int = 5,
     ):
+        if n_neighbors < 1:
+            raise ValueError(f"n_neighbors must be >= 1, got {n_neighbors}")
         self._clips = clip_table(clips)
         self._truth = truth_table(truth)
         self.tau_c = tau_c

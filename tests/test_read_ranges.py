@@ -1,0 +1,246 @@
+"""Files read in byte ranges, one forked reader process per range after the
+first: the same tables and the same errors as one in-process read, and no
+child process left behind."""
+
+import os
+import signal
+import threading
+from contextlib import contextmanager
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from driveselect import pool as pool_module
+from driveselect.cli import main
+from driveselect.criteria import load_predictions, prediction_to_dict, save_predictions
+from driveselect.pool import PoolFormatError, _ranges, clip_to_dict, encode_line, load_pool, parse_pool_lines
+from driveselect.synthworld import ToyPlanner, WorldConfig, generate_pool, generate_world, load_truth, truth_to_dict
+
+from test_boundary import mutate_line
+from test_tables import (
+    BAD_VALUES,
+    assert_batch_equals,
+    assert_table_equals_rows,
+    assert_truth_equals_rows,
+    jsonl_text,
+    no_row_path,
+    pool_records,
+    prediction_records,
+    truth_records,
+)
+
+#: kind -> (loader of a path, check of a table against another)
+KINDS = {
+    "pool": (lambda path: load_pool(path)[0], lambda got, want: assert_table_equals_rows(got, list(want))),
+    "truth": (load_truth, lambda got, want: assert_truth_equals_rows(got, dict(want.items()))),
+    "predictions": (load_predictions, assert_batch_equals),
+}
+RECORDS = {"pool": pool_records, "truth": truth_records, "predictions": prediction_records}
+
+
+@contextmanager
+def cpus(n, read_range=1):
+    """``n`` CPUs to read on, and ranges of at least ``read_range`` bytes. The
+    list it gives collects one entry per fork."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n)), create=True), \
+         mock.patch.object(pool_module, "READ_RANGE", read_range), \
+         mock.patch.object(os, "fork", counting_fork):
+        yield forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def outcome(load, path):
+    try:
+        return load(path)
+    except PoolFormatError as exc:
+        return str(exc)
+
+
+def write_lines(path, lines, trailing_newline=True):
+    path.write_text("\n".join(lines) + ("\n" if trailing_newline else ""), encoding="utf-8")
+    return path
+
+
+class TestRanges:
+    @settings(max_examples=100, deadline=None)
+    @given(text=st.text(st.sampled_from("ab\n"), max_size=40), n=st.integers(1, 4), read_range=st.integers(1, 9))
+    def test_ranges_cover_the_file_at_line_starts(self, tmp_path_factory, text, n, read_range):
+        path = tmp_path_factory.mktemp("ranges") / "in.jsonl"
+        data = text.encode()
+        path.write_bytes(data)
+        with cpus(n, read_range):
+            ranges = _ranges(path)
+        assert len(ranges) <= max(1, min(n, len(data) // read_range))
+        if len(ranges) == 1:
+            assert ranges[0][0] == 0
+            return
+        assert ranges[-1][1] == len(data)
+        assert all(end == start for (_, end), (start, _) in zip(ranges, ranges[1:]))
+        assert all(start < end and data[start - 1 : start] in (b"", b"\n") for start, end in ranges)
+
+    def test_small_files_one_cpu_and_line_lists_stay_in_process(self, tmp_path):
+        pool = tmp_path / "pool.jsonl"
+        generate_pool(WorldConfig(n_clips=40, seed=2), pool, tmp_path / "truth.jsonl")
+        size = pool.stat().st_size
+        for n, read_range in ((1, 1), (4, size // 2 + 1)):
+            with cpus(n, read_range) as forks:
+                assert _ranges(pool) == [(0, float("inf"))]
+                load_pool(pool)
+            assert forks == []
+        with cpus(4) as forks:
+            parse_pool_lines(pool.read_text().splitlines())
+        assert forks == []
+
+
+class TestSameTables:
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 4), read_range=st.integers(1, 400), trailing=st.booleans())
+    def test_records_with_blank_lines(self, tmp_path_factory, kind, data, n, read_range, trailing):
+        """Ragged frames, records of mixed M, JSON integers, blank lines and no
+        trailing newline: every split gives the in-process read's table,
+        read in columns (one record per block, so each block has one M)."""
+        load, check = KINDS[kind]
+        args = (6, None) if kind == "predictions" else (6,)
+        lines = data.draw(jsonl_text(data.draw(RECORDS[kind](*args))))
+        path = write_lines(tmp_path_factory.mktemp(kind) / "in.jsonl", lines, trailing)
+        with mock.patch.object(pool_module, "READ_BLOCK", 1):
+            with cpus(1):
+                want = load(path)
+            with cpus(n, read_range), no_row_path():
+                got = load(path)
+        check(got, want)
+        assert_no_child_left()
+
+    def test_generated_files(self, tmp_path):
+        pool, truth, preds = tmp_path / "pool.jsonl", tmp_path / "truth.jsonl", tmp_path / "preds.jsonl"
+        generate_pool(WorldConfig(n_clips=300, seed=7, agent_rate=3.0), pool, truth)
+        clips, _ = load_pool(pool)
+        planner = ToyPlanner(clips, load_truth(truth))
+        planner.train(clips.ids[:50])
+        save_predictions(planner.predict(clips.ids).values(), preds)
+        for kind, path in (("pool", pool), ("truth", truth), ("predictions", preds)):
+            load, check = KINDS[kind]
+            with cpus(1):
+                want = load(path)
+            with cpus(3, 10_000) as forks, no_row_path():
+                got = load(path)
+            assert len(forks) == 2, kind
+            check(got, want)
+        assert_no_child_left()
+
+
+_CLIPS, _TRUTH = generate_world(WorldConfig(n_clips=12, seed=3, agent_rate=3.0))
+_PLANNER = ToyPlanner(_CLIPS, _TRUTH)
+_PLANNER.train([c.id for c in _CLIPS[:4]])
+VALID = {
+    "pool": [encode_line(clip_to_dict(c)).decode() for c in _CLIPS],
+    "truth": [encode_line(truth_to_dict(t)).decode() for t in _TRUTH.values()],
+    "predictions": [encode_line(prediction_to_dict(p)).decode()
+                    for p in _PLANNER.predict([c.id for c in _CLIPS]).values()],
+}
+
+
+class TestSameErrors:
+    """A bad line, or an id in two ranges, gives the in-process read's
+    message: file, line and text."""
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 4))
+    def test_mutated_line_or_id_in_two_ranges(self, tmp_path_factory, kind, data, n):
+        lines = list(VALID[kind])
+        if data.draw(st.booleans()):
+            index = data.draw(st.integers(0, len(lines) - 1))
+            lines[index] = mutate_line(lines[index], data, BAD_VALUES)
+        if data.draw(st.booleans()):  # the first range's first id again, in the last range
+            lines.append(lines[0])
+        path = write_lines(tmp_path_factory.mktemp(kind) / "in.jsonl", lines)
+        load, check = KINDS[kind]
+        with cpus(1):
+            want = outcome(load, path)
+        with cpus(n, path.stat().st_size // n):
+            got = outcome(load, path)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            check(got, want)
+        assert_no_child_left()
+
+    def test_duplicate_id_across_ranges_through_the_cli(self, tmp_path, capsys):
+        pool = write_lines(tmp_path / "pool.jsonl", VALID["pool"] + VALID["pool"][:1])
+        messages = []
+        for n in (1, 2):
+            with cpus(n, pool.stat().st_size // 2):
+                assert main(["init", "--pool", str(pool), "--n0", "2", "--out", str(tmp_path / "sel.json")]) == 1
+            messages.append(capsys.readouterr().err)
+        assert messages[0] == messages[1]
+        assert f"pool file {pool} line {len(VALID['pool']) + 1}: duplicate id 'clip_000000'" in messages[0]
+        assert not (tmp_path / "sel.json").exists()
+
+
+def in_child(action):
+    """A block parser of pool records that runs ``action`` in a forked child
+    before parsing, and only there."""
+    parent, pool_block = os.getpid(), pool_module._pool_block
+
+    def parse(records, horizon):
+        if os.getpid() != parent:
+            action()
+        return pool_block(records, horizon)
+
+    return parse
+
+
+class TestChildren:
+    def test_killed_child_raises_naming_the_file(self, tmp_path, monkeypatch):
+        pool = write_lines(tmp_path / "pool.jsonl", VALID["pool"])
+        monkeypatch.setattr(pool_module, "_pool_block", in_child(lambda: os.kill(os.getpid(), signal.SIGKILL)))
+        with cpus(3, 1), pytest.raises(ChildProcessError,
+                                       match=rf"pool file {pool}: reader process \d+ ended without its result"):
+            load_pool(pool)
+        assert_no_child_left()
+
+    def test_exception_in_child_reads_the_file_in_process(self, tmp_path, monkeypatch):
+        pool = write_lines(tmp_path / "pool.jsonl", VALID["pool"])
+        with cpus(1):
+            want, _ = load_pool(pool)
+
+        def fail():
+            raise MemoryError("in a child")
+
+        monkeypatch.setattr(pool_module, "_pool_block", in_child(fail))
+        with cpus(3, 1) as forks:
+            got, _ = load_pool(pool)
+        assert len(forks) == 2
+        assert_table_equals_rows(got, list(want))
+        assert_no_child_left()
+
+    def test_live_thread_keeps_the_read_in_process(self, tmp_path):
+        pool = write_lines(tmp_path / "pool.jsonl", VALID["pool"])
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            with cpus(3, 1) as forks:
+                load_pool(pool)
+        finally:
+            stop.set()
+            thread.join()
+        assert forks == []
+        with cpus(3, 1) as forks:
+            load_pool(pool)
+        assert len(forks) == 2

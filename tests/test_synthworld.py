@@ -598,6 +598,12 @@ class TestToyPlanner:
         assert planner.is_trained
         assert len(planner.trained_ids) == 5
 
+    @pytest.mark.parametrize("n_neighbors", [0, -1])
+    def test_n_neighbors_below_one_is_rejected(self, n_neighbors):
+        clips, truth = generate_world(WorldConfig(n_clips=4, seed=4))
+        with pytest.raises(ValueError, match=f"n_neighbors must be >= 1, got {n_neighbors}"):
+            ToyPlanner(clips, truth, n_neighbors=n_neighbors)
+
     def test_duplicate_labeled_ids_error(self):
         clips, truth = generate_world(WorldConfig(n_clips=4, seed=4))
         planner = ToyPlanner(clips, truth)

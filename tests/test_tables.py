@@ -1,8 +1,10 @@
-"""Pool and truth files as column tables: ClipTable and TruthTable against the
-per-record loaders and per-clip formulas they replaced."""
+"""Pool, truth and predictions files as column tables: ClipTable, TruthTable
+and PredictionBatch against the per-record loaders and per-clip formulas
+they replaced."""
 
 import json
 import tracemalloc
+from contextlib import nullcontext
 from functools import partial
 from itertools import accumulate
 from unittest import mock
@@ -14,7 +16,15 @@ from hypothesis import strategies as st
 
 from driveselect import pool as pool_module
 from driveselect.cli import main
-from driveselect.criteria import _distances, prediction_batch, save_predictions
+from driveselect.criteria import (
+    _batch_from_parts,
+    _distances,
+    _record_parts,
+    load_predictions,
+    prediction_batch,
+    prediction_to_dict,
+    save_predictions,
+)
 from driveselect.diversity import STRATUM_ORDER, ego_diversity_init, stratify
 from driveselect.pool import (
     COMMAND_VALUES,
@@ -63,6 +73,15 @@ def reference_load_truth(source, horizon=6) -> dict[str, ClipTruth]:
     return read_jsonl(source, "truth", "clip_id", partial(_truth_from_dict, horizon=horizon))
 
 
+def reference_load_predictions(source, horizon=6):
+    """The predictions loader before predictions became block columns: the
+    arrays of each line, joined into one batch."""
+    return read_jsonl(
+        source, "predictions", "clip_id", partial(_record_parts, horizon=horizon),
+        lambda parts: _batch_from_parts(list(parts), list(parts.values()), horizon),
+    )
+
+
 def bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
@@ -93,6 +112,16 @@ def assert_truth_equals_rows(table: TruthTable, rows: dict[str, ClipTruth]) -> N
         for name in ("ego_future", "starts", "tracks"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype == float and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_batch_equals(got, want) -> None:
+    """The same clip ids and the same arrays: dtypes, shapes and bytes."""
+    assert got.clip_ids == want.clip_ids
+    for name in ("ego_plans", "agent_clip", "agent_ids", "confidence", "modality_counts", "modality_probs",
+                 "modality_trajs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tolist() == b.tolist() if a.dtype == object else a.tobytes() == b.tobytes(), name
 
 
 def no_row_path():
@@ -162,6 +191,35 @@ def truth_records(draw, horizon):
     ]
 
 
+def _probs(draw, m):
+    """Probabilities of ``m`` modalities that sum to 1: a one-hot list of
+    JSON integers, or positive weights over their sum."""
+    if draw(st.booleans()):
+        hot = draw(st.integers(0, m - 1))
+        return [int(i == hot) for i in range(m)]
+    weights = [draw(st.floats(0.01, 1.0)) for _ in range(m)]
+    return [w / sum(weights) for w in weights]
+
+
+@st.composite
+def prediction_records(draw, horizon, modalities):
+    """Predictions records whose agents have ``modalities`` modalities, or
+    (None) the agents of each record a count from 1 to 4."""
+    records = []
+    for i in range(draw(st.integers(1, 12))):
+        agents = []
+        m = modalities or draw(st.integers(1, 4))
+        for j in range(draw(st.integers(0, 3))):
+            agents.append({
+                "agent_id": f"c{i}-a{j}",
+                "confidence": draw(st.floats(0, 1) | st.integers(0, 1)),
+                "modality_probs": _probs(draw, m),
+                "modality_trajs": [_points(draw, horizon) for _ in range(m)],
+            })
+        records.append({"clip_id": f"c{i}", "ego_plan": _points(draw, horizon), "agents": agents})
+    return records
+
+
 @st.composite
 def jsonl_text(draw, records):
     """Lines of the records, as the writer or json.dumps writes them, with
@@ -193,6 +251,42 @@ class TestColumnsEqualRows:
             table = load_truth(path, horizon)
         assert_truth_equals_rows(table, want)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), horizon=st.integers(1, 4), block=st.integers(1, 5),
+           modalities=st.sampled_from([None, 1, 2, 3, 4]), given_horizon=st.booleans())
+    def test_predictions(self, data, horizon, block, modalities, given_horizon):
+        """Equal batches, and no per-record read where every block's agents
+        share one M: any one M, or one record per block."""
+        lines = data.draw(jsonl_text(data.draw(prediction_records(horizon, modalities))))
+        want = reference_load_predictions(lines, horizon)
+        rows = nullcontext() if modalities is None and block > 1 else no_row_path()
+        with mock.patch.object(pool_module, "READ_BLOCK", block), rows:
+            batch = load_predictions(lines, horizon if given_horizon else None)
+        assert_batch_equals(batch, want)
+
+    def test_predictions_of_mixed_m_in_one_record(self):
+        """Agents of 2, 1 and 3 modalities: as many numbers as three agents
+        of 2, which must not be read as such."""
+        agents = [
+            {"agent_id": f"a{m}", "confidence": 1, "modality_probs": [0] * (m - 1) + [1],
+             "modality_trajs": [[[m, i]] for i in range(m)]}
+            for m in (2, 1, 3)
+        ]
+        lines = [json.dumps({"clip_id": "c0", "ego_plan": [[0, 0]], "agents": agents})]
+        want = reference_load_predictions(lines, 1)
+        assert want.modality_counts.tolist() == [2, 1, 3]
+        assert_batch_equals(load_predictions(lines, 1), want)
+
+    @pytest.mark.parametrize("horizons", [(2, 1, 1), (1, 2)])
+    def test_predictions_of_two_horizons_fail_as_rows(self, horizons):
+        """Without a given horizon, blocks whose first plans differ in length
+        fail with the per-record message, whatever the lengths add up to."""
+        lines = [json.dumps({"clip_id": f"c{i}", "ego_plan": [[0, 0]] * h, "agents": []})
+                 for i, h in enumerate(horizons)]
+        with mock.patch.object(pool_module, "READ_BLOCK", 1):
+            assert _outcome(partial(load_predictions, horizon=None), lines) == _outcome(
+                partial(reference_load_predictions, horizon=None), lines)
+
     def test_generated_files(self, tmp_path):
         pool, truth = tmp_path / "pool.jsonl", tmp_path / "truth.jsonl"
         generate_pool(WorldConfig(n_clips=300, seed=7, agent_rate=3.0), pool, truth)
@@ -203,6 +297,18 @@ class TestColumnsEqualRows:
         assert_table_equals_rows(table, reference_load_pool(pool))
         assert_truth_equals_rows(truth_columns, reference_load_truth(truth))
 
+    @pytest.mark.parametrize("seed, trained", [(7, 0), (11, 60)])
+    def test_toy_planner_predictions(self, tmp_path, seed, trained):
+        clips, truth = generate_world(WorldConfig(n_clips=300, seed=seed, agent_rate=3.0))
+        planner = ToyPlanner(clips, truth)
+        planner.train([c.id for c in clips[:trained]])
+        path = tmp_path / "preds.jsonl"
+        save_predictions(planner.predict([c.id for c in clips]).values(), path)
+        want = reference_load_predictions(path)
+        with no_row_path():
+            assert_batch_equals(load_predictions(path), want)
+            assert_batch_equals(load_predictions(path, None), want)
+
     def test_truth_rows_are_views(self, tmp_path):
         _, truth = generate_world(WorldConfig(n_clips=20, seed=3, agent_rate=3.0))
         table = truth_table(truth)
@@ -211,12 +317,17 @@ class TestColumnsEqualRows:
 
 
 _WORLD = generate_world(WorldConfig(n_clips=6, seed=3, agent_rate=3.0))
+_PLANNER = ToyPlanner(*_WORLD)
+_PLANNER.train([c.id for c in _WORLD[0][:3]])
 #: kind -> (valid lines, table loader, reference loader, check of a table against reference rows)
 LOADERS = {
     "pool": ([encode_line(clip_to_dict(c)).decode() for c in _WORLD[0]],
              lambda path: load_pool(path)[0], reference_load_pool, assert_table_equals_rows),
     "truth": ([encode_line(truth_to_dict(t)).decode() for t in _WORLD[1].values()],
               load_truth, reference_load_truth, assert_truth_equals_rows),
+    "predictions": ([encode_line(prediction_to_dict(p)).decode()
+                     for p in _PLANNER.predict([c.id for c in _WORLD[0]]).values()],
+                    load_predictions, reference_load_predictions, assert_batch_equals),
 }
 #: Values a mutated line may hold: what the column checks must reject just
 #: as the per-record checks do (NaN, infinities, negatives, huge and
@@ -276,6 +387,18 @@ class TestSameErrors:
         ("truth", lambda r: r["agents"][0].update(agent_id=None)),
         ("truth", lambda r: r["agents"][0]["track"].pop()),
         ("truth", lambda r: r["ego_future"][0].__setitem__(0, float("nan"))),
+        ("predictions", lambda r: r.update(agents={})),
+        ("predictions", lambda r: r["ego_plan"].pop()),
+        ("predictions", lambda r: r["ego_plan"][1].__setitem__(1, float("inf"))),
+        ("predictions", lambda r: r["agents"][0].update(confidence=1.5)),
+        ("predictions", lambda r: r["agents"][0].update(agent_id=None)),
+        ("predictions", lambda r: r["agents"][0]["modality_probs"].__setitem__(0, float("nan"))),
+        ("predictions", lambda r: r["agents"][0]["modality_probs"].append(0.0)),
+        ("predictions", lambda r: r["agents"][0]["modality_trajs"][1].pop()),
+        ("predictions", lambda r: r["agents"][0].update(modality_probs=[], modality_trajs=[])),
+        # One agent of one modality among agents of three: valid, and mixed M.
+        ("predictions", lambda r: r["agents"][0].update(modality_probs=[1.0],
+                                                        modality_trajs=r["agents"][0]["modality_trajs"][:1])),
     ])
     def test_edited_line(self, tmp_path, kind, edit):
         lines = list(LOADERS[kind][0])
