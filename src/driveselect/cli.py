@@ -182,8 +182,9 @@ def cmd_score(args) -> int:
     unlabeled = state.unlabeled_ids
     _echo_config({"alpha": args.alpha, "beta": args.beta, "eps_a": args.eps_a, "delta_d": args.delta_d})
     columns = score_pool(
-        clips.take(unlabeled),
+        clips,
         predictions,
+        ids=unlabeled,
         alpha=args.alpha,
         beta=args.beta,
         eps_a=args.eps_a,
@@ -201,8 +202,11 @@ def cmd_select(args) -> int:
     columns = load_scores(args.scores)
     scored = columns["clip_id"]
     payload = read_selection_payload(args.selection)
-    labeled = {i for entry in payload["rounds"] for i in entry["ids"]}
-    already = sorted(labeled.intersection(scored))
+    # Without the pool, the ids select can know are the selection's and the
+    # scored ones; load_selection then rejects what score would.
+    labeled = [i for entry in payload["rounds"] for i in entry["ids"]]
+    load_selection(args.selection, dict.fromkeys([*labeled, *scored]))
+    already = sorted(set(labeled).intersection(scored))
     if already:
         print(f"error: scored clip {already[0]!r} is already labeled", file=sys.stderr)
         return 1

@@ -159,6 +159,31 @@ class ClipPrediction:
             raise ValueError(f"clip {self.clip_id}: {errors[0][1]}")
 
 
+def _check_lengths(batch: PredictionBatch) -> None:
+    """Raise ValueError naming two columns of ``batch`` that disagree in N, A,
+    M or H."""
+    def size(name: str, axis: int):
+        column = getattr(batch, name)
+        shape = getattr(column, "shape", (len(column),))
+        return shape[axis] if len(shape) > axis else None
+
+    dims = {
+        "N": [("clip_ids", 0), ("ego_plans", 0)],
+        "A": [(name, 0) for name in ("agent_clip", "agent_ids", "confidence", "modality_counts",
+                                     "modality_probs", "modality_trajs")],
+        "M": [("modality_probs", 1), ("modality_trajs", 1)],
+        "H": [("ego_plans", 1), ("modality_trajs", 2)],
+    }
+    for dim, ((first, axis), *others) in dims.items():
+        expected = size(first, axis)
+        for name, other_axis in others:
+            if size(name, other_axis) != expected:
+                raise ValueError(
+                    f"prediction batch columns disagree in {dim}: {first} has {expected}, "
+                    f"{name} has {size(name, other_axis)}"
+                )
+
+
 @dataclass(frozen=True, eq=False)
 class PredictionBatch(Mapping):
     """Model outputs for N clips as arrays: ego plans of horizon H, and A
@@ -183,6 +208,7 @@ class PredictionBatch(Mapping):
     _offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        _check_lengths(self)
         rows = row_index(self.clip_ids, "a prediction batch")
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_offsets", np.searchsorted(self.agent_clip, np.arange(len(rows) + 1)))
@@ -308,6 +334,32 @@ def _batch_of(clip_ids: Sequence[str], preds: Sequence[ClipPrediction], horizon:
         raise ValueError(f"clip {clip_ids[exc.row]!r}: {exc}") from exc
 
 
+def _prediction_rows(
+    predictions: Mapping[str, ClipPrediction], clips: ClipTable | Sequence[ClipRecord], ids: tuple[str, ...]
+) -> tuple[PredictionBatch, np.ndarray]:
+    """A batch holding the predictions of ``ids``, clips of ``clips``, and
+    their rows in it. A PredictionBatch is used as it is, with its clips in
+    any order, and any other mapping is converted. A clip without a
+    prediction raises KeyError, and one whose ``gt_future`` has another
+    horizon than the predictions raises ValueError; both name the clip."""
+    if isinstance(clips, ClipTable):
+        # One horizon for the whole table: its first scored clip stands for all.
+        horizons = [(ids[0], clips.horizon)] if ids else []
+    else:
+        horizons = [(c.id, len(c.gt_future)) for c in clips]
+    for clip_id in ids:
+        if clip_id not in predictions:
+            raise KeyError(f"missing prediction for clip {clip_id!r}")
+    if not isinstance(predictions, PredictionBatch):
+        predictions = _batch_of(ids, [predictions[i] for i in ids], horizons[0][1] if horizons else None)
+    for clip_id, horizon in horizons:
+        if horizon != predictions.horizon:
+            raise ValueError(
+                f"clip {clip_id!r}: gt_future has {horizon} waypoints, predictions have {predictions.horizon}"
+            )
+    return predictions, np.fromiter(map(predictions._rows.__getitem__, ids), dtype=np.intp, count=len(ids))
+
+
 def prediction_batch(
     predictions: Mapping[str, ClipPrediction], clips: ClipTable | Sequence[ClipRecord]
 ) -> PredictionBatch:
@@ -315,60 +367,64 @@ def prediction_batch(
     clip order.
 
     A PredictionBatch of just these clips in this order is returned as it
-    is, any other gives its rows, and any other mapping is converted. A clip
-    without a prediction raises KeyError, and one whose ``gt_future`` has
-    another horizon than the predictions raises ValueError; both name the clip.
+    is, any other gives its rows, and any other mapping is converted. The
+    errors are those of :func:`_prediction_rows`.
     """
-    if isinstance(clips, ClipTable):
-        # One horizon for the whole table: its first clip stands for all.
-        ids, horizons = clips.ids, [clips.horizon] * min(len(clips), 1)
-    else:
-        ids, horizons = tuple(c.id for c in clips), [len(c.gt_future) for c in clips]
-    for clip_id in ids:
-        if clip_id not in predictions:
-            raise KeyError(f"missing prediction for clip {clip_id!r}")
-    if isinstance(predictions, PredictionBatch):
-        batch = predictions if predictions.clip_ids == ids else predictions.take(ids)
-    else:
-        batch = _batch_of(ids, [predictions[i] for i in ids], horizons[0] if horizons else None)
-    for clip_id, horizon in zip(ids, horizons):
-        if horizon != batch.horizon:
-            raise ValueError(
-                f"clip {clip_id!r}: gt_future has {horizon} waypoints, predictions have {batch.horizon}"
-            )
-    return batch
+    ids = clips.ids if isinstance(clips, ClipTable) else tuple(c.id for c in clips)
+    batch, _ = _prediction_rows(predictions, clips, ids)
+    return batch if batch.clip_ids == ids else batch.take(ids)
 
 
 # ---------------------------------------------------------------------------
 # Criterion kernels. Each reduces in the order the one-clip definition does,
 # so a batch value is bit-equal to scoring that clip on its own: row sums
 # equal 1-D sums in numpy, minima are exact in any order, and per-clip totals
-# accumulate with ufunc.at in agent order.
+# accumulate with ufunc.at in agent order. The agent kernels read the agents
+# of the scored clips by index (see :func:`_scored_agents`), so a batch is
+# never copied to score some of its clips.
 # ---------------------------------------------------------------------------
+
+#: Agents per block of :func:`_best_distances`; bounds its temporaries.
+AGENT_BLOCK = 1024
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between matching points, as norm(a - b, axis=-1)."""
     d = a - b
-    return np.sqrt((d * d).sum(axis=-1))
+    np.multiply(d, d, out=d)
+    return np.sqrt(d.sum(axis=-1))
 
 
 def _displacement_errors(plans: np.ndarray, gts: np.ndarray) -> np.ndarray:
     return _distances(plans, gts).mean(axis=1)
 
 
-def _best_distances(batch: PredictionBatch) -> np.ndarray:
-    """(A, H) distances between each agent's highest-probability trajectory
-    (ties go to the lowest index) and its clip's ego plan."""
-    best = batch.modality_probs.argmax(axis=1)
-    tracks = batch.modality_trajs[np.arange(len(best)), best]
-    return _distances(tracks, batch.ego_plans[batch.agent_clip])
+def _scored_agents(batch: PredictionBatch, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The agents of the clips at batch ``rows``, clip after clip and each
+    clip's in batch order, and the position in ``rows`` of each one's clip."""
+    agents, counts = ragged_take(batch._offsets, rows)
+    return agents, np.repeat(np.arange(len(rows)), counts)
 
 
-def _soft_collisions(batch: PredictionBatch, dists: np.ndarray, eps_a: float) -> np.ndarray:
-    closest = np.full(batch.ego_plans.shape[:2], np.inf)
-    confident = batch.confidence >= eps_a
-    np.minimum.at(closest, batch.agent_clip[confident], dists[confident])
+def _best_distances(batch: PredictionBatch, agents: np.ndarray) -> np.ndarray:
+    """(len(agents), H) distances between each given agent's
+    highest-probability trajectory (ties go to the lowest index) and its
+    clip's ego plan, :func:`_distances` computed ``AGENT_BLOCK`` agents at a time."""
+    out = np.empty((len(agents), batch.horizon))
+    for lo in range(0, len(agents), AGENT_BLOCK):
+        block = agents[lo : lo + AGENT_BLOCK]
+        d = batch.modality_trajs[block, batch.modality_probs[block].argmax(axis=1)]
+        d -= batch.ego_plans[batch.agent_clip[block]]
+        np.multiply(d, d, out=d)
+        np.sqrt(d.sum(axis=-1), out=out[lo : lo + len(block)])
+    return out
+
+
+def _soft_collisions(batch: PredictionBatch, agents: np.ndarray, owners: np.ndarray, n: int,
+                     dists: np.ndarray, eps_a: float) -> np.ndarray:
+    closest = np.full((n, batch.horizon), np.inf)
+    confident = batch.confidence[agents] >= eps_a
+    np.minimum.at(closest, owners[confident], dists[confident])
     return np.exp(-closest).sum(axis=1)  # exp(-inf) = 0: no confident agent, no risk
 
 
@@ -381,19 +437,21 @@ def _entropies(probs: np.ndarray) -> np.ndarray:
     terms = np.take_along_axis(p * np.log(p), order, axis=1)
     counts = positive.sum(axis=1)
     out = np.empty(len(probs))
-    for k in np.unique(counts):
+    # The counts present, ascending; np.unique would import numpy.ma.
+    for k in np.flatnonzero(np.bincount(counts)):
         rows = counts == k
         out[rows] = -terms[rows, :k].sum(axis=1)
     return out
 
 
-def _agent_uncertainties(batch: PredictionBatch, dists: np.ndarray, delta_d: float) -> np.ndarray:
+def _agent_uncertainties(batch: PredictionBatch, agents: np.ndarray, owners: np.ndarray, n: int,
+                         dists: np.ndarray, delta_d: float) -> np.ndarray:
     d_a = dists.min(axis=1)
     near = np.flatnonzero(d_a <= delta_d)
     # math.exp, not np.exp: the two round differently in the last bit.
     weights = np.array([math.exp(delta_d - d) for d in d_a[near].tolist()], dtype=float)
-    totals = np.zeros(len(batch))
-    np.add.at(totals, batch.agent_clip[near], weights * _entropies(batch.modality_probs[near]))
+    totals = np.zeros(n)
+    np.add.at(totals, owners[near], weights * _entropies(batch.modality_probs[agents[near]]))
     return totals
 
 
@@ -453,7 +511,8 @@ def soft_collision(pred: ClipPrediction, eps_a: float) -> float:
     """
     _check_eps_a(eps_a)
     batch = _batch_of([pred.clip_id], [pred])
-    return float(_soft_collisions(batch, _best_distances(batch), eps_a)[0])
+    agents, owners = _scored_agents(batch, np.zeros(1, dtype=np.intp))
+    return float(_soft_collisions(batch, agents, owners, 1, _best_distances(batch, agents), eps_a)[0])
 
 
 def agent_uncertainty(pred: ClipPrediction, delta_d: float) -> float:
@@ -465,7 +524,8 @@ def agent_uncertainty(pred: ClipPrediction, delta_d: float) -> float:
     """
     _check_delta_d(delta_d)
     batch = _batch_of([pred.clip_id], [pred])
-    return float(_agent_uncertainties(batch, _best_distances(batch), delta_d)[0])
+    agents, owners = _scored_agents(batch, np.zeros(1, dtype=np.intp))
+    return float(_agent_uncertainties(batch, agents, owners, 1, _best_distances(batch, agents), delta_d)[0])
 
 
 def _normalized(values: np.ndarray) -> np.ndarray:
@@ -524,30 +584,42 @@ def score_pool(
     clips: ClipTable | Sequence[ClipRecord],
     predictions: Mapping[str, ClipPrediction],
     *,
+    ids: Sequence[str] | None = None,
     alpha: float,
     beta: float,
     eps_a: float,
     delta_d: float,
 ) -> dict:
-    """Score every clip, normalize each criterion over the batch, and mix,
-    into a dict keyed by :data:`SCORE_COLUMNS`: the clip-id tuple, then one
-    float64 array per score, in clip order. ``predictions`` is any mapping
-    from clip id (see :func:`prediction_batch`); every clip needs a prediction
-    of its horizon, and a missing one raises KeyError naming the clip.
+    """Score the clips of ``ids`` (default: every clip, in clip order),
+    normalize each criterion over them, and mix, into a dict keyed by
+    :data:`SCORE_COLUMNS`: the id tuple, then one float64 array per score,
+    in ``ids`` order.
+
+    ``predictions`` is any mapping from clip id (see :func:`_prediction_rows`);
+    every scored clip needs a prediction of its horizon, and a missing one
+    raises KeyError naming the clip. Nothing is copied to score a subset:
+    the clips' ``gt_future`` and a PredictionBatch's plans and agents are
+    read by row, and the batch may hold more clips, in any order.
     """
-    if not clips:
+    if ids is None:
+        ids = clips.ids if isinstance(clips, ClipTable) else tuple(c.id for c in clips)
+    ids = tuple(ids)
+    if not ids:
         raise ValueError("no clips to score")
+    if len(set(ids)) != len(ids):
+        row_index(ids, "the scored ids")
     check_score_settings(alpha=alpha, beta=beta, eps_a=eps_a, delta_d=delta_d)
-    batch = prediction_batch(predictions, clips)
-    gts = clip_table(clips).gt_future
-    dists = _best_distances(batch)
+    batch, rows = _prediction_rows(predictions, clips, ids)
+    table = clip_table(clips)
+    agents, owners = _scored_agents(batch, rows)
+    dists = _best_distances(batch, agents)
     raw = (
-        _displacement_errors(batch.ego_plans, gts),
-        _soft_collisions(batch, dists, eps_a),
-        _agent_uncertainties(batch, dists, delta_d),
+        _displacement_errors(batch.ego_plans[rows], table.gt_future[table.rows_of(ids)]),
+        _soft_collisions(batch, agents, owners, len(ids), dists, eps_a),
+        _agent_uncertainties(batch, agents, owners, len(ids), dists, delta_d),
     )
     norm = [_normalized(column) for column in raw]
-    return dict(zip(SCORE_COLUMNS, (batch.clip_ids, *raw, *norm, overall_loss(*norm, alpha, beta))))
+    return dict(zip(SCORE_COLUMNS, (ids, *raw, *norm, overall_loss(*norm, alpha, beta))))
 
 
 # ---------------------------------------------------------------------------

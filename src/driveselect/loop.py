@@ -108,8 +108,7 @@ class FilePredictionProvider:
 
     def predict(self, ids: Sequence[str]) -> PredictionBatch:
         path = os.path.join(self.directory, self.PATTERN.format(round=self.round_index))
-        # The file's own horizon; score_pool's prediction_batch checks it
-        # against the clips.
+        # The file's own horizon; score_pool checks it against the clips.
         available = load_predictions(path, horizon=None)
         for clip_id in ids:
             if clip_id not in available:
@@ -181,8 +180,9 @@ def run_round(
     provider.train(state.labeled_ids)
     predictions = provider.predict(unlabeled)
     columns = score_pool(
-        clip_table(clips).take(unlabeled),
+        clips,
         predictions,
+        ids=unlabeled,
         alpha=config.alpha,
         beta=config.beta,
         eps_a=config.eps_a,

@@ -311,9 +311,12 @@ class ClipTable(Sequence):
         )
 
     def _frame_counts(self, flags: np.ndarray) -> np.ndarray:
-        """Per clip, how many of its frames have a true flag."""
-        total = _offsets(flags)
-        return total[self.offsets[1:]] - total[self.offsets[:-1]]
+        """Per clip, how many of its frames have a true flag: the true
+        positions before each clip's end less those before its start.
+        ``np.add.reduceat(flags, ..., dtype=np.intp)`` would cast all F
+        flags to intp first."""
+        before = np.searchsorted(np.flatnonzero(flags), self.offsets)
+        return before[1:] - before[:-1]
 
     def buckets(self) -> np.ndarray:
         """Each clip's index in ``BUCKETS``."""

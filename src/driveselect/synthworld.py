@@ -652,7 +652,8 @@ class ToyPlanner:
         q_strata, e_strata = _strata(queries), _strata(exemplars)
         nearest = np.empty((len(queries), k), dtype=np.intp)
         # Stable argsort + id-sorted exemplars = deterministic id tie-break.
-        for stratum in np.unique(q_strata):
+        # The strata present, ascending; np.unique would import numpy.ma.
+        for stratum in np.flatnonzero(np.bincount(q_strata)):
             local = np.flatnonzero(e_strata == stratum)
             local_speeds = exemplars[local, -1]
             in_stratum = np.flatnonzero(q_strata == stratum)

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -272,6 +275,41 @@ class TestScoreSelect:
         assert f"error: selection file {sel}: {message}" in capsys.readouterr().err
         assert not scores.exists()
 
+    @pytest.mark.parametrize(
+        "bad_rounds, message",
+        [
+            (lambda ids: [(0, ids[:5]), (1, ids[4:6])], lambda ids: f"clip {ids[4]!r} already labeled"),
+            (lambda ids: [(0, ids[:5]), (0, ids[5:])], lambda ids: "round index 0 must exceed previous 0"),
+        ],
+        ids=["already_labeled", "repeated_round"],
+    )
+    def test_select_rejects_what_score_rejects(self, world, tmp_path, capsys, bad_rounds, message):
+        pool, _ = world
+        sel = self._init(pool, tmp_path)
+        labeled = json.loads(sel.read_text())["rounds"][0]["ids"]
+        clips, _ = load_pool(pool)
+        pred_path = tmp_path / "preds.jsonl"
+        from driveselect.criteria import ClipPrediction
+
+        save_predictions([ClipPrediction(clip_id=c.id, ego_plan=c.gt_future, agents=()) for c in clips], pred_path)
+        scores = tmp_path / "scores.tsv"
+        assert run_cli("score", "--pool", pool, "--selection", sel, "--predictions", pred_path, "--out", scores) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"rounds": [{"round": r, "ids": ids} for r, ids in bad_rounds(labeled)]}))
+        before = bad.read_text()
+        capsys.readouterr()
+        assert run_cli("score", "--pool", pool, "--selection", bad, "--predictions", pred_path,
+                       "--out", tmp_path / "bad_scores.tsv") == 1
+        expected = f"error: selection file {bad}: {message(labeled)}\n"
+        assert capsys.readouterr().err == expected
+        for out in (tmp_path / "next.json", None):
+            assert run_cli("select", "--scores", scores, "--selection", bad, "--n-itr", 3,
+                           *(["--out", out] if out else [])) == 1
+            assert capsys.readouterr().err == expected
+        assert bad.read_text() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "pool.jsonl", "preds.jsonl",
+                                                              "scores.tsv", "sel.json", "truth.jsonl"]
+
     @pytest.mark.parametrize("content", ['{"init": []}', "[1, 2]"])
     def test_select_rejects_file_without_rounds(self, tmp_path, capsys, content):
         from driveselect.criteria import SCORE_COLUMNS
@@ -283,6 +321,33 @@ class TestScoreSelect:
         assert run_cli("select", "--scores", scores, "--selection", sel, "--n-itr", 1) == 1
         assert f"selection file {sel}: missing 'rounds'" in capsys.readouterr().err
         assert sel.read_text() == content
+
+
+def test_no_command_imports_numpy_ma(world, tmp_path):
+    """np.unique imports numpy.ma (1.25 MB of RSS); no command may load it."""
+    pool, truth = world
+    clips, _ = load_pool(pool)
+    save_predictions(ToyPlanner(clips, load_truth(truth)).predict(clips.ids).values(), tmp_path / "preds.jsonl")
+    steps = [
+        ["gen", "--n", "150", "--seed", "3", "--pool", "gen_pool.jsonl", "--truth", "gen_truth.jsonl"],
+        ["run", "--pool", str(pool), "--truth", str(truth), "--out-dir", "run", "--heldout-count", "12"],
+        ["init", "--pool", str(pool), "--n0", "12", "--out", "sel.json"],
+        ["score", "--pool", str(pool), "--selection", "sel.json", "--predictions", "preds.jsonl", "--out", "s.tsv"],
+        ["select", "--scores", "s.tsv", "--selection", "sel.json", "--n-itr", "12"],
+        ["report", "--manifest", "run/manifest.json", "--selection", "sel.json", "--out-dir", "report"],
+    ]
+    code = (
+        "import json, sys\n"
+        "from driveselect.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'numpy.ma' not in sys.modules, argv[0]\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(steps)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestNonFiniteSettings:

@@ -27,6 +27,7 @@ from driveselect.criteria import (
 )
 from driveselect.diversity import STRATUM_ORDER, ego_diversity_init, stratify
 from driveselect.pool import (
+    COMMAND_CLASSES,
     COMMAND_VALUES,
     LIGHTING_VALUES,
     WEATHER_VALUES,
@@ -488,6 +489,35 @@ class TestKernelsEqualRowFormulas:
             for key, rows in strata.items():
                 want = [c.id for c, cls in zip(clips, classes) if (reference_bucket(c), cls) == key]
                 assert [table.ids[r] for r in rows.tolist()] == want
+
+    def test_command_classes_equal_the_cumsum_counts(self, rng):
+        """The frame counts of the frame-length cumsum they replaced, also
+        for tables built directly with frameless rows, their slices, and a
+        table without frames."""
+        def reference(table, tau_c):
+            counts = []
+            for code in ("Left", "Right"):
+                total = np.concatenate(([0], np.cumsum(table.commands == COMMAND_VALUES.index(code), dtype=np.intp)))
+                counts.append(total[table.offsets[1:]] - total[table.offsets[:-1]] >= tau_c)
+            left, right = counts
+            return np.select([left & right, left, right], [COMMAND_CLASSES.index(c) for c in "OLR"],
+                             COMMAND_CLASSES.index("S"))
+
+        tables = [clip_table(generate_world(WorldConfig(n_clips=200, seed=4))[0])]
+        for frames in [rng.integers(0, 9, size=n) * (rng.uniform(size=n) < 0.6) for n in (1, 2, 7, 40)] + [[0, 0, 0]]:
+            n = len(frames)
+            offsets = np.concatenate(([0], np.cumsum(frames))).astype(np.intp)
+            f = int(offsets[-1])
+            table = ClipTable(
+                tuple(f"c{i}" for i in range(n)), np.zeros(n, np.int8), np.zeros(n, np.int8), offsets,
+                np.ones(f), rng.integers(0, len(COMMAND_VALUES), size=f).astype(np.int8), np.zeros((n, 6, 2)),
+                (None,) * n,
+            )
+            tables += [table, table[n // 3 :]]
+        assert any(0 in np.diff(t.offsets) for t in tables) and not len(tables[-1].commands)
+        for table in tables:
+            for tau_c in (1, 2, 4, 9):
+                assert table.command_classes(tau_c).tolist() == reference(table, tau_c).tolist()
 
     def test_ego_diversity_init_sorts_by_the_row_mean_speed(self, rng):
         """Each stratum's picks come from its members sorted by (mean speed, id)."""
