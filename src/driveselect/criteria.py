@@ -386,6 +386,8 @@ def prediction_batch(
 
 #: Agents per block of :func:`_best_distances`; bounds its temporaries.
 AGENT_BLOCK = 1024
+#: Scored clips per block of :func:`score_pool`; bounds its agent temporaries.
+SCORE_BLOCK = 1024
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -611,13 +613,18 @@ def score_pool(
     check_score_settings(alpha=alpha, beta=beta, eps_a=eps_a, delta_d=delta_d)
     batch, rows = _prediction_rows(predictions, clips, ids)
     table = clip_table(clips)
-    agents, owners = _scored_agents(batch, rows)
-    dists = _best_distances(batch, agents)
-    raw = (
-        _displacement_errors(batch.ego_plans[rows], table.gt_future[table.rows_of(ids)]),
-        _soft_collisions(batch, agents, owners, len(ids), dists, eps_a),
-        _agent_uncertainties(batch, agents, owners, len(ids), dists, delta_d),
-    )
+    gt_rows = table.rows_of(ids)
+    raw = (np.empty(len(ids)), np.empty(len(ids)), np.empty(len(ids)))
+    # A clip's raw values do not depend on the other clips, so the columns
+    # built block by block equal one whole-batch pass bit for bit.
+    for lo in range(0, len(ids), SCORE_BLOCK):
+        block = rows[lo : lo + SCORE_BLOCK]
+        n = len(block)
+        agents, owners = _scored_agents(batch, block)
+        dists = _best_distances(batch, agents)
+        raw[0][lo : lo + n] = _displacement_errors(batch.ego_plans[block], table.gt_future[gt_rows[lo : lo + n]])
+        raw[1][lo : lo + n] = _soft_collisions(batch, agents, owners, n, dists, eps_a)
+        raw[2][lo : lo + n] = _agent_uncertainties(batch, agents, owners, n, dists, delta_d)
     norm = [_normalized(column) for column in raw]
     return dict(zip(SCORE_COLUMNS, (ids, *raw, *norm, overall_loss(*norm, alpha, beta))))
 

@@ -559,7 +559,9 @@ def generate_pool(config: WorldConfig, pool_path: str | os.PathLike, truth_path:
 # ---------------------------------------------------------------------------
 
 SPEED_SCALE = 15.0  # m/s; normalizes the speed feature to roughly [0, 1]
-KNN_BLOCK = 128     # queries per k-NN block; bounds the distance arrays
+#: Rows x exemplars x features per block of the all-exemplar k-NN path;
+#: bounds its difference array at 512 KiB.
+KNN_ELEMENTS = 2**16
 # Clips in different strata differ in at least two one-hot entries, so their
 # computed feature distance is never below this.
 STRATUM_GAP = math.sqrt(2.0)
@@ -571,6 +573,56 @@ def _strata(feats: np.ndarray) -> np.ndarray:
     return feats[:, :n_b].argmax(axis=1) * len(COMMAND_CLASSES) + feats[:, n_b:-1].argmax(axis=1)
 
 
+def _speed_distances(queries: np.ndarray, speeds: np.ndarray) -> np.ndarray:
+    """sqrt(gap * gap) of the speed-feature gaps. Within a stratum the
+    one-hot terms are exact zeros, so this equals the full feature norm bit
+    for bit."""
+    gap = queries - speeds
+    return np.sqrt(gap * gap)
+
+
+def _window_nearest(queries: np.ndarray, speeds: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest of one stratum's id-ordered exemplar ``speeds`` to each
+    query speed, by (distance, index), searched in a window of min(2k, n)
+    exemplars around the query in speed order; and which rows must take the
+    exact all-exemplar path instead.
+
+    A computed distance never falls as an exemplar's speed moves away from
+    the query's on either side (rounding is monotone), so every exemplar
+    outside the window is at least as far as the one just left or just right
+    of it. A row whose two neighbours are both strictly farther than its
+    k-th distance has its k nearest in the window; any other row, and any
+    row whose k-th distance reaches ``STRATUM_GAP``, is flagged.
+    """
+    n = len(speeds)
+    by_speed = np.argsort(speeds, kind="stable")
+    sorted_speeds = speeds[by_speed]
+    width = min(2 * k, n)
+    lo = np.clip(np.searchsorted(sorted_speeds, queries) - k, 0, n - width)
+    # Back in exemplar order, so the stable argsort breaks ties by index.
+    candidates = np.sort(by_speed[lo[:, None] + np.arange(width)], axis=1)
+    dists = _speed_distances(queries[:, None], speeds[candidates])
+    order = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    kth = np.take_along_axis(dists, order[:, -1:], axis=1)[:, 0]
+    exact = kth >= STRATUM_GAP
+    for edge in (lo - 1, lo + width):
+        rows = np.flatnonzero((edge >= 0) & (edge < n))
+        exact[rows] |= _speed_distances(queries[rows], sorted_speeds[edge[rows]]) <= kth[rows]
+    return np.take_along_axis(candidates, order, axis=1), exact
+
+
+def _nearest_all(queries: np.ndarray, exemplars: np.ndarray, k: int) -> np.ndarray:
+    """The k nearest exemplars of each query over all of them, by the full
+    feature norm and a stable argsort over the id-ordered exemplars, in
+    blocks of at most ``KNN_ELEMENTS`` difference elements."""
+    nearest = np.empty((len(queries), k), dtype=np.intp)
+    step = max(1, KNN_ELEMENTS // exemplars.size)
+    for lo in range(0, len(queries), step):
+        dists = np.linalg.norm(queries[lo : lo + step, None, :] - exemplars[None, :, :], axis=2)
+        nearest[lo : lo + step] = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    return nearest
+
+
 class ToyPlanner:
     """k-nearest-neighbor planner over cheap clip features.
 
@@ -580,14 +632,18 @@ class ToyPlanner:
     locally dense; before any training it falls back to constant-velocity
     extrapolation. The search is exact but stratum-local: within a (bucket,
     command) stratum the feature distance is the speed gap, and other strata
-    are at least ``STRATUM_GAP`` away, so a query only scans its own stratum's
-    exemplars unless that stratum has fewer than k of them (or they are that
-    far away). Queries go in blocks of ``KNN_BLOCK``, so memory is linear in
-    the pool. Agent forecasts are built from the true agent tracks (a
-    deliberate oracle shortcut) with three rotated constant-velocity
-    modalities. They do not depend on training, so ``predict`` builds them
-    per call, for the asked clips only, in one array pass, and returns them
-    with the plans as one :class:`PredictionBatch`.
+    are at least ``STRATUM_GAP`` away. So a query looks only at the 2k
+    exemplars of its stratum nearest its speed (:func:`_window_nearest`),
+    and a round costs O(Q k) after one sort of each stratum's speeds. A row
+    whose window cannot be proven to hold its k nearest (a tie at the
+    window's edge), whose stratum has fewer than k exemplars, or whose k-th
+    distance reaches ``STRATUM_GAP`` takes the all-exemplar search, in
+    blocks of at most ``KNN_ELEMENTS`` difference elements. Agent forecasts
+    are built from the true agent tracks (a deliberate oracle shortcut) with
+    three rotated constant-velocity modalities. They do not depend on
+    training, so ``predict`` builds them per call, for the asked clips only,
+    after the plans and from each track's first and last points, and returns
+    them with the plans as one :class:`PredictionBatch`.
     """
 
     MODALITY_ANGLES = (-15.0, 0.0, 15.0)  # degrees
@@ -626,13 +682,19 @@ class ToyPlanner:
         if len(set(ids)) != len(ids):
             raise ValueError("labeled set contains duplicate clip ids")
         ids.sort()  # stable exemplar order: ties in feature distance break by id
+        # Every lookup before any state changes: a bad id leaves the planner as it was.
+        try:
+            clip_rows = self._clips.rows_of(ids)
+        except KeyError as e:
+            raise KeyError(f"clip {e.args[0]!r} is not in the planner's pool") from None
+        truth_rows = self._truth.rows_of(ids)
         self.trained_ids = tuple(ids)
         if not ids:
             self._exemplar_feats = None
             self._exemplar_futures = None
             return
-        self._exemplar_feats = self._features[self._clips.rows_of(ids)]
-        self._exemplar_futures = self._truth.ego_future[self._truth.rows_of(ids)]
+        self._exemplar_feats = self._features[clip_rows]
+        self._exemplar_futures = self._truth.ego_future[truth_rows]
 
     @property
     def is_trained(self) -> bool:
@@ -651,26 +713,19 @@ class ToyPlanner:
         k = min(self.n_neighbors, len(exemplars))
         q_strata, e_strata = _strata(queries), _strata(exemplars)
         nearest = np.empty((len(queries), k), dtype=np.intp)
-        # Stable argsort + id-sorted exemplars = deterministic id tie-break.
+        exact = np.zeros(len(queries), dtype=bool)
         # The strata present, ascending; np.unique would import numpy.ma.
         for stratum in np.flatnonzero(np.bincount(q_strata)):
+            rows = np.flatnonzero(q_strata == stratum)
             local = np.flatnonzero(e_strata == stratum)
-            local_speeds = exemplars[local, -1]
-            in_stratum = np.flatnonzero(q_strata == stratum)
-            for start in range(0, len(in_stratum), KNN_BLOCK):
-                rows = in_stratum[start : start + KNN_BLOCK]
-                if len(local) >= k:
-                    # The one-hot terms are exact zeros, so this equals the
-                    # full feature norm bit for bit.
-                    gap = queries[rows, -1:] - local_speeds
-                    dists = np.sqrt(gap * gap)
-                    order = np.argsort(dists, axis=1, kind="stable")[:, :k]
-                    nearest[rows] = local[order]
-                    kth = np.take_along_axis(dists, order[:, -1:], axis=1)[:, 0]
-                    rows = rows[kth >= STRATUM_GAP]
-                if len(rows):
-                    dists = np.linalg.norm(queries[rows, None, :] - exemplars[None, :, :], axis=2)
-                    nearest[rows] = np.argsort(dists, axis=1, kind="stable")[:, :k]
+            if len(local) < k:
+                exact[rows] = True
+                continue
+            found, exact[rows] = _window_nearest(queries[rows, -1], exemplars[local, -1], k)
+            nearest[rows] = local[found]
+        rows = np.flatnonzero(exact)
+        if len(rows):
+            nearest[rows] = _nearest_all(queries[rows], exemplars, k)
         # .mean(axis=1) of the k futures without its (Q, k, H, 2) copy: the
         # same sum from 0.0 in neighbour order (so -0.0 turns to 0.0), over k.
         plans = np.zeros((len(queries), horizon, 2))
@@ -685,38 +740,50 @@ class ToyPlanner:
         clip_rows = self._clips.rows_of(ids)
         if not len(clip_rows):
             return {}
-        horizon = self._clips.horizon
-        rows, agents = self._truth.agents_in(self._truth.rows_of(ids))
-        agent_ids, starts, tracks = (self._truth.agent_ids[agents], self._truth.starts[agents],
-                                     self._truth.tracks[agents])
-        d0 = _norms(starts)
+        truth_rows = self._truth.rows_of(ids)
+        # The plans first: their temporaries are freed before the forecasts exist.
+        plans = self._plans(clip_rows)
+        rows, agents = self._truth.agents_in(truth_rows)
+        d0 = _norms(self._truth.starts[agents])
         keep = np.flatnonzero(d0 <= self.AGENT_RADIUS)
-        rows, agent_ids, starts, tracks = rows[keep], agent_ids[keep], starts[keep], tracks[keep]
-        vel = (tracks[:, 0] - starts) / FRAME_DT
-        steps = np.arange(1, horizon + 1)[:, None] * FRAME_DT
-        n_modes = len(self.MODALITY_ANGLES)
-        trajs = np.empty((len(rows), n_modes, horizon, 2))
-        endpoint_err = np.empty((len(rows), n_modes))
-        for m, angle_deg in enumerate(self.MODALITY_ANGLES):
-            # One rotation per modality, applied as stacked 2x2 @ 2x1 products.
-            rot_vel = np.matmul(_rotation(math.radians(angle_deg)), vel[:, :, None])[:, :, 0]
-            trajs[:, m] = starts[:, None, :] + steps * rot_vel[:, None, :]
-            endpoint_err[:, m] = _norms(trajs[:, m, -1] - tracks[:, -1])
-        logits = -endpoint_err / self.ENDPOINT_SCALE
-        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-        probs /= probs.sum(axis=1, keepdims=True)
+        rows, agents, d0 = rows[keep], agents[keep], d0[keep]
         # math.exp, not np.exp: the two round differently in the last bit.
-        confidence = [math.exp(-d / self.AGENT_RADIUS) for d in d0[keep].tolist()]
+        confidence = np.fromiter((math.exp(-d / self.AGENT_RADIUS) for d in d0.tolist()), float, len(d0))
+        probs, trajs = self._modalities(agents)
         return PredictionBatch(
             clip_ids=tuple(ids),
-            ego_plans=self._plans(clip_rows),
+            ego_plans=plans,
             agent_clip=rows,
-            agent_ids=agent_ids,
-            confidence=np.array(confidence, dtype=float),
-            modality_counts=np.full(len(rows), n_modes, dtype=np.intp),
+            agent_ids=self._truth.agent_ids[agents],
+            confidence=confidence,
+            modality_counts=np.full(len(rows), len(self.MODALITY_ANGLES), dtype=np.intp),
             modality_probs=probs,
             modality_trajs=trajs,
         )
+
+    def _modalities(self, agents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The modality probabilities (A, M) and trajectories (A, M, H, 2) of
+        the given truth agents. Only each track's first and last points are
+        read, each modality is written in place, and the temporaries are
+        freed before :meth:`predict` builds its batch."""
+        starts = self._truth.starts[agents]
+        vel = (self._truth.tracks[agents, 0] - starts) / FRAME_DT
+        ends = self._truth.tracks[agents, -1]
+        horizon = self._clips.horizon
+        steps = np.arange(1, horizon + 1)[:, None] * FRAME_DT
+        trajs = np.empty((len(agents), len(self.MODALITY_ANGLES), horizon, 2))
+        endpoint_err = np.empty(trajs.shape[:2])
+        for m, angle_deg in enumerate(self.MODALITY_ANGLES):
+            # One rotation per modality, applied as stacked 2x2 @ 2x1 products.
+            rot_vel = np.matmul(_rotation(math.radians(angle_deg)), vel[:, :, None])[:, :, 0]
+            traj = trajs[:, m]
+            np.multiply(steps, rot_vel[:, None, :], out=traj)
+            traj += starts[:, None, :]  # starts + steps * rot_vel: addition commutes
+            endpoint_err[:, m] = _norms(traj[:, -1] - ends)
+        logits = -endpoint_err / self.ENDPOINT_SCALE
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        return probs, trajs
 
 
 # ---------------------------------------------------------------------------
