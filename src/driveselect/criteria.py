@@ -25,32 +25,30 @@ import math
 import os
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .pool import (
+    AgentTable,
     ClipRecord,
     ClipTable,
     PoolFormatError,
     RowError,
     _check_fields,
-    _check_ids,
     _check_list,
     _check_numbers,
-    _check_objects,
     _check_string,
+    _nested_block,
     _NotColumnar,
     _numbers,
     _path_numbers,
     _unchecked,
     atomic_write_text,
     clip_table,
-    ragged_take,
     read_table,
     row_index,
     write_jsonl,
@@ -159,33 +157,8 @@ class ClipPrediction:
             raise ValueError(f"clip {self.clip_id}: {errors[0][1]}")
 
 
-def _check_lengths(batch: PredictionBatch) -> None:
-    """Raise ValueError naming two columns of ``batch`` that disagree in N, A,
-    M or H."""
-    def size(name: str, axis: int):
-        column = getattr(batch, name)
-        shape = getattr(column, "shape", (len(column),))
-        return shape[axis] if len(shape) > axis else None
-
-    dims = {
-        "N": [("clip_ids", 0), ("ego_plans", 0)],
-        "A": [(name, 0) for name in ("agent_clip", "agent_ids", "confidence", "modality_counts",
-                                     "modality_probs", "modality_trajs")],
-        "M": [("modality_probs", 1), ("modality_trajs", 1)],
-        "H": [("ego_plans", 1), ("modality_trajs", 2)],
-    }
-    for dim, ((first, axis), *others) in dims.items():
-        expected = size(first, axis)
-        for name, other_axis in others:
-            if size(name, other_axis) != expected:
-                raise ValueError(
-                    f"prediction batch columns disagree in {dim}: {first} has {expected}, "
-                    f"{name} has {size(name, other_axis)}"
-                )
-
-
 @dataclass(frozen=True, eq=False)
-class PredictionBatch(Mapping):
+class PredictionBatch(AgentTable):
     """Model outputs for N clips as arrays: ego plans of horizon H, and A
     agents over all clips with at most M modalities each.
 
@@ -204,14 +177,15 @@ class PredictionBatch(Mapping):
     modality_counts: np.ndarray  # (A,) modalities before padding
     modality_probs: np.ndarray   # (A, M)
     modality_trajs: np.ndarray   # (A, M, H, 2)
-    _rows: dict = field(init=False, repr=False)
-    _offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        _check_lengths(self)
-        rows = row_index(self.clip_ids, "a prediction batch")
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_offsets", np.searchsorted(self.agent_clip, np.arange(len(rows) + 1)))
+        self._index_agents("prediction batch", {
+            "N": [("clip_ids", 0), ("ego_plans", 0)],
+            "A": [(name, 0) for name in ("agent_clip", "agent_ids", "confidence", "modality_counts",
+                                         "modality_probs", "modality_trajs")],
+            "M": [("modality_probs", 1), ("modality_trajs", 1)],
+            "H": [("ego_plans", 1), ("modality_trajs", 2)],
+        })
         agent_errors = _agent_errors(self.agent_ids, self.confidence, self.modality_probs, self.modality_trajs)
         errors = _plan_errors(self.ego_plans) + [(int(self.agent_clip[i]), m) for i, m in agent_errors]
         if errors:
@@ -221,18 +195,7 @@ class PredictionBatch(Mapping):
     def horizon(self) -> int:
         return self.ego_plans.shape[1]
 
-    def __len__(self) -> int:
-        return len(self.clip_ids)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.clip_ids)
-
-    def __contains__(self, clip_id: object) -> bool:
-        return clip_id in self._rows
-
-    def __getitem__(self, clip_id: str) -> ClipPrediction:
-        row = self._rows[clip_id]
-        agents = slice(self._offsets[row], self._offsets[row + 1])
+    def _view(self, clip_id: str, row: int, agents: slice) -> ClipPrediction:
         return _unchecked(
             ClipPrediction,
             clip_id,
@@ -249,19 +212,10 @@ class PredictionBatch(Mapping):
             ),
         )
 
-    def take(self, clip_ids: Sequence[str]) -> PredictionBatch:
-        """The batch of the given clips' rows, in that order."""
-        rows = np.array([self._rows[i] for i in clip_ids], dtype=np.intp)
-        agents, counts = ragged_take(self._offsets, rows)
+    def _taken(self, ids: tuple[str, ...], rows: np.ndarray, agents: np.ndarray, owners: np.ndarray) -> PredictionBatch:
         return PredictionBatch(
-            clip_ids=tuple(clip_ids),
-            ego_plans=self.ego_plans[rows],
-            agent_clip=np.repeat(np.arange(len(rows)), counts),
-            agent_ids=self.agent_ids[agents],
-            confidence=self.confidence[agents],
-            modality_counts=self.modality_counts[agents],
-            modality_probs=self.modality_probs[agents],
-            modality_trajs=self.modality_trajs[agents],
+            ids, self.ego_plans[rows], owners, self.agent_ids[agents], self.confidence[agents],
+            self.modality_counts[agents], self.modality_probs[agents], self.modality_trajs[agents],
         )
 
 
@@ -357,7 +311,7 @@ def _prediction_rows(
             raise ValueError(
                 f"clip {clip_id!r}: gt_future has {horizon} waypoints, predictions have {predictions.horizon}"
             )
-    return predictions, np.fromiter(map(predictions._rows.__getitem__, ids), dtype=np.intp, count=len(ids))
+    return predictions, predictions.rows_of(ids)
 
 
 def prediction_batch(
@@ -380,8 +334,8 @@ def prediction_batch(
 # so a batch value is bit-equal to scoring that clip on its own: row sums
 # equal 1-D sums in numpy, minima are exact in any order, and per-clip totals
 # accumulate with ufunc.at in agent order. The agent kernels read the agents
-# of the scored clips by index (see :func:`_scored_agents`), so a batch is
-# never copied to score some of its clips.
+# of the scored clips by index (see :meth:`RaggedTable.items_of`), so a batch
+# is never copied to score some of its clips.
 # ---------------------------------------------------------------------------
 
 #: Agents per block of :func:`_best_distances`; bounds its temporaries.
@@ -399,13 +353,6 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _displacement_errors(plans: np.ndarray, gts: np.ndarray) -> np.ndarray:
     return _distances(plans, gts).mean(axis=1)
-
-
-def _scored_agents(batch: PredictionBatch, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The agents of the clips at batch ``rows``, clip after clip and each
-    clip's in batch order, and the position in ``rows`` of each one's clip."""
-    agents, counts = ragged_take(batch._offsets, rows)
-    return agents, np.repeat(np.arange(len(rows)), counts)
 
 
 def _best_distances(batch: PredictionBatch, agents: np.ndarray) -> np.ndarray:
@@ -513,7 +460,7 @@ def soft_collision(pred: ClipPrediction, eps_a: float) -> float:
     """
     _check_eps_a(eps_a)
     batch = _batch_of([pred.clip_id], [pred])
-    agents, owners = _scored_agents(batch, np.zeros(1, dtype=np.intp))
+    agents, owners = batch.items_of(np.zeros(1, dtype=np.intp))
     return float(_soft_collisions(batch, agents, owners, 1, _best_distances(batch, agents), eps_a)[0])
 
 
@@ -526,7 +473,7 @@ def agent_uncertainty(pred: ClipPrediction, delta_d: float) -> float:
     """
     _check_delta_d(delta_d)
     batch = _batch_of([pred.clip_id], [pred])
-    agents, owners = _scored_agents(batch, np.zeros(1, dtype=np.intp))
+    agents, owners = batch.items_of(np.zeros(1, dtype=np.intp))
     return float(_agent_uncertainties(batch, agents, owners, 1, _best_distances(batch, agents), delta_d)[0])
 
 
@@ -620,7 +567,7 @@ def score_pool(
     for lo in range(0, len(ids), SCORE_BLOCK):
         block = rows[lo : lo + SCORE_BLOCK]
         n = len(block)
-        agents, owners = _scored_agents(batch, block)
+        agents, owners = batch.items_of(block)
         dists = _best_distances(batch, agents)
         raw[0][lo : lo + n] = _displacement_errors(batch.ego_plans[block], table.gt_future[gt_rows[lo : lo + n]])
         raw[1][lo : lo + n] = _soft_collisions(batch, agents, owners, n, dists, eps_a)
@@ -650,8 +597,9 @@ def prediction_to_dict(pred: ClipPrediction) -> dict:
     }
 
 
-_PREDICTION_FIELDS = frozenset({"clip_id", "ego_plan", "agents"})
-_FORECAST_FIELDS = frozenset({"agent_id", "confidence", "modality_probs", "modality_trajs"})
+# In column order: the id first, and a record's agents last.
+_PREDICTION_FIELDS = ("clip_id", "ego_plan", "agents")
+_FORECAST_FIELDS = ("agent_id", "confidence", "modality_probs", "modality_trajs")
 
 
 def _record_parts(record: dict, horizon: int | None) -> tuple:
@@ -672,34 +620,23 @@ def _record_parts(record: dict, horizon: int | None) -> tuple:
     return plan, agents
 
 
-_PREDICTION_COLUMNS = itemgetter("clip_id", "ego_plan", "agents")
-_FORECAST_COLUMNS = itemgetter("agent_id", "confidence", "modality_probs", "modality_trajs")
-
-
 def _prediction_block(records: list, horizon: int | None) -> tuple:
     """The column parts of a block of predictions records. The horizon, if
     None, is the block's first plan's, and the modality count M its first
     agent's: every agent of the block must have M modalities."""
-    _check_objects(records, _PREDICTION_FIELDS)
-    ids, plans, agents = zip(*map(_PREDICTION_COLUMNS, records))
-    _check_ids(ids)
+    (ids, plans), counts, (agent_ids, confidence, probs, trajs) = _nested_block(
+        records, _PREDICTION_FIELDS, _FORECAST_FIELDS
+    )
     if horizon is None:
         horizon = len(plans[0])
-    if set(map(type, agents)) - {list}:
-        raise _NotColumnar
-    counts = list(map(len, agents))
-    agents = list(chain.from_iterable(agents))
-    _check_objects(agents, _FORECAST_FIELDS)
-    agent_ids, confidence, probs, trajs = zip(*map(_FORECAST_COLUMNS, agents)) if agents else ((),) * 4
-    _check_ids(agent_ids)
-    m = len(probs[0]) if agents else 1
+    m = len(probs[0]) if agent_ids else 1
     for column in (probs, trajs):
         if m < 1 or set(map(type, column)) - {list} or set(map(len, column)) - {m}:
             raise _NotColumnar
     plan, prob = _path_numbers(plans, horizon), list(chain.from_iterable(probs))
     numbers = _numbers(plan + list(confidence) + prob + _path_numbers(chain.from_iterable(trajs), horizon))
-    plans, confidence, probs, trajs = np.split(numbers, np.cumsum([len(plan), len(agents), len(prob)]))
-    a = len(agents)
+    a = len(agent_ids)
+    plans, confidence, probs, trajs = np.split(numbers, np.cumsum([len(plan), a, len(prob)]))
     return ids, horizon, counts, agent_ids, plans, confidence, probs.reshape(a, m), trajs.reshape(a, m, horizon, 2)
 
 

@@ -40,9 +40,9 @@ import signal
 import sys
 import tempfile
 import threading
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
@@ -130,7 +130,7 @@ def _check_list(value: Any, name: str) -> list:
     return value
 
 
-def _check_fields(record: Any, fields: frozenset[str], name: str) -> dict:
+def _check_fields(record: Any, fields: Iterable[str], name: str) -> dict:
     """``record``, which must be a JSON object with no keys outside ``fields``."""
     if not isinstance(record, dict):
         raise ValueError(f"{name} must be a JSON object")
@@ -213,18 +213,98 @@ def _offsets(counts: Sequence[int]) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
 
 
-def ragged_take(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The items of ``rows`` of a ragged column whose row ``r`` holds items
-    ``offsets[r]:offsets[r + 1]``: their indices, row after row, and each
-    row's item count."""
-    starts = offsets[rows]
-    counts = offsets[rows + 1] - starts
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - counts), counts), counts
+class RaggedTable:
+    """Rows with unique ids, each holding a run of nested items (frames or
+    agents) stored back to back: row ``r``'s items are ``offsets[r]:offsets[r
+    + 1]`` of the item columns. This is Apache Arrow's list layout.
+
+    A subclass is a frozen dataclass of columns whose ``__post_init__``
+    calls :meth:`_check_columns` and then :meth:`_index`, and whose
+    ``_taken`` builds the table of some of its rows. Errors are ValueErrors
+    naming the table as ``what``.
+    """
+
+    _rows: dict[str, int]
+    _offsets: np.ndarray
+
+    def _check_columns(self, what: str, dims: dict[str, list[tuple[str, int]]]) -> None:
+        """Raise ValueError naming two columns that disagree in a dimension:
+        each of ``dims`` lists the (column, axis) pairs that must agree."""
+        def size(name: str, axis: int):
+            column = getattr(self, name)
+            shape = getattr(column, "shape", (len(column),))
+            return shape[axis] if len(shape) > axis else None
+
+        for dim, ((first, axis), *others) in dims.items():
+            expected = size(first, axis)
+            for name, other_axis in others:
+                if size(name, other_axis) != expected:
+                    raise ValueError(f"{what} columns disagree in {dim}: {first} has {expected}, "
+                                     f"{name} has {size(name, other_axis)}")
+
+    def _index(self, what: str, ids: tuple[str, ...], offsets: np.ndarray, items: str) -> None:
+        """Index ``ids``, which must be unique, over ``offsets``, which must
+        rise from 0 to the length of the ``items`` column in one entry per
+        row and one more."""
+        n = len(getattr(self, items))
+        if len(offsets) != len(ids) + 1 or offsets[0] != 0 or offsets[-1] != n or (offsets[1:] < offsets[:-1]).any():
+            raise ValueError(f"{what} offsets must rise from 0 to the length of {items}, {n}, "
+                             f"in {len(ids) + 1} entries")
+        object.__setattr__(self, "_rows", row_index(ids, f"a {what}"))
+        object.__setattr__(self, "_offsets", offsets)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def rows_of(self, ids: Iterable[str]) -> np.ndarray:
+        """The rows of the given ids; an unknown id raises KeyError."""
+        return np.array([self._rows[i] for i in ids], dtype=np.intp)
+
+    def items_of(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The nested items of ``rows``, row after row: their indices, and
+        the position in ``rows`` of each one's row."""
+        starts = self._offsets[rows]
+        counts = self._offsets[rows + 1] - starts
+        ends = np.cumsum(counts)
+        items = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - counts), counts)
+        return items, np.repeat(np.arange(len(rows)), counts)
+
+    def take(self, ids: Iterable[str]):
+        """The table of the given ids' rows, in that order; an unknown id
+        raises KeyError."""
+        ids = tuple(ids)
+        rows = self.rows_of(ids)
+        return self._taken(ids, rows, *self.items_of(rows))
+
+
+class AgentTable(RaggedTable, Mapping):
+    """A table of ``clip_ids`` whose nested items are agents, stored clip by
+    clip, each naming its clip's row in ``agent_clip``. A Mapping from clip
+    id to the view ``_view`` builds of that clip's row and agents."""
+
+    def _index_agents(self, what: str, dims: dict[str, list[tuple[str, int]]]) -> None:
+        """:meth:`_check_columns` and :meth:`_index`, with the agent offsets
+        taken from ``agent_clip``, which must be non-decreasing and within
+        [0, N)."""
+        self._check_columns(what, dims)
+        n, owners = len(self.clip_ids), self.agent_clip
+        if len(owners) and (owners[0] < 0 or owners[-1] >= n or (owners[1:] < owners[:-1]).any()):
+            raise ValueError(f"{what} agent_clip must be non-decreasing and within [0, {n})")
+        self._index(what, self.clip_ids, np.searchsorted(owners, np.arange(n + 1)), "agent_clip")
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.clip_ids)
+
+    def __contains__(self, clip_id: object) -> bool:
+        return clip_id in self._rows
+
+    def __getitem__(self, clip_id: str):
+        row = self._rows[clip_id]
+        return self._view(clip_id, row, slice(self._offsets[row], self._offsets[row + 1]))
 
 
 @dataclass(frozen=True, eq=False)
-class ClipTable(Sequence):
+class ClipTable(RaggedTable, Sequence):
     """N clips as columns, in pool order, with the frames of all clips back
     to back: clip ``i``'s frames are ``offsets[i]:offsets[i + 1]`` of
     ``speeds`` and ``commands``, so frame counts may differ.
@@ -243,17 +323,17 @@ class ClipTable(Sequence):
     commands: np.ndarray     # (F,) int8
     gt_future: np.ndarray    # (N, H, 2)
     annotations: tuple       # (N,) opaque payloads, None where absent
-    _rows: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_rows", row_index(self.ids, "a clip table"))
+        self._check_columns("clip table", {
+            "N": [("ids", 0), ("weather", 0), ("lighting", 0), ("gt_future", 0), ("annotations", 0)],
+            "F": [("speeds", 0), ("commands", 0)],
+        })
+        self._index("clip table", self.ids, self.offsets, "speeds")
 
     @property
     def horizon(self) -> int:
         return self.gt_future.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.ids)
 
     def __iter__(self) -> Iterator[ClipRecord]:
         return map(self._row, range(len(self.ids)))
@@ -263,7 +343,7 @@ class ClipTable(Sequence):
             return self._row(range(len(self.ids))[key])
         lo, hi, step = key.indices(len(self.ids))
         if step != 1:
-            return self.take_rows(np.arange(lo, hi, step))
+            return self.take(self.ids[key])
         hi = max(lo, hi)
         first, last = self.offsets[lo], self.offsets[hi]
         return ClipTable(
@@ -294,18 +374,9 @@ class ClipTable(Sequence):
             self.annotations[i],
         )
 
-    def rows_of(self, ids: Iterable[str]) -> np.ndarray:
-        """The rows of the given clip ids; an unknown id raises KeyError."""
-        return np.array([self._rows[i] for i in ids], dtype=np.intp)
-
-    def take(self, ids: Iterable[str]) -> ClipTable:
-        """The table of the given clips' rows, in that order."""
-        return self.take_rows(self.rows_of(ids))
-
-    def take_rows(self, rows: np.ndarray) -> ClipTable:
-        frames, counts = ragged_take(self.offsets, rows)
+    def _taken(self, ids: tuple[str, ...], rows: np.ndarray, frames: np.ndarray, owners: np.ndarray) -> ClipTable:
         return ClipTable(
-            tuple(self.ids[i] for i in rows.tolist()), self.weather[rows], self.lighting[rows], _offsets(counts),
+            ids, self.weather[rows], self.lighting[rows], np.searchsorted(owners, np.arange(len(rows) + 1)),
             self.speeds[frames], self.commands[frames], self.gt_future[rows],
             tuple(self.annotations[i] for i in rows.tolist()),
         )
@@ -859,15 +930,34 @@ def read_table(
 _DICT, _LIST, _STR = {dict}, {list}, {str}
 
 
-def _check_objects(records: list, fields: frozenset[str]) -> None:
+def _check_objects(records: list, fields: Iterable[str]) -> None:
     """JSON objects with no keys outside ``fields``."""
-    if set(map(type, records)) - _DICT or not fields.issuperset(chain.from_iterable(records)):
+    if set(map(type, records)) - _DICT or not frozenset(fields).issuperset(chain.from_iterable(records)):
         raise _NotColumnar
 
 
 def _check_ids(ids: tuple) -> None:
     if set(map(type, ids)) - _STR:
         raise _NotColumnar
+
+
+def _nested_block(records: list, fields: tuple[str, ...], nested_fields: tuple[str, ...]) -> tuple:
+    """A block of records whose last field is a list of nested objects, as
+    columns: the records' other ``fields`` (a tuple each), each record's
+    nested count, and the nested objects' ``nested_fields`` (a tuple each).
+    Records and nested objects hold every field and no other, and the first
+    field of each is an id, a JSON string."""
+    _check_objects(records, fields)
+    *columns, nested = zip(*map(itemgetter(*fields), records))
+    _check_ids(columns[0])
+    if set(map(type, nested)) - _LIST:
+        raise _NotColumnar
+    counts = list(map(len, nested))
+    nested = list(chain.from_iterable(nested))
+    _check_objects(nested, nested_fields)
+    nested_columns = list(zip(*map(itemgetter(*nested_fields), nested))) if nested else [()] * len(nested_fields)
+    _check_ids(nested_columns[0])
+    return columns, counts, nested_columns
 
 
 def _pair_numbers(points: Iterable) -> list:

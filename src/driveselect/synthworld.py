@@ -43,11 +43,10 @@ import os
 from bisect import bisect_right
 from contextlib import ExitStack
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,16 +54,16 @@ from .criteria import ClipPrediction, PredictionBatch, _distances, prediction_ba
 from .pool import (
     BUCKETS,
     COMMAND_CLASSES,
+    AgentTable,
     ClipRecord,
     ClipTable,
     _check_fields,
     _check_finite_point,
     _check_list,
-    _check_ids,
-    _check_objects,
     _check_path,
     _check_string,
     _cpu_count,
+    _nested_block,
     _NotColumnar,
     _numbers,
     _pair_numbers,
@@ -74,9 +73,7 @@ from .pool import (
     clip_table,
     clip_to_dict,
     encode_line,
-    ragged_take,
     read_table,
-    row_index,
     write_jsonl,
 )
 
@@ -142,7 +139,7 @@ class ClipTruth:
 
 
 @dataclass(frozen=True, eq=False)
-class TruthTable(Mapping):
+class TruthTable(AgentTable):
     """The truth of N clips as columns, with their A agents clip by clip.
 
     A Mapping from clip id to a :class:`ClipTruth` view of that clip's rows.
@@ -155,40 +152,23 @@ class TruthTable(Mapping):
     agent_ids: np.ndarray          # (A,) str objects
     starts: np.ndarray             # (A, 2)
     tracks: np.ndarray             # (A, H, 2)
-    _rows: dict = field(init=False, repr=False)
-    _offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rows = row_index(self.clip_ids, "a truth table")
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_offsets", np.searchsorted(self.agent_clip, np.arange(len(rows) + 1)))
+        self._index_agents("truth table", {
+            "N": [("clip_ids", 0), ("ego_future", 0)],
+            "A": [("agent_clip", 0), ("agent_ids", 0), ("starts", 0), ("tracks", 0)],
+            "H": [("ego_future", 1), ("tracks", 1)],
+        })
 
-    def __len__(self) -> int:
-        return len(self.clip_ids)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.clip_ids)
-
-    def __contains__(self, clip_id: object) -> bool:
-        return clip_id in self._rows
-
-    def __getitem__(self, clip_id: str) -> ClipTruth:
-        row = self._rows[clip_id]
-        agents = slice(self._offsets[row], self._offsets[row + 1])
+    def _view(self, clip_id: str, row: int, agents: slice) -> ClipTruth:
         return _unchecked(
             ClipTruth, clip_id, self.ego_future[row], tuple(self.agent_ids[agents].tolist()),
             self.starts[agents], self.tracks[agents],
         )
 
-    def rows_of(self, clip_ids: Sequence[str]) -> np.ndarray:
-        """The rows of the given clip ids; an unknown id raises KeyError."""
-        return np.array([self._rows[i] for i in clip_ids], dtype=np.intp)
-
-    def agents_in(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The agents of the given rows, row after row: each one's position
-        in ``rows``, and its index in the agent columns."""
-        agents, counts = ragged_take(self._offsets, rows)
-        return np.repeat(np.arange(len(rows)), counts), agents
+    def _taken(self, ids: tuple[str, ...], rows: np.ndarray, agents: np.ndarray, owners: np.ndarray) -> TruthTable:
+        return TruthTable(ids, self.ego_future[rows], owners, self.agent_ids[agents], self.starts[agents],
+                          self.tracks[agents])
 
 
 def truth_table(truth: Mapping[str, ClipTruth]) -> TruthTable:
@@ -434,8 +414,9 @@ def save_truth(truth: Mapping[str, ClipTruth], path: str | os.PathLike) -> None:
     write_jsonl(path, map(truth_to_dict, truth.values()))
 
 
-_TRUTH_FIELDS = frozenset({"clip_id", "ego_future", "agents"})
-_TRUTH_AGENT_FIELDS = frozenset({"agent_id", "start", "track"})
+# In column order: the id first, and a truth record's agents last.
+_TRUTH_FIELDS = ("clip_id", "ego_future", "agents")
+_TRUTH_AGENT_FIELDS = ("agent_id", "start", "track")
 
 
 def _truth_from_dict(record: dict, horizon: int) -> ClipTruth:
@@ -453,22 +434,9 @@ def _truth_from_dict(record: dict, horizon: int) -> ClipTruth:
     )
 
 
-_TRUTH_COLUMNS = itemgetter("clip_id", "ego_future", "agents")
-_AGENT_COLUMNS = itemgetter("agent_id", "start", "track")
-
-
 def _truth_block(records: list, horizon: int) -> tuple:
     """The column parts of a block of truth records."""
-    _check_objects(records, _TRUTH_FIELDS)
-    ids, egos, agents = zip(*map(_TRUTH_COLUMNS, records))
-    _check_ids(ids)
-    if set(map(type, agents)) - {list}:
-        raise _NotColumnar
-    counts = list(map(len, agents))
-    agents = list(chain.from_iterable(agents))
-    _check_objects(agents, _TRUTH_AGENT_FIELDS)
-    agent_ids, starts, tracks = zip(*map(_AGENT_COLUMNS, agents)) if agents else ((), (), ())
-    _check_ids(agent_ids)
+    (ids, egos), counts, (agent_ids, starts, tracks) = _nested_block(records, _TRUTH_FIELDS, _TRUTH_AGENT_FIELDS)
     ego, start, track = _path_numbers(egos, horizon), _pair_numbers(starts), _path_numbers(tracks, horizon)
     numbers = _numbers(ego + start + track)
     return ids, counts, agent_ids, *np.split(numbers, [len(ego), len(ego) + len(start)])
@@ -743,7 +711,7 @@ class ToyPlanner:
         truth_rows = self._truth.rows_of(ids)
         # The plans first: their temporaries are freed before the forecasts exist.
         plans = self._plans(clip_rows)
-        rows, agents = self._truth.agents_in(truth_rows)
+        agents, rows = self._truth.items_of(truth_rows)
         d0 = _norms(self._truth.starts[agents])
         keep = np.flatnonzero(d0 <= self.AGENT_RADIUS)
         rows, agents, d0 = rows[keep], agents[keep], d0[keep]
@@ -805,7 +773,7 @@ def evaluate_clips(provider, clips: ClipTable | Sequence[ClipRecord], truth: Map
     truth = truth_table(truth)
     rows = truth.rows_of(clips.ids)
     step_errors = _distances(plans, truth.ego_future[rows])
-    owners, agents = truth.agents_in(rows)
+    agents, owners = truth.items_of(rows)
     collided = np.zeros(len(clips), dtype=bool)
     collided[owners[_distances(plans[owners], truth.tracks[agents]).min(axis=1) < COLLISION_RADIUS]] = True
     return {"clip_id": batch.clip_ids, "de": step_errors.mean(axis=1), "step_errors": step_errors, "collided": collided}

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from driveselect import pool as pool_module
 from driveselect.cli import main
 from driveselect.criteria import (
+    PredictionBatch,
     _batch_from_parts,
     _distances,
     _record_parts,
@@ -460,6 +461,72 @@ class TestClipTable:
         save_pool(clips, tmp_path / "rows.jsonl")
         save_pool(clip_table(clips), tmp_path / "table.jsonl")
         assert (tmp_path / "rows.jsonl").read_bytes() == (tmp_path / "table.jsonl").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def three_tables():
+    """The pool, truth and prediction tables of one 40-clip world."""
+    clips, truth = generate_world(WorldConfig(n_clips=40, seed=3, agent_rate=3.0))
+    table, truth = clip_table(clips), truth_table(truth)
+    return {"clips": table, "truth": truth, "predictions": ToyPlanner(table, truth).predict(table.ids)}
+
+
+def id_views(table) -> list:
+    """(id, row view) of each row, in order; truth views as their bytes."""
+    if isinstance(table, ClipTable):
+        return list(zip(table.ids, table))
+    views = [table[clip_id] for clip_id in table]
+    if isinstance(table, TruthTable):
+        views = [(t.clip_id, bits(t.ego_future), t.agent_ids, bits(t.starts), bits(t.tracks)) for t in views]
+    return list(zip(table, views))
+
+
+class TestRaggedTables:
+    @pytest.mark.parametrize("name", ["clips", "truth", "predictions"])
+    def test_length_lookup_and_take(self, three_tables, name, rng):
+        table = three_tables[name]
+        assert len(table) == 40
+        with pytest.raises(KeyError):
+            table.rows_of(["nope"])
+        ids = [clip_id for clip_id, _ in id_views(table)]
+        order = [ids[i] for i in rng.permutation(len(ids))[:15].tolist()]
+        views = dict(id_views(table))
+        assert id_views(table.take(order)) == [(clip_id, views[clip_id]) for clip_id in order]
+
+    def test_clip_table_columns_must_agree(self):
+        """Accepted before: ``table[1]`` and ``mean_speeds()`` then raised IndexError."""
+        with pytest.raises(ValueError, match="clip table columns disagree in N: ids has 2, weather has 1"):
+            ClipTable(("a", "b"), np.zeros(1, np.int8), np.zeros(3, np.int8), np.array([0, 2, 5]), np.zeros(4),
+                      np.zeros(4, np.int8), np.zeros((2, 6, 2)), (None, None))
+
+    @pytest.mark.parametrize("offsets", [[0, 2, 5], [0, 4], [1, 2, 4], [0, 5, 4]])
+    def test_clip_table_offsets_must_rise_over_the_frames(self, offsets):
+        with pytest.raises(ValueError, match="clip table offsets must rise from 0 to the length of speeds, 4, in 3"):
+            ClipTable(("a", "b"), np.zeros(2, np.int8), np.zeros(2, np.int8), np.array(offsets), np.zeros(4),
+                      np.zeros(4, np.int8), np.zeros((2, 6, 2)), (None, None))
+
+    def test_truth_table_columns_must_agree(self):
+        """Accepted before: ``["a"]`` then showed 1 agent id with a (1, 2)
+        start and a (1, 6, 2) track."""
+        columns = dict(clip_ids=("a",), ego_future=np.zeros((2, 6, 2)), agent_clip=np.zeros(1, np.intp),
+                       agent_ids=np.array(["x", "y"], object), starts=np.zeros((3, 2)), tracks=np.zeros((1, 6, 2)))
+        with pytest.raises(ValueError, match="truth table columns disagree in N: clip_ids has 1, ego_future has 2"):
+            TruthTable(**columns)
+        with pytest.raises(ValueError, match="truth table columns disagree in A: agent_clip has 1, agent_ids has 2"):
+            TruthTable(**{**columns, "ego_future": np.zeros((1, 6, 2))})
+
+    @pytest.mark.parametrize("agent_clip", [[1, 0], [0, 5], [-1, 0]])
+    def test_batch_agents_must_belong_to_clips_in_order(self, agent_clip):
+        """``[1, 0]`` was accepted: ``batch["a"]`` listed both agents, and
+        the best distances measured agent x0 against clip b's plan."""
+        with pytest.raises(ValueError, match=r"prediction batch agent_clip must be non-decreasing and within \[0, 2\)"):
+            PredictionBatch(("a", "b"), np.zeros((2, 6, 2)), np.array(agent_clip), np.array(["x0", "x1"], object),
+                            np.ones(2), np.ones(2, np.intp), np.ones((2, 1)), np.zeros((2, 1, 6, 2)))
+
+    def test_truth_agents_must_belong_to_a_clip(self):
+        with pytest.raises(ValueError, match=r"truth table agent_clip must be non-decreasing and within \[0, 1\)"):
+            TruthTable(("a",), np.zeros((1, 6, 2)), np.array([3]), np.array(["x"], object), np.zeros((1, 2)),
+                       np.zeros((1, 6, 2)))
 
 
 # ---------------------------------------------------------------------------
