@@ -176,7 +176,7 @@ def cmd_init(args) -> int:
 
 def cmd_score(args) -> int:
     check_score_settings(alpha=args.alpha, beta=args.beta, eps_a=args.eps_a, delta_d=args.delta_d)
-    clips, _ = load_pool(args.pool, horizon=args.horizon)
+    clips = load_pool(args.pool, horizon=args.horizon)[0]  # load_pool's SelectionState is not kept
     state = load_selection(args.selection, clips.ids)
     predictions = load_predictions(args.predictions, horizon=args.horizon)
     unlabeled = state.unlabeled_ids
@@ -285,7 +285,7 @@ def _build_manifest(args, config: ActiveConfig, criterion: str, strategy: str,
 def cmd_run(args) -> int:
     if args.heldout_count < 0:
         raise UsageError(f"--heldout-count must be >= 0, got {args.heldout_count}")
-    clips, _ = load_pool(args.pool, horizon=args.horizon)
+    clips = load_pool(args.pool, horizon=args.horizon)[0]  # load_pool's SelectionState is not kept
     if args.heldout_count >= len(clips):
         raise ValueError(f"--heldout-count must be less than the {len(clips)} pool clips, got {args.heldout_count}")
     truth = load_truth(args.truth, horizon=args.horizon)

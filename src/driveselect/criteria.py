@@ -185,7 +185,7 @@ class PredictionBatch(AgentTable):
                                          "modality_probs", "modality_trajs")],
             "M": [("modality_probs", 1), ("modality_trajs", 1)],
             "H": [("ego_plans", 1), ("modality_trajs", 2)],
-        })
+        }, {"ego_plans": 3, "modality_trajs": 4})
         agent_errors = _agent_errors(self.agent_ids, self.confidence, self.modality_probs, self.modality_trajs)
         errors = _plan_errors(self.ego_plans) + [(int(self.agent_clip[i]), m) for i, m in agent_errors]
         if errors:
@@ -301,9 +301,13 @@ def _prediction_rows(
         horizons = [(ids[0], clips.horizon)] if ids else []
     else:
         horizons = [(c.id, len(c.gt_future)) for c in clips]
-    for clip_id in ids:
-        if clip_id not in predictions:
-            raise KeyError(f"missing prediction for clip {clip_id!r}")
+    # A batch of exactly these clips in this order, as every round's is,
+    # needs no lookup.
+    exact = isinstance(predictions, PredictionBatch) and predictions.clip_ids == ids
+    if not exact:
+        for clip_id in ids:
+            if clip_id not in predictions:
+                raise KeyError(f"missing prediction for clip {clip_id!r}")
     if not isinstance(predictions, PredictionBatch):
         predictions = _batch_of(ids, [predictions[i] for i in ids], horizons[0][1] if horizons else None)
     for clip_id, horizon in horizons:
@@ -311,7 +315,7 @@ def _prediction_rows(
             raise ValueError(
                 f"clip {clip_id!r}: gt_future has {horizon} waypoints, predictions have {predictions.horizon}"
             )
-    return predictions, predictions.rows_of(ids)
+    return predictions, np.arange(len(ids)) if exact else predictions.rows_of(ids)
 
 
 def prediction_batch(

@@ -43,7 +43,7 @@ import threading
 from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, islice
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, NoReturn, TypeVar
@@ -201,7 +201,7 @@ def _unchecked(cls, *values):
 
 def row_index(ids: tuple[str, ...], what: str) -> dict[str, int]:
     """Each id's row; an id on two rows raises ValueError naming it and ``what``."""
-    rows = {clip_id: row for row, clip_id in enumerate(ids)}
+    rows = dict(zip(ids, range(len(ids))))
     if len(rows) != len(ids):
         duplicate = next(i for row, i in enumerate(ids) if rows[i] != row)
         raise ValueError(f"duplicate clip id {duplicate!r} in {what}")
@@ -222,14 +222,23 @@ class RaggedTable:
     calls :meth:`_check_columns` and then :meth:`_index`, and whose
     ``_taken`` builds the table of some of its rows. Errors are ValueErrors
     naming the table as ``what``.
+
+    The id index, ``_rows``, is built on the first lookup. A contiguous
+    slice of a table looks its ids up in the index of the table it was cut
+    from, ``_base``, whose rows it holds from ``_lo`` on.
     """
 
-    _rows: dict[str, int]
+    _ids: tuple[str, ...]
     _offsets: np.ndarray
+    _base: RaggedTable | None = None
+    _lo: int = 0
 
-    def _check_columns(self, what: str, dims: dict[str, list[tuple[str, int]]]) -> None:
+    def _check_columns(self, what: str, dims: dict[str, list[tuple[str, int]]],
+                       points: dict[str, int] | None = None, codes: dict[str, int] | None = None) -> None:
         """Raise ValueError naming two columns that disagree in a dimension:
-        each of ``dims`` lists the (column, axis) pairs that must agree."""
+        each of ``dims`` lists the (column, axis) pairs that must agree. Each
+        column of ``points`` must have that many axes, the last of 2 (x, y)
+        coordinates, and each of ``codes`` only codes below its count."""
         def size(name: str, axis: int):
             column = getattr(self, name)
             shape = getattr(column, "shape", (len(column),))
@@ -241,24 +250,48 @@ class RaggedTable:
                 if size(name, other_axis) != expected:
                     raise ValueError(f"{what} columns disagree in {dim}: {first} has {expected}, "
                                      f"{name} has {size(name, other_axis)}")
+        for name, ndim in (points or {}).items():
+            shape = getattr(self, name).shape
+            if len(shape) != ndim or shape[-1] != 2:
+                raise ValueError(f"{what} {name} must have {ndim} axes, the last of 2 coordinates, "
+                                 f"got shape {shape}")
+        for name, count in (codes or {}).items():
+            column = getattr(self, name)
+            low, high = (column.min(), column.max()) if len(column) else (0, 0)
+            if low < 0 or high >= count:
+                raise ValueError(f"{what} {name} codes must be within [0, {count}), got {low if low < 0 else high}")
 
     def _index(self, what: str, ids: tuple[str, ...], offsets: np.ndarray, items: str) -> None:
-        """Index ``ids``, which must be unique, over ``offsets``, which must
-        rise from 0 to the length of the ``items`` column in one entry per
-        row and one more."""
+        """Take ``ids``, which must be unique, as the table's ids, over
+        ``offsets``, which must rise from 0 to the length of the ``items``
+        column in one entry per row and one more. No index is built."""
         n = len(getattr(self, items))
         if len(offsets) != len(ids) + 1 or offsets[0] != 0 or offsets[-1] != n or (offsets[1:] < offsets[:-1]).any():
             raise ValueError(f"{what} offsets must rise from 0 to the length of {items}, {n}, "
                              f"in {len(ids) + 1} entries")
-        object.__setattr__(self, "_rows", row_index(ids, f"a {what}"))
+        if len(set(ids)) != len(ids):
+            row_index(ids, f"a {what}")
+        object.__setattr__(self, "_ids", ids)
         object.__setattr__(self, "_offsets", offsets)
 
+    @cached_property
+    def _rows(self) -> dict[str, int]:
+        """Each id's row, built on the first lookup."""
+        return dict(zip(self._ids, range(len(self._ids))))
+
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._offsets) - 1
 
     def rows_of(self, ids: Iterable[str]) -> np.ndarray:
-        """The rows of the given ids; an unknown id raises KeyError."""
-        return np.array([self._rows[i] for i in ids], dtype=np.intp)
+        """The rows of the given ids; an unknown id raises KeyError naming it."""
+        base = self if self._base is None else self._base
+        rows = np.fromiter(map(base._rows.__getitem__, ids), dtype=np.intp)
+        if base is not self:
+            rows -= self._lo
+            outside = (rows < 0) | (rows >= len(self))
+            if outside.any():
+                raise KeyError(base._ids[rows[outside.argmax()] + self._lo])
+        return rows
 
     def items_of(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The nested items of ``rows``, row after row: their indices, and
@@ -282,11 +315,11 @@ class AgentTable(RaggedTable, Mapping):
     clip, each naming its clip's row in ``agent_clip``. A Mapping from clip
     id to the view ``_view`` builds of that clip's row and agents."""
 
-    def _index_agents(self, what: str, dims: dict[str, list[tuple[str, int]]]) -> None:
+    def _index_agents(self, what: str, dims: dict[str, list[tuple[str, int]]], points: dict[str, int]) -> None:
         """:meth:`_check_columns` and :meth:`_index`, with the agent offsets
         taken from ``agent_clip``, which must be non-decreasing and within
         [0, N)."""
-        self._check_columns(what, dims)
+        self._check_columns(what, dims, points)
         n, owners = len(self.clip_ids), self.agent_clip
         if len(owners) and (owners[0] < 0 or owners[-1] >= n or (owners[1:] < owners[:-1]).any()):
             raise ValueError(f"{what} agent_clip must be non-decreasing and within [0, {n})")
@@ -328,7 +361,8 @@ class ClipTable(RaggedTable, Sequence):
         self._check_columns("clip table", {
             "N": [("ids", 0), ("weather", 0), ("lighting", 0), ("gt_future", 0), ("annotations", 0)],
             "F": [("speeds", 0), ("commands", 0)],
-        })
+        }, {"gt_future": 3}, {"weather": len(WEATHER_VALUES), "lighting": len(LIGHTING_VALUES),
+                              "commands": len(COMMAND_VALUES)})
         self._index("clip table", self.ids, self.offsets, "speeds")
 
     @property
@@ -346,10 +380,16 @@ class ClipTable(RaggedTable, Sequence):
             return self.take(self.ids[key])
         hi = max(lo, hi)
         first, last = self.offsets[lo], self.offsets[hi]
-        return ClipTable(
-            self.ids[lo:hi], self.weather[lo:hi], self.lighting[lo:hi], self.offsets[lo : hi + 1] - first,
+        offsets = self.offsets[lo : hi + 1]
+        # Rows of a checked table: no check, and no index of its own.
+        table = _unchecked(
+            ClipTable, self.ids[lo:hi], self.weather[lo:hi], self.lighting[lo:hi], offsets - first if first else offsets,
             self.speeds[first:last], self.commands[first:last], self.gt_future[lo:hi], self.annotations[lo:hi],
         )
+        base = self if self._base is None else self._base
+        for name, value in (("_ids", table.ids), ("_offsets", table.offsets), ("_base", base), ("_lo", self._lo + lo)):
+            object.__setattr__(table, name, value)
+        return table
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClipTable):

@@ -158,7 +158,7 @@ class TruthTable(AgentTable):
             "N": [("clip_ids", 0), ("ego_future", 0)],
             "A": [("agent_clip", 0), ("agent_ids", 0), ("starts", 0), ("tracks", 0)],
             "H": [("ego_future", 1), ("tracks", 1)],
-        })
+        }, {"ego_future": 3, "starts": 2, "tracks": 3})
 
     def _view(self, clip_id: str, row: int, agents: slice) -> ClipTruth:
         return _unchecked(

@@ -3,6 +3,7 @@ and PredictionBatch against the per-record loaders and per-clip formulas
 they replaced."""
 
 import json
+import re
 import tracemalloc
 from contextlib import nullcontext
 from functools import partial
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from driveselect import pool as pool_module
 from driveselect.cli import main
 from driveselect.criteria import (
+    SCORE_COLUMNS,
     PredictionBatch,
     _batch_from_parts,
     _distances,
@@ -25,6 +27,7 @@ from driveselect.criteria import (
     prediction_batch,
     prediction_to_dict,
     save_predictions,
+    score_pool,
 )
 from driveselect.diversity import STRATUM_ORDER, ego_diversity_init, stratify
 from driveselect.pool import (
@@ -42,7 +45,9 @@ from driveselect.pool import (
     load_pool,
     mean_speed,
     parse_pool_lines,
+    PoolFormatError,
     read_jsonl,
+    row_index,
     save_pool,
     weather_lighting_bucket,
 )
@@ -56,6 +61,7 @@ from driveselect.synthworld import (
     generate_pool,
     generate_world,
     load_truth,
+    save_truth,
     truth_table,
     truth_to_dict,
 )
@@ -529,6 +535,167 @@ class TestRaggedTables:
                        np.zeros((1, 6, 2)))
 
 
+CLIP_COLUMNS = dict(ids=("a", "b"), weather=np.zeros(2, np.int8), lighting=np.zeros(2, np.int8),
+                    offsets=np.array([0, 2, 4]), speeds=np.zeros(4), commands=np.zeros(4, np.int8),
+                    gt_future=np.zeros((2, 6, 2)), annotations=(None, None))
+TRUTH_COLUMNS = dict(clip_ids=("a",), ego_future=np.zeros((1, 6, 2)), agent_clip=np.zeros(1, np.intp),
+                     agent_ids=np.array(["x"], object), starts=np.zeros((1, 2)), tracks=np.zeros((1, 6, 2)))
+BATCH_COLUMNS = dict(clip_ids=("a", "b"), ego_plans=np.zeros((2, 6, 2)), agent_clip=np.array([0, 1]),
+                     agent_ids=np.array(["x0", "x1"], object), confidence=np.ones(2),
+                     modality_counts=np.ones(2, np.intp), modality_probs=np.ones((2, 1)),
+                     modality_trajs=np.zeros((2, 1, 6, 2)))
+
+
+class TestShapesAndCodes:
+    """Each table pins the (x, y) axis of its point columns and the range of
+    its codes. All of these were accepted before: a weather code of 7 made
+    ``buckets()`` return 7 and ``table[0]`` raise IndexError."""
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("weather", np.array([0, 7], np.int8), "clip table weather codes must be within [0, 2), got 7"),
+        ("lighting", np.array([-1, 0], np.int8), "clip table lighting codes must be within [0, 2), got -1"),
+        ("commands", np.array([0, 2, 9, 1], np.int8), "clip table commands codes must be within [0, 3), got 9"),
+        ("gt_future", np.zeros((2, 6, 3)),
+         "clip table gt_future must have 3 axes, the last of 2 coordinates, got shape (2, 6, 3)"),
+        ("gt_future", np.zeros((2, 6)),
+         "clip table gt_future must have 3 axes, the last of 2 coordinates, got shape (2, 6)"),
+    ])
+    def test_clip_table(self, column, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ClipTable(**{**CLIP_COLUMNS, column: value})
+
+    @pytest.mark.parametrize("column, shape", [("ego_future", (1, 6, 3)), ("starts", (1, 5)),
+                                               ("tracks", (1, 6, 3)), ("tracks", (1, 6))])
+    def test_truth_table(self, column, shape):
+        axes = len(TRUTH_COLUMNS[column].shape)
+        message = f"truth table {column} must have {axes} axes, the last of 2 coordinates, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TruthTable(**{**TRUTH_COLUMNS, column: np.zeros(shape)})
+
+    @pytest.mark.parametrize("column, shape", [("ego_plans", (2, 6, 3)), ("modality_trajs", (2, 1, 6, 3)),
+                                               ("modality_trajs", (2, 1, 6))])
+    def test_prediction_batch(self, column, shape):
+        axes = len(BATCH_COLUMNS[column].shape)
+        message = f"prediction batch {column} must have {axes} axes, the last of 2 coordinates, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PredictionBatch(**{**BATCH_COLUMNS, column: np.zeros(shape)})
+
+    def test_the_edge_codes_and_empty_tables_pass(self):
+        last = dict(weather=np.ones(2, np.int8), lighting=np.ones(2, np.int8), commands=np.full(4, 2, np.int8))
+        assert clip_table(ClipTable(**{**CLIP_COLUMNS, **last})).buckets().tolist() == [3, 3]
+        assert len(clip_table([])) == len(truth_table({})) == 0
+
+
+@pytest.fixture
+def fresh_tables():
+    """The pool, truth and prediction tables of one 40-clip world, none of
+    them looked up yet."""
+    clips, truth = generate_world(WorldConfig(n_clips=40, seed=3, agent_rate=3.0))
+    batch = ToyPlanner(clips, truth).predict([c.id for c in clips])
+    return {"clips": clip_table(clips), "truth": truth_table(truth), "predictions": batch}
+
+
+def has_index(table) -> bool:
+    return "_rows" in vars(table)
+
+
+class TestIdIndex:
+    """A table builds its id index on the first lookup, and a contiguous
+    slice of a table looks its ids up in that table's index."""
+
+    KW = dict(alpha=0.7, beta=1.3, eps_a=0.5, delta_d=3.0)
+
+    @pytest.fixture
+    def table(self, rng):
+        return clip_table([random_clip(rng, f"c{i}") for i in range(12)])
+
+    @pytest.mark.parametrize("name", ["clips", "truth", "predictions"])
+    def test_built_on_the_first_lookup(self, fresh_tables, name):
+        table = fresh_tables[name]
+        assert not has_index(table) and len(table) == 40
+        ids = table.ids if name == "clips" else table.clip_ids
+        assert table.rows_of([ids[7], ids[2]]).tolist() == [7, 2]
+        assert has_index(table)
+
+    def test_slice_lookups(self, table):
+        part = table[3:9]
+        assert len(part) == 6 and part.ids == table.ids[3:9]
+        assert part.rows_of(["c8", "c3", "c5"]).tolist() == [5, 0, 2]
+        assert part.rows_of(iter(["c4"])).tolist() == [1] and part.rows_of([]).tolist() == []
+        assert has_index(table) and not has_index(part)
+        for outside in ("c2", "c9", "c0", "c11", "nope"):
+            with pytest.raises(KeyError, match=f"^'{outside}'$"):
+                part.rows_of(["c5", outside])
+        inner = part[1:4]
+        assert inner.rows_of(["c6", "c4"]).tolist() == [2, 0] and not has_index(inner)
+        for outside in ("c3", "c7"):
+            with pytest.raises(KeyError, match=f"^'{outside}'$"):
+                inner.rows_of([outside])
+        empty = table[7:2]
+        assert len(empty) == 0 and empty.rows_of([]).tolist() == []
+        with pytest.raises(KeyError, match="^'c7'$"):
+            empty.rows_of(["c7"])
+
+    def test_step_slice_lookups(self, table):
+        for stepped, ids in ((table[1:10:3], ["c1", "c4", "c7"]), (table[3:9][::2], ["c3", "c5", "c7"])):
+            assert list(stepped.ids) == ids
+            assert stepped.rows_of(ids[::-1]).tolist() == [2, 1, 0]
+            with pytest.raises(KeyError, match="^'c2'$"):
+                stepped.rows_of(["c2"])
+
+    def test_membership_and_length_follow_the_slice(self, table):
+        part = table[3:9]
+        assert len(part) == len(list(part)) == 6
+        assert table[3] in part and table[8] in part
+        assert table[2] not in part and table[9] not in part
+
+    def test_take_of_a_slice(self, table):
+        part = table[3:9]
+        assert_table_equals_rows(part.take(["c8", "c3", "c6"]), [table[8], table[3], table[6]])
+        with pytest.raises(KeyError, match="^'c9'$"):
+            part.take(["c4", "c9"])
+
+    def test_duplicate_ids_are_rejected_by_constructor_and_take(self, fresh_tables, table):
+        with pytest.raises(ValueError, match="duplicate clip id 'c4' in a clip table"):
+            table.take(["c4", "c1", "c4"])
+        with pytest.raises(ValueError, match="duplicate clip id 'c4' in a clip table"):
+            table[3:9].take(["c4", "c4"])
+        with pytest.raises(ValueError, match="duplicate clip id 'b' in a clip table"):
+            ClipTable(**{**CLIP_COLUMNS, "ids": ("b", "b")})
+        with pytest.raises(ValueError, match="duplicate clip id 'a' in a prediction batch"):
+            PredictionBatch(**{**BATCH_COLUMNS, "clip_ids": ("a", "a")})
+        truth = fresh_tables["truth"]
+        with pytest.raises(ValueError, match=f"duplicate clip id '{truth.clip_ids[5]}' in a truth table"):
+            truth.take([truth.clip_ids[5], truth.clip_ids[5]])
+        with pytest.raises(ValueError, match=f"duplicate clip id '{truth.clip_ids[0]}' in a truth table"):
+            TruthTable(**{**TRUTH_COLUMNS, "clip_ids": (truth.clip_ids[0],) * 2,
+                          "ego_future": np.zeros((2, 6, 2))})
+
+    def test_duplicate_truth_id_in_a_file_names_the_line(self, fresh_tables, tmp_path):
+        truth = fresh_tables["truth"]
+        path = tmp_path / "truth.jsonl"
+        save_truth(truth.take([*truth.clip_ids[:3]]), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join([*lines, lines[1]]))
+        with pytest.raises(PoolFormatError, match=f"truth file {re.escape(str(path))} line 4: "
+                                                  f"duplicate clip_id '{truth.clip_ids[1]}'"):
+            load_truth(path)
+
+    def test_batch_of_the_scored_ids_scores_as_a_shuffled_copy(self, fresh_tables, rng):
+        table = fresh_tables["clips"]
+        planner = ToyPlanner(table, fresh_tables["truth"])
+        planner.train(table.ids[:10])
+        ids = table.ids[10:]
+        batch = planner.predict(ids)
+        got = score_pool(table, batch, ids=ids, **self.KW)
+        assert not has_index(batch)
+        shuffled = batch.take([ids[i] for i in rng.permutation(len(ids)).tolist()])
+        want = score_pool(table, shuffled, ids=ids, **self.KW)
+        assert has_index(shuffled) and got["clip_id"] == want["clip_id"] == ids
+        for name in SCORE_COLUMNS[1:]:
+            assert bits(got[name]) == bits(want[name]), name
+
+
 # ---------------------------------------------------------------------------
 # Column kernels against the per-clip formulas
 # ---------------------------------------------------------------------------
@@ -661,6 +828,18 @@ def retained_bytes(load, *args):
     return result, retained
 
 
+def peak_bytes(fn, *args):
+    """``fn(*args)``, and the most bytes it had allocated at once."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 class TestMemory:
     """On this 3000-clip world the per-record loaders kept 2744 bytes per
     pool clip and 1371 per truth record (tracemalloc); the tables keep 657
@@ -675,6 +854,26 @@ class TestMemory:
         truth, retained = retained_bytes(load_truth, world_3000[1])
         assert len(truth) == 3000
         assert retained / 3000 < 750
+
+    def test_a_slice_builds_no_index(self):
+        """``clips[:15000]`` of a 20 000-clip table and a lookup on it peak
+        under a quarter of what indexing the same ids of the table does
+        (tracemalloc): the slice looks its ids up in the table's index. They
+        peak at 0.25 MB against 1.08 MB, and at 1.28 MB when each slice built
+        its own index."""
+        n = 20000
+        table = ClipTable(tuple(f"c{i:05d}" for i in range(n)), np.zeros(n, np.int8), np.zeros(n, np.int8),
+                          np.arange(n + 1), np.zeros(n), np.zeros(n, np.int8), np.zeros((n, 6, 2)), (None,) * n)
+        table.rows_of(table.ids[:1])  # the table's own index, as the planner builds it
+
+        def slice_and_look_up():
+            part = table[:15000]
+            return part.rows_of(part.ids[::100])
+
+        rows, peak = peak_bytes(slice_and_look_up)
+        assert rows.tolist() == list(range(0, 15000, 100))
+        _, index = peak_bytes(lambda: row_index(table.ids[:15000], "a clip table"))
+        assert peak < index / 4, (peak, index)
 
     def test_commands_build_no_row_views(self, tmp_path, monkeypatch):
         """run, init and score index the columns: no clip or truth row is built."""
