@@ -219,27 +219,27 @@ class PredictionBatch(AgentTable):
         )
 
 
-def _batch_of_groups(clip_ids: Iterable[str], ego_plans: np.ndarray, agent_counts: Sequence[int],
-                     agent_ids: list, confidence: np.ndarray, probs: Sequence[np.ndarray],
-                     trajs: Sequence[np.ndarray]) -> PredictionBatch:
+def _batch_of_groups(clip_ids: Iterable[str], ego_plans: np.ndarray, agent_counts: Iterable[int],
+                     agent_ids: Iterable[str], confidence: np.ndarray, modalities: Sequence[Sequence[int]],
+                     probs: Sequence[np.ndarray], trajs: Sequence[np.ndarray]) -> PredictionBatch:
     """One batch from (N, H, 2) plans, each clip's agent count, and the
-    agents in groups, clip after clip: ``probs`` and ``trajs`` hold each
-    group's (A, M) probabilities and (A, M, H, 2) trajectories, padded here
-    to the largest M (at least 1)."""
-    modality_counts = np.repeat(np.array([p.shape[1] for p in probs], dtype=np.intp), [len(p) for p in probs])
-    modality_probs = np.zeros((len(agent_ids), max([1, *(p.shape[1] for p in probs)])))
+    agents in groups, clip after clip: each group's modality counts, and
+    its probabilities and (H, 2) trajectories, flat. Each group is padded
+    here, into the batch's arrays, to the largest count (at least 1)."""
+    modality_counts = np.fromiter(chain.from_iterable(modalities), dtype=np.intp)
+    modality_probs = np.zeros((len(modality_counts), modality_counts.max(initial=1)))
     modality_trajs = np.zeros(modality_probs.shape + ego_plans.shape[1:])
     at = 0
-    for p, t in zip(probs, trajs):
-        a, m = p.shape
-        modality_probs[at : at + a, :m] = p
-        modality_trajs[at : at + a, :m] = t
-        at += a
+    for m, p, t in zip(modalities, probs, trajs):
+        rows = slice(at, at + len(m))
+        real = np.arange(modality_probs.shape[1]) < modality_counts[rows, None]
+        modality_probs[rows][real], modality_trajs[rows][real] = p, t
+        at += len(m)
     return PredictionBatch(
         clip_ids=tuple(clip_ids),
         ego_plans=ego_plans,
-        agent_clip=np.repeat(np.arange(len(agent_counts)), agent_counts),
-        agent_ids=np.fromiter(agent_ids, dtype=object, count=len(agent_ids)),
+        agent_clip=np.repeat(np.arange(len(ego_plans)), np.fromiter(agent_counts, dtype=np.intp)),
+        agent_ids=np.fromiter(agent_ids, dtype=object, count=len(modality_counts)),
         confidence=confidence,
         modality_counts=modality_counts,
         modality_probs=modality_probs,
@@ -264,8 +264,9 @@ def _batch_from_parts(clip_ids: Sequence[str], parts: Sequence[tuple], horizon: 
         [len(clip_agents) for _, clip_agents in parts],
         [a[0] for a in agents],
         np.array([a[1] for a in agents], dtype=float),
-        [a[2][None] for a in agents],
-        [a[3][None] for a in agents],
+        [[len(a[2]) for a in agents]],
+        [np.concatenate([np.empty(0), *(a[2] for a in agents)])],
+        [np.concatenate([np.empty((0, horizon, 2)), *(a[3] for a in agents)])],
     )
 
 
@@ -626,22 +627,20 @@ def _record_parts(record: dict, horizon: int | None) -> tuple:
 
 def _prediction_block(records: list, horizon: int | None) -> tuple:
     """The column parts of a block of predictions records. The horizon, if
-    None, is the block's first plan's, and the modality count M its first
-    agent's: every agent of the block must have M modalities."""
+    None, is the block's first plan's."""
     (ids, plans), counts, (agent_ids, confidence, probs, trajs) = _nested_block(
         records, _PREDICTION_FIELDS, _FORECAST_FIELDS
     )
     if horizon is None:
         horizon = len(plans[0])
-    m = len(probs[0]) if agent_ids else 1
-    for column in (probs, trajs):
-        if m < 1 or set(map(type, column)) - {list} or set(map(len, column)) - {m}:
-            raise _NotColumnar
+    modalities = list(map(len, probs))
+    if 0 in modalities or list(map(len, trajs)) != modalities or set(map(type, chain(probs, trajs))) - {list}:
+        raise _NotColumnar
     plan, prob = _path_numbers(plans, horizon), list(chain.from_iterable(probs))
     numbers = _numbers(plan + list(confidence) + prob + _path_numbers(chain.from_iterable(trajs), horizon))
-    a = len(agent_ids)
-    plans, confidence, probs, trajs = np.split(numbers, np.cumsum([len(plan), a, len(prob)]))
-    return ids, horizon, counts, agent_ids, plans, confidence, probs.reshape(a, m), trajs.reshape(a, m, horizon, 2)
+    plans, confidence, probs, trajs = np.split(numbers, np.cumsum([len(plan), len(agent_ids), len(prob)]))
+    modalities = np.array(modalities, dtype=np.min_scalar_type(max(modalities, default=0)))  # mostly uint8
+    return ids, horizon, counts, agent_ids, plans, confidence, modalities, probs, trajs.reshape(-1, horizon, 2)
 
 
 def _prediction_table(parts: list[tuple]) -> PredictionBatch:
@@ -649,27 +648,26 @@ def _prediction_table(parts: list[tuple]) -> PredictionBatch:
     the largest M of any block."""
     if not parts:
         raise _NotColumnar
-    ids, horizons, counts, agent_ids, plans, confidence, probs, trajs = zip(*parts)
+    ids, horizons, counts, agent_ids, plans, confidence, modalities, probs, trajs = zip(*parts)
     if len(set(horizons)) != 1:
         raise _NotColumnar
     return _batch_of_groups(
-        chain.from_iterable(ids), np.concatenate(plans).reshape(-1, horizons[0], 2), list(chain.from_iterable(counts)),
-        list(chain.from_iterable(agent_ids)), np.concatenate(confidence), probs, trajs,
+        chain.from_iterable(ids), np.concatenate(plans).reshape(-1, horizons[0], 2), chain.from_iterable(counts),
+        chain.from_iterable(agent_ids), np.concatenate(confidence), modalities, probs, trajs,
     )
 
 
 def load_predictions(path: str | os.PathLike | Iterable[str], horizon: int | None = 6) -> PredictionBatch:
     """Parse the predictions file at a path, or predictions lines, into one
-    batch, by :func:`read_table` with :func:`_record_parts`'s checks. Every
-    plan and agent trajectory has ``horizon`` waypoints; ``None`` takes the
-    horizon of the first record."""
-    return read_table(
-        path, "predictions", "clip_id",
-        partial(_prediction_block, horizon=horizon),
-        _prediction_table,
-        partial(_record_parts, horizon=horizon),
-        lambda parts: _batch_from_parts(list(parts), list(parts.values()), horizon),
-    )
+    batch, by :func:`read_table`; :func:`_record_parts`'s checks name a bad
+    line. Every plan and agent trajectory has ``horizon`` waypoints; ``None``
+    takes the horizon of the first record."""
+    def check(record: dict) -> None:
+        nonlocal horizon  # the first record's, from then on
+        horizon = len(_record_parts(record, horizon)[0])
+
+    return read_table(path, "predictions", "clip_id", partial(_prediction_block, horizon=horizon),
+                      _prediction_table, check)
 
 
 def save_predictions(preds: Iterable[ClipPrediction], path: str | os.PathLike) -> None:

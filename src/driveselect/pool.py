@@ -18,11 +18,14 @@ Pool, predictions and truth files all follow :func:`read_jsonl`'s rules: ids
 are JSON strings, unique within the file, and an empty file or a malformed
 line (invalid UTF-8 included) raises :class:`PoolFormatError` naming the file
 and the 1-based line. The three are read into columns by :func:`read_table`,
-which falls back to :func:`read_jsonl`'s per-record checks on any input that
-fails its column checks, so every message is the same. A file of 2 MiB or
+the one path that builds their tables. On input that fails its column
+checks, :func:`read_jsonl`'s per-record checks run only to name the first bad
+line, and keep nothing, so every message is the same. A file of 2 MiB or
 more is split at line starts into byte ranges, up to one per CPU, and forked
 processes read all ranges but the first; the columns, and every message, are
-the same as from one read in this process.
+the same as from one read in this process. A reader process that fails with
+no bad record in its range (out of memory, say) leads to one more read of
+that range, in this process.
 Lines are decoded by orjson wherever it gives exactly what ``json.loads``
 gives, and by ``json.loads`` elsewhere (see :func:`_loads`). They are written
 by :func:`write_jsonl`, one :func:`encode_line` per record: orjson wherever its
@@ -807,7 +810,11 @@ READ_BLOCK = 64
 
 
 class _NotColumnar(Exception):
-    """Input that fails a column check; the per-record reader decides."""
+    """Input that fails a column check; the per-record checks name its line."""
+
+
+#: What a block parser or a table builder raises on a bad record.
+_READ_ERRORS = (_NotColumnar, KeyError, ValueError, TypeError, OverflowError, RecursionError)
 
 
 def _decoded_blocks(lines: Iterable[bytes | str]) -> Iterator[list]:
@@ -879,14 +886,17 @@ def _range_parts(path: str | os.PathLike, start: int, end: float, parse_block: C
 
 def _send_parts(write_fd: int, path: str | os.PathLike, start: int, end: int,
                 parse_block: Callable[[list], tuple]) -> NoReturn:
-    """In a forked child: pickle the range's parts, or None if parsing them
-    raised, down ``write_fd``, and end the process without any clean-up."""
+    """In a forked child: pickle the range's parts down ``write_fd`` (None
+    if a bad record stopped them, False if anything else did), and end the
+    process without any clean-up."""
     status = 1
     try:
         try:
             parts = _range_parts(path, start, end, parse_block)
+        except _READ_ERRORS:
+            parts = None  # the parent's record checks name the bad line
         except Exception:
-            parts = None  # the parent reads the whole file record by record
+            parts = False  # such as MemoryError: the parent reads the range itself
         with open(write_fd, "wb") as pipe:
             pickle.dump(parts, pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
@@ -898,11 +908,12 @@ def _file_parts(path: str | os.PathLike, what: str, parse_block: Callable[[list]
     """The block parts of the file at ``path``, in line order. Each range of
     :func:`_ranges` after the first is parsed by a forked child, which sends
     its parts back down a pipe; this process parses the first meanwhile.
-    A range that fails raises :class:`_NotColumnar`, and a child that ends
-    without sending its parts raises ChildProcessError naming the file. No
-    child outlives the call."""
+    A range with a bad record raises :class:`_NotColumnar`, a range whose
+    child failed otherwise is read again here, and a child that ends without
+    sending its parts raises ChildProcessError naming the file. No child
+    outlives the call."""
     first, *rest = _ranges(path)
-    children: list[tuple[int, Any]] = []
+    children: list[tuple[int, Any, int, int]] = []
     try:
         for start, end in rest:
             read_fd, write_fd = os.pipe()
@@ -910,10 +921,10 @@ def _file_parts(path: str | os.PathLike, what: str, parse_block: Callable[[list]
             if pid == 0:
                 _send_parts(write_fd, path, start, end, parse_block)
             os.close(write_fd)
-            children.append((pid, open(read_fd, "rb")))
+            children.append((pid, open(read_fd, "rb"), start, end))
         parts = _range_parts(path, *first, parse_block)
         while children:
-            pid, pipe = children[0]
+            pid, pipe, start, end = children[0]
             with pipe:
                 try:
                     received, complete = pickle.load(pipe), True
@@ -926,10 +937,10 @@ def _file_parts(path: str | os.PathLike, what: str, parse_block: Callable[[list]
                                         f"its result (exit code {status})")
             if received is None:
                 raise _NotColumnar
-            parts += received
+            parts += _range_parts(path, start, end, parse_block) if received is False else received
         return parts
     finally:
-        for pid, pipe in children:
+        for pid, pipe, _, _ in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -941,20 +952,20 @@ def read_table(
     id_key: str,
     parse_block: Callable[[list], tuple],
     build: Callable[[list[tuple]], T],
-    parse_record: Callable[[dict], Any],
-    from_rows: Callable[[dict], T],
+    check_record: Callable[[dict], Any],
 ) -> T:
-    """A JSONL file, or its lines, read into columns.
+    """A JSONL file, or its lines, read into columns: the one path that
+    builds a table from a file.
 
     ``parse_block`` turns each block of decoded records into column parts,
     and ``build`` joins the parts of the whole input into the table and runs
     the whole-table checks. A file is parsed in byte ranges, up to one per
     CPU (see :func:`_file_parts`); the parts, and so the table, are the same
     for any split. Either function raises (:class:`_NotColumnar` or an error
-    of a bad value) on input it does not take; the input is then read again by
-    :func:`read_jsonl` with ``parse_record``, whose per-record checks raise
-    the PoolFormatError naming the file and line, and with ``from_rows`` as
-    its ``finish``, which turns the rows into the table.
+    of a bad value) on input it does not take; :func:`read_jsonl` then runs
+    ``check_record`` on each record, keeping nothing, only to raise the
+    PoolFormatError naming the first bad line, or, when every record
+    passes, ``build``'s RowError at the line of its record.
     """
     if not isinstance(source, (str, os.PathLike)):
         source = list(source)  # to read it again
@@ -962,9 +973,17 @@ def read_table(
         if isinstance(source, list):
             return build([parse_block(block) for block in _decoded_blocks(source)])
         return build(_file_parts(source, what, parse_block))
-    except (_NotColumnar, KeyError, ValueError, TypeError, OverflowError, RecursionError):
-        pass
-    return read_jsonl(source, what, id_key, parse_record, from_rows)
+    except _READ_ERRORS as exc:
+        # Without its traceback, whose frames hold the parts or the table.
+        error = exc.with_traceback(None)
+
+    def check(record: dict) -> None:  # the record dict keeps only the ids
+        check_record(record)
+
+    def finish(records: dict) -> NoReturn:  # every record passed
+        raise error
+
+    read_jsonl(source, what, id_key, check, finish)  # always raises
 
 
 _DICT, _LIST, _STR = {dict}, {list}, {str}
@@ -1081,13 +1100,12 @@ def _pool_table(parts: list[tuple], horizon: int) -> ClipTable:
 
 def parse_pool_lines(lines: str | os.PathLike | Iterable[str], horizon: int = 6) -> ClipTable:
     """The table of the pool file at a path, or of pool lines, read by
-    :func:`read_table` with :func:`clip_from_dict`'s checks."""
+    :func:`read_table`; :func:`clip_from_dict`'s checks name a bad line."""
     return read_table(
         lines, "pool", "id",
         partial(_pool_block, horizon=horizon),
         partial(_pool_table, horizon=horizon),
         partial(clip_from_dict, horizon=horizon),
-        lambda rows: clip_table(list(rows.values())),
     )
 
 

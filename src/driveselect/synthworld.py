@@ -470,7 +470,6 @@ def load_truth(path: str | os.PathLike, horizon: int = 6) -> TruthTable:
         partial(_truth_block, horizon=horizon),
         partial(_truth_table, horizon=horizon),
         partial(_truth_from_dict, horizon=horizon),
-        truth_table,
     )
 
 

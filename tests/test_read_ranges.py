@@ -2,6 +2,7 @@
 first: the same tables and the same errors as one in-process read, and no
 child process left behind."""
 
+import json
 import os
 import signal
 import threading
@@ -26,6 +27,7 @@ from test_tables import (
     assert_truth_equals_rows,
     jsonl_text,
     no_row_path,
+    peak_bytes,
     pool_records,
     prediction_records,
     truth_records,
@@ -227,6 +229,25 @@ class TestChildren:
             got, _ = load_pool(pool)
         assert len(forks) == 2
         assert_table_equals_rows(got, list(want))
+        assert_no_child_left()
+
+    def test_bad_line_in_a_forked_range_keeps_no_records(self, tmp_path):
+        """Rejecting a pool whose last line, in the child's range, is bad
+        peaks no higher than loading the pool without it (tracemalloc, in
+        this process): the record checks only name the line, and keep no
+        ClipRecord per line."""
+        good, bad = tmp_path / "pool.jsonl", tmp_path / "bad.jsonl"
+        generate_pool(WorldConfig(n_clips=2000, seed=7), good, tmp_path / "truth.jsonl")
+        lines = good.read_bytes().splitlines(keepends=True)
+        record = json.loads(lines[-1])
+        speed = record["frames"][0]["speed"] = str(record["frames"][0]["speed"])
+        bad.write_bytes(b"".join(lines[:-1]) + encode_line(record) + b"\n")
+        with cpus(2, good.stat().st_size // 2) as forks:
+            _, good_peak = peak_bytes(load_pool, good)
+            message, bad_peak = peak_bytes(outcome, load_pool, bad)
+        assert len(forks) == 2
+        assert message == f"pool file {bad} line {len(lines)}: speed must be a JSON number, got {json.dumps(speed)}"
+        assert bad_peak <= good_peak, (bad_peak, good_peak)
         assert_no_child_left()
 
     def test_live_thread_keeps_the_read_in_process(self, tmp_path):

@@ -5,7 +5,6 @@ they replaced."""
 import json
 import re
 import tracemalloc
-from contextlib import nullcontext
 from functools import partial
 from itertools import accumulate
 from unittest import mock
@@ -263,12 +262,11 @@ class TestColumnsEqualRows:
     @given(data=st.data(), horizon=st.integers(1, 4), block=st.integers(1, 5),
            modalities=st.sampled_from([None, 1, 2, 3, 4]), given_horizon=st.booleans())
     def test_predictions(self, data, horizon, block, modalities, given_horizon):
-        """Equal batches, and no per-record read where every block's agents
-        share one M: any one M, or one record per block."""
+        """Equal batches, and no per-record read: any one M, or agents of
+        different M in one block."""
         lines = data.draw(jsonl_text(data.draw(prediction_records(horizon, modalities))))
         want = reference_load_predictions(lines, horizon)
-        rows = nullcontext() if modalities is None and block > 1 else no_row_path()
-        with mock.patch.object(pool_module, "READ_BLOCK", block), rows:
+        with mock.patch.object(pool_module, "READ_BLOCK", block), no_row_path():
             batch = load_predictions(lines, horizon if given_horizon else None)
         assert_batch_equals(batch, want)
 
@@ -283,7 +281,8 @@ class TestColumnsEqualRows:
         lines = [json.dumps({"clip_id": "c0", "ego_plan": [[0, 0]], "agents": agents})]
         want = reference_load_predictions(lines, 1)
         assert want.modality_counts.tolist() == [2, 1, 3]
-        assert_batch_equals(load_predictions(lines, 1), want)
+        with no_row_path():
+            assert_batch_equals(load_predictions(lines, 1), want)
 
     @pytest.mark.parametrize("horizons", [(2, 1, 1), (1, 2)])
     def test_predictions_of_two_horizons_fail_as_rows(self, horizons):
@@ -294,6 +293,21 @@ class TestColumnsEqualRows:
         with mock.patch.object(pool_module, "READ_BLOCK", 1):
             assert _outcome(partial(load_predictions, horizon=None), lines) == _outcome(
                 partial(reference_load_predictions, horizon=None), lines)
+
+    def test_first_bad_line_wins_without_a_horizon(self, tmp_path):
+        """Without a given horizon the first record's holds for the rest: a
+        plan of another length on line 2 is named before a quoted confidence
+        on line 4."""
+        records = [{"clip_id": f"c{i}", "ego_plan": [[0, 0]] * 2, "agents": [
+            {"agent_id": f"a{i}", "confidence": 1, "modality_probs": [1], "modality_trajs": [[[0, 0]] * 2]}
+        ]} for i in range(4)]
+        records[1].update(ego_plan=[[0, 0]] * 3, agents=[])
+        records[3]["agents"][0]["confidence"] = "1"
+        path = tmp_path / "preds.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        with pytest.raises(PoolFormatError) as error:
+            load_predictions(path, None)
+        assert str(error.value) == f"predictions file {path} line 2: ego_plan has 3 waypoints, expected 2"
 
     def test_generated_files(self, tmp_path):
         pool, truth = tmp_path / "pool.jsonl", tmp_path / "truth.jsonl"
