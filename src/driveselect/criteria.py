@@ -28,7 +28,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,10 +47,10 @@ from .pool import (
     _numbers,
     _path_numbers,
     _unchecked,
-    atomic_write_text,
+    atomic_outputs,
+    check_unique,
     clip_table,
     read_table,
-    row_index,
     write_jsonl,
 )
 
@@ -74,6 +74,19 @@ def _agent_arrays(agent_id: str, probs, trajs) -> tuple[np.ndarray, np.ndarray]:
     return p, t
 
 
+def _nonfinite_rows(values: np.ndarray) -> np.ndarray:
+    """(len(values),) bool: which rows hold a NaN or an infinity, found
+    without a bool array of the values' size. A row whose sum is finite
+    holds neither; only the rest, whose finite values may have overflowed
+    the sum, are checked value by value."""
+    axes = tuple(range(1, values.ndim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~np.isfinite(values.sum(axis=axes))
+    rows = np.flatnonzero(bad)
+    bad[rows] = ~np.isfinite(values[rows]).all(axis=axes)
+    return bad
+
+
 def _agent_errors(agent_ids, confidence, probs, trajs) -> list[tuple[int, str]]:
     """(index, message) of the first agent failing each value check."""
     sums = np.zeros(len(probs))
@@ -83,7 +96,7 @@ def _agent_errors(agent_ids, confidence, probs, trajs) -> list[tuple[int, str]]:
         (~((confidence >= 0.0) & (confidence <= 1.0)), lambda i: f"confidence {confidence[i]} not in [0, 1]"),
         (~(probs >= 0.0).all(axis=1), lambda i: "negative or NaN modality probability"),
         (np.abs(sums - 1.0) > PROB_SUM_TOL, lambda i: f"modality probabilities sum to {sums[i]}"),
-        (~np.isfinite(trajs).all(axis=(1, 2, 3)), lambda i: "non-finite waypoint"),
+        (_nonfinite_rows(trajs), lambda i: "non-finite waypoint"),
     )
     errors = []
     for bad, message in checks:
@@ -115,7 +128,7 @@ def _check_plan(ego_plan, agent_horizons: Iterable[tuple[str, int]], horizon: in
 
 def _plan_errors(ego_plans: np.ndarray) -> list[tuple[int, str]]:
     """(row, message) of the first (N, H, 2) plan with a non-finite waypoint."""
-    bad = ~np.isfinite(ego_plans).all(axis=(1, 2))
+    bad = _nonfinite_rows(ego_plans)
     return [(int(bad.argmax()), "non-finite plan waypoint")] if bad.any() else []
 
 
@@ -221,16 +234,17 @@ class PredictionBatch(AgentTable):
 
 def _batch_of_groups(clip_ids: Iterable[str], ego_plans: np.ndarray, agent_counts: Iterable[int],
                      agent_ids: Iterable[str], confidence: np.ndarray, modalities: Sequence[Sequence[int]],
-                     probs: Sequence[np.ndarray], trajs: Sequence[np.ndarray]) -> PredictionBatch:
+                     groups: Iterable[tuple[np.ndarray, np.ndarray]]) -> PredictionBatch:
     """One batch from (N, H, 2) plans, each clip's agent count, and the
     agents in groups, clip after clip: each group's modality counts, and
-    its probabilities and (H, 2) trajectories, flat. Each group is padded
-    here, into the batch's arrays, to the largest count (at least 1)."""
+    from ``groups`` its probabilities and (H, 2) trajectories, flat. Each
+    group is padded here, into the batch's arrays, to the largest count (at
+    least 1), and is not referenced once copied."""
     modality_counts = np.fromiter(chain.from_iterable(modalities), dtype=np.intp)
     modality_probs = np.zeros((len(modality_counts), modality_counts.max(initial=1)))
     modality_trajs = np.zeros(modality_probs.shape + ego_plans.shape[1:])
     at = 0
-    for m, p, t in zip(modalities, probs, trajs):
+    for m, (p, t) in zip(modalities, groups):
         rows = slice(at, at + len(m))
         real = np.arange(modality_probs.shape[1]) < modality_counts[rows, None]
         modality_probs[rows][real], modality_trajs[rows][real] = p, t
@@ -265,8 +279,8 @@ def _batch_from_parts(clip_ids: Sequence[str], parts: Sequence[tuple], horizon: 
         [a[0] for a in agents],
         np.array([a[1] for a in agents], dtype=float),
         [[len(a[2]) for a in agents]],
-        [np.concatenate([np.empty(0), *(a[2] for a in agents)])],
-        [np.concatenate([np.empty((0, horizon, 2)), *(a[3] for a in agents)])],
+        [(np.concatenate([np.empty(0), *(a[2] for a in agents)]),
+          np.concatenate([np.empty((0, horizon, 2)), *(a[3] for a in agents)]))],
     )
 
 
@@ -560,8 +574,7 @@ def score_pool(
     ids = tuple(ids)
     if not ids:
         raise ValueError("no clips to score")
-    if len(set(ids)) != len(ids):
-        row_index(ids, "the scored ids")
+    check_unique(ids, "the scored ids")
     check_score_settings(alpha=alpha, beta=beta, eps_a=eps_a, delta_d=delta_d)
     batch, rows = _prediction_rows(predictions, clips, ids)
     table = clip_table(clips)
@@ -645,15 +658,23 @@ def _prediction_block(records: list, horizon: int | None) -> tuple:
 
 def _prediction_table(parts: list[tuple]) -> PredictionBatch:
     """The batch of a predictions file's block parts, with agents padded to
-    the largest M of any block."""
+    the largest M of any block. It consumes ``parts``: each block is dropped
+    once its probabilities and trajectories are copied into the batch."""
     if not parts:
         raise _NotColumnar
-    ids, horizons, counts, agent_ids, plans, confidence, modalities, probs, trajs = zip(*parts)
+    ids, horizons, counts, agent_ids, plans, confidence, modalities = zip(*(part[:7] for part in parts))
     if len(set(horizons)) != 1:
         raise _NotColumnar
+
+    def groups() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for i in range(len(parts)):
+            probs, trajs = parts[i][7:]
+            parts[i] = None
+            yield probs, trajs
+
     return _batch_of_groups(
         chain.from_iterable(ids), np.concatenate(plans).reshape(-1, horizons[0], 2), chain.from_iterable(counts),
-        chain.from_iterable(agent_ids), np.concatenate(confidence), modalities, probs, trajs,
+        chain.from_iterable(agent_ids), np.concatenate(confidence), modalities, groups(),
     )
 
 
@@ -682,10 +703,15 @@ _DECIMAL_CELLS = re.compile("\t".join([_DECIMAL.pattern] * (len(SCORE_COLUMNS) -
 
 def save_scores(columns: Mapping, path: str | os.PathLike) -> None:
     """Write the columns of :func:`score_pool` as a TSV table; floats use
-    repr so they round-trip exactly."""
+    repr so they round-trip exactly. Rows are formatted and written
+    ``SCORE_BLOCK`` at a time, so no copy of the whole table is built."""
     ids, *values = (columns[name] for name in SCORE_COLUMNS)
-    rows = zip(ids, *(map(repr, v.tolist()) for v in values))
-    atomic_write_text(path, "\n".join(["\t".join(SCORE_COLUMNS), *map("\t".join, rows)]) + "\n")
+    with atomic_outputs(path) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(SCORE_COLUMNS))
+        for lo in range(0, len(ids), SCORE_BLOCK):
+            rows = zip(ids[lo : lo + SCORE_BLOCK], *(map(repr, v[lo : lo + SCORE_BLOCK].tolist()) for v in values))
+            fh.write("\n" + "\n".join(map("\t".join, rows)))
+        fh.write("\n")
 
 
 def load_scores(path: str | os.PathLike) -> dict:

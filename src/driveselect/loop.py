@@ -229,7 +229,7 @@ def run(
     clips = clip_table(clips)
     config.validate_for_pool(len(clips))
 
-    state = SelectionState(clips.ids)
+    state = SelectionState(clips)
     if config.init_mode == "ego-diversity":
         init_ids, allocations = ego_diversity_init(clips, config.n_init, config.gamma, config.tau_c)
     else:

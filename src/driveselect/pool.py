@@ -211,6 +211,16 @@ def row_index(ids: tuple[str, ...], what: str) -> dict[str, int]:
     return rows
 
 
+def check_unique(ids: tuple[str, ...], what: str) -> None:
+    """Raise :func:`row_index`'s ValueError if an id repeats, without a set
+    of the ids: their int64 hashes are sorted, and only an equal pair runs
+    the exact check."""
+    hashes = np.fromiter(map(hash, ids), dtype=np.int64, count=len(ids))
+    hashes.sort()
+    if (hashes[1:] == hashes[:-1]).any() and len(set(ids)) != len(ids):
+        row_index(ids, what)
+
+
 def _offsets(counts: Sequence[int]) -> np.ndarray:
     """(N + 1,) offsets of N ragged rows of ``counts`` items stored back to back."""
     return np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
@@ -272,8 +282,7 @@ class RaggedTable:
         if len(offsets) != len(ids) + 1 or offsets[0] != 0 or offsets[-1] != n or (offsets[1:] < offsets[:-1]).any():
             raise ValueError(f"{what} offsets must rise from 0 to the length of {items}, {n}, "
                              f"in {len(ids) + 1} entries")
-        if len(set(ids)) != len(ids):
-            row_index(ids, f"a {what}")
+        check_unique(ids, f"a {what}")
         object.__setattr__(self, "_ids", ids)
         object.__setattr__(self, "_offsets", offsets)
 
@@ -507,15 +516,20 @@ class SelectionState:
     contract: only the selection loop mutates them.
     """
 
-    def __init__(self, pool_ids: Iterable[str]):
-        ids = tuple(pool_ids)
-        seen = set()
-        for cid in ids:
-            if cid in seen:
-                raise PoolFormatError(f"duplicate clip id {cid!r}")
-            seen.add(cid)
-        self._pool_ids = ids
-        self._pool_set = seen
+    def __init__(self, pool_ids: Iterable[str] | ClipTable):
+        """The pool is a ClipTable, whose ids are unique and whose id index
+        answers whether a clip is in the pool, or any iterable of ids, which
+        are checked here and kept in a set."""
+        self._pool_table = pool_ids if isinstance(pool_ids, ClipTable) else None
+        self._pool_set: set[str] | None = None
+        if self._pool_table is not None:
+            self._pool_ids = self._pool_table.ids
+        else:
+            self._pool_ids, self._pool_set = tuple(pool_ids), set()
+            for cid in self._pool_ids:
+                if cid in self._pool_set:
+                    raise PoolFormatError(f"duplicate clip id {cid!r}")
+                self._pool_set.add(cid)
         self._labeled: list[str] = []
         self._labeled_set: set[str] = set()
         self._rounds: list[tuple[int, tuple[str, ...]]] = []
@@ -549,8 +563,13 @@ class SelectionState:
             )
         if len(set(ids)) != len(ids):
             raise ValueError("round contains duplicate ids")
+        if self._pool_table is not None:
+            try:
+                self._pool_table.rows_of(ids)
+            except KeyError as exc:
+                raise KeyError(f"clip id {exc.args[0]!r} not in pool") from None
         for cid in ids:
-            if cid not in self._pool_set:
+            if self._pool_set is not None and cid not in self._pool_set:
                 raise KeyError(f"clip id {cid!r} not in pool")
             if cid in self._labeled_set:
                 raise ValueError(f"clip {cid!r} already labeled")
@@ -832,6 +851,7 @@ def _decoded_blocks(lines: Iterable[bytes | str]) -> Iterator[list]:
         records = [record for record in records if record is not _BLANK]
         if records:
             yield records
+            del records  # the consumer holds the only reference while the next block is decoded
 
 
 #: Least bytes per range when :func:`read_table` splits a file across CPUs.
@@ -881,7 +901,8 @@ def _range_parts(path: str | os.PathLike, start: int, end: float, parse_block: C
                 at += len(line)
                 yield line
 
-        return [parse_block(block) for block in _decoded_blocks(lines())]
+        # map, unlike a loop variable, holds no block while the next is decoded.
+        return list(map(parse_block, _decoded_blocks(lines())))
 
 
 def _send_parts(write_fd: int, path: str | os.PathLike, start: int, end: int,
@@ -971,7 +992,7 @@ def read_table(
         source = list(source)  # to read it again
     try:
         if isinstance(source, list):
-            return build([parse_block(block) for block in _decoded_blocks(source)])
+            return build(list(map(parse_block, _decoded_blocks(source))))
         return build(_file_parts(source, what, parse_block))
     except _READ_ERRORS as exc:
         # Without its traceback, whose frames hold the parts or the table.

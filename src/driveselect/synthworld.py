@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .criteria import ClipPrediction, PredictionBatch, _distances, prediction_batch
+from .criteria import AGENT_BLOCK, ClipPrediction, PredictionBatch, _distances, prediction_batch
 from .pool import (
     BUCKETS,
     COMMAND_CLASSES,
@@ -731,25 +731,32 @@ class ToyPlanner:
     def _modalities(self, agents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The modality probabilities (A, M) and trajectories (A, M, H, 2) of
         the given truth agents. Only each track's first and last points are
-        read, each modality is written in place, and the temporaries are
-        freed before :meth:`predict` builds its batch."""
-        starts = self._truth.starts[agents]
-        vel = (self._truth.tracks[agents, 0] - starts) / FRAME_DT
-        ends = self._truth.tracks[agents, -1]
+        read, and they are written ``AGENT_BLOCK`` agents at a time into the
+        two arrays, each modality in place: no row depends on another, so
+        the temporaries are a block's and the rows equal one whole pass."""
         horizon = self._clips.horizon
         steps = np.arange(1, horizon + 1)[:, None] * FRAME_DT
-        trajs = np.empty((len(agents), len(self.MODALITY_ANGLES), horizon, 2))
-        endpoint_err = np.empty(trajs.shape[:2])
-        for m, angle_deg in enumerate(self.MODALITY_ANGLES):
-            # One rotation per modality, applied as stacked 2x2 @ 2x1 products.
-            rot_vel = np.matmul(_rotation(math.radians(angle_deg)), vel[:, :, None])[:, :, 0]
-            traj = trajs[:, m]
-            np.multiply(steps, rot_vel[:, None, :], out=traj)
-            traj += starts[:, None, :]  # starts + steps * rot_vel: addition commutes
-            endpoint_err[:, m] = _norms(traj[:, -1] - ends)
-        logits = -endpoint_err / self.ENDPOINT_SCALE
-        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-        probs /= probs.sum(axis=1, keepdims=True)
+        rotations = [_rotation(math.radians(angle_deg)) for angle_deg in self.MODALITY_ANGLES]
+        probs = np.empty((len(agents), len(rotations)))
+        trajs = np.empty((len(agents), len(rotations), horizon, 2))
+        for lo in range(0, len(agents), AGENT_BLOCK):
+            block = agents[lo : lo + AGENT_BLOCK]
+            starts = self._truth.starts[block]
+            vel = (self._truth.tracks[block, 0] - starts) / FRAME_DT
+            ends = self._truth.tracks[block, -1]
+            p = probs[lo : lo + len(block)]  # the endpoint errors, then the logits, then the probabilities
+            for m, rotation in enumerate(rotations):
+                # One rotation per modality, applied as stacked 2x2 @ 2x1 products.
+                rot_vel = np.matmul(rotation, vel[:, :, None])[:, :, 0]
+                traj = trajs[lo : lo + len(block), m]
+                np.multiply(steps, rot_vel[:, None, :], out=traj)
+                traj += starts[:, None, :]  # starts + steps * rot_vel: addition commutes
+                p[:, m] = _norms(traj[:, -1] - ends)
+            np.negative(p, out=p)
+            p /= self.ENDPOINT_SCALE
+            p -= p.max(axis=1, keepdims=True)
+            np.exp(p, out=p)
+            p /= p.sum(axis=1, keepdims=True)
         return probs, trajs
 
 

@@ -25,6 +25,7 @@ from driveselect.pool import (
     atomic_outputs,
     atomic_write_text,
     classify_command,
+    clip_table,
     clip_to_dict,
     load_pool,
     load_selection,
@@ -339,6 +340,26 @@ class TestSelectionState:
         state = SelectionState(["a"])
         with pytest.raises(KeyError):
             state.add_round(0, ["z"])
+
+    def test_a_table_pool_keeps_no_id_set(self):
+        """A ClipTable pool answers membership from the id index of the
+        table its slice was cut from, with the messages of an id pool."""
+        table = clip_table([make_clip(f"c{i}") for i in range(5)])
+        state = SelectionState(table[:3])
+        assert state.pool_ids == ("c0", "c1", "c2") and state._pool_set is None
+        state.add_round(0, ["c2", "c0"])
+        assert state.unlabeled_ids == ("c1",)
+        with pytest.raises(KeyError, match="clip id 'c4' not in pool"):  # in the table, not in the slice
+            state.add_round(1, ["c1", "c4"])
+        with pytest.raises(KeyError, match="clip id 'zz' not in pool"):
+            state.add_round(1, ["zz"])
+        with pytest.raises(ValueError, match="clip 'c0' already labeled"):
+            state.add_round(1, ["c0"])
+        state.add_round(1, ["c1"])
+        by_ids = SelectionState(["c0", "c1", "c2"])
+        by_ids.add_round(0, ["c2", "c0"])
+        by_ids.add_round(1, ["c1"])
+        assert state == by_ids
 
     def test_rejects_nonincreasing_round(self):
         state = SelectionState(["a", "b"])
