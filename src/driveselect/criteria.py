@@ -24,11 +24,12 @@ from __future__ import annotations
 import math
 import os
 import re
+import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .pool import (
     _check_list,
     _check_numbers,
     _check_string,
+    _joined,
     _nested_block,
     _NotColumnar,
     _numbers,
@@ -232,33 +234,18 @@ class PredictionBatch(AgentTable):
         )
 
 
-def _batch_of_groups(clip_ids: Iterable[str], ego_plans: np.ndarray, agent_counts: Iterable[int],
-                     agent_ids: Iterable[str], confidence: np.ndarray, modalities: Sequence[Sequence[int]],
-                     groups: Iterable[tuple[np.ndarray, np.ndarray]]) -> PredictionBatch:
-    """One batch from (N, H, 2) plans, each clip's agent count, and the
-    agents in groups, clip after clip: each group's modality counts, and
-    from ``groups`` its probabilities and (H, 2) trajectories, flat. Each
-    group is padded here, into the batch's arrays, to the largest count (at
-    least 1), and is not referenced once copied."""
-    modality_counts = np.fromiter(chain.from_iterable(modalities), dtype=np.intp)
-    modality_probs = np.zeros((len(modality_counts), modality_counts.max(initial=1)))
-    modality_trajs = np.zeros(modality_probs.shape + ego_plans.shape[1:])
-    at = 0
-    for m, (p, t) in zip(modalities, groups):
-        rows = slice(at, at + len(m))
-        real = np.arange(modality_probs.shape[1]) < modality_counts[rows, None]
-        modality_probs[rows][real], modality_trajs[rows][real] = p, t
-        at += len(m)
-    return PredictionBatch(
-        clip_ids=tuple(clip_ids),
-        ego_plans=ego_plans,
-        agent_clip=np.repeat(np.arange(len(ego_plans)), np.fromiter(agent_counts, dtype=np.intp)),
-        agent_ids=np.fromiter(agent_ids, dtype=object, count=len(modality_counts)),
-        confidence=confidence,
-        modality_counts=modality_counts,
-        modality_probs=modality_probs,
-        modality_trajs=modality_trajs,
-    )
+def _padded(counts: np.ndarray, probs: np.ndarray, trajs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, M) probabilities and (A, M, H, 2) trajectories from the flat ones
+    of A agents of ``counts`` modalities, each padded to the largest count M
+    (at least 1) with probability 0 and zero trajectories: views of the flat
+    arrays when no agent is padded."""
+    m = counts.max(initial=1)
+    if (counts == m).all():
+        return probs.reshape(len(counts), m), trajs.reshape(len(counts), m, *trajs.shape[1:])
+    real = np.arange(m) < counts[:, None]
+    padded_probs, padded_trajs = np.zeros(real.shape), np.zeros(real.shape + trajs.shape[1:])
+    padded_probs[real], padded_trajs[real] = probs, trajs
+    return padded_probs, padded_trajs
 
 
 def _batch_from_parts(clip_ids: Sequence[str], parts: Sequence[tuple], horizon: int | None = None) -> PredictionBatch:
@@ -272,15 +259,18 @@ def _batch_from_parts(clip_ids: Sequence[str], parts: Sequence[tuple], horizon: 
         if len(plan) != horizon:
             raise RowError(row, f"ego_plan has {len(plan)} waypoints, expected {horizon}")
     agents = [agent for _, clip_agents in parts for agent in clip_agents]
-    return _batch_of_groups(
-        clip_ids,
-        np.array([plan for plan, _ in parts], dtype=float).reshape(len(parts), horizon, 2),
-        [len(clip_agents) for _, clip_agents in parts],
-        [a[0] for a in agents],
-        np.array([a[1] for a in agents], dtype=float),
-        [[len(a[2]) for a in agents]],
-        [(np.concatenate([np.empty(0), *(a[2] for a in agents)]),
-          np.concatenate([np.empty((0, horizon, 2)), *(a[3] for a in agents)]))],
+    modality_counts = np.array([len(a[2]) for a in agents], dtype=np.intp)
+    probs, trajs = _padded(modality_counts, np.concatenate([np.empty(0), *(a[2] for a in agents)]),
+                           np.concatenate([np.empty((0, horizon, 2)), *(a[3] for a in agents)]))
+    return PredictionBatch(
+        clip_ids=tuple(clip_ids),
+        ego_plans=np.array([plan for plan, _ in parts], dtype=float).reshape(len(parts), horizon, 2),
+        agent_clip=np.repeat(np.arange(len(parts)), [len(clip_agents) for _, clip_agents in parts]),
+        agent_ids=np.fromiter((a[0] for a in agents), dtype=object, count=len(agents)),
+        confidence=np.array([a[1] for a in agents], dtype=float),
+        modality_counts=modality_counts,
+        modality_probs=probs,
+        modality_trajs=trajs,
     )
 
 
@@ -639,8 +629,9 @@ def _record_parts(record: dict, horizon: int | None) -> tuple:
 
 
 def _prediction_block(records: list, horizon: int | None) -> tuple:
-    """The column parts of a block of predictions records. The horizon, if
-    None, is the block's first plan's."""
+    """The column parts of a block of predictions records, each agent padded
+    to the block's largest M. The horizon, if None, is the block's first
+    plan's."""
     (ids, plans), counts, (agent_ids, confidence, probs, trajs) = _nested_block(
         records, _PREDICTION_FIELDS, _FORECAST_FIELDS
     )
@@ -652,30 +643,23 @@ def _prediction_block(records: list, horizon: int | None) -> tuple:
     plan, prob = _path_numbers(plans, horizon), list(chain.from_iterable(probs))
     numbers = _numbers(plan + list(confidence) + prob + _path_numbers(chain.from_iterable(trajs), horizon))
     plans, confidence, probs, trajs = np.split(numbers, np.cumsum([len(plan), len(agent_ids), len(prob)]))
-    modalities = np.array(modalities, dtype=np.min_scalar_type(max(modalities, default=0)))  # mostly uint8
-    return ids, horizon, counts, agent_ids, plans, confidence, modalities, probs, trajs.reshape(-1, horizon, 2)
+    modalities = np.array(modalities, dtype=np.intp)
+    probs, trajs = _padded(modalities, probs, trajs.reshape(-1, horizon, 2))
+    if probs.base is not numbers:  # padded: views of plans and confidence would keep ``numbers``
+        plans, confidence = plans.copy(), confidence.copy()
+    return ids, counts, agent_ids, plans.reshape(-1, horizon, 2), confidence, modalities, probs, trajs
 
 
 def _prediction_table(parts: list[tuple]) -> PredictionBatch:
-    """The batch of a predictions file's block parts, with agents padded to
-    the largest M of any block. It consumes ``parts``: each block is dropped
-    once its probabilities and trajectories are copied into the batch."""
-    if not parts:
+    """The batch of a predictions file's block parts, which it consumes,
+    with agents padded to the largest M of any block. Blocks of two
+    horizons are not one batch."""
+    if len({plans.shape[1] for _, _, _, plans, *_ in parts}) > 1:
         raise _NotColumnar
-    ids, horizons, counts, agent_ids, plans, confidence, modalities = zip(*(part[:7] for part in parts))
-    if len(set(horizons)) != 1:
-        raise _NotColumnar
-
-    def groups() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for i in range(len(parts)):
-            probs, trajs = parts[i][7:]
-            parts[i] = None
-            yield probs, trajs
-
-    return _batch_of_groups(
-        chain.from_iterable(ids), np.concatenate(plans).reshape(-1, horizons[0], 2), chain.from_iterable(counts),
-        chain.from_iterable(agent_ids), np.concatenate(confidence), modalities, groups(),
-    )
+    ids, counts, agent_ids, plans, confidence, modalities, probs, trajs = _joined(parts)
+    n = len(plans)
+    return PredictionBatch(tuple(ids), plans, np.repeat(np.arange(n), np.fromiter(counts, np.intp, n)),
+                           np.fromiter(agent_ids, object, len(confidence)), confidence, modalities, probs, trajs)
 
 
 def load_predictions(path: str | os.PathLike | Iterable[str], horizon: int | None = 6) -> PredictionBatch:
@@ -699,6 +683,8 @@ def save_predictions(preds: Iterable[ClipPrediction], path: str | os.PathLike) -
 #: underscores or spaces.
 _DECIMAL = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]\d+)?", re.ASCII)
 _DECIMAL_CELLS = re.compile("\t".join([_DECIMAL.pattern] * (len(SCORE_COLUMNS) - 1)), re.ASCII)
+#: The float cells of one scores row, as float64 bytes.
+_SCORE_ROW = struct.Struct(f"{len(SCORE_COLUMNS) - 1}d")
 
 
 def save_scores(columns: Mapping, path: str | os.PathLike) -> None:
@@ -716,30 +702,33 @@ def save_scores(columns: Mapping, path: str | os.PathLike) -> None:
 
 def load_scores(path: str | os.PathLike) -> dict:
     """The columns of a scores table, as :func:`score_pool` returns them.
-    Errors name the file and its line, counting blank lines."""
+    Each line is checked as it is read and its values appended to one flat
+    column. Errors name the file and its line, counting blank lines."""
+    ids: dict[str, None] = {}  # in line order
+    values = bytearray()  # float64 rows
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [(lineno, ln.rstrip("\n")) for lineno, ln in enumerate(fh, start=1) if ln.strip()]
-    if not lines or tuple(lines[0][1].split("\t")) != SCORE_COLUMNS:
-        raise PoolFormatError(f"scores file {path}: bad or missing header")
-    rows: dict[str, list[float]] = {}
-    for lineno, line in lines[1:]:
-        where = f"scores file {path} line {lineno}"
-        clip_id, *cells = line.split("\t")
-        if len(cells) != len(SCORE_COLUMNS) - 1:
-            raise PoolFormatError(f"{where}: expected {len(SCORE_COLUMNS)} columns")
-        if clip_id in rows:
-            raise PoolFormatError(f"{where}: duplicate clip_id {clip_id!r}")
-        try:
-            values = [float(v) for v in cells]
-        except ValueError as exc:
-            raise PoolFormatError(f"{where}: {exc}") from exc
-        if not (all(map(math.isfinite, values)) and _DECIMAL_CELLS.fullmatch(line, len(clip_id) + 1)):
-            # One match per line; the cell loop only names the bad cell.
-            for column, cell, value in zip(SCORE_COLUMNS[1:], cells, values):
-                if not math.isfinite(value):
-                    raise PoolFormatError(f"{where}: non-finite {column}")
-                if not _DECIMAL.fullmatch(cell):
-                    raise PoolFormatError(f"{where}: {column} {cell!r} is not a decimal number")
-        rows[clip_id] = values
-    table = np.array(list(rows.values()), dtype=float).reshape(len(rows), len(SCORE_COLUMNS) - 1).T.copy()
-    return dict(zip(SCORE_COLUMNS, (tuple(rows), *table)))
+        lines = ((lineno, ln.rstrip("\n")) for lineno, ln in enumerate(fh, start=1) if ln.strip())
+        if tuple(next(lines, (0, ""))[1].split("\t")) != SCORE_COLUMNS:
+            raise PoolFormatError(f"scores file {path}: bad or missing header")
+        for lineno, line in lines:
+            where = f"scores file {path} line {lineno}"
+            clip_id, *cells = line.split("\t")
+            if len(cells) != len(SCORE_COLUMNS) - 1:
+                raise PoolFormatError(f"{where}: expected {len(SCORE_COLUMNS)} columns")
+            if clip_id in ids:
+                raise PoolFormatError(f"{where}: duplicate clip_id {clip_id!r}")
+            try:
+                row = [float(v) for v in cells]
+            except ValueError as exc:
+                raise PoolFormatError(f"{where}: {exc}") from exc
+            if not (all(map(math.isfinite, row)) and _DECIMAL_CELLS.fullmatch(line, len(clip_id) + 1)):
+                # One match per line; the cell loop only names the bad cell.
+                for column, cell, value in zip(SCORE_COLUMNS[1:], cells, row):
+                    if not math.isfinite(value):
+                        raise PoolFormatError(f"{where}: non-finite {column}")
+                    if not _DECIMAL.fullmatch(cell):
+                        raise PoolFormatError(f"{where}: {column} {cell!r} is not a decimal number")
+            ids[clip_id] = None
+            values += _SCORE_ROW.pack(*row)
+    table = np.frombuffer(values, dtype=float).reshape(len(ids), len(SCORE_COLUMNS) - 1).T.copy()
+    return dict(zip(SCORE_COLUMNS, (tuple(ids), *table)))

@@ -979,14 +979,16 @@ def read_table(
     builds a table from a file.
 
     ``parse_block`` turns each block of decoded records into column parts,
-    and ``build`` joins the parts of the whole input into the table and runs
-    the whole-table checks. A file is parsed in byte ranges, up to one per
-    CPU (see :func:`_file_parts`); the parts, and so the table, are the same
-    for any split. Either function raises (:class:`_NotColumnar` or an error
-    of a bad value) on input it does not take; :func:`read_jsonl` then runs
-    ``check_record`` on each record, keeping nothing, only to raise the
-    PoolFormatError naming the first bad line, or, when every record
-    passes, ``build``'s RowError at the line of its record.
+    checking their values, and ``build`` joins the parts of the whole input
+    into the table with :func:`_joined`, consuming them; the table checks
+    what spans blocks, such as duplicate ids. A file is parsed in byte
+    ranges, up to one per CPU (see :func:`_file_parts`); the parts, and so
+    the table, are the same for any split. Either function raises
+    (:class:`_NotColumnar` or an error of a bad value) on input it does not
+    take; :func:`read_jsonl` then runs ``check_record`` on each record,
+    keeping nothing, only to raise the PoolFormatError naming the first bad
+    line, or, when every record passes, ``build``'s RowError at the line of
+    its record.
     """
     if not isinstance(source, (str, os.PathLike)):
         source = list(source)  # to read it again
@@ -1005,6 +1007,33 @@ def read_table(
         raise error
 
     read_jsonl(source, what, id_key, check, finish)  # always raises
+
+
+def _joined(parts: list[tuple]) -> list:
+    """The columns of a file's block parts, in line order, emptying
+    ``parts``: each array column copied into one array, zero-padded on its
+    axes after the first to the widest block, each block's array dropped
+    once copied, and every other column chained. No parts (no records)
+    raise :class:`_NotColumnar`."""
+    if not parts:
+        raise _NotColumnar
+    blocks = list(map(list, parts))
+    parts.clear()
+    columns: list = []
+    for j, first in enumerate(blocks[0]):
+        if not isinstance(first, np.ndarray):
+            columns.append(chain.from_iterable(map(itemgetter(j), blocks)))
+            continue
+        shapes = np.array([block[j].shape for block in blocks])
+        column = np.zeros((shapes[:, 0].sum(), *shapes[:, 1:].max(axis=0)),
+                          dtype=np.result_type(*(block[j] for block in blocks)))
+        at = 0
+        for block in blocks:
+            array, block[j] = block[j], None
+            column[(slice(at, at + len(array)), *map(slice, array.shape[1:]))] = array
+            at += len(array)
+        columns.append(column)
+    return columns
 
 
 _DICT, _LIST, _STR = {dict}, {list}, {str}
@@ -1070,7 +1099,7 @@ _CLIP_COLUMNS = itemgetter("id", "weather", "lighting", "frames", "gt_future")
 
 
 def _pool_block(records: list, horizon: int) -> tuple:
-    """The column parts of a block of pool records."""
+    """The column parts of a block of pool records, whose values it checks."""
     _check_objects(records, _CLIP_FIELDS)
     ids, weather, lighting, frames, gt_futures = zip(*map(_CLIP_COLUMNS, records))
     _check_ids(ids)
@@ -1086,37 +1115,26 @@ def _pool_block(records: list, horizon: int) -> tuple:
     if sum(map(len, frames)) != 2 * len(frames):
         raise _NotColumnar
     numbers = _numbers(speeds + _path_numbers(gt_futures, horizon))
+    speeds = numbers[: len(speeds)]
+    if not (np.isfinite(numbers).all() and (speeds >= 0).all()):
+        raise _NotColumnar
     return (
         ids,
-        bytes(map(_WEATHER_CODES.__getitem__, weather)),
-        bytes(map(_LIGHTING_CODES.__getitem__, lighting)),
+        np.frombuffer(bytes(map(_WEATHER_CODES.__getitem__, weather)), dtype=np.int8),
+        np.frombuffer(bytes(map(_LIGHTING_CODES.__getitem__, lighting)), dtype=np.int8),
         counts,
-        bytes(map(_COMMAND_CODES.__getitem__, map(_COMMAND, frames))),
-        numbers[: len(speeds)],
-        numbers[len(speeds) :],
+        np.frombuffer(bytes(map(_COMMAND_CODES.__getitem__, map(_COMMAND, frames))), dtype=np.int8),
+        speeds,
+        numbers[len(speeds) :].reshape(-1, horizon, 2),
         [record.get("annotation") for record in records],
     )
 
 
-def _pool_table(parts: list[tuple], horizon: int) -> ClipTable:
-    """The table of a pool's block parts; the whole-table value checks."""
-    if not parts:
-        raise _NotColumnar
-    ids, weather, lighting, counts, commands, speeds, points, annotations = zip(*parts)
-    table = ClipTable(
-        ids=tuple(chain.from_iterable(ids)),
-        weather=np.frombuffer(b"".join(weather), dtype=np.int8),
-        lighting=np.frombuffer(b"".join(lighting), dtype=np.int8),
-        offsets=_offsets(list(chain.from_iterable(counts))),
-        speeds=np.concatenate(speeds),
-        commands=np.frombuffer(b"".join(commands), dtype=np.int8),
-        gt_future=np.concatenate(points).reshape(-1, horizon, 2),
-        annotations=tuple(chain.from_iterable(annotations)),
-    )
-    speeds = table.speeds
-    if not (np.isfinite(speeds).all() and (speeds >= 0).all() and np.isfinite(table.gt_future).all()):
-        raise _NotColumnar
-    return table
+def _pool_table(parts: list[tuple]) -> ClipTable:
+    """The table of a pool's block parts, which it consumes."""
+    ids, weather, lighting, counts, commands, speeds, gt_future, annotations = _joined(parts)
+    return ClipTable(tuple(ids), weather, lighting, _offsets(np.fromiter(counts, np.intp, len(weather))),
+                     speeds, commands, gt_future, tuple(annotations))
 
 
 def parse_pool_lines(lines: str | os.PathLike | Iterable[str], horizon: int = 6) -> ClipTable:
@@ -1125,7 +1143,7 @@ def parse_pool_lines(lines: str | os.PathLike | Iterable[str], horizon: int = 6)
     return read_table(
         lines, "pool", "id",
         partial(_pool_block, horizon=horizon),
-        partial(_pool_table, horizon=horizon),
+        _pool_table,
         partial(clip_from_dict, horizon=horizon),
     )
 

@@ -45,7 +45,6 @@ from contextlib import ExitStack
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -63,6 +62,7 @@ from .pool import (
     _check_path,
     _check_string,
     _cpu_count,
+    _joined,
     _nested_block,
     _NotColumnar,
     _numbers,
@@ -435,31 +435,22 @@ def _truth_from_dict(record: dict, horizon: int) -> ClipTruth:
 
 
 def _truth_block(records: list, horizon: int) -> tuple:
-    """The column parts of a block of truth records."""
+    """The column parts of a block of truth records, whose values it checks."""
     (ids, egos), counts, (agent_ids, starts, tracks) = _nested_block(records, _TRUTH_FIELDS, _TRUTH_AGENT_FIELDS)
     ego, start, track = _path_numbers(egos, horizon), _pair_numbers(starts), _path_numbers(tracks, horizon)
     numbers = _numbers(ego + start + track)
-    return ids, counts, agent_ids, *np.split(numbers, [len(ego), len(ego) + len(start)])
+    if not np.isfinite(numbers).all():
+        raise _NotColumnar
+    egos, starts, tracks = np.split(numbers, [len(ego), len(ego) + len(start)])
+    return ids, counts, agent_ids, egos.reshape(-1, horizon, 2), starts.reshape(-1, 2), tracks.reshape(-1, horizon, 2)
 
 
-def _truth_table(parts: list[tuple], horizon: int) -> TruthTable:
-    """The table of a truth file's block parts; the whole-table value checks."""
-    if not parts:
-        raise _NotColumnar
-    ids, counts, agent_ids, egos, starts, tracks = zip(*parts)
-    counts = list(chain.from_iterable(counts))
-    agent_ids = list(chain.from_iterable(agent_ids))
-    table = TruthTable(
-        clip_ids=tuple(chain.from_iterable(ids)),
-        ego_future=np.concatenate(egos).reshape(-1, horizon, 2),
-        agent_clip=np.repeat(np.arange(len(counts)), counts),
-        agent_ids=np.fromiter(agent_ids, dtype=object, count=len(agent_ids)),
-        starts=np.concatenate(starts).reshape(-1, 2),
-        tracks=np.concatenate(tracks).reshape(-1, horizon, 2),
-    )
-    if not all(np.isfinite(a).all() for a in (table.ego_future, table.starts, table.tracks)):
-        raise _NotColumnar
-    return table
+def _truth_table(parts: list[tuple]) -> TruthTable:
+    """The table of a truth file's block parts, which it consumes."""
+    ids, counts, agent_ids, ego_future, starts, tracks = _joined(parts)
+    n = len(ego_future)
+    return TruthTable(tuple(ids), ego_future, np.repeat(np.arange(n), np.fromiter(counts, np.intp, n)),
+                      np.fromiter(agent_ids, object, len(starts)), starts, tracks)
 
 
 def load_truth(path: str | os.PathLike, horizon: int = 6) -> TruthTable:
@@ -468,7 +459,7 @@ def load_truth(path: str | os.PathLike, horizon: int = 6) -> TruthTable:
     return read_table(
         path, "truth", "clip_id",
         partial(_truth_block, horizon=horizon),
-        partial(_truth_table, horizon=horizon),
+        _truth_table,
         partial(_truth_from_dict, horizon=horizon),
     )
 

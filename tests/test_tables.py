@@ -5,6 +5,7 @@ they replaced."""
 import json
 import re
 import tracemalloc
+import weakref
 from functools import partial
 from itertools import accumulate
 from unittest import mock
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driveselect import criteria, synthworld
 from driveselect import pool as pool_module
 from driveselect.cli import main
 from driveselect.criteria import (
@@ -817,6 +819,49 @@ class TestPlannerOverTables:
         assert results[1][4] == collided.tolist() and any(collided)
 
 
+@pytest.fixture(scope="module")
+def file_records():
+    """The decoded records of a 100-clip world's pool, truth and untrained
+    predictions. Every agent of the first 16 clips and every 7th agent from
+    clip 32 on keep one modality, so in blocks of 16 the first block's
+    agents have one, the second's three, and the rest are padded in their
+    block; the join pads the first block."""
+    clips, truth = generate_world(WorldConfig(n_clips=100, seed=3, agent_rate=3.0))
+    preds = [prediction_to_dict(p) for p in ToyPlanner(clips, truth).predict([c.id for c in clips]).values()]
+    for agent in [a for r in preds[:16] for a in r["agents"]] + [a for r in preds[32:] for a in r["agents"]][::7]:
+        agent.update(modality_probs=[1.0], modality_trajs=agent["modality_trajs"][:1])
+    return {kind: json.loads(json.dumps(records)) for kind, records in (
+        ("pool", [clip_to_dict(c) for c in clips]), ("truth", [truth_to_dict(t) for t in truth.values()]),
+        ("predictions", preds))}
+
+
+#: Per file kind: its block parser, its builder, the per-record loader and
+#: the assertion that a table equals that loader's result.
+BUILDERS = {
+    "pool": (partial(pool_module._pool_block, horizon=6), pool_module._pool_table, reference_load_pool,
+             assert_table_equals_rows),
+    "truth": (partial(synthworld._truth_block, horizon=6), synthworld._truth_table, reference_load_truth,
+              assert_truth_equals_rows),
+    "predictions": (partial(criteria._prediction_block, horizon=6), criteria._prediction_table,
+                    reference_load_predictions, assert_batch_equals),
+}
+
+
+class TestJoin:
+    @pytest.mark.parametrize("kind", BUILDERS)
+    def test_builders_consume_their_parts(self, file_records, kind):
+        """Each builder empties the parts list it is given, and no block
+        array outlives the join; the table equals the per-record loader's."""
+        parse_block, build, reference, check = BUILDERS[kind]
+        records = file_records[kind]
+        parts = [parse_block(records[i : i + 16]) for i in range(0, len(records), 16)]
+        arrays = [weakref.ref(column) for part in parts for column in part if isinstance(column, np.ndarray)]
+        table = build(parts)
+        assert parts == []
+        assert arrays and all(ref() is None for ref in arrays)
+        check(table, reference([json.dumps(record) for record in records]))
+
+
 # ---------------------------------------------------------------------------
 # Memory
 # ---------------------------------------------------------------------------
@@ -868,6 +913,24 @@ class TestMemory:
         truth, retained = retained_bytes(load_truth, world_3000[1])
         assert len(truth) == 3000
         assert retained / 3000 < 750
+
+    def test_load_truth_peak_near_the_table(self, tmp_path):
+        """A 2000-clip truth file read in one process peaks at 1.55 times
+        the table it keeps (tracemalloc): each block is dropped once joined,
+        and its values are checked in the block. Joining with every block
+        alive, and then checking the table, peaked at 1.72 times."""
+        pool, truth = tmp_path / "pool.jsonl", tmp_path / "truth.jsonl"
+        generate_pool(WorldConfig(n_clips=2000, seed=7), pool, truth)
+        with mock.patch.object(pool_module, "READ_RANGE", 1 << 40):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                table = load_truth(truth)
+                kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+            finally:
+                tracemalloc.stop()
+        assert len(table) == 2000
+        assert peak <= 1.65 * kept, (peak, kept)
 
     def test_a_slice_builds_no_index(self):
         """``clips[:15000]`` of a 20 000-clip table and a lookup on it peak
