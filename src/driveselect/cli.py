@@ -177,7 +177,7 @@ def cmd_init(args) -> int:
 def cmd_score(args) -> int:
     check_score_settings(alpha=args.alpha, beta=args.beta, eps_a=args.eps_a, delta_d=args.delta_d)
     clips = load_pool(args.pool, horizon=args.horizon)[0]  # load_pool's SelectionState is not kept
-    state = load_selection(args.selection, clips.ids)
+    state = load_selection(args.selection, clips)
     predictions = load_predictions(args.predictions, horizon=args.horizon)
     unlabeled = state.unlabeled_ids
     _echo_config({"alpha": args.alpha, "beta": args.beta, "eps_a": args.eps_a, "delta_d": args.delta_d})

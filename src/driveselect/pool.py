@@ -563,13 +563,14 @@ class SelectionState:
             )
         if len(set(ids)) != len(ids):
             raise ValueError("round contains duplicate ids")
+        unknown = None  # the id a table lookup names; an already-labeled id before it is named first
         if self._pool_table is not None:
             try:
                 self._pool_table.rows_of(ids)
             except KeyError as exc:
-                raise KeyError(f"clip id {exc.args[0]!r} not in pool") from None
+                unknown = exc.args[0]
         for cid in ids:
-            if self._pool_set is not None and cid not in self._pool_set:
+            if cid == unknown or (self._pool_set is not None and cid not in self._pool_set):
                 raise KeyError(f"clip id {cid!r} not in pool")
             if cid in self._labeled_set:
                 raise ValueError(f"clip {cid!r} already labeled")
@@ -614,9 +615,14 @@ def atomic_outputs(*paths: str | os.PathLike) -> Iterator[list[str]]:
     in the block leaves every output as it was. Any failure removes the temp
     files that remain, and an OSError names the output path, never its temp
     file. Outputs get the mode ``open(path, "w")`` would give them, not
-    ``mkstemp``'s 0600.
+    ``mkstemp``'s 0600. Two paths of one file (the second rename would
+    replace the first) raise ValueError naming them, before any temp file.
     """
     paths = [os.fspath(p) for p in paths]
+    real = list(map(os.path.realpath, paths))
+    for i, path in enumerate(real):
+        if path in real[:i]:
+            raise ValueError(f"outputs {paths[real.index(path)]} and {paths[i]} are the same file")
     mode = _file_mode()
     temps: list[str] = []
     try:
@@ -860,24 +866,28 @@ def _decoded_blocks(lines: Iterable[bytes | str]) -> Iterator[list]:
 READ_RANGE = 1 << 20
 
 
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
+def _fork_count(tasks: int) -> int:
+    """How many processes may run ``tasks`` tasks: one per CPU this process
+    may run on, at most one per task, and one where it cannot fork: no
+    ``os.fork``, or another live thread (which a forked child would not have)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, tasks))
 
 
 def _ranges(path: str | os.PathLike) -> list[tuple[int, float]]:
     """``[start, end)`` byte ranges that cover the file at ``path``, each
-    starting a line: one per CPU, at least ``READ_RANGE`` bytes each. One
-    range, to the end of the file, where a read cannot fork: one CPU, a
-    small file, no ``os.fork``, or another live thread (which a forked child
-    would not have)."""
+    starting a line: one per process of :func:`_fork_count`, at least
+    ``READ_RANGE`` bytes each; one range, to the end of the file, where that
+    is one."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        n = min(_cpu_count(), size // READ_RANGE)
-        if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        n = _fork_count(size // READ_RANGE)
+        if n < 2:
             return [(0, math.inf)]
         cuts = [0]
         for k in range(1, n):
@@ -905,66 +915,83 @@ def _range_parts(path: str | os.PathLike, start: int, end: float, parse_block: C
         return list(map(parse_block, _decoded_blocks(lines())))
 
 
-def _send_parts(write_fd: int, path: str | os.PathLike, start: int, end: int,
-                parse_block: Callable[[list], tuple]) -> NoReturn:
-    """In a forked child: pickle the range's parts down ``write_fd`` (None
-    if a bad record stopped them, False if anything else did), and end the
-    process without any clean-up."""
-    status = 1
+def _stream(write_fd: int, items: Iterable) -> NoReturn:
+    """In a forked child: pickle ``(item, None)`` down ``write_fd`` for each
+    of ``items`` as it comes, then ``(None, exception)`` if an exception
+    stopped them, and end the process without any clean-up."""
     try:
-        try:
-            parts = _range_parts(path, start, end, parse_block)
-        except _READ_ERRORS:
-            parts = None  # the parent's record checks name the bad line
-        except Exception:
-            parts = False  # such as MemoryError: the parent reads the range itself
         with open(write_fd, "wb") as pipe:
-            pickle.dump(parts, pipe, pickle.HIGHEST_PROTOCOL)
-        status = 0
+            try:
+                for item in items:
+                    pickle.dump((item, None), pipe, pickle.HIGHEST_PROTOCOL)
+                    pipe.flush()
+            except Exception as exc:
+                pickle.dump((None, exc), pipe, pickle.HIGHEST_PROTOCOL)
+        os._exit(0)
     finally:
-        os._exit(status)
+        os._exit(1)
+
+
+@contextmanager
+def _forked(label: str, streams: Iterable[Iterable]) -> Iterator[list[Callable[[], Any]]]:
+    """One forked child per stream, a lazy iterable that only the child
+    iterates, sending its items down a pipe (:func:`_stream`). The block
+    gets one ``receive`` per stream: it returns the stream's next item, or
+    raises the exception that stopped the stream, or ChildProcessError
+    starting with ``label`` when the child ended without sending the item.
+    Leaving the block kills and reaps every child: none outlives it."""
+    children: dict[int, Any] = {}
+
+    def receive(pid: int) -> Any:
+        try:
+            item, exc = pickle.load(children[pid])
+        except (EOFError, pickle.UnpicklingError):
+            children.pop(pid).close()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            raise ChildProcessError(f"{label} process {pid} ended without its result (exit code {status})") from None
+        if exc is not None:
+            raise exc
+        return item
+
+    try:
+        for items in streams:
+            read_fd, write_fd = os.pipe()
+            # fork, not spawn: a spawned child imports numpy again, which
+            # added 0.2-0.5 s to a 2 s gen of 10k clips.
+            pid = os.fork()
+            if pid == 0:
+                _stream(write_fd, items)
+            os.close(write_fd)
+            children[pid] = open(read_fd, "rb")
+        yield [partial(receive, pid) for pid in children]
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _file_parts(path: str | os.PathLike, what: str, parse_block: Callable[[list], tuple]) -> list:
     """The block parts of the file at ``path``, in line order. Each range of
-    :func:`_ranges` after the first is parsed by a forked child, which sends
-    its parts back down a pipe; this process parses the first meanwhile.
-    A range with a bad record raises :class:`_NotColumnar`, a range whose
+    :func:`_ranges` after the first is parsed by a :func:`_forked` child (a
+    lazy map of one range); this process parses the first meanwhile. A
+    range with a bad record raises :class:`_NotColumnar`, a range whose
     child failed otherwise is read again here, and a child that ends without
-    sending its parts raises ChildProcessError naming the file. No child
-    outlives the call."""
+    sending its parts raises ChildProcessError naming the file."""
     first, *rest = _ranges(path)
-    children: list[tuple[int, Any, int, int]] = []
-    try:
-        for start, end in rest:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _send_parts(write_fd, path, start, end, parse_block)
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb"), start, end))
+    streams = [map(_range_parts, [path], [start], [end], [parse_block]) for start, end in rest]
+    with _forked(f"{what} file {os.fspath(path)}: reader", streams) as receivers:
         parts = _range_parts(path, *first, parse_block)
-        while children:
-            pid, pipe, start, end = children[0]
-            with pipe:
-                try:
-                    received, complete = pickle.load(pipe), True
-                except (EOFError, pickle.UnpicklingError):
-                    complete = False
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[0]
-            if not complete:
-                raise ChildProcessError(f"{what} file {os.fspath(path)}: reader process {pid} ended without "
-                                        f"its result (exit code {status})")
-            if received is None:
-                raise _NotColumnar
-            parts += _range_parts(path, start, end, parse_block) if received is False else received
-        return parts
-    finally:
-        for pid, pipe, _, _ in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for receive, (start, end) in zip(receivers, rest):
+            try:
+                parts += receive()
+            except _READ_ERRORS:
+                raise _NotColumnar from None  # the parent's record checks name the bad line
+            except ChildProcessError:
+                raise
+            except Exception:  # such as MemoryError: this process reads the range itself
+                parts += _range_parts(path, start, end, parse_block)
+    return parts
 
 
 def read_table(
@@ -1202,8 +1229,9 @@ def read_selection_payload(path: str | os.PathLike) -> dict:
     return payload
 
 
-def load_selection(path: str | os.PathLike, pool_ids: Iterable[str]) -> SelectionState:
-    """Rebuild a SelectionState from a selection file against the given pool."""
+def load_selection(path: str | os.PathLike, pool_ids: Iterable[str] | ClipTable) -> SelectionState:
+    """Rebuild a SelectionState from a selection file against the given pool:
+    a ClipTable or its ids (see :class:`SelectionState`)."""
     payload = read_selection_payload(path)
     state = SelectionState(pool_ids)
     try:

@@ -23,8 +23,10 @@ waypoint checks.
 Generation is bit-stable, and changing it changes the written files. Clip
 ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``, which is
 ``SeedSequence(seed).spawn(n_clips)[i]``, so any range of clips can be
-generated on its own: ``generate_pool`` generates chunks of them in worker
-processes. Each clip draws always in the same order: bucket, maneuver, speed,
+generated on its own: ``generate_pool`` generates chunks of them in forked
+children. One draw pass gives each clip's values; ``generate_world`` wraps
+them in records, and ``generate_pool`` turns them straight into the pool and
+truth lines. Each clip draws always in the same order: bucket, maneuver, speed,
 maneuver timing, noise, then per agent its count and placement draws. Buckets
 and maneuvers are drawn exactly as ``Generator.choice(n, p=p)`` draws them,
 from the same normalised cdf, and uniform floats as ``Generator.uniform``
@@ -41,11 +43,10 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from contextlib import ExitStack
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -53,15 +54,19 @@ from .criteria import AGENT_BLOCK, ClipPrediction, PredictionBatch, _distances, 
 from .pool import (
     BUCKETS,
     COMMAND_CLASSES,
+    LIGHTING_VALUES,
+    WEATHER_VALUES,
     AgentTable,
     ClipRecord,
     ClipTable,
+    _COMMAND_SET,
     _check_fields,
     _check_finite_point,
     _check_list,
     _check_path,
     _check_string,
-    _cpu_count,
+    _fork_count,
+    _forked,
     _joined,
     _nested_block,
     _NotColumnar,
@@ -71,7 +76,6 @@ from .pool import (
     _unchecked,
     atomic_outputs,
     clip_table,
-    clip_to_dict,
     encode_line,
     read_table,
     write_jsonl,
@@ -236,15 +240,17 @@ def _maneuver_curvature(
 def _integrate(kappa: np.ndarray, v: float) -> tuple[np.ndarray, np.ndarray]:
     """Unicycle rollout at constant speed: positions and headings per step."""
     theta = np.cumsum(kappa * v * FRAME_DT)
-    steps = v * FRAME_DT * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    steps = np.empty((len(theta), 2))
+    np.cos(theta, out=steps[:, 0])
+    np.sin(theta, out=steps[:, 1])
+    steps *= v * FRAME_DT
     return np.cumsum(steps, axis=0), theta
 
 
 def _commands_from_curvature(kappa: np.ndarray) -> tuple[str, ...]:
-    return tuple(
-        "Left" if k > 1e-12 else "Right" if k < -1e-12 else "Straight"
-        for k in kappa[:HISTORY_FRAMES].tolist()
-    )
+    history = kappa[:HISTORY_FRAMES]
+    signs = (history > 1e-12).astype(np.int8) - (history < -1e-12)  # indices 0, 1 and -1
+    return tuple(map(("Straight", "Left", "Right").__getitem__, signs.tolist()))
 
 
 def _choice_cdf(probs: Sequence[float]) -> list[float]:
@@ -299,59 +305,55 @@ def _draw_agent(
     return start, (speed * math.cos(vel_heading), speed * math.sin(vel_heading))
 
 
-def _track(start: Point, vel: Point, times: Sequence[float]) -> tuple[Point, ...]:
+def _track(start: Point, vel: Point, times: Sequence[float], path: Sequence[Sequence[float]]) -> tuple[tuple, float]:
+    """The agent's points at ``times``, and its smallest same-step distance
+    to ``path``, as ``np.linalg.norm(track - path, axis=1).min()``."""
     (x, y), (vx, vy) = start, vel
-    return tuple((x + t * vx, y + t * vy) for t in times)
-
-
-def _min_gap(track: Sequence[Point], path: Sequence[Sequence[float]]) -> float:
-    """Smallest same-step distance, as ``np.linalg.norm(track - path, axis=1).min()``."""
-    gaps = []
-    for (x, y), (px, py) in zip(track, path):
-        dx, dy = x - px, y - py
-        gaps.append(math.sqrt(dx * dx + dy * dy))
-    return min(gaps)
+    track, gap = [], math.inf
+    for t, (px, py) in zip(times, path):
+        tx, ty = x + t * vx, y + t * vy
+        track.append((tx, ty))
+        dx, dy = tx - px, ty - py
+        d = math.sqrt(dx * dx + dy * dy)
+        if d < gap:
+            gap = d
+    return tuple(track), gap
 
 
 def _make_agents(
-    rng: np.random.Generator,
-    clip_id: str,
-    plan_future: list[list[float]],
-    v: float,
-    horizon: int,
-    agent_rate: float,
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """Agent ids, starts and tracks: the last three fields of a :class:`ClipTruth`."""
+    rng: np.random.Generator, clip_id: str, plan_future: list[list[float]], v: float, agent_rate: float
+) -> tuple[tuple[str, ...], list[Point], list[tuple[Point, ...]]]:
+    """Agent ids, starts and tracks."""
     n_agents = int(rng.poisson(agent_rate))
+    horizon = len(plan_future)
     times = [t * FRAME_DT for t in range(1, horizon + 1)]
     anchored_points = [[0.0, 0.0], *plan_future]
     starts, tracks = [], []
     for _ in range(n_agents):
         for _ in range(20):
             start, vel = _draw_agent(rng, anchored_points, v, horizon)
-            track = _track(start, vel, times)
-            if _min_gap(track, plan_future) >= AGENT_CLEARANCE:
+            track, gap = _track(start, vel, times, plan_future)
+            if gap >= AGENT_CLEARANCE:
                 break
         else:
             # Could not place it near the path with clearance: park it far out.
             angle = _uniform(rng, 0.0, 2.0 * math.pi)
             start = (25.0 * math.cos(angle), 25.0 * math.sin(angle))
-            track = _track(start, (0.0, 0.0), times)
+            track, _ = _track(start, (0.0, 0.0), times, plan_future)
         starts.append(start)
         tracks.append(track)
-    ids = tuple(f"{clip_id}-a{j}" for j in range(n_agents))
-    return ids, np.array(starts, dtype=float).reshape(-1, 2), np.array(tracks, dtype=float).reshape(-1, horizon, 2)
+    return tuple(f"{clip_id}-a{j}" for j in range(n_agents)), starts, tracks
 
 
-def _generate_clips(config: WorldConfig, lo: int, hi: int) -> tuple[list[ClipRecord], dict[str, ClipTruth]]:
-    """Clips ``lo`` to ``hi - 1`` of the world and their truth. Clip ``i``
-    draws from ``SeedSequence(seed, spawn_key=(i,))``, which is
+def _draws(config: WorldConfig, lo: int, hi: int) -> Iterator[tuple]:
+    """The drawn values of clips ``lo`` to ``hi - 1``, one tuple per clip:
+    id, weather, lighting, speed, commands, recorded future (H, 2), and its
+    agents' ids, starts and tracks as Python tuples. Clip ``i`` draws from
+    ``SeedSequence(seed, spawn_key=(i,))``, which is
     ``SeedSequence(seed).spawn(n_clips)[i]``."""
     total_steps = HISTORY_FRAMES + config.horizon
     bucket_cdf = _choice_cdf(config.bucket_probs)
     maneuver_cdf = _choice_cdf(config.maneuver_probs)
-    clips: list[ClipRecord] = []
-    truth: dict[str, ClipTruth] = {}
     for i in range(lo, hi):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(i,)))
         clip_id = f"clip_{i:06d}"
@@ -371,19 +373,20 @@ def _generate_clips(config: WorldConfig, lo: int, hi: int) -> tuple[list[ClipRec
         if bucket in ("NS", "NR"):
             sigma *= 2.0
         gt_future = plan_future + rng.normal(0.0, sigma, size=plan_future.shape)
+        agents = _make_agents(rng, clip_id, plan_future.tolist(), v, config.agent_rate)
+        weather, lighting = "Sunny" if bucket[1] == "S" else "Rainy", "Day" if bucket[0] == "D" else "Night"
+        yield (clip_id, weather, lighting, v, _commands_from_curvature(kappa), gt_future, *agents)
 
-        commands = _commands_from_curvature(kappa)
-        clip = ClipRecord(
-            id=clip_id,
-            weather="Sunny" if bucket[1] == "S" else "Rainy",
-            lighting="Day" if bucket[0] == "D" else "Night",
-            speeds=(v,) * len(commands),
-            commands=commands,
-            gt_future=tuple(map(tuple, gt_future.tolist())),
-        )
-        clips.append(clip)
-        agents = _make_agents(rng, clip_id, plan_future.tolist(), v, config.horizon, config.agent_rate)
-        truth[clip_id] = ClipTruth(clip_id, gt_future, *agents)
+
+def _generate_clips(config: WorldConfig, lo: int, hi: int) -> tuple[list[ClipRecord], dict[str, ClipTruth]]:
+    """Clips ``lo`` to ``hi - 1`` of the world and their truth."""
+    clips: list[ClipRecord] = []
+    truth: dict[str, ClipTruth] = {}
+    for clip_id, weather, lighting, v, commands, gt_future, agent_ids, starts, tracks in _draws(config, lo, hi):
+        clips.append(ClipRecord(clip_id, weather, lighting, (v,) * len(commands), commands,
+                                tuple(map(tuple, gt_future.tolist()))))
+        truth[clip_id] = ClipTruth(clip_id, gt_future, agent_ids, np.array(starts, dtype=float).reshape(-1, 2),
+                                   np.array(tracks, dtype=float).reshape(-1, config.horizon, 2))
     return clips, truth
 
 
@@ -398,15 +401,13 @@ def generate_world(config: WorldConfig) -> tuple[list[ClipRecord], dict[str, Cli
 # ---------------------------------------------------------------------------
 
 
+def _truth_dict(clip_id: str, ego_future: list, agent_ids: Sequence[str], starts: Sequence, tracks: Sequence) -> dict:
+    agents = [{"agent_id": a, "start": start, "track": track} for a, start, track in zip(agent_ids, starts, tracks)]
+    return {"clip_id": clip_id, "ego_future": ego_future, "agents": agents}
+
+
 def truth_to_dict(t: ClipTruth) -> dict:
-    return {
-        "clip_id": t.clip_id,
-        "ego_future": t.ego_future.tolist(),
-        "agents": [
-            {"agent_id": agent_id, "start": start, "track": track}
-            for agent_id, start, track in zip(t.agent_ids, t.starts.tolist(), t.tracks.tolist())
-        ],
-    }
+    return _truth_dict(t.clip_id, t.ego_future.tolist(), t.agent_ids, t.starts.tolist(), t.tracks.tolist())
 
 
 def save_truth(truth: Mapping[str, ClipTruth], path: str | os.PathLike) -> None:
@@ -467,14 +468,25 @@ def load_truth(path: str | os.PathLike, horizon: int = 6) -> TruthTable:
 GEN_CHUNK = 250  # clips per generation task; bounds gen's memory
 
 
-def _encode_chunk(config: WorldConfig, bounds: tuple[int, int]) -> tuple[bytes, bytes]:
+def _encode_chunk(config: WorldConfig, bounds: tuple[int, int]) -> tuple[list[bytes], list[bytes]]:
     """The pool lines and the truth lines of clips ``bounds[0]`` to
-    ``bounds[1] - 1``, as :func:`save_pool` and :func:`save_truth` write them."""
-    clips, truth = _generate_clips(config, *bounds)
-    return (
-        b"".join(encode_line(clip_to_dict(c)) + b"\n" for c in clips),
-        b"".join(encode_line(truth_to_dict(t)) + b"\n" for t in truth.values()),
-    )
+    ``bounds[1] - 1``, as :func:`save_pool` and :func:`save_truth` write
+    them, built straight from the draws; as lists, since joining them raised
+    gen's peaks by about 2 MB. :class:`ClipRecord`'s rules are checked over
+    the chunk at once; a chunk that breaks one is drawn again as records,
+    whose first bad one raises."""
+    draws = list(_draws(config, *bounds))
+    if not all(draw[0] and draw[1] in WEATHER_VALUES and draw[2] in LIGHTING_VALUES and 0.0 <= draw[3] < math.inf
+               and draw[4] and _COMMAND_SET.issuperset(draw[4]) and len(draw[5]) for draw in draws):
+        _generate_clips(config, *bounds)
+    pool_lines, truth_lines = [], []
+    for clip_id, weather, lighting, v, commands, gt_future, agent_ids, starts, tracks in draws:
+        frames = [{"speed": v, "command": command} for command in commands]
+        future = gt_future.tolist()
+        pool_lines.append(encode_line(
+            {"id": clip_id, "weather": weather, "lighting": lighting, "frames": frames, "gt_future": future}) + b"\n")
+        truth_lines.append(encode_line(_truth_dict(clip_id, future, agent_ids, starts, tracks)) + b"\n")
+    return pool_lines, truth_lines
 
 
 def generate_pool(config: WorldConfig, pool_path: str | os.PathLike, truth_path: str | os.PathLike) -> None:
@@ -483,33 +495,25 @@ def generate_pool(config: WorldConfig, pool_path: str | os.PathLike, truth_path:
     neither.
 
     Chunks of ``GEN_CHUNK`` clips are generated and encoded by one forked
-    worker process per available CPU (in this process when that is one), and
-    written here in clip order, so memory does not grow with the pool. A
-    worker's exception reaches the caller, and a worker that dies raises
-    ``BrokenProcessPool``.
+    child per CPU it may run on, chunk ``j`` by child ``j`` modulo their
+    count, and received and written here in clip order: this process only
+    writes, and memory does not grow with the pool. The chunks run in this
+    process where :func:`~driveselect.pool._fork_count` gives one: one CPU,
+    one chunk, or another live thread. A child's exception reaches the
+    caller, and a child that ends without its result raises
+    ChildProcessError naming the outputs.
     """
-    # Imported here, not at module level: only gen pays for them.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     chunks = [(lo, min(lo + GEN_CHUNK, config.n_clips)) for lo in range(0, config.n_clips, GEN_CHUNK)]
-    workers = min(_cpu_count(), len(chunks))
     task = partial(_encode_chunk, config)
-    with atomic_outputs(pool_path, truth_path) as (pool_tmp, truth_tmp), ExitStack() as stack:
-        if workers == 1:
-            encoded = map(task, chunks)
-        else:
-            # fork, not spawn: spawned workers import numpy again, which added
-            # 0.2-0.5 s to a 2 s gen of 10k clips. The executor forks all its
-            # workers at the first submit, before it starts any thread.
-            executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            # Leaving the block drops the chunks not yet started and joins the workers.
-            stack.callback(executor.shutdown, cancel_futures=True)
-            encoded = executor.map(task, chunks)
+    workers = _fork_count(len(chunks))
+    streams = [map(task, chunks[k::workers]) for k in range(workers)] if workers > 1 else []
+    label = f"pool file {os.fspath(pool_path)} and truth file {os.fspath(truth_path)}: generator"
+    with atomic_outputs(pool_path, truth_path) as (pool_tmp, truth_tmp), _forked(label, streams) as receivers:
+        encoded = (receivers[j % workers]() for j in range(len(chunks))) if receivers else map(task, chunks)
         with open(pool_tmp, "wb") as pool_fh, open(truth_tmp, "wb") as truth_fh:
-            for pool_bytes, truth_bytes in encoded:
-                pool_fh.write(pool_bytes)
-                truth_fh.write(truth_bytes)
+            for pool_lines, truth_lines in encoded:
+                pool_fh.writelines(pool_lines)
+                truth_fh.writelines(truth_lines)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,13 @@ class TestGen:
         assert f"error: [Errno 2] No such file or directory: '{truth}'" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_one_file_for_pool_and_truth_writes_nothing(self, tmp_path, capsys):
+        """Otherwise the truth would be renamed over the pool."""
+        same = tmp_path / "same.jsonl"
+        assert run_cli("gen", "--n", 10, "--pool", same, "--truth", same) == 1
+        assert f"error: outputs {same} and {same} are the same file" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         code = run_cli("gen", "--n", 10, "--pool", tmp_path / "p", "--truth", tmp_path / "t",
                        "--set", "bogus=1")

@@ -288,6 +288,18 @@ class TestAtomicOutputs:
         assert info.value.filename == str(missing)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("alias", ["same", "./same", "dir/../same", "link"])
+    def test_one_file_twice_is_named_and_nothing_is_made(self, tmp_path, monkeypatch, alias):
+        """Paths that resolve to one file (os.path.realpath) are refused
+        before any temp file exists: the second rename would replace the first."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "link").symlink_to("same")
+        with pytest.raises(ValueError, match=rf"^outputs same and {re.escape(alias)} are the same file$"):
+            with atomic_outputs("same", alias):
+                pytest.fail("the block ran")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "link"]
+
     def test_failed_rename_names_the_output(self, tmp_path):
         (tmp_path / "out").mkdir()
         with pytest.raises(IsADirectoryError) as info:
@@ -360,6 +372,22 @@ class TestSelectionState:
         by_ids.add_round(0, ["c2", "c0"])
         by_ids.add_round(1, ["c1"])
         assert state == by_ids
+
+    @pytest.mark.parametrize("ids, error, message", [
+        (["c1", "c0", "zz"], ValueError, "clip 'c0' already labeled"),
+        (["c1", "zz", "c0"], KeyError, "clip id 'zz' not in pool"),
+        (["c4", "c0"], KeyError, "clip id 'c4' not in pool"),
+    ])
+    def test_first_bad_id_in_order_is_named_on_both_paths(self, ids, error, message):
+        """An already-labeled id before an unknown one is named first, and
+        the other way round, for a ClipTable pool as for an id pool."""
+        table = clip_table([make_clip(f"c{i}") for i in range(5)])
+        for pool in (table[:3], table.ids[:3]):
+            state = SelectionState(pool)
+            state.add_round(0, ["c0"])
+            with pytest.raises(error, match=message):
+                state.add_round(1, ids)
+            assert state.labeled_ids == ("c0",)
 
     def test_rejects_nonincreasing_round(self):
         state = SelectionState(["a", "b"])

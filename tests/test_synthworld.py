@@ -2,14 +2,13 @@
 
 import json
 import math
-import multiprocessing
 import os
+import re
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from unittest import mock
 
 import numpy as np
@@ -472,7 +471,7 @@ class TestGeneratorMatchesReference:
 
 class TestChunkedGeneration:
     """``generate_pool`` generates and encodes chunks of ``GEN_CHUNK`` clips in
-    forked workers and writes what the sequential writers write."""
+    forked children and writes what the sequential writers write."""
 
     @staticmethod
     def use_cpus(monkeypatch, cpus):
@@ -481,22 +480,19 @@ class TestChunkedGeneration:
         monkeypatch.setattr(synthworld.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
     @pytest.fixture
-    def executor_workers(self, monkeypatch):
-        """Two CPUs; the list collects the worker count of each executor that maps."""
+    def forks(self, monkeypatch):
+        """Two CPUs; the list collects one entry per fork."""
         self.use_cpus(monkeypatch, 2)
-        counts = []
-        run_map = ProcessPoolExecutor.map
-        monkeypatch.setattr(
-            ProcessPoolExecutor, "map",
-            lambda executor, *args: counts.append(executor._max_workers) or run_map(executor, *args),
-        )
-        return counts
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return forks
 
-    @pytest.mark.parametrize("n_clips, workers", [(1, []), (7, []), (17, [2])])
-    def test_bytes_equal_sequential_writers(self, tmp_path, executor_workers, n_clips, workers):
+    @pytest.mark.parametrize("n_clips, workers", [(1, []), (7, []), (17, [1, 1])])
+    def test_bytes_equal_sequential_writers(self, tmp_path, forks, n_clips, workers):
         config = WorldConfig(n_clips=n_clips, seed=11)
         generate_pool(config, tmp_path / "pool.jsonl", tmp_path / "truth.jsonl")
-        assert executor_workers == workers
+        assert forks == workers
         clips, truth = generate_world(config)
         save_pool(clips, tmp_path / "seq_pool.jsonl")
         save_truth(truth, tmp_path / "seq_truth.jsonl")
@@ -518,20 +514,21 @@ class TestChunkedGeneration:
         )
 
     def fail_chunk_at_7(self, monkeypatch, failure):
-        generate_clips = synthworld._generate_clips
+        draws = synthworld._draws
 
         def failing(config, lo, hi):
             if lo == 7:
                 failure()
-            return generate_clips(config, lo, hi)
+            return draws(config, lo, hi)
 
-        monkeypatch.setattr(synthworld, "_generate_clips", failing)
+        monkeypatch.setattr(synthworld, "_draws", failing)
 
     def assert_fails_leaving_nothing(self, tmp_path, error, match=None):
         with pytest.raises(error, match=match):
             generate_pool(WorldConfig(n_clips=17, seed=3), tmp_path / "pool.jsonl", tmp_path / "truth.jsonl")
         assert list(tmp_path.iterdir()) == []  # no output and no .tmp-*.part file
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):  # no child left
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_chunk_error_reaches_caller_and_leaves_nothing(self, tmp_path, monkeypatch, cpus):
@@ -544,10 +541,52 @@ class TestChunkedGeneration:
         self.assert_fails_leaving_nothing(tmp_path, MemoryError, "chunk at 7")
 
     def test_killed_worker_fails_instead_of_hanging(self, tmp_path, monkeypatch):
-        """A worker that dies without an exception, as under the OOM killer."""
+        """A child that dies without an exception, as under the OOM killer."""
         self.use_cpus(monkeypatch, 2)
         self.fail_chunk_at_7(monkeypatch, lambda: os._exit(1))
-        self.assert_fails_leaving_nothing(tmp_path, BrokenProcessPool)
+        self.assert_fails_leaving_nothing(
+            tmp_path, ChildProcessError,
+            re.escape(f"pool file {tmp_path / 'pool.jsonl'} and truth file {tmp_path / 'truth.jsonl'}: generator ")
+            + r"process \d+ ended without its result \(exit code 1\)",
+        )
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("field, value, message", [
+        (0, "", "clip id must be non-empty"),
+        (1, "Foggy", "unknown weather 'Foggy'"),
+        (2, "Dusk", "unknown lighting 'Dusk'"),
+        (3, -1.0, "speed must be finite and non-negative, got -1.0"),
+        (3, math.nan, "speed must be finite and non-negative, got nan"),
+        (4, (), "clip clip_000009: frames must be non-empty"),
+        (4, ("Left", "Up"), "unknown command 'Up'"),
+        (5, np.empty((0, 2)), "clip clip_000009: gt_future must be non-empty"),
+    ])
+    def test_bad_draw_raises_its_record_error(self, tmp_path, monkeypatch, cpus, field, value, message):
+        """The chunk checks find each value a ClipRecord rejects, and the
+        error is that record's; nothing is written."""
+        self.use_cpus(monkeypatch, cpus)
+        draws = synthworld._draws
+
+        def bad_clip_9(config, lo, hi):
+            for i, draw in enumerate(draws(config, lo, hi), start=lo):
+                yield (*draw[:field], value, *draw[field + 1:]) if i == 9 else draw
+
+        monkeypatch.setattr(synthworld, "_draws", bad_clip_9)
+        self.assert_fails_leaving_nothing(tmp_path, ValueError, f"^{re.escape(message)}$")
+
+    def test_live_thread_keeps_the_chunks_in_process(self, tmp_path, forks):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            generate_pool(WorldConfig(n_clips=17, seed=11), tmp_path / "pool.jsonl", tmp_path / "truth.jsonl")
+        finally:
+            stop.set()
+            thread.join()
+        assert forks == []
+        assert [(tmp_path / name).read_bytes() for name in ("pool.jsonl", "truth.jsonl")] == list(
+            reference_files(WorldConfig(n_clips=17, seed=11))
+        )
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -568,12 +607,17 @@ class TestChunkedGeneration:
             assert struct.pack("<d", _uniform(ours, low, high)) == struct.pack("<d", theirs.uniform(low, high))
         assert ours.random() == theirs.random()
 
-    def test_cli_import_leaves_out_multiprocessing(self):
-        """Only gen imports the process pool; every other command skips its cost."""
+    def test_cli_import_leaves_out_multiprocessing(self, tmp_path):
+        """Neither importing the CLI nor a forked gen loads multiprocessing or
+        concurrent.futures: gen forks its children itself."""
         src = os.path.dirname(os.path.dirname(synthworld.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = "import sys, driveselect.cli; sys.exit(int(bool({'multiprocessing', 'concurrent.futures'} & set(sys.modules))))"
+        loaded = "sys.exit(int(bool({'multiprocessing', 'concurrent.futures'} & set(sys.modules))))"
+        code = f"import sys, driveselect.cli; {loaded}"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        gen = ["gen", "--n", "600", "--pool", str(tmp_path / "pool.jsonl"), "--truth", str(tmp_path / "truth.jsonl")]
+        code = f"import sys; from driveselect import cli; assert cli.main({gen!r}) == 0; {loaded}"
+        assert subprocess.run([sys.executable, "-c", code], env=env, capture_output=True).returncode == 0
 
 
 class TestToyPlanner:
