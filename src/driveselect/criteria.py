@@ -52,6 +52,7 @@ from .pool import (
     atomic_outputs,
     check_unique,
     clip_table,
+    float_rows,
     read_table,
     write_jsonl,
 )
@@ -688,15 +689,16 @@ _SCORE_ROW = struct.Struct(f"{len(SCORE_COLUMNS) - 1}d")
 
 
 def save_scores(columns: Mapping, path: str | os.PathLike) -> None:
-    """Write the columns of :func:`score_pool` as a TSV table; floats use
-    repr so they round-trip exactly. Rows are formatted and written
+    """Write the float columns of :func:`score_pool` as a TSV table; floats
+    are written as ``repr`` writes them, so they round-trip exactly. Rows
+    are formatted (by :func:`~driveselect.pool.float_rows`) and written
     ``SCORE_BLOCK`` at a time, so no copy of the whole table is built."""
     ids, *values = (columns[name] for name in SCORE_COLUMNS)
     with atomic_outputs(path) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
         fh.write("\t".join(SCORE_COLUMNS))
         for lo in range(0, len(ids), SCORE_BLOCK):
-            rows = zip(ids[lo : lo + SCORE_BLOCK], *(map(repr, v[lo : lo + SCORE_BLOCK].tolist()) for v in values))
-            fh.write("\n" + "\n".join(map("\t".join, rows)))
+            hi = lo + SCORE_BLOCK
+            fh.write("\n" + "\n".join(map("\t".join, zip(ids[lo:hi], float_rows([v[lo:hi] for v in values])))))
         fh.write("\n")
 
 

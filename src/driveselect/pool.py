@@ -29,7 +29,10 @@ that range, in this process.
 Lines are decoded by orjson wherever it gives exactly what ``json.loads``
 gives, and by ``json.loads`` elsewhere (see :func:`_loads`). They are written
 by :func:`write_jsonl`, one :func:`encode_line` per record: orjson wherever its
-bytes are ``json.dumps``'s, and ``json.dumps`` elsewhere.
+bytes are ``json.dumps``'s, and ``json.dumps`` elsewhere. :func:`orjson_exact`
+tells, for a whole float array at once, where orjson writes ``repr``'s bytes;
+``gen`` uses it to skip ``encode_line``'s byte check on most clips, and
+:func:`float_rows` to write the scores table without a ``repr`` per value.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, NoReturn, TypeVar
 
@@ -295,14 +298,16 @@ class RaggedTable:
         return len(self._offsets) - 1
 
     def rows_of(self, ids: Iterable[str]) -> np.ndarray:
-        """The rows of the given ids; an unknown id raises KeyError naming it."""
-        base = self if self._base is None else self._base
-        rows = np.fromiter(map(base._rows.__getitem__, ids), dtype=np.intp)
-        if base is not self:
-            rows -= self._lo
-            outside = (rows < 0) | (rows >= len(self))
-            if outside.any():
-                raise KeyError(base._ids[rows[outside.argmax()] + self._lo])
+        """The rows of the given ids; the first unknown id raises KeyError
+        naming it. On a slice, an id of the base table outside the slice is
+        unknown."""
+        if self._base is None:
+            return np.fromiter(map(self._rows.__getitem__, ids), dtype=np.intp)
+        ids = tuple(ids)
+        rows = np.fromiter(map(self._base._rows.get, ids, repeat(-1)), dtype=np.intp) - self._lo
+        outside = (rows < 0) | (rows >= len(self))
+        if outside.any():
+            raise KeyError(ids[outside.argmax()])
         return rows
 
     def items_of(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -661,6 +666,29 @@ _ENCODE_GUARD = bytes.maketrans(
 )
 
 
+def orjson_exact(values: Any) -> np.ndarray:
+    """Which of the float ``values`` ``orjson.dumps`` writes exactly as
+    ``repr`` does: 0, and finite magnitudes in [1e-4, 1e16). orjson writes
+    smaller ones positionally (``0.00003`` for ``3e-05``), larger ones with
+    no exponent sign (``1e16`` for ``1e+16``), and NaN and infinities as
+    ``null``. A few values outside the range that it does write alike
+    (``5e-324``) are not taken."""
+    magnitude = np.abs(np.asarray(values, dtype=np.float64))
+    return (magnitude == 0) | ((magnitude >= 1e-4) & (magnitude < 1e16))
+
+
+def float_rows(columns: Sequence) -> list[str]:
+    """The rows of equal-length float columns, each as the ``repr`` of its
+    values joined by tabs: one ``orjson.dumps`` of all rows, and ``repr``
+    in each row that holds a value :func:`orjson_exact` does not take."""
+    block = np.stack(columns, axis=1, dtype=np.float64)
+    rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode("ascii")
+    rows = rows.replace(",", "\t").split("]\t[")
+    for r in np.flatnonzero(~orjson_exact(block).all(axis=1)).tolist():
+        rows[r] = "\t".join(map(repr, block[r].tolist()))
+    return rows
+
+
 def encode_line(record: Any) -> bytes:
     """``json.dumps(record, separators=(",", ":"), allow_nan=False)`` as ASCII bytes.
 
@@ -675,6 +703,12 @@ def encode_line(record: Any) -> bytes:
       for ``9.09e-05``);
     - a digit before ``e``, as orjson writes ``1e16`` and ``1.5e-7`` for
       ``1e+16`` and ``1.5e-07``.
+
+    The byte check costs about twice what ``orjson.dumps`` does on a
+    generated clip. A writer that knows its record holds only dicts, lists,
+    tuples, ASCII strings with no DEL, and Python floats that
+    :func:`orjson_exact` takes, may call ``orjson.dumps`` itself, as ``gen``
+    does.
     """
     try:
         line = orjson.dumps(record)

@@ -46,9 +46,11 @@ from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
+import orjson
 
 from .criteria import AGENT_BLOCK, ClipPrediction, PredictionBatch, _distances, prediction_batch
 from .pool import (
@@ -77,6 +79,7 @@ from .pool import (
     atomic_outputs,
     clip_table,
     encode_line,
+    orjson_exact,
     read_table,
     write_jsonl,
 )
@@ -468,24 +471,44 @@ def load_truth(path: str | os.PathLike, horizon: int = 6) -> TruthTable:
 GEN_CHUNK = 250  # clips per generation task; bounds gen's memory
 
 
+def _exact_clips(draws: list[tuple], horizon: int) -> np.ndarray:
+    """Whether ``orjson.dumps`` writes each clip's lines as :func:`encode_line`
+    does: every float of the clip passes :func:`orjson_exact`, and every id
+    of the chunk is ASCII with no DEL (weather, lighting and commands are
+    known values). Checked over the chunk's values at once."""
+    exact = orjson_exact(np.array([draw[3] for draw in draws]))
+    exact &= orjson_exact(np.array([draw[5] for draw in draws])).all(axis=(1, 2))
+    starts = np.fromiter(chain.from_iterable(chain.from_iterable(draw[7] for draw in draws)), float)
+    track_points = chain.from_iterable(chain.from_iterable(draw[8] for draw in draws))
+    tracks = np.fromiter(chain.from_iterable(track_points), float)
+    owners = np.repeat(np.arange(len(draws)), [len(draw[6]) for draw in draws])
+    agents = orjson_exact(starts).reshape(-1, 2).all(axis=1) & orjson_exact(tracks).reshape(-1, 2 * horizon).all(axis=1)
+    exact[owners[~agents]] = False
+    ids = "".join(chain((draw[0] for draw in draws), chain.from_iterable(draw[6] for draw in draws)))
+    return exact if ids.isascii() and "\x7f" not in ids else np.zeros_like(exact)
+
+
 def _encode_chunk(config: WorldConfig, bounds: tuple[int, int]) -> tuple[list[bytes], list[bytes]]:
     """The pool lines and the truth lines of clips ``bounds[0]`` to
     ``bounds[1] - 1``, as :func:`save_pool` and :func:`save_truth` write
     them, built straight from the draws; as lists, since joining them raised
     gen's peaks by about 2 MB. :class:`ClipRecord`'s rules are checked over
     the chunk at once; a chunk that breaks one is drawn again as records,
-    whose first bad one raises."""
+    whose first bad one raises. A clip that :func:`_exact_clips` passes is
+    encoded by orjson alone, any other by :func:`encode_line`."""
     draws = list(_draws(config, *bounds))
     if not all(draw[0] and draw[1] in WEATHER_VALUES and draw[2] in LIGHTING_VALUES and 0.0 <= draw[3] < math.inf
                and draw[4] and _COMMAND_SET.issuperset(draw[4]) and len(draw[5]) for draw in draws):
         _generate_clips(config, *bounds)
     pool_lines, truth_lines = [], []
-    for clip_id, weather, lighting, v, commands, gt_future, agent_ids, starts, tracks in draws:
+    for draw, exact in zip(draws, _exact_clips(draws, config.horizon).tolist()):
+        clip_id, weather, lighting, v, commands, gt_future, agent_ids, starts, tracks = draw
+        encode = orjson.dumps if exact else encode_line
         frames = [{"speed": v, "command": command} for command in commands]
         future = gt_future.tolist()
-        pool_lines.append(encode_line(
+        pool_lines.append(encode(
             {"id": clip_id, "weather": weather, "lighting": lighting, "frames": frames, "gt_future": future}) + b"\n")
-        truth_lines.append(encode_line(_truth_dict(clip_id, future, agent_ids, starts, tracks)) + b"\n")
+        truth_lines.append(encode(_truth_dict(clip_id, future, agent_ids, starts, tracks)) + b"\n")
     return pool_lines, truth_lines
 
 

@@ -7,10 +7,12 @@ message, before any output is written. Lines decode to exactly what
 """
 
 import json
+import math
 import re
 import struct
 from unittest import mock
 
+import numpy as np
 import orjson
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from driveselect import pool as pool_module
 from driveselect.cli import main
 from driveselect.criteria import load_predictions, prediction_to_dict, rank_and_take, score_pool
-from driveselect.pool import PoolFormatError, clip_to_dict, encode_line, load_pool, read_jsonl
+from driveselect.pool import PoolFormatError, clip_to_dict, encode_line, load_pool, orjson_exact, read_jsonl
 from driveselect.synthworld import ToyPlanner, WorldConfig, generate_world, load_truth, truth_to_dict
 
 from conftest import jsonl_lines
@@ -318,6 +320,52 @@ class TestEncoder:
             lines = jsonl_lines(map(clip_to_dict, clips))
         assert dumps.call_count <= len(clips) // 20
         assert all(json.loads(line) == clip_to_dict(c) for line, c in zip(lines, clips))
+
+
+def assert_exact_only_where_orjson_writes_repr(values) -> None:
+    """Each value that ``orjson_exact`` takes, orjson writes as ``repr``."""
+    exact = orjson_exact(np.array(values, dtype=np.float64))
+    assert exact.shape == (len(values),)
+    for x, taken in zip(values, exact.tolist()):
+        if taken:
+            assert orjson.dumps(x) == repr(x).encode(), x
+
+
+class TestOrjsonExact:
+    """The range where orjson's float is repr's, which gen and save_scores
+    rely on to skip encode_line's byte check and repr."""
+
+    @pytest.mark.parametrize("x, taken", [
+        (math.nextafter(1e-4, 0.0), False),  # orjson: 0.00009999999999999999
+        (1e-4, True),
+        (-1e-4, True),
+        (math.nextafter(1e16, 0.0), True),  # 9999999999999998.0
+        (1e16, False),  # orjson: 1e16
+        (-1e16, False),
+        (0.0, True),
+        (-0.0, True),
+        (5e-324, False),  # written alike, but outside the range
+        (3e-05, False),  # orjson: 0.00003
+        (1.7976931348623157e308, False),  # orjson: 1.7976931348623157e308
+        (math.nan, False),  # orjson: null
+        (math.inf, False),
+        (-math.inf, False),
+        (1.5, True),
+    ])
+    def test_edges(self, x, taken):
+        assert orjson_exact(np.array([x])).tolist() == [taken]
+        assert orjson_exact([x]).tolist() == [taken]
+        assert_exact_only_where_orjson_writes_repr([x])
+
+    @settings(max_examples=500, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+    def test_float64_bit_patterns(self, bits):
+        assert_exact_only_where_orjson_writes_repr([struct.unpack("<d", struct.pack("<Q", b))[0] for b in bits])
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(min_value=1e-6, max_value=1e18) | st.floats(), min_size=1, max_size=50))
+    def test_floats_near_the_range(self, values):
+        assert_exact_only_where_orjson_writes_repr(values)
 
 
 def _with_record(lines, index, edit):

@@ -729,6 +729,22 @@ class TestScoresFile:
             assert loaded[name].dtype == np.float64
             assert float_bits(loaded[name].tolist()) == float_bits(columns[name].tolist()), name
 
+    @pytest.mark.parametrize("n", [criteria.SCORE_BLOCK - 1, criteria.SCORE_BLOCK, criteria.SCORE_BLOCK + 1])
+    def test_values_orjson_writes_otherwise_take_repr(self, tmp_path, n):
+        """Blocks of plain floats and blocks that hold 0.0, -0.0, 3e-05, 1e16
+        and NaN (in other rows and columns, the last row included) are all
+        written as repr writes each value."""
+        values = np.random.default_rng(n).uniform(0.5, 2.0, (7, n))
+        for column, row, x in [(0, 0, 0.0), (1, 1, -0.0), (2, n - 1, 3e-05), (3, n // 2, 1e16), (6, 5, math.nan),
+                               (4, n - 1, 1e16), (5, 0, -3e-05)]:
+            values[column, row] = x
+        columns = dict(zip(SCORE_COLUMNS, (tuple(f"clip_{i:06d}" for i in range(n)), *values)))
+        path = tmp_path / "scores.tsv"
+        save_scores(columns, path)
+        text = path.read_text()
+        assert text == reference_scores_to_table(score_rows(columns))
+        assert {"0.0", "-0.0", "3e-05", "-3e-05", "1e+16", "nan"} <= set(re.split("[\t\n]", text))
+
     def test_rows_are_written_as_they_are_formatted(self, tmp_path):
         """20 000 rows (2.8 MB of TSV) peak at 0.57 MB of traced memory, and
         the bytes are those of the whole table joined at once, which peaked

@@ -377,6 +377,8 @@ class TestSelectionState:
         (["c1", "c0", "zz"], ValueError, "clip 'c0' already labeled"),
         (["c1", "zz", "c0"], KeyError, "clip id 'zz' not in pool"),
         (["c4", "c0"], KeyError, "clip id 'c4' not in pool"),
+        (["c4", "zz"], KeyError, "clip id 'c4' not in pool"),  # outside the slice, then in no table
+        (["zz", "c4"], KeyError, "clip id 'zz' not in pool"),
     ])
     def test_first_bad_id_in_order_is_named_on_both_paths(self, ids, error, message):
         """An already-labeled id before an unknown one is named first, and

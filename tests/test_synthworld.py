@@ -574,6 +574,41 @@ class TestChunkedGeneration:
         monkeypatch.setattr(synthworld, "_draws", bad_clip_9)
         self.assert_fails_leaving_nothing(tmp_path, ValueError, f"^{re.escape(message)}$")
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_values_orjson_writes_otherwise_take_encode_line(self, tmp_path, monkeypatch, cpus):
+        """A clip whose future holds 3e-05, one whose agent track holds 1e16,
+        and ids with a non-ASCII character and with DEL are written as
+        json.dumps writes them, with every other clip, on one CPU as on
+        two."""
+        self.use_cpus(monkeypatch, cpus)
+        draws = synthworld._draws
+
+        def odd_floats(config, lo, hi):
+            for i, draw in enumerate(draws(config, lo, hi), start=lo):
+                if i == 3:
+                    future = draw[5].copy()
+                    future[2, 1] = 3e-05
+                    draw = (*draw[:5], future, *draw[6:])
+                if i == 9:
+                    assert draw[8], "clip 9 has an agent"
+                    track = ((1e16, draw[8][0][0][1]), *draw[8][0][1:])
+                    draw = (*draw[:8], [track, *draw[8][1:]])
+                if i in (12, 15):
+                    draw = ("clip_\u00e9" if i == 12 else "clip_\x7f", *draw[1:])
+                yield draw
+
+        monkeypatch.setattr(synthworld, "_draws", odd_floats)
+        config = WorldConfig(n_clips=17, seed=11, agent_rate=3.0)
+        generate_pool(config, tmp_path / "pool.jsonl", tmp_path / "truth.jsonl")
+        clips, truth = generate_world(config)
+        save_pool(clips, tmp_path / "seq_pool.jsonl")
+        save_truth(truth, tmp_path / "seq_truth.jsonl")
+        pool, truth_bytes = ((tmp_path / name).read_bytes() for name in ("pool.jsonl", "truth.jsonl"))
+        assert pool == (tmp_path / "seq_pool.jsonl").read_bytes()
+        assert truth_bytes == (tmp_path / "seq_truth.jsonl").read_bytes()
+        assert b",3e-05]" in pool.splitlines()[3] and b"[[1e+16," in truth_bytes.splitlines()[9]
+        assert b'"clip_\\u00e9"' in pool.splitlines()[12] and b'"clip_\\u007f"' in truth_bytes.splitlines()[15]
+
     def test_live_thread_keeps_the_chunks_in_process(self, tmp_path, forks):
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)

@@ -642,6 +642,11 @@ class TestIdIndex:
         for outside in ("c2", "c9", "c0", "c11", "nope"):
             with pytest.raises(KeyError, match=f"^'{outside}'$"):
                 part.rows_of(["c5", outside])
+        # The first of an id outside the slice and an unknown one is named,
+        # as on the table itself for two unknown ids.
+        for ids in (["c9", "nope"], ["nope", "c9"], ["c2", "c9"]):
+            with pytest.raises(KeyError, match=f"^'{ids[0]}'$"):
+                part.rows_of(iter(ids))
         inner = part[1:4]
         assert inner.rows_of(["c6", "c4"]).tolist() == [2, 0] and not has_index(inner)
         for outside in ("c3", "c7"):
