@@ -304,7 +304,8 @@ class RaggedTable:
         if self._base is None:
             return np.fromiter(map(self._rows.__getitem__, ids), dtype=np.intp)
         ids = tuple(ids)
-        rows = np.fromiter(map(self._base._rows.get, ids, repeat(-1)), dtype=np.intp) - self._lo
+        rows = np.fromiter(map(self._base._rows.get, ids, repeat(-1)), dtype=np.intp)
+        rows -= self._lo
         outside = (rows < 0) | (rows >= len(self))
         if outside.any():
             raise KeyError(ids[outside.argmax()])
