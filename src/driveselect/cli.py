@@ -46,9 +46,10 @@ from .pool import (
     load_selection,
     read_selection_payload,
     save_selection,
+    share_pool_ids,
 )
 from .report import emit_report, mean_step_errors, stratified_metrics
-from .synthworld import ToyPlanner, WorldConfig, evaluate_clips, generate_pool, load_truth, summarize_evals
+from .synthworld import ToyPlanner, WorldConfig, evaluate_clips, generate_pool, load_truth, share_pool, summarize_evals
 
 CONFIG_ENV_VAR = "DRIVESELECT_CONFIG"
 
@@ -176,9 +177,10 @@ def cmd_init(args) -> int:
 
 def cmd_score(args) -> int:
     check_score_settings(alpha=args.alpha, beta=args.beta, eps_a=args.eps_a, delta_d=args.delta_d)
-    clips = load_pool(args.pool, horizon=args.horizon)[0]  # load_pool's SelectionState is not kept
+    clips = load_pool(args.pool, horizon=args.horizon)[0]
     state = load_selection(args.selection, clips)
     predictions = load_predictions(args.predictions, horizon=args.horizon)
+    share_pool_ids(predictions, clips)
     unlabeled = state.unlabeled_ids
     _echo_config({"alpha": args.alpha, "beta": args.beta, "eps_a": args.eps_a, "delta_d": args.delta_d})
     columns = score_pool(
@@ -285,10 +287,11 @@ def _build_manifest(args, config: ActiveConfig, criterion: str, strategy: str,
 def cmd_run(args) -> int:
     if args.heldout_count < 0:
         raise UsageError(f"--heldout-count must be >= 0, got {args.heldout_count}")
-    clips = load_pool(args.pool, horizon=args.horizon)[0]  # load_pool's SelectionState is not kept
+    clips = load_pool(args.pool, horizon=args.horizon)[0]
     if args.heldout_count >= len(clips):
         raise ValueError(f"--heldout-count must be less than the {len(clips)} pool clips, got {args.heldout_count}")
     truth = load_truth(args.truth, horizon=args.horizon)
+    share_pool(truth, clips)
     missing = next((clip_id for clip_id in clips.ids if clip_id not in truth), None)
     if missing is not None:
         raise PoolFormatError(f"truth file {args.truth}: no record for clip {missing!r}")

@@ -85,8 +85,9 @@ def _nonfinite_rows(values: np.ndarray) -> np.ndarray:
     axes = tuple(range(1, values.ndim))
     with np.errstate(over="ignore", invalid="ignore"):
         bad = ~np.isfinite(values.sum(axis=axes))
-    rows = np.flatnonzero(bad)
-    bad[rows] = ~np.isfinite(values[rows]).all(axis=axes)
+    if bad.any():
+        rows = np.flatnonzero(bad)
+        bad[rows] = ~np.isfinite(values[rows]).all(axis=axes)
     return bad
 
 
@@ -133,6 +134,13 @@ def _plan_errors(ego_plans: np.ndarray) -> list[tuple[int, str]]:
     """(row, message) of the first (N, H, 2) plan with a non-finite waypoint."""
     bad = _nonfinite_rows(ego_plans)
     return [(int(bad.argmax()), "non-finite plan waypoint")] if bad.any() else []
+
+
+def _value_errors(ego_plans, agent_clip, agent_ids, confidence, probs, trajs) -> list[tuple[int, str]]:
+    """(row, message) of the first plan, and of the first agent, failing each
+    value check of a batch's columns; the least of them is the batch's error."""
+    agent_errors = _agent_errors(agent_ids, confidence, probs, trajs)
+    return _plan_errors(ego_plans) + [(int(agent_clip[i]), m) for i, m in agent_errors]
 
 
 def _points(rows: list) -> tuple[tuple[float, float], ...]:
@@ -182,7 +190,10 @@ class PredictionBatch(AgentTable):
     with fewer than M modalities is padded with probability 0 (and zero
     trajectories), which no criterion ever picks or weighs. Every value is
     validated once, on construction. The batch is a Mapping from clip id to
-    a :class:`ClipPrediction` view of that clip's rows.
+    a :class:`ClipPrediction` view of that clip's rows. A batch of the pool's
+    clips in the pool's order, such as ``score`` reads, can hold the pool's
+    id tuple and look ids up in the pool's index
+    (:func:`~driveselect.pool.share_pool_ids`).
     """
 
     clip_ids: tuple[str, ...]
@@ -202,8 +213,8 @@ class PredictionBatch(AgentTable):
             "M": [("modality_probs", 1), ("modality_trajs", 1)],
             "H": [("ego_plans", 1), ("modality_trajs", 2)],
         }, {"ego_plans": 3, "modality_trajs": 4})
-        agent_errors = _agent_errors(self.agent_ids, self.confidence, self.modality_probs, self.modality_trajs)
-        errors = _plan_errors(self.ego_plans) + [(int(self.agent_clip[i]), m) for i, m in agent_errors]
+        errors = _value_errors(self.ego_plans, self.agent_clip, self.agent_ids, self.confidence,
+                               self.modality_probs, self.modality_trajs)
         if errors:
             raise RowError(*min(errors))
 
@@ -249,6 +260,17 @@ def _padded(counts: np.ndarray, probs: np.ndarray, trajs: np.ndarray) -> tuple[n
     return padded_probs, padded_trajs
 
 
+def _agent_columns(agents: Sequence[tuple], horizon: int) -> tuple:
+    """The agent_ids, confidence, modality_counts, modality_probs and
+    modality_trajs columns of ``(agent_id, confidence, probs, trajs)``
+    arrays, padded by :func:`_padded`."""
+    modality_counts = np.array([len(a[2]) for a in agents], dtype=np.intp)
+    probs, trajs = _padded(modality_counts, np.concatenate([np.empty(0), *(a[2] for a in agents)]),
+                           np.concatenate([np.empty((0, horizon, 2)), *(a[3] for a in agents)]))
+    return (np.fromiter((a[0] for a in agents), dtype=object, count=len(agents)),
+            np.array([a[1] for a in agents], dtype=float), modality_counts, probs, trajs)
+
+
 def _batch_from_parts(clip_ids: Sequence[str], parts: Sequence[tuple], horizon: int | None = None) -> PredictionBatch:
     """One batch from per-clip ``(plan, [(agent_id, confidence, probs, trajs), ...])``
     arrays, each clip's trajectories as long as its plan (see :func:`_check_plan`).
@@ -259,16 +281,15 @@ def _batch_from_parts(clip_ids: Sequence[str], parts: Sequence[tuple], horizon: 
     for row, (plan, _) in enumerate(parts):
         if len(plan) != horizon:
             raise RowError(row, f"ego_plan has {len(plan)} waypoints, expected {horizon}")
-    agents = [agent for _, clip_agents in parts for agent in clip_agents]
-    modality_counts = np.array([len(a[2]) for a in agents], dtype=np.intp)
-    probs, trajs = _padded(modality_counts, np.concatenate([np.empty(0), *(a[2] for a in agents)]),
-                           np.concatenate([np.empty((0, horizon, 2)), *(a[3] for a in agents)]))
+    agent_ids, confidence, modality_counts, probs, trajs = _agent_columns(
+        [agent for _, clip_agents in parts for agent in clip_agents], horizon
+    )
     return PredictionBatch(
         clip_ids=tuple(clip_ids),
         ego_plans=np.array([plan for plan, _ in parts], dtype=float).reshape(len(parts), horizon, 2),
         agent_clip=np.repeat(np.arange(len(parts)), [len(clip_agents) for _, clip_agents in parts]),
-        agent_ids=np.fromiter((a[0] for a in agents), dtype=object, count=len(agents)),
-        confidence=np.array([a[1] for a in agents], dtype=float),
+        agent_ids=agent_ids,
+        confidence=confidence,
         modality_counts=modality_counts,
         modality_probs=probs,
         modality_trajs=trajs,
@@ -665,12 +686,19 @@ def _prediction_table(parts: list[tuple]) -> PredictionBatch:
 
 def load_predictions(path: str | os.PathLike | Iterable[str], horizon: int | None = 6) -> PredictionBatch:
     """Parse the predictions file at a path, or predictions lines, into one
-    batch, by :func:`read_table`; :func:`_record_parts`'s checks name a bad
-    line. Every plan and agent trajectory has ``horizon`` waypoints; ``None``
-    takes the horizon of the first record."""
+    batch, by :func:`read_table`. A bad line is named by :func:`_record_parts`'s
+    checks and then the batch's value checks, run on each record alone, so
+    the first bad line in the file is named, whichever check it fails. Every
+    plan and agent trajectory has ``horizon`` waypoints; ``None`` takes the
+    horizon of the first record."""
     def check(record: dict) -> None:
         nonlocal horizon  # the first record's, from then on
-        horizon = len(_record_parts(record, horizon)[0])
+        plan, agents = _record_parts(record, horizon)
+        horizon = len(plan)
+        agent_ids, confidence, _, probs, trajs = _agent_columns(agents, horizon)
+        errors = _value_errors(plan[None], np.zeros(len(agents), dtype=np.intp), agent_ids, confidence, probs, trajs)
+        if errors:
+            raise ValueError(min(errors)[1])
 
     return read_table(path, "predictions", "clip_id", partial(_prediction_block, horizon=horizon),
                       _prediction_table, check)

@@ -241,7 +241,8 @@ class RaggedTable:
 
     The id index, ``_rows``, is built on the first lookup. A contiguous
     slice of a table looks its ids up in the index of the table it was cut
-    from, ``_base``, whose rows it holds from ``_lo`` on.
+    from, ``_base``, whose rows it holds from ``_lo`` on; so does a table
+    that :func:`share_pool_ids` gave its pool's ids.
     """
 
     _ids: tuple[str, ...]
@@ -297,6 +298,13 @@ class RaggedTable:
     def __len__(self) -> int:
         return len(self._offsets) - 1
 
+    def _row_of(self, id_: str) -> int:
+        """The row of one id, or -1 for an id not in the table."""
+        if self._base is None:
+            return self._rows.get(id_, -1)
+        row = self._base._rows.get(id_, -1) - self._lo
+        return row if 0 <= row < len(self) else -1
+
     def rows_of(self, ids: Iterable[str]) -> np.ndarray:
         """The rows of the given ids; the first unknown id raises KeyError
         naming it. On a slice, an id of the base table outside the slice is
@@ -347,10 +355,12 @@ class AgentTable(RaggedTable, Mapping):
         return iter(self.clip_ids)
 
     def __contains__(self, clip_id: object) -> bool:
-        return clip_id in self._rows
+        return self._row_of(clip_id) >= 0
 
     def __getitem__(self, clip_id: str):
-        row = self._rows[clip_id]
+        row = self._row_of(clip_id)
+        if row < 0:
+            raise KeyError(clip_id)
         return self._view(clip_id, row, slice(self._offsets[row], self._offsets[row + 1]))
 
 
@@ -495,6 +505,22 @@ def clip_table(clips: Sequence[ClipRecord]) -> ClipTable:
         ),
         annotations=tuple(c.annotation for c in clips),
     )
+
+
+def share_pool_ids(table: AgentTable, pool: ClipTable) -> bool:
+    """Whether ``table``, read beside ``pool``, holds the pool's clip ids in
+    the pool's order; if it does, it is made to hold the pool's id tuple and
+    to look ids up in the pool's index, as a slice of the pool does, and
+    drops any index of its own. Its rows and lookups stay the same. A table
+    of other ids, or in another order, is left as it is. This is one tuple
+    comparison, on tables whose construction checked them."""
+    if table.clip_ids != pool.ids:
+        return False
+    for name, value in (("clip_ids", pool.ids), ("_ids", pool.ids), ("_lo", pool._lo),
+                        ("_base", pool if pool._base is None else pool._base)):
+        object.__setattr__(table, name, value)
+    vars(table).pop("_rows", None)
+    return True
 
 
 def weather_lighting_bucket(clip: ClipRecord) -> str:
@@ -1213,7 +1239,7 @@ def parse_pool_lines(lines: str | os.PathLike | Iterable[str], horizon: int = 6)
 def load_pool(path: str | os.PathLike, horizon: int = 6) -> tuple[ClipTable, SelectionState]:
     """Load a pool file; all clips start unlabeled, in file order."""
     clips = parse_pool_lines(path, horizon=horizon)
-    return clips, SelectionState(clips.ids)
+    return clips, SelectionState(clips)
 
 
 def save_pool(clips: Sequence[ClipRecord], path: str | os.PathLike) -> None:

@@ -81,6 +81,7 @@ from .pool import (
     encode_line,
     orjson_exact,
     read_table,
+    share_pool_ids,
     write_jsonl,
 )
 
@@ -150,7 +151,11 @@ class TruthTable(AgentTable):
     """The truth of N clips as columns, with their A agents clip by clip.
 
     A Mapping from clip id to a :class:`ClipTruth` view of that clip's rows.
-    Readers share the arrays, so none may write to them.
+    Readers share the arrays, so none may write to them. A truth read
+    beside its pool (:func:`share_pool`) holds the pool's id tuple and looks
+    ids up in the pool's index when its ids are the pool's in order, and
+    holds the pool's ``gt_future`` as its ``ego_future`` when the two are
+    equal bit for bit, as in every generated world.
     """
 
     clip_ids: tuple[str, ...]
@@ -193,6 +198,18 @@ def truth_table(truth: Mapping[str, ClipTruth]) -> TruthTable:
         starts=np.concatenate([np.empty((0, 2)), *(t.starts for t in rows)]),
         tracks=np.concatenate([np.empty((0, horizon, 2)), *(t.tracks for t in rows)]),
     )
+
+
+def share_pool(truth: TruthTable, clips: ClipTable) -> None:
+    """Make ``truth``, read beside the pool ``clips``, hold the pool's ids
+    and look them up in the pool's index when its clip ids are the pool's
+    in the pool's order (:func:`~driveselect.pool.share_pool_ids`), as in
+    every generated world; and, when its ``ego_future`` then also equals
+    the pool's ``gt_future`` bit for bit (0.0 is not -0.0), hold the pool's
+    array too. Any other truth is left as it is."""
+    if share_pool_ids(truth, clips) and np.array_equal(truth.ego_future.view(np.int64),
+                                                       clips.gt_future.view(np.int64)):
+        object.__setattr__(truth, "ego_future", clips.gt_future)
 
 
 def _rotation(angle: float) -> np.ndarray:

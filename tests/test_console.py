@@ -7,12 +7,16 @@ Where the step pins ``taskset -c 0``, the child pins itself to one CPU with
 """
 
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 import driveselect
+from driveselect.criteria import save_predictions
+from driveselect.pool import load_pool
+from driveselect.synthworld import ToyPlanner, load_truth
 
 SRC = os.path.dirname(os.path.dirname(driveselect.__file__))
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
@@ -27,6 +31,59 @@ def driveselect_cli(cwd, *args: str, pin: bool = False) -> subprocess.CompletedP
     """``driveselect ARGS`` in ``cwd``, on one CPU if ``pin``."""
     return subprocess.run([sys.executable, "-m", "driveselect", *args], cwd=cwd, env=ENV, capture_output=True,
                           text=True, preexec_fn=one_cpu if pin else None)
+
+
+def reversed_lines(source, target) -> None:
+    """``tac source > target``."""
+    target.write_bytes(b"".join(reversed(source.read_bytes().splitlines(keepends=True))))
+
+
+RUN_300 = ("run", "--pool", "pool.jsonl", "--truth", "truth.jsonl", "--out-dir", "run_out", "--heldout-count", "30")
+RUN_FILES = ("manifest.json", "selection.json", "report.json", "report.tsv")
+
+
+@pytest.fixture(scope="module")
+def world_300(tmp_path_factory):
+    """``driveselect gen --n 300 --pool pool.jsonl --truth truth.jsonl``,
+    then ``driveselect run`` with 30 held-out clips and ``driveselect init
+    --n0 30``, as the step starts."""
+    cwd = tmp_path_factory.mktemp("world_300")
+    for args in (("gen", "--n", "300", "--pool", "pool.jsonl", "--truth", "truth.jsonl"), RUN_300,
+                 ("init", "--pool", "pool.jsonl", "--n0", "30", "--out", "sel.json")):
+        done = driveselect_cli(cwd, *args)
+        assert done.returncode == 0, done.stderr
+    return cwd
+
+
+def test_run_on_reversed_truth_writes_the_same_files(world_300):
+    """The truth lines in reverse, so truth rows differ from pool rows
+    (``tac truth.jsonl > reversed/truth.jsonl`` beside a copy of the pool):
+    ``run`` from that sibling directory, with the same relative paths, must
+    write the same four files (``cmp``)."""
+    reversed_dir = world_300 / "reversed"
+    reversed_dir.mkdir()
+    shutil.copyfile(world_300 / "pool.jsonl", reversed_dir / "pool.jsonl")
+    reversed_lines(world_300 / "truth.jsonl", reversed_dir / "truth.jsonl")
+    done = driveselect_cli(reversed_dir, *RUN_300)
+    assert done.returncode == 0, done.stderr
+    for name in RUN_FILES:
+        assert (reversed_dir / "run_out" / name).read_bytes() == (world_300 / "run_out" / name).read_bytes(), name
+
+
+def test_score_of_reversed_predictions_writes_the_same_scores(world_300):
+    """ToyPlanner predictions of the whole pool, and ``tac preds.jsonl >
+    preds_reversed.jsonl``: predictions for more clips than are scored, in
+    another order, must score the same bytes (``cmp scores.tsv
+    scores_reversed.tsv``)."""
+    clips, _ = load_pool(world_300 / "pool.jsonl")
+    preds = ToyPlanner(clips, load_truth(world_300 / "truth.jsonl")).predict(list(clips.ids))
+    save_predictions(preds.values(), world_300 / "preds.jsonl")
+    reversed_lines(world_300 / "preds.jsonl", world_300 / "preds_reversed.jsonl")
+    for name in ("", "_reversed"):
+        done = driveselect_cli(world_300, "score", "--pool", "pool.jsonl", "--selection", "sel.json",
+                               "--predictions", f"preds{name}.jsonl", "--out", f"scores{name}.tsv")
+        assert done.returncode == 0, done.stderr
+    assert (world_300 / "scores.tsv").read_bytes() == (world_300 / "scores_reversed.tsv").read_bytes()
 
 
 GEN_1200 = ("gen", "--n", "1200", "--seed", "5")

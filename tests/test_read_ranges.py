@@ -194,6 +194,60 @@ class TestSameErrors:
         assert not (tmp_path / "sel.json").exists()
 
 
+#: The untrained ToyPlanner predictions of a 40-clip seed-3 world, one line
+#: per clip; line 1, 10, 31 and 39 have agents.
+_WORLD_40 = generate_world(WorldConfig(n_clips=40, seed=3))
+PREDICTIONS_40 = [encode_line(prediction_to_dict(p)).decode()
+                  for p in ToyPlanner(*_WORLD_40).predict([c.id for c in _WORLD_40[0]]).values()]
+
+
+def with_confidence(line, value):
+    """``line`` with its first agent's confidence replaced by ``value`` of it."""
+    record = json.loads(line)
+    record["agents"][0]["confidence"] = value(record["agents"][0]["confidence"])
+    return encode_line(record).decode()
+
+
+class TestFirstBadPredictionsLine:
+    """A predictions file names its first bad line, whether the record
+    checks or the batch's value checks find it, on one CPU as on all."""
+
+    def test_value_before_a_malformed_line(self, tmp_path):
+        lines = list(PREDICTIONS_40)
+        lines[0] = with_confidence(lines[0], lambda c: 1.5)
+        fixed = write_lines(tmp_path / "fixed.jsonl", lines)
+        lines[38] = with_confidence(lines[38], str)
+        bad = write_lines(tmp_path / "bad.jsonl", lines)
+        message = "line 1: agent clip_000000-a0: confidence 1.5 not in [0, 1]"
+        assert outcome(load_predictions, bad) == f"predictions file {bad} {message}"
+        assert outcome(load_predictions, fixed) == f"predictions file {fixed} {message}"
+
+    def test_duplicate_id_and_a_bad_value_in_either_order(self, tmp_path):
+        lines = list(PREDICTIONS_40)
+        lines[4] = lines[1]
+        lines[9] = with_confidence(lines[9], lambda c: 1.5)
+        path = write_lines(tmp_path / "preds.jsonl", lines)
+        assert outcome(load_predictions, path) == f"predictions file {path} line 5: duplicate clip_id 'clip_000001'"
+        lines[4], lines[39] = PREDICTIONS_40[4], lines[1]
+        path = write_lines(tmp_path / "later.jsonl", lines)
+        assert outcome(load_predictions, path) == (f"predictions file {path} line 10: "
+                                                   "agent clip_000009-a0: confidence 1.5 not in [0, 1]")
+
+    def test_bad_value_in_a_forked_range(self, tmp_path):
+        lines = list(PREDICTIONS_40)
+        lines[30] = with_confidence(lines[30], lambda c: -0.25)
+        lines[38] = with_confidence(lines[38], str)
+        path = write_lines(tmp_path / "preds.jsonl", lines)
+        with cpus(1):
+            want = outcome(load_predictions, path)
+        with cpus(2, path.stat().st_size // 2) as forks:
+            (_, _), (second, _) = _ranges(path)
+            got = outcome(load_predictions, path)
+        assert len(forks) == 1 and second <= len("".join(line + "\n" for line in lines[:30]).encode())
+        assert got == want == f"predictions file {path} line 31: agent clip_000030-a0: confidence -0.25 not in [0, 1]"
+        assert_no_child_left()
+
+
 def in_child(action):
     """A block parser of pool records that runs ``action`` in a forked child
     before parsing, and only there."""

@@ -28,6 +28,7 @@ from driveselect.criteria import (
     prediction_batch,
     prediction_to_dict,
     save_predictions,
+    save_scores,
     score_pool,
 )
 from driveselect.diversity import STRATUM_ORDER, ego_diversity_init, stratify
@@ -50,6 +51,7 @@ from driveselect.pool import (
     read_jsonl,
     row_index,
     save_pool,
+    share_pool_ids,
     weather_lighting_bucket,
 )
 from driveselect.synthworld import (
@@ -63,6 +65,7 @@ from driveselect.synthworld import (
     generate_world,
     load_truth,
     save_truth,
+    share_pool,
     truth_table,
     truth_to_dict,
 )
@@ -84,9 +87,15 @@ def reference_load_truth(source, horizon=6) -> dict[str, ClipTruth]:
 
 def reference_load_predictions(source, horizon=6):
     """The predictions loader before predictions became block columns: the
-    arrays of each line, joined into one batch."""
+    arrays of each line, each checked as a batch of one so that the first
+    bad line is named, joined into one batch."""
+    def parse(record):
+        parts = _record_parts(record, horizon)
+        _batch_from_parts([record["clip_id"]], [parts], horizon)
+        return parts
+
     return read_jsonl(
-        source, "predictions", "clip_id", partial(_record_parts, horizon=horizon),
+        source, "predictions", "clip_id", parse,
         lambda parts: _batch_from_parts(list(parts), list(parts.values()), horizon),
     )
 
@@ -715,6 +724,108 @@ class TestIdIndex:
         assert has_index(shuffled) and got["clip_id"] == want["clip_id"] == ids
         for name in SCORE_COLUMNS[1:]:
             assert bits(got[name]) == bits(want[name]), name
+
+
+@pytest.fixture(scope="module")
+def world_300(tmp_path_factory):
+    """A 300-clip world's pool, truth and untrained ToyPlanner predictions
+    files, and the same three with their lines in reverse."""
+    directory = tmp_path_factory.mktemp("world_300")
+    paths = {name: directory / f"{name}.jsonl" for name in ("pool", "truth", "predictions")}
+    generate_pool(WorldConfig(n_clips=300, seed=7, agent_rate=3.0), paths["pool"], paths["truth"])
+    clips, _ = load_pool(paths["pool"])
+    save_predictions(ToyPlanner(clips, load_truth(paths["truth"])).predict(clips.ids).values(), paths["predictions"])
+    for name in ("truth", "predictions"):
+        lines = paths[name].read_bytes().splitlines(keepends=True)
+        paths[f"{name}_reversed"] = directory / f"{name}_reversed.jsonl"
+        paths[f"{name}_reversed"].write_bytes(b"".join(reversed(lines)))
+    return paths
+
+
+def assert_same_lookups(table, fresh) -> None:
+    """``in``, ``[]`` and ``rows_of`` of ``table`` give what they give on
+    ``fresh``, a table of the same file, for every id and for unknown ones."""
+    ids = fresh.clip_ids
+    probes = [*ids, "nope", "", ids[0] + " "]
+    assert [i in table for i in probes] == [i in fresh for i in probes]
+    assert table.rows_of(ids[::-1]).tolist() == fresh.rows_of(ids[::-1]).tolist()
+    for clip_id in (ids[0], ids[len(ids) // 2], ids[-1]):
+        got, want = table[clip_id], fresh[clip_id]
+        if isinstance(fresh, TruthTable):
+            assert got.clip_id == want.clip_id and got.agent_ids == want.agent_ids
+            for name in ("ego_future", "starts", "tracks"):
+                assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+        else:
+            assert got == want
+    for unknown in ("nope", ""):
+        with pytest.raises(KeyError, match=f"^'{unknown}'$"):
+            table[unknown]
+        with pytest.raises(KeyError, match=f"^'{unknown}'$"):
+            table.rows_of([ids[3], unknown])
+
+
+class TestSharedPoolIds:
+    """A truth or predictions table whose clip ids are the pool's, in the
+    pool's order, holds the pool's id tuple and looks ids up in the pool's
+    index; a truth whose futures also equal the pool's, bit for bit, holds
+    the pool's array. Any other table keeps its own."""
+
+    KW = dict(alpha=0.7, beta=1.3, eps_a=0.5, delta_d=3.0)
+
+    def test_truth_of_a_generated_world_shares_ids_index_and_future(self, world_300):
+        clips, _ = load_pool(world_300["pool"])
+        truth = load_truth(world_300["truth"])
+        share_pool(truth, clips)
+        assert truth.clip_ids is clips.ids and truth.ego_future is clips.gt_future
+        assert_same_lookups(truth, load_truth(world_300["truth"]))
+        assert has_index(clips) and not has_index(truth)
+        assert truth_table(truth) is truth
+
+    def test_reversed_truth_keeps_its_own(self, world_300):
+        clips, _ = load_pool(world_300["pool"])
+        truth = load_truth(world_300["truth_reversed"])
+        share_pool(truth, clips)
+        assert truth.clip_ids == clips.ids[::-1] and truth.ego_future is not clips.gt_future
+        assert_same_lookups(truth, load_truth(world_300["truth_reversed"]))
+        assert has_index(truth)
+
+    def test_a_future_one_ulp_away_keeps_its_own_array(self, world_300, tmp_path):
+        clips, _ = load_pool(world_300["pool"])
+        records = [json.loads(line) for line in world_300["truth"].read_bytes().splitlines()]
+        x = records[150]["ego_future"][3][1]
+        records[150]["ego_future"][3][1] = float(np.nextafter(x, np.inf))
+        path = tmp_path / "truth.jsonl"
+        path.write_bytes(b"".join(encode_line(record) + b"\n" for record in records))
+        truth = load_truth(path)
+        share_pool(truth, clips)
+        assert truth.clip_ids is clips.ids and truth.ego_future is not clips.gt_future
+        assert truth.ego_future[150, 3, 1] == np.nextafter(x, np.inf) != clips.gt_future[150, 3, 1]
+        assert_same_lookups(truth, load_truth(path))
+
+    def test_predictions_in_pool_order_share_ids_and_score_the_same_bytes(self, world_300, tmp_path):
+        clips, _ = load_pool(world_300["pool"])
+        ids = clips.ids[30:]
+        scores = []
+        for name, shared in (("predictions", True), ("predictions_reversed", False)):
+            batch = load_predictions(world_300[name])
+            assert share_pool_ids(batch, clips) is shared
+            assert (batch.clip_ids is clips.ids) is shared
+            assert_same_lookups(batch, load_predictions(world_300[name]))
+            save_scores(score_pool(clips, batch, ids=ids, **self.KW), tmp_path / f"{name}.tsv")
+            scores.append((tmp_path / f"{name}.tsv").read_bytes())
+        assert scores[0] == scores[1]
+
+    def test_a_slice_of_the_pool_shares_only_its_own_rows(self, world_300):
+        clips, _ = load_pool(world_300["pool"])
+        part = clips[100:200]
+        truth = load_truth(world_300["truth"]).take(part.ids)
+        share_pool(truth, part)
+        assert truth.clip_ids is part.ids and truth.ego_future is part.gt_future
+        assert_same_lookups(truth, load_truth(world_300["truth"]).take(part.ids))
+        for outside in (clips.ids[99], clips.ids[200]):
+            assert outside not in truth
+            with pytest.raises(KeyError):
+                truth.rows_of([outside])
 
 
 # ---------------------------------------------------------------------------
