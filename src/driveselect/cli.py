@@ -30,11 +30,10 @@ from pathlib import Path
 from . import report
 from .criteria import (
     check_score_settings,
-    load_predictions,
     load_scores,
     rank_and_take,
     save_scores,
-    score_pool,
+    score_predictions,
 )
 from .diversity import ego_diversity_init
 from .loop import ActiveConfig, CRITERIA, derive_schedule, random_init, run
@@ -46,7 +45,6 @@ from .pool import (
     load_selection,
     read_selection_payload,
     save_selection,
-    share_pool_ids,
 )
 from .report import emit_report, mean_step_errors, stratified_metrics
 from .synthworld import ToyPlanner, WorldConfig, evaluate_clips, generate_pool, load_truth, share_pool, summarize_evals
@@ -178,19 +176,17 @@ def cmd_init(args) -> int:
 def cmd_score(args) -> int:
     check_score_settings(alpha=args.alpha, beta=args.beta, eps_a=args.eps_a, delta_d=args.delta_d)
     clips = load_pool(args.pool, horizon=args.horizon)[0]
-    state = load_selection(args.selection, clips)
-    predictions = load_predictions(args.predictions, horizon=args.horizon)
-    share_pool_ids(predictions, clips)
-    unlabeled = state.unlabeled_ids
+    unlabeled = load_selection(args.selection, clips).unlabeled_ids
     _echo_config({"alpha": args.alpha, "beta": args.beta, "eps_a": args.eps_a, "delta_d": args.delta_d})
-    columns = score_pool(
+    columns = score_predictions(
+        args.predictions,
         clips,
-        predictions,
-        ids=unlabeled,
+        unlabeled,
         alpha=args.alpha,
         beta=args.beta,
         eps_a=args.eps_a,
         delta_d=args.delta_d,
+        horizon=args.horizon,
     )
     save_scores(columns, args.out)
     print(f"wrote {args.out} ({len(unlabeled)} clips scored)")

@@ -13,8 +13,9 @@ clip:
 Raw values are min-max normalized over all clips scored in the round and
 mixed into one overall loss; the top-ranked clips go to labeling.
 
-Predictions are scored as one :class:`PredictionBatch` of arrays, and each
-criterion is a masked array reduction over it. The one-clip functions
+Predictions are scored as one :class:`PredictionBatch` of arrays, or, read
+from a file by :func:`score_predictions`, one block's batch at a time, and
+each criterion is a masked array reduction over it. The one-clip functions
 (:func:`soft_collision`, :func:`agent_uncertainty`) run the same kernels on a
 batch of one, and the one-clip dataclasses validate with the batch's checks.
 """
@@ -29,7 +30,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -191,9 +192,10 @@ class PredictionBatch(AgentTable):
     trajectories), which no criterion ever picks or weighs. Every value is
     validated once, on construction. The batch is a Mapping from clip id to
     a :class:`ClipPrediction` view of that clip's rows. A batch of the pool's
-    clips in the pool's order, such as ``score`` reads, can hold the pool's
-    id tuple and look ids up in the pool's index
-    (:func:`~driveselect.pool.share_pool_ids`).
+    clips in the pool's order can hold the pool's id tuple and look ids up
+    in the pool's index (:func:`~driveselect.pool.share_pool_ids`). ``score``
+    builds no batch of the whole file: :func:`score_predictions` builds one
+    per block of lines and drops it once the block is scored.
     """
 
     clip_ids: tuple[str, ...]
@@ -590,18 +592,32 @@ def score_pool(
     check_score_settings(alpha=alpha, beta=beta, eps_a=eps_a, delta_d=delta_d)
     batch, rows = _prediction_rows(predictions, clips, ids)
     table = clip_table(clips)
-    gt_rows = table.rows_of(ids)
-    raw = (np.empty(len(ids)), np.empty(len(ids)), np.empty(len(ids)))
-    # A clip's raw values do not depend on the other clips, so the columns
-    # built block by block equal one whole-batch pass bit for bit.
-    for lo in range(0, len(ids), SCORE_BLOCK):
+    raw = _raw_criteria(batch, rows, table.gt_future, table.rows_of(ids), eps_a, delta_d)
+    return _score_columns(ids, raw, alpha, beta)
+
+
+def _raw_criteria(batch: PredictionBatch, rows: np.ndarray, gt_future: np.ndarray, gt_rows: np.ndarray,
+                  eps_a: float, delta_d: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The raw DE, SC and AU of the batch's ``rows``, each against the
+    recorded future ``gt_future[gt_rows]`` of the same position, computed
+    ``SCORE_BLOCK`` clips at a time. A clip's raw values do not depend on the
+    other clips, so the columns built block by block, or from batches of
+    any other clips, equal one whole-batch pass bit for bit."""
+    raw = (np.empty(len(rows)), np.empty(len(rows)), np.empty(len(rows)))
+    for lo in range(0, len(rows), SCORE_BLOCK):
         block = rows[lo : lo + SCORE_BLOCK]
         n = len(block)
         agents, owners = batch.items_of(block)
         dists = _best_distances(batch, agents)
-        raw[0][lo : lo + n] = _displacement_errors(batch.ego_plans[block], table.gt_future[gt_rows[lo : lo + n]])
+        raw[0][lo : lo + n] = _displacement_errors(batch.ego_plans[block], gt_future[gt_rows[lo : lo + n]])
         raw[1][lo : lo + n] = _soft_collisions(batch, agents, owners, n, dists, eps_a)
         raw[2][lo : lo + n] = _agent_uncertainties(batch, agents, owners, n, dists, delta_d)
+    return raw
+
+
+def _score_columns(ids: tuple[str, ...], raw: Sequence[np.ndarray], alpha: float, beta: float) -> dict:
+    """The :data:`SCORE_COLUMNS` of the raw criteria of ``ids``: each column
+    normalized once over all of them, and the normalized columns mixed."""
     norm = [_normalized(column) for column in raw]
     return dict(zip(SCORE_COLUMNS, (ids, *raw, *norm, overall_loss(*norm, alpha, beta))))
 
@@ -674,23 +690,22 @@ def _prediction_block(records: list, horizon: int | None) -> tuple:
 
 def _prediction_table(parts: list[tuple]) -> PredictionBatch:
     """The batch of a predictions file's block parts, which it consumes,
-    with agents padded to the largest M of any block. Blocks of two
-    horizons are not one batch."""
+    with agents padded to the largest M of any block; one block's arrays
+    are taken as they are. Blocks of two horizons are not one batch."""
     if len({plans.shape[1] for _, _, _, plans, *_ in parts}) > 1:
         raise _NotColumnar
-    ids, counts, agent_ids, plans, confidence, modalities, probs, trajs = _joined(parts)
+    columns = parts.pop() if len(parts) == 1 else _joined(parts)
+    ids, counts, agent_ids, plans, confidence, modalities, probs, trajs = columns
     n = len(plans)
     return PredictionBatch(tuple(ids), plans, np.repeat(np.arange(n), np.fromiter(counts, np.intp, n)),
                            np.fromiter(agent_ids, object, len(confidence)), confidence, modalities, probs, trajs)
 
 
-def load_predictions(path: str | os.PathLike | Iterable[str], horizon: int | None = 6) -> PredictionBatch:
-    """Parse the predictions file at a path, or predictions lines, into one
-    batch, by :func:`read_table`. A bad line is named by :func:`_record_parts`'s
+def _record_check(horizon: int | None) -> Callable[[dict], None]:
+    """The record check of a predictions file's record pass: :func:`_record_parts`'s
     checks and then the batch's value checks, run on each record alone, so
-    the first bad line in the file is named, whichever check it fails. Every
-    plan and agent trajectory has ``horizon`` waypoints; ``None`` takes the
-    horizon of the first record."""
+    the first bad line in the file is named, whichever check it fails.
+    ``None`` takes the horizon of the first record."""
     def check(record: dict) -> None:
         nonlocal horizon  # the first record's, from then on
         plan, agents = _record_parts(record, horizon)
@@ -700,8 +715,77 @@ def load_predictions(path: str | os.PathLike | Iterable[str], horizon: int | Non
         if errors:
             raise ValueError(min(errors)[1])
 
+    return check
+
+
+def load_predictions(path: str | os.PathLike | Iterable[str], horizon: int | None = 6) -> PredictionBatch:
+    """Parse the predictions file at a path, or predictions lines, into one
+    batch, by :func:`read_table`; a bad line is named by :func:`_record_check`.
+    Every plan and agent trajectory has ``horizon`` waypoints; ``None`` takes
+    the horizon of the first record."""
     return read_table(path, "predictions", "clip_id", partial(_prediction_block, horizon=horizon),
-                      _prediction_table, check)
+                      _prediction_table, _record_check(horizon))
+
+
+def score_predictions(
+    path: str | os.PathLike,
+    clips: ClipTable | Sequence[ClipRecord],
+    ids: Sequence[str],
+    *,
+    alpha: float,
+    beta: float,
+    eps_a: float,
+    delta_d: float,
+    horizon: int = 6,
+) -> dict:
+    """``score_pool(clips, load_predictions(path, horizon), ids=ids, ...)``,
+    bit for bit, without holding the file's batch.
+
+    The file is read by :func:`read_table` as :func:`load_predictions` reads
+    it, and each block's records are checked as a batch of their own; the
+    block's clips of ``ids`` are then scored (:func:`_raw_criteria`) and the
+    batch dropped. A block keeps only its clip ids, the positions of its
+    scored clips in ``ids`` and their three raw criteria, and that is all a
+    forked reader sends back. The settings, the uniqueness of ``ids`` (clips
+    of ``clips``) and the pool's horizon are checked before the file is
+    read; then come the file's errors, as the record pass names them, and
+    then ``score_pool``'s. Each criterion is normalized once, over ``ids``.
+    """
+    check_score_settings(alpha=alpha, beta=beta, eps_a=eps_a, delta_d=delta_d)
+    table = clip_table(clips)
+    ids = tuple(ids)
+    check_unique(ids, "the scored ids")
+    if ids and table.horizon != horizon:
+        raise ValueError(f"clip {ids[0]!r}: gt_future has {table.horizon} waypoints, predictions have {horizon}")
+    # Each pool row's position in ids, else -1, as is the extra last entry,
+    # which a clip outside the pool (row -1) reads. It and the pool's index
+    # are built here, before the readers fork.
+    position = np.full(len(table) + 1, -1, dtype=np.intp)
+    position[table.rows_of(ids)] = np.arange(len(ids))
+
+    def parse_block(records: list) -> tuple:
+        batch = _prediction_table([_prediction_block(records, horizon)])
+        pool_rows = table.find_rows(batch.clip_ids)
+        rows = np.flatnonzero(position[pool_rows] >= 0)
+        raw = _raw_criteria(batch, rows, table.gt_future, pool_rows[rows], eps_a, delta_d)
+        return batch.clip_ids, position[pool_rows[rows]], *raw
+
+    def build(parts: list[tuple]) -> list:
+        clip_ids, *columns = _joined(parts)
+        check_unique(tuple(clip_ids), "a prediction batch")
+        return columns
+
+    at, *block_raw = read_table(path, "predictions", "clip_id", parse_block, build, _record_check(horizon))
+    if not ids:
+        raise ValueError("no clips to score")
+    found = np.zeros(len(ids), dtype=bool)
+    found[at] = True
+    if not found.all():
+        raise KeyError(f"missing prediction for clip {ids[found.argmin()]!r}")
+    raw = (np.empty(len(ids)), np.empty(len(ids)), np.empty(len(ids)))
+    for column, values in zip(raw, block_raw):
+        column[at] = values
+    return _score_columns(ids, raw, alpha, beta)
 
 
 def save_predictions(preds: Iterable[ClipPrediction], path: str | os.PathLike) -> None:

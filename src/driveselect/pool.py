@@ -312,11 +312,20 @@ class RaggedTable:
         if self._base is None:
             return np.fromiter(map(self._rows.__getitem__, ids), dtype=np.intp)
         ids = tuple(ids)
-        rows = np.fromiter(map(self._base._rows.get, ids, repeat(-1)), dtype=np.intp)
-        rows -= self._lo
-        outside = (rows < 0) | (rows >= len(self))
-        if outside.any():
-            raise KeyError(ids[outside.argmax()])
+        rows = self.find_rows(ids)
+        missing = rows < 0
+        if missing.any():
+            raise KeyError(ids[missing.argmax()])
+        return rows
+
+    def find_rows(self, ids: Sequence[str]) -> np.ndarray:
+        """The rows of the given ids, as :meth:`rows_of` gives them, with -1
+        for each id it would raise on."""
+        index = self._rows if self._base is None else self._base._rows
+        rows = np.fromiter(map(index.get, ids, repeat(-1)), dtype=np.intp, count=len(ids))
+        if self._base is not None:
+            rows -= self._lo
+            rows[(rows < 0) | (rows >= len(self))] = -1
         return rows
 
     def items_of(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -513,7 +522,10 @@ def share_pool_ids(table: AgentTable, pool: ClipTable) -> bool:
     to look ids up in the pool's index, as a slice of the pool does, and
     drops any index of its own. Its rows and lookups stay the same. A table
     of other ids, or in another order, is left as it is. This is one tuple
-    comparison, on tables whose construction checked them."""
+    comparison, on tables whose construction checked them. ``run`` applies
+    it to its truth (:func:`~driveselect.synthworld.share_pool`); ``score``
+    keeps no prediction batch to apply it to, only each block's raw
+    criteria (:func:`~driveselect.criteria.score_predictions`)."""
     if table.clip_ids != pool.ids:
         return False
     for name, value in (("clip_ids", pool.ids), ("_ids", pool.ids), ("_lo", pool._lo),

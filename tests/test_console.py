@@ -6,7 +6,9 @@ Where the step pins ``taskset -c 0``, the child pins itself to one CPU with
 ``os.sched_setaffinity`` before it runs.
 """
 
+import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,8 +17,10 @@ import pytest
 
 import driveselect
 from driveselect.criteria import save_predictions
-from driveselect.pool import load_pool
+from driveselect.pool import encode_line, load_pool
 from driveselect.synthworld import ToyPlanner, load_truth
+
+from test_read_ranges import one_modality_every_7th
 
 SRC = os.path.dirname(os.path.dirname(driveselect.__file__))
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
@@ -86,6 +90,30 @@ def test_score_of_reversed_predictions_writes_the_same_scores(world_300):
     assert (world_300 / "scores.tsv").read_bytes() == (world_300 / "scores_reversed.tsv").read_bytes()
 
 
+def quote_confidence(line: bytes) -> bytes:
+    """``sed 's/"confidence":\\([^,]*\\)/"confidence":"\\1"/'`` of one line:
+    its first confidence, quoted."""
+    return re.sub(rb'"confidence":([^,]*)', rb'"confidence":"\1"', line, count=1)
+
+
+def test_score_of_a_quoted_confidence_fails_and_writes_nothing(world_300):
+    """ToyPlanner predictions of the pool with the file's first confidence
+    quoted (``sed`` to ``quoted.jsonl``, then ``grep -q '"confidence":"'``):
+    ``score`` must exit 1 and write no ``quoted_scores.tsv``."""
+    clips, _ = load_pool(world_300 / "pool.jsonl")
+    preds = ToyPlanner(clips, load_truth(world_300 / "truth.jsonl")).predict(list(clips.ids))
+    save_predictions(preds.values(), world_300 / "quoted.jsonl")
+    lines = (world_300 / "quoted.jsonl").read_bytes().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if b'"confidence":' in line)
+    lines[first] = quote_confidence(lines[first])
+    (world_300 / "quoted.jsonl").write_bytes(b"".join(lines))
+    assert b'"confidence":"' in lines[first]
+    done = driveselect_cli(world_300, "score", "--pool", "pool.jsonl", "--selection", "sel.json",
+                           "--predictions", "quoted.jsonl", "--out", "quoted_scores.tsv")
+    assert done.returncode == 1
+    assert not (world_300 / "quoted_scores.tsv").exists()
+
+
 GEN_1200 = ("gen", "--n", "1200", "--seed", "5")
 
 
@@ -115,3 +143,65 @@ def test_gen_to_one_file_for_both_outputs_fails_and_makes_nothing(tmp_path):
     assert done.returncode == 1
     assert "error: outputs same.jsonl and same.jsonl are the same file" in done.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def range_predictions(world_1200):
+    """``driveselect init --pool pool_all.jsonl --n0 120 --out
+    range_sel.json``; ToyPlanner predictions of every clip, trained on the
+    first 120, as ``range_preds.jsonl``; and ``range_mixed.jsonl``, where every
+    7th agent keeps only its middle modality, with probability 1.0. Both
+    files are over 2 MiB, so ``score`` reads them in byte ranges on more
+    than one CPU."""
+    done = driveselect_cli(world_1200, "init", "--pool", "pool_all.jsonl", "--n0", "120", "--out", "range_sel.json")
+    assert done.returncode == 0, done.stderr
+    clips, _ = load_pool(world_1200 / "pool_all.jsonl")
+    planner = ToyPlanner(clips, load_truth(world_1200 / "truth_all.jsonl"))
+    planner.train(clips.ids[:120])
+    save_predictions(planner.predict(clips.ids).values(), world_1200 / "range_preds.jsonl")
+    records = one_modality_every_7th(
+        [json.loads(line) for line in (world_1200 / "range_preds.jsonl").read_bytes().splitlines()])
+    (world_1200 / "range_mixed.jsonl").write_bytes(b"".join(encode_line(record) + b"\n" for record in records))
+    for name in ("range_preds.jsonl", "range_mixed.jsonl"):
+        assert (world_1200 / name).stat().st_size > 2 * 1024 * 1024
+    return world_1200
+
+
+def score_range(cwd, predictions: str, out: str, pin: bool) -> subprocess.CompletedProcess:
+    return driveselect_cli(cwd, "score", "--pool", "pool_all.jsonl", "--selection", "range_sel.json",
+                           "--predictions", predictions, "--out", out, pin=pin)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+@pytest.mark.parametrize("name", ["range_preds", "range_mixed"])
+def test_score_on_one_cpu_writes_the_bytes_of_all_cpus(range_predictions, name):
+    """``taskset -c 0 driveselect score`` and ``score`` on all CPUs, of
+    ``range_preds.jsonl`` and of the mixed-modality ``range_mixed.jsonl``:
+    ``cmp`` of the two scores files."""
+    for cpus in ("one", "all"):
+        done = score_range(range_predictions, f"{name}.jsonl", f"{name}_{cpus}.tsv", pin=cpus == "one")
+        assert done.returncode == 0, done.stderr
+    assert (range_predictions / f"{name}_one.tsv").read_bytes() == (range_predictions / f"{name}_all.tsv").read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_score_of_a_quoted_last_confidence_fails_alike_on_one_and_all_cpus(range_predictions):
+    """``range_bad.jsonl``: ``range_preds.jsonl`` with the last line that has
+    an agent given a quoted confidence. ``score`` on one CPU and on all CPUs,
+    where a forked reader's range holds that line: exit status 1, no scores
+    file, the same standard error, naming the file, the line and the
+    confidence."""
+    lines = (range_predictions / "range_preds.jsonl").read_bytes().splitlines(keepends=True)
+    last = max(i for i, line in enumerate(lines) if b'"confidence":' in line)
+    lines[last] = quote_confidence(lines[last])
+    (range_predictions / "range_bad.jsonl").write_bytes(b"".join(lines))
+    assert b'"confidence":"' in lines[last]
+    errors = []
+    for cpus in ("one", "all"):
+        done = score_range(range_predictions, "range_bad.jsonl", f"range_bad_{cpus}.tsv", pin=cpus == "one")
+        assert done.returncode == 1
+        assert not (range_predictions / f"range_bad_{cpus}.tsv").exists()
+        errors.append(done.stderr)
+    assert re.search(f"predictions file range_bad.jsonl line {last + 1}: agent .* confidence must be a JSON number",
+                     errors[0])
+    assert errors[0] == errors[1]

@@ -15,8 +15,23 @@ from hypothesis import strategies as st
 
 from driveselect import pool as pool_module
 from driveselect.cli import main
-from driveselect.criteria import load_predictions, prediction_to_dict, save_predictions
-from driveselect.pool import PoolFormatError, _ranges, clip_to_dict, encode_line, load_pool, parse_pool_lines
+from driveselect.criteria import (
+    SCORE_COLUMNS,
+    load_predictions,
+    prediction_to_dict,
+    save_predictions,
+    score_pool,
+    score_predictions,
+)
+from driveselect.pool import (
+    PoolFormatError,
+    _ranges,
+    clip_to_dict,
+    encode_line,
+    load_pool,
+    parse_pool_lines,
+    save_selection,
+)
 from driveselect.synthworld import ToyPlanner, WorldConfig, generate_pool, generate_world, load_truth, truth_to_dict
 
 from test_boundary import mutate_line
@@ -319,3 +334,141 @@ class TestChildren:
         with cpus(3, 1) as forks:
             load_pool(pool)
         assert len(forks) == 2
+
+
+SCORE_SETTINGS = {"alpha": 1.0, "beta": 1.0, "eps_a": 0.5, "delta_d": 3.0}
+
+
+@pytest.fixture(scope="module")
+def scored_world(tmp_path_factory):
+    """A 300-clip world's pool file and table, a selection file labeling its
+    first 30 clips, the other clips' ids, and trained ToyPlanner predictions
+    of every clip as records in pool order."""
+    directory = tmp_path_factory.mktemp("scored_world")
+    pool, truth, sel = directory / "pool.jsonl", directory / "truth.jsonl", directory / "sel.json"
+    generate_pool(WorldConfig(n_clips=300, seed=5, agent_rate=3.0), pool, truth)
+    clips, state = load_pool(pool)
+    state.add_round(0, clips.ids[:30])
+    save_selection(state, sel)
+    planner = ToyPlanner(clips, load_truth(truth))
+    planner.train(clips.ids[:30])
+    records = [prediction_to_dict(p) for p in planner.predict(clips.ids).values()]
+    return pool, clips, sel, clips.ids[30:], records
+
+
+def prediction_lines(records):
+    return [encode_line(record).decode() for record in records]
+
+
+def one_modality_every_7th(records):
+    """Copies of ``records`` where every 7th agent keeps only its middle
+    modality, with probability 1.0: a valid file of mixed modality counts."""
+    records = json.loads(json.dumps(records))
+    for agent in [a for record in records for a in record["agents"]][::7]:
+        agent.update(modality_probs=[1.0], modality_trajs=[agent["modality_trajs"][len(agent["modality_trajs"]) // 2]])
+    return records
+
+
+class TestScorePredictions:
+    """``score_predictions`` scores each block as it reads it, and gives
+    ``score_pool`` of the whole loaded batch bit for bit, on one CPU as on
+    two, where a forked reader scores the second range."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("arrangement", ["pool order", "reversed", "extra records", "mixed modalities"])
+    def test_equals_score_pool_of_the_loaded_batch(self, scored_world, tmp_path, arrangement, n):
+        _, clips, _, unlabeled, records = scored_world
+        scored = records[30:]  # the unlabeled clips', in pool order
+        if arrangement == "reversed":
+            scored = scored[::-1]
+        elif arrangement == "extra records":  # labeled clips, and clips outside the pool at both ends
+            outside = [dict(record, clip_id=f"outside_{record['clip_id']}") for record in records[::10]]
+            scored = [*outside[:15], *records, *outside[15:]]
+        elif arrangement == "mixed modalities":
+            scored = one_modality_every_7th(scored)
+            assert len({len(a["modality_probs"]) for record in scored for a in record["agents"]}) > 1
+        path = write_lines(tmp_path / "preds.jsonl", prediction_lines(scored))
+        with cpus(1):
+            want = score_pool(clips, load_predictions(path), ids=unlabeled, **SCORE_SETTINGS)
+        with cpus(n, path.stat().st_size // n) as forks:
+            got = score_predictions(path, clips, unlabeled, **SCORE_SETTINGS)
+        assert len(forks) == n - 1
+        assert got["clip_id"] == want["clip_id"] == unlabeled
+        for name in SCORE_COLUMNS[1:]:
+            assert got[name].tobytes() == want[name].tobytes(), name
+        assert_no_child_left()
+
+
+class TestScoreErrors:
+    """``driveselect score`` names what the load of the whole batch and then
+    ``score_pool`` named: the file's first bad line, then the first scored
+    clip without a prediction. Each exits 1 and writes no scores file, on
+    one CPU as on two."""
+
+    @staticmethod
+    def score_fails(scored_world, tmp_path, lines, n):
+        """The path of ``lines`` as a predictions file, which ``driveselect
+        score`` failed on."""
+        pool, _, sel, _, _ = scored_world
+        path, out = write_lines(tmp_path / "preds.jsonl", lines), tmp_path / "scores.tsv"
+        with cpus(n, path.stat().st_size // 2) as forks:
+            code = main(["score", "--pool", str(pool), "--selection", str(sel), "--predictions", str(path),
+                         "--out", str(out)])
+        assert code == 1
+        assert len(forks) == n - 1
+        assert not out.exists()
+        assert_no_child_left()
+        return path
+
+    @staticmethod
+    def in_second_range(path, index):
+        """Whether line ``index + 1`` of ``path`` starts in its second range on two CPUs."""
+        with cpus(2, path.stat().st_size // 2):
+            (_, _), (second, _) = _ranges(path)
+        return second <= sum(map(len, path.read_bytes().splitlines(keepends=True)[:index]))
+
+    @staticmethod
+    def with_agents(lines, start):
+        """The index of the first line from ``start`` on whose record has agents."""
+        return next(i for i in range(start, len(lines)) if json.loads(lines[i])["agents"])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_duplicate_in_the_forked_range_before_a_bad_value(self, scored_world, tmp_path, capsys, n):
+        lines = prediction_lines(scored_world[4])
+        lines[200] = lines[10]
+        bad = self.with_agents(lines, 250)
+        lines[bad] = with_confidence(lines[bad], lambda c: 1.5)
+        path = self.score_fails(scored_world, tmp_path, lines, n)
+        assert self.in_second_range(path, 200)
+        clip_id = json.loads(lines[10])["clip_id"]
+        assert capsys.readouterr().err == f"error: predictions file {path} line 201: duplicate clip_id {clip_id!r}\n"
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bad_value_in_the_forked_range_before_a_duplicate(self, scored_world, tmp_path, capsys, n):
+        lines = prediction_lines(scored_world[4])
+        bad = self.with_agents(lines, 200)
+        lines[bad] = with_confidence(lines[bad], lambda c: 1.5)
+        lines[280] = lines[10]
+        path = self.score_fails(scored_world, tmp_path, lines, n)
+        assert self.in_second_range(path, bad)
+        agent_id = json.loads(lines[bad])["agents"][0]["agent_id"]
+        assert capsys.readouterr().err == (f"error: predictions file {path} line {bad + 1}: "
+                                           f"agent {agent_id}: confidence 1.5 not in [0, 1]\n")
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_missing_unlabeled_clip(self, scored_world, tmp_path, capsys, n):
+        missing = scored_world[3][100]
+        self.score_fails(scored_world, tmp_path,
+                         prediction_lines([r for r in scored_world[4] if r["clip_id"] != missing]), n)
+        assert capsys.readouterr().err == f"error: missing prediction for clip {missing!r}\n"
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_file_error_wins_over_a_missing_prediction(self, scored_world, tmp_path, capsys, n):
+        missing = scored_world[3][100]
+        lines = prediction_lines([r for r in scored_world[4] if r["clip_id"] != missing])
+        bad = self.with_agents(lines, 250)
+        lines[bad] = with_confidence(lines[bad], str)
+        path = self.score_fails(scored_world, tmp_path, lines, n)
+        message = outcome(load_predictions, path)
+        assert message.startswith(f"predictions file {path} line {bad + 1}: agent ")
+        assert capsys.readouterr().err == f"error: {message}\n"

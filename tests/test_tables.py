@@ -51,6 +51,7 @@ from driveselect.pool import (
     read_jsonl,
     row_index,
     save_pool,
+    save_selection,
     share_pool_ids,
     weather_lighting_bucket,
 )
@@ -666,6 +667,13 @@ class TestIdIndex:
         with pytest.raises(KeyError, match="^'c7'$"):
             empty.rows_of(["c7"])
 
+    def test_find_rows_gives_minus_one_where_rows_of_raises(self, table):
+        ids = ("c2", "c8", "nope", "c3", "c9", "c5")
+        assert table.find_rows(ids).tolist() == [2, 8, -1, 3, 9, 5]
+        assert table[3:9].find_rows(ids).tolist() == [-1, 5, -1, 0, -1, 2]
+        assert table[3:9][1:4].find_rows(ids).tolist() == [-1, -1, -1, -1, -1, 1]
+        assert table[3:9].find_rows(()).tolist() == []
+
     def test_step_slice_lookups(self, table):
         for stepped, ids in ((table[1:10:3], ["c1", "c4", "c7"]), (table[3:9][::2], ["c3", "c5", "c7"])):
             assert list(stepped.ids) == ids
@@ -1047,6 +1055,33 @@ class TestMemory:
                 tracemalloc.stop()
         assert len(table) == 2000
         assert peak <= 1.65 * kept, (peak, kept)
+
+    def test_score_holds_no_prediction_batch(self, tmp_path):
+        """``score`` of trained ToyPlanner predictions of a 2000-clip world,
+        in one process, peaks less than a quarter of the batch that
+        ``load_predictions`` keeps for the same file above what loading the
+        pool alone peaks at (tracemalloc): each block of the file is scored
+        as it is read and then dropped. The pool load itself peaks at 2.1 MB,
+        above the 1.9 MB batch, so it is what the comparison starts from.
+        Loading the batch whole and then scoring it peaked 2.5 MB above it;
+        scoring block by block, 0.1 MB."""
+        pool, truth, preds, sel = (tmp_path / name for name in ("pool.jsonl", "truth.jsonl", "preds.jsonl", "sel.json"))
+        generate_pool(WorldConfig(n_clips=2000, seed=7), pool, truth)
+        clips, state = load_pool(pool)
+        planner = ToyPlanner(clips, load_truth(truth))
+        planner.train(clips.ids[:200])
+        save_predictions(planner.predict(clips.ids).values(), preds)
+        state.add_round(0, clips.ids[:200])
+        save_selection(state, sel)
+        del clips, state, planner
+        with mock.patch.object(pool_module, "READ_RANGE", 1 << 40):
+            batch, kept = retained_bytes(load_predictions, preds)
+            del batch
+            _, pool_peak = peak_bytes(load_pool, pool)
+            code, peak = peak_bytes(main, ["score", "--pool", str(pool), "--selection", str(sel),
+                                           "--predictions", str(preds), "--out", str(tmp_path / "scores.tsv")])
+        assert code == 0
+        assert peak - pool_peak < kept / 4, (peak, pool_peak, kept)
 
     def test_a_slice_builds_no_index(self):
         """``clips[:15000]`` of a 20 000-clip table and a lookup on it peak
