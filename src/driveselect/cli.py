@@ -11,10 +11,11 @@ Usage sketch:
         --heldout-count 400
     driveselect report --manifest out/manifest.json --out-dir report/
 
-Selection hyperparameters come from a JSON config file (``--config``, or the
-``DRIVESELECT_CONFIG`` environment variable) plus ``--set key=value``
-overrides; unknown keys are rejected and every command echoes the resolved
-configuration it ran with.
+``gen`` and ``run`` take their settings from a JSON config file
+(``--config``, or the ``DRIVESELECT_CONFIG`` environment variable) plus
+``--set key=value`` overrides; unknown keys are rejected. ``init``, ``score``
+and ``select`` take theirs as flags. Every command but ``report`` echoes the
+resolved configuration it ran with.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ import typing
 from pathlib import Path
 
 from . import report
-from .criteria import (
-    check_score_settings,
-    load_scores,
-    rank_and_take,
-    save_scores,
-    score_predictions,
-)
+from .criteria import _top, check_score_settings, load_scores, save_scores, score_predictions
 from .diversity import ego_diversity_init
 from .loop import ActiveConfig, CRITERIA, derive_schedule, random_init, run
 from .pool import (
@@ -186,7 +181,6 @@ def cmd_score(args) -> int:
         beta=args.beta,
         eps_a=args.eps_a,
         delta_d=args.delta_d,
-        horizon=args.horizon,
     )
     save_scores(columns, args.out)
     print(f"wrote {args.out} ({len(unlabeled)} clips scored)")
@@ -203,7 +197,7 @@ def cmd_select(args) -> int:
     # Without the pool, the ids select can know are the selection's and the
     # scored ones; load_selection then rejects what score would.
     labeled = [i for entry in payload["rounds"] for i in entry["ids"]]
-    load_selection(args.selection, dict.fromkeys([*labeled, *scored]))
+    state = load_selection(args.selection, dict.fromkeys([*labeled, *scored]))
     already = sorted(set(labeled).intersection(scored))
     if already:
         print(f"error: scored clip {already[0]!r} is already labeled", file=sys.stderr)
@@ -212,12 +206,11 @@ def cmd_select(args) -> int:
         print(f"error: n_itr {args.n_itr} exceeds {len(scored)} scored clips", file=sys.stderr)
         return 1
     _echo_config({"n_itr": args.n_itr})
-    ids = rank_and_take(dict(zip(scored, columns["overall"].tolist())), args.n_itr)
-    next_round = max((e["round"] for e in payload["rounds"]), default=-1) + 1
-    payload["rounds"].append({"round": next_round, "ids": ids})
+    next_round = state.rounds[-1][0] + 1 if state.rounds else 0
+    state.add_round(next_round, _top(scored, columns["overall"], args.n_itr))
     out = args.out or args.selection
-    atomic_write_text(out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
-    print(f"wrote {out} (round {next_round}: {len(ids)} clips)")
+    save_selection(state, out)
+    print(f"wrote {out} (round {next_round}: {args.n_itr} clips)")
     return 0
 
 
@@ -332,6 +325,24 @@ def cmd_report(args) -> int:
             return 1
         manifests[name] = manifest
 
+    # A stem that several files share is labelled with its directory.
+    stems = [Path(path).stem for path in args.selection or []]
+    sets = {}
+    for path in args.selection or []:
+        rounds = read_selection_payload(path)["rounds"]
+        # Overlap compares the newly sampled clips, so skip the shared
+        # initialization round when later rounds exist.
+        incremental = [e for e in rounds if e["round"] > 0] or rounds
+        label = Path(path).stem
+        if stems.count(label) > 1:
+            label = f"{Path(path).parent.name}/{label}"
+        if label in sets:
+            label = f"{label}:{len(sets)}"
+        sets[label] = {i for e in incremental for i in e["ids"]}
+    if not manifests and not sets:
+        raise UsageError("report needs at least one --manifest or --selection")
+
+    # Every input is read by now: a bad one leaves no out dir.
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     wrote = []
@@ -340,21 +351,7 @@ def cmd_report(args) -> int:
         emit_report(manifests, out_dir / "report.tsv", "delimited")
         wrote += ["report.json", "report.tsv"]
 
-    if args.selection:
-        # A stem that several files share is labelled with its directory.
-        stems = [Path(path).stem for path in args.selection]
-        sets = {}
-        for path in args.selection:
-            rounds = read_selection_payload(path)["rounds"]
-            # Overlap compares the newly sampled clips, so skip the shared
-            # initialization round when later rounds exist.
-            incremental = [e for e in rounds if e["round"] > 0] or rounds
-            label = Path(path).stem
-            if stems.count(label) > 1:
-                label = f"{Path(path).parent.name}/{label}"
-            if label in sets:
-                label = f"{label}:{len(sets)}"
-            sets[label] = {i for e in incremental for i in e["ids"]}
+    if sets:
         labels, matrix = report.overlap_matrix(sets)
         doc = {"labels": labels, "matrix": matrix.tolist()}
         atomic_write_text(out_dir / "overlap.json", json.dumps(doc, indent=2, allow_nan=False) + "\n")
@@ -362,9 +359,6 @@ def cmd_report(args) -> int:
         lines += ["\t".join([label, *map(repr, row)]) for label, row in zip(labels, doc["matrix"])]
         atomic_write_text(out_dir / "overlap.tsv", "\n".join(lines) + "\n")
         wrote += ["overlap.json", "overlap.tsv"]
-
-    if not wrote:
-        raise UsageError("report needs at least one --manifest or --selection")
     print(f"wrote {', '.join(str(out_dir / w) for w in wrote)}")
     return 0
 

@@ -736,27 +736,26 @@ def score_predictions(
     beta: float,
     eps_a: float,
     delta_d: float,
-    horizon: int = 6,
 ) -> dict:
-    """``score_pool(clips, load_predictions(path, horizon), ids=ids, ...)``,
-    bit for bit, without holding the file's batch.
+    """``score_pool(clips, load_predictions(path, horizon), ids=ids, ...)``
+    at the horizon of ``clips``, bit for bit, without holding the file's
+    batch.
 
     The file is read by :func:`read_table` as :func:`load_predictions` reads
     it, and each block's records are checked as a batch of their own; the
     block's clips of ``ids`` are then scored (:func:`_raw_criteria`) and the
     batch dropped. A block keeps only its clip ids, the positions of its
     scored clips in ``ids`` and their three raw criteria, and that is all a
-    forked reader sends back. The settings, the uniqueness of ``ids`` (clips
-    of ``clips``) and the pool's horizon are checked before the file is
-    read; then come the file's errors, as the record pass names them, and
-    then ``score_pool``'s. Each criterion is normalized once, over ``ids``.
+    forked reader sends back. The settings and the uniqueness of ``ids``
+    (clips of ``clips``) are checked before the file is read; then come the
+    file's errors, as the record pass names them, and then ``score_pool``'s.
+    Each criterion is normalized once, over ``ids``.
     """
     check_score_settings(alpha=alpha, beta=beta, eps_a=eps_a, delta_d=delta_d)
     table = clip_table(clips)
+    horizon = table.horizon
     ids = tuple(ids)
     check_unique(ids, "the scored ids")
-    if ids and table.horizon != horizon:
-        raise ValueError(f"clip {ids[0]!r}: gt_future has {table.horizon} waypoints, predictions have {horizon}")
     # Each pool row's position in ids, else -1, as is the extra last entry,
     # which a clip outside the pool (row -1) reads. It and the pool's index
     # are built here, before the readers fork.

@@ -50,7 +50,7 @@ from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, NoReturn, TypeVar
 
@@ -552,30 +552,33 @@ def mean_speed(clip: ClipRecord) -> float:
 
 
 class SelectionState:
-    """Labeled/unlabeled index bookkeeping with per-round history.
+    """Which clips of a pool are labeled, and in which round: a row lookup
+    for the pool, a bool mask of its labeled rows, and the rounds.
 
     Invariants maintained on every mutation: labeled and unlabeled partition
     the pool, round increments are pairwise disjoint, and their concatenation
-    equals the labeled set in insertion order. Instances have a single-writer
+    is the labeled ids in selection order. Instances have a single-writer
     contract: only the selection loop mutates them.
     """
 
     def __init__(self, pool_ids: Iterable[str] | ClipTable):
-        """The pool is a ClipTable, whose ids are unique and whose id index
-        answers whether a clip is in the pool, or any iterable of ids, which
-        are checked here and kept in a set."""
-        self._pool_table = pool_ids if isinstance(pool_ids, ClipTable) else None
-        self._pool_set: set[str] | None = None
-        if self._pool_table is not None:
-            self._pool_ids = self._pool_table.ids
+        """The pool is a ClipTable, whose ids are unique and whose
+        :meth:`~RaggedTable.find_rows` is the row lookup, or any iterable of
+        ids, which are checked here and looked up in a dict of their rows.
+        The mask has one more entry, never set, which row -1 (an id not in
+        the pool) reads."""
+        if isinstance(pool_ids, ClipTable):
+            self._pool_ids, self._find_rows = pool_ids.ids, pool_ids.find_rows
         else:
-            self._pool_ids, self._pool_set = tuple(pool_ids), set()
-            for cid in self._pool_ids:
-                if cid in self._pool_set:
-                    raise PoolFormatError(f"duplicate clip id {cid!r}")
-                self._pool_set.add(cid)
-        self._labeled: list[str] = []
-        self._labeled_set: set[str] = set()
+            ids = self._pool_ids = tuple(pool_ids)
+            # Each id's first row: zipped last to first, the first row is kept.
+            index = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+            if len(index) != len(ids):
+                duplicate = next(cid for row, cid in enumerate(ids) if index[cid] != row)
+                raise PoolFormatError(f"duplicate clip id {duplicate!r}")
+            self._find_rows = lambda round_ids: np.fromiter(
+                map(index.get, round_ids, repeat(-1)), dtype=np.intp, count=len(round_ids))
+        self._labeled = np.zeros(len(self._pool_ids) + 1, dtype=bool)
         self._rounds: list[tuple[int, tuple[str, ...]]] = []
 
     @property
@@ -585,19 +588,21 @@ class SelectionState:
     @property
     def labeled_ids(self) -> tuple[str, ...]:
         """Labeled ids, in selection order."""
-        return tuple(self._labeled)
+        return tuple(chain.from_iterable(ids for _, ids in self._rounds))
 
     @property
     def unlabeled_ids(self) -> tuple[str, ...]:
         """Unlabeled ids, in pool (file) order."""
-        return tuple(c for c in self._pool_ids if c not in self._labeled_set)
+        return tuple(compress(self._pool_ids, np.logical_not(self._labeled[:-1])))
 
     @property
     def rounds(self) -> tuple[tuple[int, tuple[str, ...]], ...]:
         return tuple(self._rounds)
 
     def add_round(self, round_index: int, ids: Sequence[str]) -> None:
-        """Record one selection increment; ids must be distinct and unlabeled."""
+        """Record one selection increment; ids must be distinct and unlabeled.
+        The first id, in order, that is not in the pool or already labeled
+        is named."""
         ids = tuple(ids)
         if not ids:
             raise ValueError("a selection round must add at least one clip")
@@ -607,20 +612,15 @@ class SelectionState:
             )
         if len(set(ids)) != len(ids):
             raise ValueError("round contains duplicate ids")
-        unknown = None  # the id a table lookup names; an already-labeled id before it is named first
-        if self._pool_table is not None:
-            try:
-                self._pool_table.rows_of(ids)
-            except KeyError as exc:
-                unknown = exc.args[0]
-        for cid in ids:
-            if cid == unknown or (self._pool_set is not None and cid not in self._pool_set):
-                raise KeyError(f"clip id {cid!r} not in pool")
-            if cid in self._labeled_set:
-                raise ValueError(f"clip {cid!r} already labeled")
+        rows = self._find_rows(ids)
+        bad = (rows < 0) | self._labeled[rows]
+        if bad.any():
+            i = int(bad.argmax())
+            if rows[i] < 0:
+                raise KeyError(f"clip id {ids[i]!r} not in pool")
+            raise ValueError(f"clip {ids[i]!r} already labeled")
+        self._labeled[rows] = True
         self._rounds.append((round_index, ids))
-        self._labeled.extend(ids)
-        self._labeled_set.update(ids)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SelectionState):
@@ -630,7 +630,7 @@ class SelectionState:
     def __repr__(self) -> str:
         return (
             f"SelectionState(pool={len(self._pool_ids)}, "
-            f"labeled={len(self._labeled)}, rounds={len(self._rounds)})"
+            f"labeled={int(self._labeled.sum())}, rounds={len(self._rounds)})"
         )
 
 
@@ -1267,9 +1267,9 @@ def save_selection(state: SelectionState, path: str | os.PathLike) -> None:
 
 
 def _check_round(entry: Any) -> None:
-    """A selection round: a JSON integer ``round`` and a list of JSON string ``ids``."""
-    if not isinstance(entry, dict):
-        raise ValueError("a round must be a JSON object")
+    """A selection round: a JSON integer ``round`` and a list of JSON string
+    ``ids``, and no other field."""
+    _check_fields(entry, ("round", "ids"), "a round")
     index, ids = entry["round"], entry["ids"]
     if not isinstance(index, int) or isinstance(index, bool):
         raise ValueError(f"round must be a JSON integer, got {json.dumps(index)}")
@@ -1280,9 +1280,11 @@ def _check_round(entry: Any) -> None:
 
 
 def read_selection_payload(path: str | os.PathLike) -> dict:
-    """The JSON object of a selection file. Its ``rounds`` is a list of
-    ``{"round": <JSON integer>, "ids": [<JSON string>, ...]}``; nothing is
-    coerced with ``int()`` or ``str()``."""
+    """The JSON object of a selection file: ``rounds`` and no other field.
+    Its ``rounds`` is a list of ``{"round": <JSON integer>, "ids": [<JSON
+    string>, ...]}``; nothing is coerced with ``int()`` or ``str()``, and no
+    field is left out, so :func:`save_selection` writes back all of a file
+    this accepts."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -1291,6 +1293,7 @@ def read_selection_payload(path: str | os.PathLike) -> dict:
     if not isinstance(payload, dict) or "rounds" not in payload:
         raise PoolFormatError(f"selection file {path}: missing 'rounds'")
     try:
+        _check_fields(payload, ("rounds",), "a selection")
         if not isinstance(payload["rounds"], list):
             raise ValueError("'rounds' must be a JSON list")
         for entry in payload["rounds"]:

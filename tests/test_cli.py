@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from driveselect import cli
 from driveselect.cli import main
-from driveselect.criteria import save_predictions
+from driveselect.criteria import load_scores, rank_and_take, save_predictions
 from driveselect.loop import ActiveConfig
-from driveselect.pool import BUCKETS, load_pool, weather_lighting_bucket
+from driveselect.pool import BUCKETS, load_pool, load_selection, save_selection, weather_lighting_bucket
 from driveselect.synthworld import ToyPlanner, WorldConfig, generate_pool, load_truth
 
 
@@ -328,6 +328,66 @@ class TestScoreSelect:
         assert run_cli("select", "--scores", scores, "--selection", sel, "--n-itr", 1) == 1
         assert f"selection file {sel}: missing 'rounds'" in capsys.readouterr().err
         assert sel.read_text() == content
+
+
+class TestOneSelectionWriter:
+    """``select`` writes the selection it loaded, plus its new round, with
+    ``save_selection``, the writer of ``init`` and ``run``; so a selection
+    file with a field that writer would drop is rejected by every reader."""
+
+    @staticmethod
+    def scored(world, tmp_path):
+        """The pool's table, ``init --n0 10`` as ``sel.json``, and ToyPlanner
+        predictions of every clip."""
+        pool, truth = world
+        clips, _ = load_pool(pool)
+        sel, preds = tmp_path / "sel.json", tmp_path / "preds.jsonl"
+        assert run_cli("init", "--pool", pool, "--n0", 10, "--out", sel) == 0
+        save_predictions(ToyPlanner(clips, load_truth(truth)).predict(clips.ids).values(), preds)
+        return clips, sel, preds
+
+    def test_select_writes_what_save_selection_writes(self, world, tmp_path):
+        """After one round and after two: the bytes of ``save_selection`` of
+        the loaded selection with the top scored clips added, even where the
+        input file was written compactly, with each round's keys reversed."""
+        clips, sel, preds = self.scored(world, tmp_path)
+        rounds = json.loads(sel.read_text())["rounds"]
+        sel.write_text(json.dumps({"rounds": [{"ids": e["ids"], "round": e["round"]} for e in rounds]}))
+        for n_itr in (7, 5):
+            state = load_selection(sel, clips)
+            scores = tmp_path / f"scores_{len(state.rounds)}.tsv"
+            assert run_cli("score", "--pool", world[0], "--selection", sel, "--predictions", preds,
+                           "--out", scores) == 0
+            columns = load_scores(scores)
+            state.add_round(len(state.rounds), rank_and_take(dict(zip(columns["clip_id"], columns["overall"])), n_itr))
+            save_selection(state, tmp_path / "want.json")
+            assert run_cli("select", "--scores", scores, "--selection", sel, "--n-itr", n_itr) == 0
+            assert sel.read_bytes() == (tmp_path / "want.json").read_bytes()
+        assert [len(ids) for _, ids in load_selection(sel, clips).rounds] == [10, 7, 5]
+
+    @pytest.mark.parametrize("content, message", [
+        ({"rounds": [], "note": "x"}, "unknown fields ['note']"),
+        ({"rounds": [{"round": 0, "ids": ["clip_000001"], "note": "x"}]}, "unknown fields ['note']"),
+        ({"init": []}, "missing 'rounds'"),
+    ], ids=["top_level", "per_round", "no_rounds"])
+    def test_unknown_field_fails_every_reader_and_writes_nothing(self, world, tmp_path, capsys, content, message):
+        _, sel, preds = self.scored(world, tmp_path)
+        scores = tmp_path / "scores.tsv"
+        assert run_cli("score", "--pool", world[0], "--selection", sel, "--predictions", preds, "--out", scores) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        listing = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        for argv in (
+            ("score", "--pool", world[0], "--selection", bad, "--predictions", preds, "--out", tmp_path / "out.tsv"),
+            ("select", "--scores", scores, "--selection", bad, "--n-itr", 3),
+            ("select", "--scores", scores, "--selection", bad, "--n-itr", 3, "--out", tmp_path / "next.json"),
+            ("report", "--selection", bad, "--selection", sel, "--out-dir", tmp_path / "overlap"),
+        ):
+            assert run_cli(*argv) == 1, argv[0]
+            assert capsys.readouterr().err == f"error: selection file {bad}: {message}\n"
+        assert bad.read_text() == json.dumps(content)
+        assert sorted(tmp_path.iterdir()) == listing
 
 
 def test_no_command_imports_numpy_ma(world, tmp_path):

@@ -17,7 +17,7 @@ import pytest
 
 import driveselect
 from driveselect.criteria import save_predictions
-from driveselect.pool import encode_line, load_pool
+from driveselect.pool import encode_line, load_pool, load_selection, save_pool
 from driveselect.synthworld import ToyPlanner, load_truth
 
 from test_read_ranges import one_modality_every_7th
@@ -112,6 +112,91 @@ def test_score_of_a_quoted_confidence_fails_and_writes_nothing(world_300):
                            "--predictions", "quoted.jsonl", "--out", "quoted_scores.tsv")
     assert done.returncode == 1
     assert not (world_300 / "quoted_scores.tsv").exists()
+
+
+def test_report_of_the_run_manifest(world_300):
+    """``driveselect report --manifest run_out/manifest.json --out-dir
+    report_out`` exits 0 and writes both reports."""
+    done = driveselect_cli(world_300, "report", "--manifest", "run_out/manifest.json", "--out-dir", "report_out")
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in (world_300 / "report_out").iterdir()) == ["report.json", "report.tsv"]
+
+
+def test_a_ragged_pool_round_trips_and_init_and_run_take_it(world_300):
+    """``ragged.jsonl``: the pool with every 7th clip's last frame dropped
+    and one annotation. ``load_pool`` then ``save_pool`` gives its bytes
+    back (``cmp ragged.jsonl ragged_copy.jsonl``), and ``init --n0 30`` and
+    ``run --heldout-count 30`` exit 0 on it."""
+    records = [json.loads(line) for line in (world_300 / "pool.jsonl").read_bytes().splitlines()]
+    for record in records[::7]:
+        record["frames"].pop()
+    records[3]["annotation"] = {"boxes": [[0.5, -1.25e-05, 2]], "note": "café"}
+    (world_300 / "ragged.jsonl").write_bytes(b"".join(encode_line(record) + b"\n" for record in records))
+    save_pool(load_pool(world_300 / "ragged.jsonl")[0], world_300 / "ragged_copy.jsonl")
+    assert (world_300 / "ragged_copy.jsonl").read_bytes() == (world_300 / "ragged.jsonl").read_bytes()
+    for args in (("init", "--pool", "ragged.jsonl", "--n0", "30", "--out", "ragged_sel.json"),
+                 ("run", "--pool", "ragged.jsonl", "--truth", "truth.jsonl", "--out-dir", "ragged_run",
+                  "--heldout-count", "30")):
+        done = driveselect_cli(world_300, *args)
+        assert done.returncode == 0, done.stderr
+
+
+@pytest.fixture(scope="module")
+def whole_pool_predictions(world_300):
+    """``whole.jsonl``: untrained ToyPlanner predictions of the whole pool,
+    in one ``predict`` call."""
+    clips, _ = load_pool(world_300 / "pool.jsonl")
+    save_predictions(ToyPlanner(clips, load_truth(world_300 / "truth.jsonl")).predict(list(clips.ids)).values(),
+                     world_300 / "whole.jsonl")
+    return world_300 / "whole.jsonl"
+
+
+def test_two_half_pool_predict_calls_write_the_whole_pools_bytes(world_300, whole_pool_predictions):
+    """One planner's ``predict`` of the first half of the pool and then of
+    the second, saved as ``halves.jsonl``: ``cmp`` with ``whole.jsonl``."""
+    clips, _ = load_pool(world_300 / "pool.jsonl")
+    planner = ToyPlanner(clips, load_truth(world_300 / "truth.jsonl"))
+    ids = list(clips.ids)
+    half = len(ids) // 2
+    save_predictions([*planner.predict(ids[:half]).values(), *planner.predict(ids[half:]).values()],
+                     world_300 / "halves.jsonl")
+    assert (world_300 / "halves.jsonl").read_bytes() == whole_pool_predictions.read_bytes()
+
+
+def test_init_score_select_chain(world_300, whole_pool_predictions):
+    """``init --n0 30`` (the fixture's ``sel.json``), ``score`` of
+    ``whole.jsonl``, then ``select --n-itr 30`` in place, on a copy of
+    ``sel.json`` so the fixture's file stays as ``init`` wrote it: each
+    exits 0, and the copy gains a round 1 of 30 unlabeled clips."""
+    shutil.copyfile(world_300 / "sel.json", world_300 / "chain_sel.json")
+    for args in (("score", "--pool", "pool.jsonl", "--selection", "chain_sel.json", "--predictions", "whole.jsonl",
+                  "--out", "chain_scores.tsv"),
+                 ("select", "--scores", "chain_scores.tsv", "--selection", "chain_sel.json", "--n-itr", "30")):
+        done = driveselect_cli(world_300, *args)
+        assert done.returncode == 0, done.stderr
+    clips, _ = load_pool(world_300 / "pool.jsonl")
+    (_, init), (index, picked) = load_selection(world_300 / "chain_sel.json", clips).rounds
+    assert init == tuple(json.loads((world_300 / "sel.json").read_text())["rounds"][0]["ids"])
+    assert index == 1 and len(picked) == 30
+
+
+def test_overlap_of_two_run_selections_has_plain_float_cells(world_300):
+    """``run --criterion de`` and ``run --criterion sc``, then ``report
+    --selection`` of both selections: every data cell of ``overlap.tsv``
+    (from its third line, after the label column) is a plain float literal,
+    such as 1.0, not np.float64(1.0)."""
+    for criterion in ("de", "sc"):
+        done = driveselect_cli(world_300, "run", "--pool", "pool.jsonl", "--truth", "truth.jsonl",
+                               "--out-dir", f"run_{criterion}", "--criterion", criterion)
+        assert done.returncode == 0, done.stderr
+    done = driveselect_cli(world_300, "report", "--selection", "run_de/selection.json",
+                           "--selection", "run_sc/selection.json", "--out-dir", "overlap_out")
+    assert done.returncode == 0, done.stderr
+    rows = (world_300 / "overlap_out" / "overlap.tsv").read_text().splitlines()[2:]
+    cells = [cell for row in rows for cell in row.split("\t")[1:]]
+    assert cells
+    for cell in cells:
+        assert re.fullmatch(r"-?[0-9]+\.[0-9]+(e[-+][0-9]+)?", cell), cell
 
 
 GEN_1200 = ("gen", "--n", "1200", "--seed", "5")

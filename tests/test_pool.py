@@ -358,7 +358,8 @@ class TestSelectionState:
         table its slice was cut from, with the messages of an id pool."""
         table = clip_table([make_clip(f"c{i}") for i in range(5)])
         state = SelectionState(table[:3])
-        assert state.pool_ids == ("c0", "c1", "c2") and state._pool_set is None
+        assert state.pool_ids == ("c0", "c1", "c2")
+        assert not [v for v in vars(state).values() if isinstance(v, (set, frozenset, dict))]
         state.add_round(0, ["c2", "c0"])
         assert state.unlabeled_ids == ("c1",)
         with pytest.raises(KeyError, match="clip id 'c4' not in pool"):  # in the table, not in the slice
@@ -372,6 +373,26 @@ class TestSelectionState:
         by_ids.add_round(0, ["c2", "c0"])
         by_ids.add_round(1, ["c1"])
         assert state == by_ids
+
+    def test_a_table_pool_state_holds_a_mask_not_id_sets(self):
+        """A state of a 3000-clip table with 2000 clips labeled in two
+        rounds holds under 16 KB beyond the round id tuples its caller
+        passed: a mask of the pool's rows, not a list and a set of the
+        labeled ids (144 KB)."""
+        table = clip_table([make_clip(f"c{i:04d}") for i in range(3000)])
+        rounds = table.ids[:1000], table.ids[1000:2000]
+        table.rows_of(rounds[0][:1])  # the table's own index, built on its first lookup
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            state = SelectionState(table)
+            for index, ids in enumerate(rounds):
+                state.add_round(index, ids)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert state.labeled_ids == table.ids[:2000] and state.unlabeled_ids == table.ids[2000:]
+        assert held < 16 * 1024
 
     @pytest.mark.parametrize("ids, error, message", [
         (["c1", "c0", "zz"], ValueError, "clip 'c0' already labeled"),
