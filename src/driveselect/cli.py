@@ -153,7 +153,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_init(args) -> int:
-    clips, state = load_pool(args.pool, horizon=args.horizon)
+    clips, state = load_pool(args.pool, horizon=args.horizon, frames=False)
     if args.n0 > len(clips):
         print(f"error: n0 {args.n0} exceeds pool size {len(clips)}", file=sys.stderr)
         return 1
@@ -170,7 +170,7 @@ def cmd_init(args) -> int:
 
 def cmd_score(args) -> int:
     check_score_settings(alpha=args.alpha, beta=args.beta, eps_a=args.eps_a, delta_d=args.delta_d)
-    clips = load_pool(args.pool, horizon=args.horizon)[0]
+    clips = load_pool(args.pool, horizon=args.horizon, frames=False)[0]
     unlabeled = load_selection(args.selection, clips).unlabeled_ids
     _echo_config({"alpha": args.alpha, "beta": args.beta, "eps_a": args.eps_a, "delta_d": args.delta_d})
     columns = score_predictions(
@@ -191,7 +191,7 @@ def cmd_select(args) -> int:
     if args.n_itr < 1:
         print(f"error: n_itr must be >= 1, got {args.n_itr}", file=sys.stderr)
         return 1
-    columns = load_scores(args.scores)
+    columns = load_scores(args.scores, ranges=True)
     scored = columns["clip_id"]
     payload = read_selection_payload(args.selection)
     # Without the pool, the ids select can know are the selection's and the
@@ -276,7 +276,7 @@ def _build_manifest(args, config: ActiveConfig, criterion: str, strategy: str,
 def cmd_run(args) -> int:
     if args.heldout_count < 0:
         raise UsageError(f"--heldout-count must be >= 0, got {args.heldout_count}")
-    clips = load_pool(args.pool, horizon=args.horizon)[0]
+    clips = load_pool(args.pool, horizon=args.horizon, frames=False)[0]
     if args.heldout_count >= len(clips):
         raise ValueError(f"--heldout-count must be less than the {len(clips)} pool clips, got {args.heldout_count}")
     truth = load_truth(args.truth, horizon=args.horizon)

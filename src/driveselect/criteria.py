@@ -797,6 +797,9 @@ _DECIMAL = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]\d+)?", re.ASCII)
 _DECIMAL_CELLS = re.compile("\t".join([_DECIMAL.pattern] * (len(SCORE_COLUMNS) - 1)), re.ASCII)
 #: The float cells of one scores row, as float64 bytes.
 _SCORE_ROW = struct.Struct(f"{len(SCORE_COLUMNS) - 1}d")
+#: Each float column's lowest and highest value that ``score`` writes: raw
+#: criteria are >= 0, normalized ones in [0, 1], and ``overall`` at most 1 + 2 * MAX_WEIGHT.
+SCORE_RANGES = np.array([[0.0] * 7, [math.inf] * 3 + [1.0] * 3 + [1 + 2 * MAX_WEIGHT]])
 
 
 def save_scores(columns: Mapping, path: str | os.PathLike) -> None:
@@ -813,11 +816,12 @@ def save_scores(columns: Mapping, path: str | os.PathLike) -> None:
         fh.write("\n")
 
 
-def load_scores(path: str | os.PathLike) -> dict:
+def load_scores(path: str | os.PathLike, ranges: bool = False) -> dict:
     """The columns of a scores table, as :func:`score_pool` returns them.
     Each line is checked as it is read and its values appended to one flat
-    column. Errors name the file and its line, counting blank lines."""
-    ids: dict[str, None] = {}  # in line order
+    column. Errors name the file and its line, counting blank lines. With
+    ``ranges``, the columns are then checked against ``SCORE_RANGES``."""
+    ids: dict[str, int] = {}  # each id's line, in line order
     values = bytearray()  # float64 rows
     with open(path, "r", encoding="utf-8") as fh:
         lines = ((lineno, ln.rstrip("\n")) for lineno, ln in enumerate(fh, start=1) if ln.strip())
@@ -841,7 +845,12 @@ def load_scores(path: str | os.PathLike) -> dict:
                         raise PoolFormatError(f"{where}: non-finite {column}")
                     if not _DECIMAL.fullmatch(cell):
                         raise PoolFormatError(f"{where}: {column} {cell!r} is not a decimal number")
-            ids[clip_id] = None
+            ids[clip_id] = lineno
             values += _SCORE_ROW.pack(*row)
     table = np.frombuffer(values, dtype=float).reshape(len(ids), len(SCORE_COLUMNS) - 1).T.copy()
+    bad = np.argwhere((table.T < SCORE_RANGES[0]) | (table.T > SCORE_RANGES[1])) if ranges else ()
+    if len(bad):  # the first bad line's first bad column
+        (at, column), (low, high) = bad[0], SCORE_RANGES[:, bad[0, 1]]
+        raise PoolFormatError(f"scores file {path} line {list(ids.values())[at]}: "
+                              f"{SCORE_COLUMNS[column + 1]} {table[column, at]} not in [{low}, {high}]")
     return dict(zip(SCORE_COLUMNS, (tuple(ids), *table)))

@@ -373,11 +373,34 @@ class AgentTable(RaggedTable, Mapping):
         return self._view(clip_id, row, slice(self._offsets[row], self._offsets[row + 1]))
 
 
+def frame_features(offsets: np.ndarray, speeds: np.ndarray, commands: np.ndarray) -> tuple[np.ndarray, ...]:
+    """All that is read of the frames of clips stored back to back over
+    ``offsets``: each clip's mean speed, as ``sum(speeds) / len(speeds)``
+    sums left to right from 0 (``np.mean`` sums 8 or more terms pairwise),
+    and its counts of Left and Right frames, as int32."""
+    counts, starts = np.diff(offsets), offsets[:-1]
+    # The frames all clips have are summed at once by cumsum, which adds in
+    # order (+ 0.0 turns -0.0 into 0 + -0.0); the rest frame by frame.
+    common = counts.min() if len(counts) else 0
+    total = (np.cumsum(speeds[starts[:, None] + np.arange(common)], axis=1)[:, -1] + 0.0 if common
+             else np.zeros(len(counts)))
+    for j in range(common, counts.max(initial=0)):
+        rows = np.flatnonzero(counts > j)
+        total[rows] += speeds[starts[rows] + j]
+    sides = [np.diff(np.searchsorted(np.flatnonzero(commands == _COMMAND_CODES[side]), offsets)).astype(np.int32)
+             for side in ("Left", "Right")]
+    with np.errstate(invalid="ignore"):
+        return (total / counts, *sides)
+
+
 @dataclass(frozen=True, eq=False)
 class ClipTable(RaggedTable, Sequence):
     """N clips as columns, in pool order, with the frames of all clips back
     to back: clip ``i``'s frames are ``offsets[i]:offsets[i + 1]`` of
-    ``speeds`` and ``commands``, so frame counts may differ.
+    ``speeds`` and ``commands``, so frame counts may differ. They are read
+    only through the columns of :func:`frame_features`, derived when not
+    given. Read without frames (None ``offsets``, no frames), the table's
+    rows, iteration and ``==`` raise ValueError.
 
     Weather, lighting and commands are int8 indices into ``WEATHER_VALUES``,
     ``LIGHTING_VALUES`` and ``COMMAND_VALUES``. The table is a Sequence of
@@ -388,11 +411,14 @@ class ClipTable(RaggedTable, Sequence):
     ids: tuple[str, ...]
     weather: np.ndarray      # (N,) int8
     lighting: np.ndarray     # (N,) int8
-    offsets: np.ndarray      # (N + 1,) intp
+    offsets: np.ndarray | None  # (N + 1,) intp
     speeds: np.ndarray       # (F,) float64, m/s
     commands: np.ndarray     # (F,) int8
     gt_future: np.ndarray    # (N, H, 2)
     annotations: tuple       # (N,) opaque payloads, None where absent
+    mean_speed: np.ndarray | None = None  # (N,) float64, m/s
+    left: np.ndarray | None = None        # (N,) int32 count of Left frames
+    right: np.ndarray | None = None       # (N,) int32 count of Right frames
 
     def __post_init__(self) -> None:
         self._check_columns("clip table", {
@@ -400,13 +426,25 @@ class ClipTable(RaggedTable, Sequence):
             "F": [("speeds", 0), ("commands", 0)],
         }, {"gt_future": 3}, {"weather": len(WEATHER_VALUES), "lighting": len(LIGHTING_VALUES),
                               "commands": len(COMMAND_VALUES)})
-        self._index("clip table", self.ids, self.offsets, "speeds")
+        offsets = np.zeros(len(self.ids) + 1, np.intp) if self.offsets is None else self.offsets
+        self._index("clip table", self.ids, offsets, "speeds")
+        if self.mean_speed is None:
+            features = frame_features(self._frames(), self.speeds, self.commands)
+            vars(self).update(zip(("mean_speed", "left", "right"), features))
+        self._check_columns("clip table", {"N": [("ids", 0), ("mean_speed", 0), ("left", 0), ("right", 0)]})
 
     @property
     def horizon(self) -> int:
         return self.gt_future.shape[1]
 
+    def _frames(self) -> np.ndarray:
+        """``offsets``, or ValueError on a table without frames."""
+        if self.offsets is None:
+            raise ValueError("clip table has no frames")
+        return self.offsets
+
     def __iter__(self) -> Iterator[ClipRecord]:
+        self._frames()  # refused here, not at the first row
         return map(self._row, range(len(self.ids)))
 
     def __getitem__(self, key):
@@ -416,15 +454,16 @@ class ClipTable(RaggedTable, Sequence):
         if step != 1:
             return self.take(self.ids[key])
         hi = max(lo, hi)
-        first, last = self.offsets[lo], self.offsets[hi]
-        offsets = self.offsets[lo : hi + 1]
+        first, last = self._offsets[lo], self._offsets[hi]
+        offsets = self._offsets[lo : hi + 1] - first if first else self._offsets[lo : hi + 1]
         # Rows of a checked table: no check, and no index of its own.
         table = _unchecked(
-            ClipTable, self.ids[lo:hi], self.weather[lo:hi], self.lighting[lo:hi], offsets - first if first else offsets,
-            self.speeds[first:last], self.commands[first:last], self.gt_future[lo:hi], self.annotations[lo:hi],
+            ClipTable, self.ids[lo:hi], self.weather[lo:hi], self.lighting[lo:hi],
+            None if self.offsets is None else offsets, self.speeds[first:last], self.commands[first:last],
+            self.gt_future[lo:hi], self.annotations[lo:hi], self.mean_speed[lo:hi], self.left[lo:hi], self.right[lo:hi],
         )
         base = self if self._base is None else self._base
-        for name, value in (("_ids", table.ids), ("_offsets", table.offsets), ("_base", base), ("_lo", self._lo + lo)):
+        for name, value in (("_ids", table.ids), ("_offsets", offsets), ("_base", base), ("_lo", self._lo + lo)):
             object.__setattr__(table, name, value)
         return table
 
@@ -432,14 +471,15 @@ class ClipTable(RaggedTable, Sequence):
         if not isinstance(other, ClipTable):
             return NotImplemented
         return (
-            self.ids == other.ids
+            np.array_equal(self._frames(), other._frames())
+            and self.ids == other.ids
             and self.annotations == other.annotations
             and all(np.array_equal(getattr(self, name), getattr(other, name))
-                    for name in ("weather", "lighting", "offsets", "speeds", "commands", "gt_future"))
+                    for name in ("weather", "lighting", "speeds", "commands", "gt_future"))
         )
 
     def _row(self, i: int) -> ClipRecord:
-        first, last = self.offsets[i : i + 2].tolist()
+        first, last = self._frames()[i : i + 2].tolist()
         return _unchecked(
             ClipRecord,
             self.ids[i],
@@ -453,18 +493,11 @@ class ClipTable(RaggedTable, Sequence):
 
     def _taken(self, ids: tuple[str, ...], rows: np.ndarray, frames: np.ndarray, owners: np.ndarray) -> ClipTable:
         return ClipTable(
-            ids, self.weather[rows], self.lighting[rows], np.searchsorted(owners, np.arange(len(rows) + 1)),
+            ids, self.weather[rows], self.lighting[rows],
+            None if self.offsets is None else np.searchsorted(owners, np.arange(len(rows) + 1)),
             self.speeds[frames], self.commands[frames], self.gt_future[rows],
-            tuple(self.annotations[i] for i in rows.tolist()),
+            tuple(self.annotations[i] for i in rows.tolist()), self.mean_speed[rows], self.left[rows], self.right[rows],
         )
-
-    def _frame_counts(self, flags: np.ndarray) -> np.ndarray:
-        """Per clip, how many of its frames have a true flag: the true
-        positions before each clip's end less those before its start.
-        ``np.add.reduceat(flags, ..., dtype=np.intp)`` would cast all F
-        flags to intp first."""
-        before = np.searchsorted(np.flatnonzero(flags), self.offsets)
-        return before[1:] - before[:-1]
 
     def buckets(self) -> np.ndarray:
         """Each clip's index in ``BUCKETS``."""
@@ -476,22 +509,13 @@ class ClipTable(RaggedTable, Sequence):
         or R) when only one side does, and straight (S) otherwise."""
         if tau_c < 1:
             raise ValueError(f"tau_c must be >= 1, got {tau_c}")
-        left = self._frame_counts(self.commands == _COMMAND_CODES["Left"]) >= tau_c
-        right = self._frame_counts(self.commands == _COMMAND_CODES["Right"]) >= tau_c
+        left, right = self.left >= tau_c, self.right >= tau_c
         code = COMMAND_CLASSES.index
         return np.select([left & right, left, right], [code("O"), code("L"), code("R")], code("S"))
 
     def mean_speeds(self) -> np.ndarray:
-        """Each clip's mean frame speed in m/s, as ``sum(speeds) / len(speeds)``
-        computes it: summed left to right from 0, frame by frame. Not
-        ``np.mean``, which sums 8 or more terms pairwise."""
-        counts = np.diff(self.offsets)
-        starts = self.offsets[:-1]
-        total = np.zeros(len(self.ids))
-        for j in range(counts.max(initial=0)):
-            rows = np.flatnonzero(counts > j)
-            total[rows] += self.speeds[starts[rows] + j]
-        return total / counts
+        """Each clip's mean frame speed in m/s (see :func:`frame_features`)."""
+        return self.mean_speed
 
 
 def clip_table(clips: Sequence[ClipRecord]) -> ClipTable:
@@ -1199,7 +1223,7 @@ _CLIP_COLUMNS = itemgetter("id", "weather", "lighting", "frames", "gt_future")
 
 
 def _pool_block(records: list, horizon: int) -> tuple:
-    """The column parts of a block of pool records, whose values it checks."""
+    """The column parts of a block of pool records, whose values it checks; its frames come last."""
     _check_objects(records, _CLIP_FIELDS)
     ids, weather, lighting, frames, gt_futures = zip(*map(_CLIP_COLUMNS, records))
     _check_ids(ids)
@@ -1214,43 +1238,45 @@ def _pool_block(records: list, horizon: int) -> tuple:
     # two keys each means no other key.
     if sum(map(len, frames)) != 2 * len(frames):
         raise _NotColumnar
-    numbers = _numbers(speeds + _path_numbers(gt_futures, horizon))
-    speeds = numbers[: len(speeds)]
-    if not (np.isfinite(numbers).all() and (speeds >= 0).all()):
+    # Two arrays, as a part that is a view of one would keep all of it.
+    speeds, points = _numbers(speeds), _numbers(_path_numbers(gt_futures, horizon))
+    if not (np.isfinite(speeds).all() and np.isfinite(points).all() and (speeds >= 0).all()):
         raise _NotColumnar
+    commands = np.frombuffer(bytes(map(_COMMAND_CODES.__getitem__, map(_COMMAND, frames))), dtype=np.int8)
     return (
         ids,
         np.frombuffer(bytes(map(_WEATHER_CODES.__getitem__, weather)), dtype=np.int8),
         np.frombuffer(bytes(map(_LIGHTING_CODES.__getitem__, lighting)), dtype=np.int8),
-        counts,
-        np.frombuffer(bytes(map(_COMMAND_CODES.__getitem__, map(_COMMAND, frames))), dtype=np.int8),
-        speeds,
-        numbers[len(speeds) :].reshape(-1, horizon, 2),
+        points.reshape(-1, horizon, 2),
         [record.get("annotation") for record in records],
+        *frame_features(_offsets(counts), speeds, commands),
+        counts, speeds, commands,
     )
 
 
 def _pool_table(parts: list[tuple]) -> ClipTable:
     """The table of a pool's block parts, which it consumes."""
-    ids, weather, lighting, counts, commands, speeds, gt_future, annotations = _joined(parts)
-    return ClipTable(tuple(ids), weather, lighting, _offsets(np.fromiter(counts, np.intp, len(weather))),
-                     speeds, commands, gt_future, tuple(annotations))
+    ids, weather, lighting, gt_future, annotations, mean_speed, left, right, *frames = _joined(parts)
+    counts, speeds, commands = frames or (None, np.empty(0), np.empty(0, np.int8))  # read without frames
+    offsets = None if counts is None else _offsets(np.fromiter(counts, np.intp, len(weather)))
+    return ClipTable(tuple(ids), weather, lighting, offsets, speeds, commands, gt_future, tuple(annotations),
+                     mean_speed, left, right)
 
 
-def parse_pool_lines(lines: str | os.PathLike | Iterable[str], horizon: int = 6) -> ClipTable:
+def parse_pool_lines(lines: str | os.PathLike | Iterable[str], horizon: int = 6, frames: bool = True) -> ClipTable:
     """The table of the pool file at a path, or of pool lines, read by
-    :func:`read_table`; :func:`clip_from_dict`'s checks name a bad line."""
-    return read_table(
-        lines, "pool", "id",
-        partial(_pool_block, horizon=horizon),
-        _pool_table,
-        partial(clip_from_dict, horizon=horizon),
-    )
+    :func:`read_table` (without frames if ``frames`` is false);
+    :func:`clip_from_dict`'s checks name a bad line."""
+    def parse_block(records: list) -> tuple:
+        parts = _pool_block(records, horizon)
+        return parts if frames else parts[:-3]
+
+    return read_table(lines, "pool", "id", parse_block, _pool_table, partial(clip_from_dict, horizon=horizon))
 
 
-def load_pool(path: str | os.PathLike, horizon: int = 6) -> tuple[ClipTable, SelectionState]:
-    """Load a pool file; all clips start unlabeled, in file order."""
-    clips = parse_pool_lines(path, horizon=horizon)
+def load_pool(path: str | os.PathLike, horizon: int = 6, frames: bool = True) -> tuple[ClipTable, SelectionState]:
+    """Load a pool file, without frames if ``frames`` is false; all clips start unlabeled."""
+    clips = parse_pool_lines(path, horizon=horizon, frames=frames)
     return clips, SelectionState(clips)
 
 

@@ -255,6 +255,27 @@ class TestScoreSelect:
             assert f"error: scores file {scores} line 4: duplicate clip_id 'clip_000010'" in capsys.readouterr().err
             assert sel.read_text() == before
 
+    @pytest.mark.parametrize("cells, message", [
+        ("-5\t0\t0\t0\t0\t0\t0.5", "de_raw -5.0 not in [0.0, inf]"),
+        ("0\t0\t0\t7.5\t0\t0\t0.5", "de_norm 7.5 not in [0.0, 1.0]"),
+    ], ids=["de_raw", "de_norm"])
+    def test_out_of_range_scores_are_rejected(self, world, tmp_path, capsys, cells, message):
+        """Values ``score`` never writes: both loaded, and ``select`` ranked
+        on them and exited 0. Now it exits 1, naming the line and column,
+        and writes nothing."""
+        from driveselect.criteria import SCORE_COLUMNS
+
+        pool, _ = world
+        sel = self._init(pool, tmp_path)
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("\n".join(["\t".join(SCORE_COLUMNS), "clip_000010\t0\t0\t0\t0\t0\t0\t0.9",
+                                     f"clip_000011\t{cells}"]) + "\n")
+        before = sel.read_text()
+        out = tmp_path / "out.json"
+        assert run_cli("select", "--scores", scores, "--selection", sel, "--n-itr", 1, "--out", out) == 1
+        assert f"error: scores file {scores} line 3: {message}" in capsys.readouterr().err
+        assert sel.read_text() == before and not out.exists()
+
     @pytest.mark.parametrize(
         "entry, message",
         [

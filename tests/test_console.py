@@ -221,6 +221,20 @@ def test_gen_on_one_cpu_writes_the_bytes_of_all_cpus(world_1200):
         assert (world_1200 / f"{kind}_one.jsonl").read_bytes() == (world_1200 / f"{kind}_all.jsonl").read_bytes()
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_run_on_one_cpu_writes_the_files_of_all_cpus(world_1200):
+    """``pool_all.jsonl`` is over 2 MiB, so it is read in byte ranges, one
+    process per CPU: ``taskset -c 0 driveselect run --heldout-count 120`` and
+    the same ``run`` on all CPUs write the same four files (``cmp``)."""
+    assert (world_1200 / "pool_all.jsonl").stat().st_size > 2 * 1024 * 1024
+    for cpus in ("one", "all"):
+        done = driveselect_cli(world_1200, "run", "--pool", "pool_all.jsonl", "--truth", "truth_all.jsonl",
+                               "--out-dir", f"range_run_{cpus}", "--heldout-count", "120", pin=cpus == "one")
+        assert done.returncode == 0, done.stderr
+    for name in RUN_FILES:
+        assert (world_1200 / "range_run_one" / name).read_bytes() == (world_1200 / "range_run_all" / name).read_bytes()
+
+
 def test_gen_to_one_file_for_both_outputs_fails_and_makes_nothing(tmp_path):
     """``driveselect gen --n 50 --pool same.jsonl --truth same.jsonl``: exit
     status 1, no ``same.jsonl`` and no ``.tmp-*.part``."""
