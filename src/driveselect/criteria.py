@@ -797,8 +797,7 @@ _DECIMAL = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]\d+)?", re.ASCII)
 _DECIMAL_CELLS = re.compile("\t".join([_DECIMAL.pattern] * (len(SCORE_COLUMNS) - 1)), re.ASCII)
 #: The float cells of one scores row, as float64 bytes.
 _SCORE_ROW = struct.Struct(f"{len(SCORE_COLUMNS) - 1}d")
-#: Each float column's lowest and highest value that ``score`` writes: raw
-#: criteria are >= 0, normalized ones in [0, 1], and ``overall`` at most 1 + 2 * MAX_WEIGHT.
+#: Each float column's lowest and highest value that ``score`` writes: raw, normalized, overall.
 SCORE_RANGES = np.array([[0.0] * 7, [math.inf] * 3 + [1.0] * 3 + [1 + 2 * MAX_WEIGHT]])
 
 
@@ -817,10 +816,10 @@ def save_scores(columns: Mapping, path: str | os.PathLike) -> None:
 
 
 def load_scores(path: str | os.PathLike, ranges: bool = False) -> dict:
-    """The columns of a scores table, as :func:`score_pool` returns them.
-    Each line is checked as it is read and its values appended to one flat
-    column. Errors name the file and its line, counting blank lines. With
-    ``ranges``, the columns are then checked against ``SCORE_RANGES``."""
+    """The columns of a scores table, as :func:`score_pool` returns them: each line checked as it
+    is read and its values appended to one flat column. Errors name the file and its line, counting
+    blank lines. Any finite values that :func:`save_scores` wrote load back; with ``ranges``, as
+    ``select`` reads the files of ``score``, a value outside ``SCORE_RANGES`` raises."""
     ids: dict[str, int] = {}  # each id's line, in line order
     values = bytearray()  # float64 rows
     with open(path, "r", encoding="utf-8") as fh:

@@ -258,7 +258,7 @@ class RaggedTable:
         coordinates, and each of ``codes`` only codes below its count."""
         def size(name: str, axis: int):
             column = getattr(self, name)
-            shape = getattr(column, "shape", (len(column),))
+            shape = () if column is None else getattr(column, "shape", (len(column),))
             return shape[axis] if len(shape) > axis else None
 
         for dim, ((first, axis), *others) in dims.items():
@@ -374,33 +374,24 @@ class AgentTable(RaggedTable, Mapping):
 
 
 def frame_features(offsets: np.ndarray, speeds: np.ndarray, commands: np.ndarray) -> tuple[np.ndarray, ...]:
-    """All that is read of the frames of clips stored back to back over
-    ``offsets``: each clip's mean speed, as ``sum(speeds) / len(speeds)``
-    sums left to right from 0 (``np.mean`` sums 8 or more terms pairwise),
-    and its counts of Left and Right frames, as int32."""
+    """Per clip over ``offsets``: the mean speed, summed left to right from 0 as ``sum(speeds) / len(speeds)``
+    does (``np.mean`` sums 8 or more terms pairwise), and the counts of Left and Right frames, as int32."""
     counts, starts = np.diff(offsets), offsets[:-1]
-    # The frames all clips have are summed at once by cumsum, which adds in
-    # order (+ 0.0 turns -0.0 into 0 + -0.0); the rest frame by frame.
-    common = counts.min() if len(counts) else 0
-    total = (np.cumsum(speeds[starts[:, None] + np.arange(common)], axis=1)[:, -1] + 0.0 if common
-             else np.zeros(len(counts)))
-    for j in range(common, counts.max(initial=0)):
-        rows = np.flatnonzero(counts > j)
-        total[rows] += speeds[starts[rows] + j]
-    sides = [np.diff(np.searchsorted(np.flatnonzero(commands == _COMMAND_CODES[side]), offsets)).astype(np.int32)
-             for side in ("Left", "Right")]
-    with np.errstate(invalid="ignore"):
-        return (total / counts, *sides)
+    # Row i holds 0.0 and then clip i's speeds, zero-padded; cumsum adds a row in order, as sum() does from 0.
+    padded = np.zeros((len(counts), counts.max(initial=0) + 1))
+    padded[np.repeat(np.arange(len(counts)), counts), np.arange(len(speeds)) - np.repeat(starts - 1, counts)] = speeds
+    total = np.cumsum(padded, axis=1)[:, -1]
+    before = [np.searchsorted(np.flatnonzero(commands == _COMMAND_CODES[side]), offsets) for side in ("Left", "Right")]
+    with np.errstate(invalid="ignore"):  # NaN for a clip without frames
+        return (total / counts, *(np.diff(side).astype(np.int32) for side in before))
 
 
 @dataclass(frozen=True, eq=False)
 class ClipTable(RaggedTable, Sequence):
-    """N clips as columns, in pool order, with the frames of all clips back
-    to back: clip ``i``'s frames are ``offsets[i]:offsets[i + 1]`` of
-    ``speeds`` and ``commands``, so frame counts may differ. They are read
-    only through the columns of :func:`frame_features`, derived when not
-    given. Read without frames (None ``offsets``, no frames), the table's
-    rows, iteration and ``==`` raise ValueError.
+    """N clips as columns, in pool order, with the frames of all clips back to back: clip ``i``'s
+    frames are ``offsets[i]:offsets[i + 1]`` of ``speeds`` and ``commands``, so frame counts may
+    differ. They are read only through the columns of :func:`frame_features`, derived from them,
+    or given to a table without frames (None ``offsets``), whose rows, iteration and ``==`` raise.
 
     Weather, lighting and commands are int8 indices into ``WEATHER_VALUES``,
     ``LIGHTING_VALUES`` and ``COMMAND_VALUES``. The table is a Sequence of
@@ -428,7 +419,7 @@ class ClipTable(RaggedTable, Sequence):
                               "commands": len(COMMAND_VALUES)})
         offsets = np.zeros(len(self.ids) + 1, np.intp) if self.offsets is None else self.offsets
         self._index("clip table", self.ids, offsets, "speeds")
-        if self.mean_speed is None:
+        if self.offsets is not None or self.mean_speed is None:  # a frame-free table needs them given
             features = frame_features(self._frames(), self.speeds, self.commands)
             vars(self).update(zip(("mean_speed", "left", "right"), features))
         self._check_columns("clip table", {"N": [("ids", 0), ("mean_speed", 0), ("left", 0), ("right", 0)]})
@@ -438,7 +429,6 @@ class ClipTable(RaggedTable, Sequence):
         return self.gt_future.shape[1]
 
     def _frames(self) -> np.ndarray:
-        """``offsets``, or ValueError on a table without frames."""
         if self.offsets is None:
             raise ValueError("clip table has no frames")
         return self.offsets
@@ -471,8 +461,7 @@ class ClipTable(RaggedTable, Sequence):
         if not isinstance(other, ClipTable):
             return NotImplemented
         return (
-            np.array_equal(self._frames(), other._frames())
-            and self.ids == other.ids
+            np.array_equal(self._frames(), other._frames()) and self.ids == other.ids
             and self.annotations == other.annotations
             and all(np.array_equal(getattr(self, name), getattr(other, name))
                     for name in ("weather", "lighting", "speeds", "commands", "gt_future"))
@@ -492,12 +481,10 @@ class ClipTable(RaggedTable, Sequence):
         )
 
     def _taken(self, ids: tuple[str, ...], rows: np.ndarray, frames: np.ndarray, owners: np.ndarray) -> ClipTable:
-        return ClipTable(
-            ids, self.weather[rows], self.lighting[rows],
-            None if self.offsets is None else np.searchsorted(owners, np.arange(len(rows) + 1)),
-            self.speeds[frames], self.commands[frames], self.gt_future[rows],
-            tuple(self.annotations[i] for i in rows.tolist()), self.mean_speed[rows], self.left[rows], self.right[rows],
-        )
+        offsets = None if self.offsets is None else np.searchsorted(owners, np.arange(len(rows) + 1))
+        return ClipTable(ids, self.weather[rows], self.lighting[rows], offsets, self.speeds[frames],
+                         self.commands[frames], self.gt_future[rows], tuple(self.annotations[i] for i in rows.tolist()),
+                         self.mean_speed[rows], self.left[rows], self.right[rows])
 
     def buckets(self) -> np.ndarray:
         """Each clip's index in ``BUCKETS``."""
@@ -1249,29 +1236,28 @@ def _pool_block(records: list, horizon: int) -> tuple:
         np.frombuffer(bytes(map(_LIGHTING_CODES.__getitem__, lighting)), dtype=np.int8),
         points.reshape(-1, horizon, 2),
         [record.get("annotation") for record in records],
-        *frame_features(_offsets(counts), speeds, commands),
         counts, speeds, commands,
     )
 
 
-def _pool_table(parts: list[tuple]) -> ClipTable:
-    """The table of a pool's block parts, which it consumes."""
-    ids, weather, lighting, gt_future, annotations, mean_speed, left, right, *frames = _joined(parts)
-    counts, speeds, commands = frames or (None, np.empty(0), np.empty(0, np.int8))  # read without frames
+def _pool_table(parts: list[tuple], frames: bool = True) -> ClipTable:
+    """The table of a pool's block parts, which it consumes; without ``frames``, they end in features."""
+    ids, weather, lighting, gt_future, annotations, *last = _joined(parts)
+    counts, speeds, commands = last if frames else (None, np.empty(0), np.empty(0, np.int8))
     offsets = None if counts is None else _offsets(np.fromiter(counts, np.intp, len(weather)))
     return ClipTable(tuple(ids), weather, lighting, offsets, speeds, commands, gt_future, tuple(annotations),
-                     mean_speed, left, right)
+                     *([] if frames else last))
 
 
 def parse_pool_lines(lines: str | os.PathLike | Iterable[str], horizon: int = 6, frames: bool = True) -> ClipTable:
-    """The table of the pool file at a path, or of pool lines, read by
-    :func:`read_table` (without frames if ``frames`` is false);
-    :func:`clip_from_dict`'s checks name a bad line."""
+    """The table of the pool file at a path, or of pool lines, read by :func:`read_table`,
+    without frames if ``frames`` is false; :func:`clip_from_dict`'s checks name a bad line."""
     def parse_block(records: list) -> tuple:
-        parts = _pool_block(records, horizon)
-        return parts if frames else parts[:-3]
+        *columns, counts, speeds, commands = parts = _pool_block(records, horizon)
+        return parts if frames else (*columns, *frame_features(_offsets(counts), speeds, commands))
 
-    return read_table(lines, "pool", "id", parse_block, _pool_table, partial(clip_from_dict, horizon=horizon))
+    return read_table(lines, "pool", "id", parse_block, partial(_pool_table, frames=frames),
+                      partial(clip_from_dict, horizon=horizon))
 
 
 def load_pool(path: str | os.PathLike, horizon: int = 6, frames: bool = True) -> tuple[ClipTable, SelectionState]:

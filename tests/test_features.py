@@ -90,6 +90,25 @@ def test_a_table_without_frames_refuses_its_records(ragged_pool, tmp_path):
     assert list(framed) == clips and framed == clip_table(clips)
 
 
+def test_features_come_from_the_frames_or_all_from_the_caller(ragged_pool):
+    """A table with frames derives its features, whatever it is given; a
+    table without frames takes all three, as long as its ids, and else
+    raises ValueError."""
+    clips, path = ragged_pool
+    framed, table = load_pool(path)[0], load_pool(path, frames=False)[0]
+    given = ClipTable(**{name: getattr(framed, name) for name in CLIP_COLUMNS},
+                      mean_speed=framed.mean_speed + 1, left=framed.right, right=framed.left)
+    assert_features_of(given, clips)
+    assert_features_of(given.take(given.ids[::-1]), clips[::-1])
+    frame_free = {name: getattr(table, name) for name in CLIP_COLUMNS}
+    features = dict(mean_speed=table.mean_speed, left=table.left, right=table.right)
+    assert_features_of(ClipTable(**frame_free, **features), clips)
+    for name in features:
+        for wrong in (None, features[name][1:]):
+            with pytest.raises(ValueError, match="clip table"):
+                ClipTable(**frame_free, **{**features, name: wrong})
+
+
 def test_init_score_and_run_load_the_pool_without_frames(tmp_path, monkeypatch):
     """Each of ``init``, ``score`` and ``run`` loads the pool once, and asks
     for no frames."""
