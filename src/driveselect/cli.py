@@ -153,7 +153,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_init(args) -> int:
-    clips, state = load_pool(args.pool, horizon=args.horizon, frames=False)
+    clips, state = load_pool(args.pool, horizon=None, frames=False)
     if args.n0 > len(clips):
         print(f"error: n0 {args.n0} exceeds pool size {len(clips)}", file=sys.stderr)
         return 1
@@ -170,7 +170,7 @@ def cmd_init(args) -> int:
 
 def cmd_score(args) -> int:
     check_score_settings(alpha=args.alpha, beta=args.beta, eps_a=args.eps_a, delta_d=args.delta_d)
-    clips = load_pool(args.pool, horizon=args.horizon, frames=False)[0]
+    clips = load_pool(args.pool, horizon=None, frames=False)[0]
     unlabeled = load_selection(args.selection, clips).unlabeled_ids
     _echo_config({"alpha": args.alpha, "beta": args.beta, "eps_a": args.eps_a, "delta_d": args.delta_d})
     columns = score_predictions(
@@ -214,18 +214,18 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _build_manifest(args, config: ActiveConfig, criterion: str, strategy: str,
-                    result, pool_clips, heldout_clips, truth, provider) -> dict:
+def _build_manifest(args, config: ActiveConfig, strategy: str, result, pool_clips, heldout_clips, truth,
+                    provider) -> dict:
     manifest: dict = {
         "config": {
             **dataclasses.asdict(config),
-            "criterion": criterion,
+            "criterion": args.criterion,
             "strategy": strategy,
         },
         "pool": {
             "path": str(args.pool),
             "n_clips": len(pool_clips),
-            "horizon": args.horizon,
+            "horizon": pool_clips.horizon,
             "heldout_count": len(heldout_clips),
         },
         "init": {
@@ -263,7 +263,7 @@ def _build_manifest(args, config: ActiveConfig, criterion: str, strategy: str,
             ],
             "stratified": stratified_metrics(evals, heldout_clips, config.tau_c),
         }
-        if args.horizon == report.STEP_COUNT:
+        if pool_clips.horizon == report.STEP_COUNT:
             steps = mean_step_errors(evals["step_errors"])
             heldout["l2_by_second"] = {
                 "exact_step": [report.l2_at_k_uniad(steps, k) for k in (1, 2, 3)],
@@ -276,10 +276,10 @@ def _build_manifest(args, config: ActiveConfig, criterion: str, strategy: str,
 def cmd_run(args) -> int:
     if args.heldout_count < 0:
         raise UsageError(f"--heldout-count must be >= 0, got {args.heldout_count}")
-    clips = load_pool(args.pool, horizon=args.horizon, frames=False)[0]
+    clips = load_pool(args.pool, horizon=None, frames=False)[0]
     if args.heldout_count >= len(clips):
         raise ValueError(f"--heldout-count must be less than the {len(clips)} pool clips, got {args.heldout_count}")
-    truth = load_truth(args.truth, horizon=args.horizon)
+    truth = load_truth(args.truth, horizon=clips.horizon)
     share_pool(truth, clips)
     missing = next((clip_id for clip_id in clips.ids if clip_id not in truth), None)
     if missing is not None:
@@ -294,9 +294,7 @@ def cmd_run(args) -> int:
 
     provider = ToyPlanner(clips, truth, tau_c=config.tau_c)
     result = run(pool_clips, provider, config, criterion=args.criterion, strategy=strategy)
-    manifest = _build_manifest(
-        args, config, args.criterion, strategy, result, pool_clips, heldout_clips, truth, provider
-    )
+    manifest = _build_manifest(args, config, strategy, result, pool_clips, heldout_clips, truth, provider)
 
     # Serialized before the out-dir exists: a non-finite value writes nothing.
     manifest_text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -395,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--tau-c", type=int, default=4, dest="tau_c")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon", type=int, default=6)
     p.add_argument("--out", default="selection.json")
     p.set_defaults(func=cmd_init)
 
@@ -407,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--eps-a", type=float, default=0.5, dest="eps_a")
     p.add_argument("--delta-d", type=float, default=3.0, dest="delta_d")
-    p.add_argument("--horizon", type=int, default=6)
     p.add_argument("--out", default="scores.tsv")
     p.set_defaults(func=cmd_score)
 
@@ -428,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criterion", choices=CRITERIA, default="mix")
     p.add_argument("--heldout-count", type=int, default=0,
                    help="reserve the last N pool clips for held-out evaluation (N < pool size)")
-    p.add_argument("--horizon", type=int, default=6)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("report", help="render reports from manifests or selection files")

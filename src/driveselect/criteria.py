@@ -30,7 +30,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .pool import (
     clip_table,
     float_rows,
     read_table,
+    with_horizon,
     write_jsonl,
 )
 
@@ -666,15 +667,12 @@ def _record_parts(record: dict, horizon: int | None) -> tuple:
     return plan, agents
 
 
-def _prediction_block(records: list, horizon: int | None) -> tuple:
+def _prediction_block(records: list, horizon: int) -> tuple:
     """The column parts of a block of predictions records, each agent padded
-    to the block's largest M. The horizon, if None, is the block's first
-    plan's."""
+    to the block's largest M."""
     (ids, plans), counts, (agent_ids, confidence, probs, trajs) = _nested_block(
         records, _PREDICTION_FIELDS, _FORECAST_FIELDS
     )
-    if horizon is None:
-        horizon = len(plans[0])
     modalities = list(map(len, probs))
     if 0 in modalities or list(map(len, trajs)) != modalities or set(map(type, chain(probs, trajs))) - {list}:
         raise _NotColumnar
@@ -691,9 +689,7 @@ def _prediction_block(records: list, horizon: int | None) -> tuple:
 def _prediction_table(parts: list[tuple]) -> PredictionBatch:
     """The batch of a predictions file's block parts, which it consumes,
     with agents padded to the largest M of any block; one block's arrays
-    are taken as they are. Blocks of two horizons are not one batch."""
-    if len({plans.shape[1] for _, _, _, plans, *_ in parts}) > 1:
-        raise _NotColumnar
+    are taken as they are."""
     columns = parts.pop() if len(parts) == 1 else _joined(parts)
     ids, counts, agent_ids, plans, confidence, modalities, probs, trajs = columns
     n = len(plans)
@@ -701,30 +697,25 @@ def _prediction_table(parts: list[tuple]) -> PredictionBatch:
                            np.fromiter(agent_ids, object, len(confidence)), confidence, modalities, probs, trajs)
 
 
-def _record_check(horizon: int | None) -> Callable[[dict], None]:
+def _check_record(record: dict, horizon: int) -> None:
     """The record check of a predictions file's record pass: :func:`_record_parts`'s
     checks and then the batch's value checks, run on each record alone, so
-    the first bad line in the file is named, whichever check it fails.
-    ``None`` takes the horizon of the first record."""
-    def check(record: dict) -> None:
-        nonlocal horizon  # the first record's, from then on
-        plan, agents = _record_parts(record, horizon)
-        horizon = len(plan)
-        agent_ids, confidence, _, probs, trajs = _agent_columns(agents, horizon)
-        errors = _value_errors(plan[None], np.zeros(len(agents), dtype=np.intp), agent_ids, confidence, probs, trajs)
-        if errors:
-            raise ValueError(min(errors)[1])
-
-    return check
+    the first bad line in the file is named, whichever check it fails."""
+    plan, agents = _record_parts(record, horizon)
+    agent_ids, confidence, _, probs, trajs = _agent_columns(agents, horizon)
+    errors = _value_errors(plan[None], np.zeros(len(agents), dtype=np.intp), agent_ids, confidence, probs, trajs)
+    if errors:
+        raise ValueError(min(errors)[1])
 
 
 def load_predictions(path: str | os.PathLike | Iterable[str], horizon: int | None = 6) -> PredictionBatch:
     """Parse the predictions file at a path, or predictions lines, into one
-    batch, by :func:`read_table`; a bad line is named by :func:`_record_check`.
+    batch, by :func:`read_table`; a bad line is named by :func:`_check_record`.
     Every plan and agent trajectory has ``horizon`` waypoints; ``None`` takes
-    the horizon of the first record."""
+    the first record's (:func:`with_horizon`)."""
+    path, horizon = with_horizon(path, horizon, "ego_plan")
     return read_table(path, "predictions", "clip_id", partial(_prediction_block, horizon=horizon),
-                      _prediction_table, _record_check(horizon))
+                      _prediction_table, partial(_check_record, horizon=horizon))
 
 
 def score_predictions(
@@ -753,7 +744,6 @@ def score_predictions(
     """
     check_score_settings(alpha=alpha, beta=beta, eps_a=eps_a, delta_d=delta_d)
     table = clip_table(clips)
-    horizon = table.horizon
     ids = tuple(ids)
     check_unique(ids, "the scored ids")
     # Each pool row's position in ids, else -1, as is the extra last entry,
@@ -763,7 +753,7 @@ def score_predictions(
     position[table.rows_of(ids)] = np.arange(len(ids))
 
     def parse_block(records: list) -> tuple:
-        batch = _prediction_table([_prediction_block(records, horizon)])
+        batch = _prediction_table([_prediction_block(records, table.horizon)])
         pool_rows = table.find_rows(batch.clip_ids)
         rows = np.flatnonzero(position[pool_rows] >= 0)
         raw = _raw_criteria(batch, rows, table.gt_future, pool_rows[rows], eps_a, delta_d)
@@ -774,7 +764,8 @@ def score_predictions(
         check_unique(tuple(clip_ids), "a prediction batch")
         return columns
 
-    at, *block_raw = read_table(path, "predictions", "clip_id", parse_block, build, _record_check(horizon))
+    at, *block_raw = read_table(path, "predictions", "clip_id", parse_block, build,
+                                partial(_check_record, horizon=table.horizon))
     if not ids:
         raise ValueError("no clips to score")
     found = np.zeros(len(ids), dtype=bool)

@@ -68,6 +68,8 @@ class ActiveConfig:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.tau_c < 1:
             raise ValueError(f"tau_c must be >= 1, got {self.tau_c}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.init_mode not in INIT_MODES:
             raise ValueError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
 
@@ -124,6 +126,8 @@ def random_init(clips: ClipTable | Sequence[ClipRecord], n_init: int, seed: int)
     ids = clip_table(clips).ids
     if n_init > len(ids):
         raise ValueError(f"n_init {n_init} exceeds pool size {len(ids)}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return _sample_in_id_order(np.random.default_rng(seed), ids, n_init)
 
 

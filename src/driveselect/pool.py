@@ -47,7 +47,7 @@ import sys
 import tempfile
 import threading
 from collections.abc import Mapping, Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, compress, islice, repeat
@@ -1079,15 +1079,15 @@ def _file_parts(path: str | os.PathLike, what: str, parse_block: Callable[[list]
 
 
 def read_table(
-    source: str | os.PathLike | Iterable[bytes | str],
+    source: str | os.PathLike | list[bytes | str],
     what: str,
     id_key: str,
     parse_block: Callable[[list], tuple],
     build: Callable[[list[tuple]], T],
     check_record: Callable[[dict], Any],
 ) -> T:
-    """A JSONL file, or its lines, read into columns: the one path that
-    builds a table from a file.
+    """A JSONL file, or a list of its lines, read into columns: the one path
+    that builds a table from a file.
 
     ``parse_block`` turns each block of decoded records into column parts,
     checking their values, and ``build`` joins the parts of the whole input
@@ -1101,12 +1101,10 @@ def read_table(
     line, or, when every record passes, ``build``'s RowError at the line of
     its record.
     """
-    if not isinstance(source, (str, os.PathLike)):
-        source = list(source)  # to read it again
     try:
-        if isinstance(source, list):
-            return build(list(map(parse_block, _decoded_blocks(source))))
-        return build(_file_parts(source, what, parse_block))
+        if isinstance(source, (str, os.PathLike)):
+            return build(_file_parts(source, what, parse_block))
+        return build(list(map(parse_block, _decoded_blocks(source))))
     except _READ_ERRORS as exc:
         # Without its traceback, whose frames hold the parts or the table.
         error = exc.with_traceback(None)
@@ -1118,6 +1116,21 @@ def read_table(
         raise error
 
     read_jsonl(source, what, id_key, check, finish)  # always raises
+
+
+def with_horizon(source: str | os.PathLike | Iterable[bytes | str], horizon: int | None, key: str) -> tuple:
+    """``source``, a path or a list of its lines, and the horizon to read it at: ``horizon``, or for None
+    the length of the first record's ``key`` list, read once, before any block is parsed or any reader
+    forks, so that every line is checked against it. A first record without that list gives 1, and its
+    own checks then name its line."""
+    is_path = isinstance(source, (str, os.PathLike))
+    source = source if is_path else list(source)  # a list, to read it again
+    if horizon is None:
+        horizon = 1
+        with open(source, "rb") if is_path else nullcontext(source) as lines, suppress(StopIteration, *_READ_ERRORS):
+            lines = (line.encode("utf-8") if isinstance(line, str) else line for line in lines)
+            horizon = len(next(r for r in map(_loads, lines) if r is not _BLANK)[key]) or 1
+    return source, horizon
 
 
 def _joined(parts: list[tuple]) -> list:
@@ -1249,9 +1262,12 @@ def _pool_table(parts: list[tuple], frames: bool = True) -> ClipTable:
                      *([] if frames else last))
 
 
-def parse_pool_lines(lines: str | os.PathLike | Iterable[str], horizon: int = 6, frames: bool = True) -> ClipTable:
-    """The table of the pool file at a path, or of pool lines, read by :func:`read_table`,
-    without frames if ``frames`` is false; :func:`clip_from_dict`'s checks name a bad line."""
+def parse_pool_lines(lines: str | os.PathLike | Iterable[str], horizon: int | None = 6,
+                     frames: bool = True) -> ClipTable:
+    """The table of the pool file at a path, or of pool lines, read by :func:`read_table` at ``horizon``
+    (None: :func:`with_horizon`), without frames if ``frames`` is false; :func:`clip_from_dict` names a bad line."""
+    lines, horizon = with_horizon(lines, horizon, "gt_future")
+
     def parse_block(records: list) -> tuple:
         *columns, counts, speeds, commands = parts = _pool_block(records, horizon)
         return parts if frames else (*columns, *frame_features(_offsets(counts), speeds, commands))
@@ -1260,7 +1276,8 @@ def parse_pool_lines(lines: str | os.PathLike | Iterable[str], horizon: int = 6,
                       partial(clip_from_dict, horizon=horizon))
 
 
-def load_pool(path: str | os.PathLike, horizon: int = 6, frames: bool = True) -> tuple[ClipTable, SelectionState]:
+def load_pool(path: str | os.PathLike, horizon: int | None = 6,
+              frames: bool = True) -> tuple[ClipTable, SelectionState]:
     """Load a pool file, without frames if ``frames`` is false; all clips start unlabeled."""
     clips = parse_pool_lines(path, horizon=horizon, frames=frames)
     return clips, SelectionState(clips)

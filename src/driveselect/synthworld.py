@@ -82,6 +82,7 @@ from .pool import (
     orjson_exact,
     read_table,
     share_pool_ids,
+    with_horizon,
     write_jsonl,
 )
 
@@ -125,6 +126,8 @@ class WorldConfig:
                 raise ValueError(f"{name} must be non-negative and sum to 1")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (self.agent_rate >= 0 and math.isfinite(self.agent_rate)):
             raise ValueError(f"agent_rate must be finite and >= 0, got {self.agent_rate}")
         if not (self.noise_scale >= 0 and math.isfinite(self.noise_scale)):
@@ -442,14 +445,13 @@ _TRUTH_AGENT_FIELDS = ("agent_id", "start", "track")
 
 def _truth_from_dict(record: dict, horizon: int) -> ClipTruth:
     _check_fields(record, _TRUTH_FIELDS, "record")
+    ego_future = np.array(_check_path(record["ego_future"], horizon, "ego_future"), dtype=float)
     agents = [_check_fields(a, _TRUTH_AGENT_FIELDS, "agent") for a in _check_list(record["agents"], "agents")]
     ids = tuple(_check_string(a["agent_id"], "agent_id") for a in agents)
     tracks = [_check_path(a["track"], horizon, f"agent {agent_id} track") for agent_id, a in zip(ids, agents)]
     starts = [_check_finite_point(a["start"], f"agent {agent_id} start") for agent_id, a in zip(ids, agents)]
     return ClipTruth(
-        record["clip_id"],
-        np.array(_check_path(record["ego_future"], horizon, "ego_future"), dtype=float),
-        ids,
+        record["clip_id"], ego_future, ids,
         np.array(starts, dtype=float).reshape(-1, 2),
         np.array(tracks, dtype=float).reshape(-1, horizon, 2),
     )
@@ -474,15 +476,12 @@ def _truth_table(parts: list[tuple]) -> TruthTable:
                       np.fromiter(agent_ids, object, len(starts)), starts, tracks)
 
 
-def load_truth(path: str | os.PathLike, horizon: int = 6) -> TruthTable:
-    """Load a truth file into a table; every future and agent track has
-    ``horizon`` finite points, and every ``agent_id`` is a JSON string."""
-    return read_table(
-        path, "truth", "clip_id",
-        partial(_truth_block, horizon=horizon),
-        _truth_table,
-        partial(_truth_from_dict, horizon=horizon),
-    )
+def load_truth(path: str | os.PathLike, horizon: int | None = 6) -> TruthTable:
+    """Load a truth file into a table; every future and agent track has ``horizon`` finite
+    points (None: :func:`with_horizon`), and every ``agent_id`` is a JSON string."""
+    path, horizon = with_horizon(path, horizon, "ego_future")
+    return read_table(path, "truth", "clip_id", partial(_truth_block, horizon=horizon), _truth_table,
+                      partial(_truth_from_dict, horizon=horizon))
 
 
 GEN_CHUNK = 250  # clips per generation task; bounds gen's memory

@@ -626,6 +626,34 @@ class TestHeldoutCount:
         assert manifest["pool"]["heldout_count"] == manifest["heldout"]["count"] == 119
 
 
+class TestNegativeSeed:
+    """A seed below 0 is named as a setting, whichever command takes it, and
+    nothing is written."""
+
+    MESSAGE = "error: seed must be >= 0, got -1\n"
+
+    def test_gen(self, tmp_path, capsys):
+        assert run_cli("gen", "--n", 10, "--seed", -1, "--pool", tmp_path / "p.jsonl",
+                       "--truth", tmp_path / "t.jsonl") == 1
+        assert capsys.readouterr().err == self.MESSAGE
+        assert list(tmp_path.iterdir()) == []
+
+    def test_init_random(self, world, tmp_path, capsys):
+        pool, _ = world
+        sel = tmp_path / "sel.json"
+        assert run_cli("init", "--pool", pool, "--mode", "random", "--n0", 12, "--seed", -1, "--out", sel) == 1
+        assert capsys.readouterr().err == self.MESSAGE
+        assert not sel.exists()
+
+    @pytest.mark.parametrize("flags", [("--seed", -1, "--baseline", "random"), ("--set", "seed=-1")])
+    def test_run(self, world, tmp_path, capsys, flags):
+        pool, truth = world
+        out = tmp_path / "out"
+        assert run_cli("run", "--pool", pool, "--truth", truth, "--out-dir", out, *flags) == 1
+        assert capsys.readouterr().err == self.MESSAGE
+        assert not out.exists()
+
+
 class TestRun:
     def test_manifest_and_reports_written(self, world, tmp_path):
         pool, truth = world

@@ -16,9 +16,9 @@ import sys
 import pytest
 
 import driveselect
-from driveselect.criteria import save_predictions
+from driveselect.criteria import load_predictions, save_predictions
 from driveselect.pool import encode_line, load_pool, load_selection, save_pool
-from driveselect.synthworld import ToyPlanner, load_truth
+from driveselect.synthworld import ToyPlanner, load_truth, save_truth
 
 from test_read_ranges import one_modality_every_7th
 
@@ -303,4 +303,83 @@ def test_score_of_a_quoted_last_confidence_fails_alike_on_one_and_all_cpus(range
         errors.append(done.stderr)
     assert re.search(f"predictions file range_bad.jsonl line {last + 1}: agent .* confidence must be a JSON number",
                      errors[0])
+    assert errors[0] == errors[1]
+
+
+def test_two_predict_calls_split_at_clip_777_write_the_bytes_of_one(range_predictions):
+    """One ToyPlanner of ``pool_all.jsonl``, trained on its first 120 clips,
+    predicting the clips before 777 and then the rest, saved as
+    ``range_split.jsonl``: ``cmp range_preds.jsonl range_split.jsonl``. The
+    whole pool and the first call hold more agents than AGENT_BLOCK, and the
+    split moves the forecast block edges."""
+    clips, _ = load_pool(range_predictions / "pool_all.jsonl")
+    planner = ToyPlanner(clips, load_truth(range_predictions / "truth_all.jsonl"))
+    planner.train(clips.ids[:120])
+    ids = list(clips.ids)
+    save_predictions([*planner.predict(ids[:777]).values(), *planner.predict(ids[777:]).values()],
+                     range_predictions / "range_split.jsonl")
+    assert (range_predictions / "range_split.jsonl").read_bytes() == \
+        (range_predictions / "range_preds.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["range_preds", "range_mixed"])
+def test_predictions_read_in_byte_ranges_save_to_their_own_bytes(range_predictions, name):
+    """``load_predictions`` then ``save_predictions`` of ``range_preds.jsonl``
+    and of the mixed-modality ``range_mixed.jsonl``, both over 2 MiB and so
+    read in byte ranges: ``cmp`` with the copy."""
+    source, copy = range_predictions / f"{name}.jsonl", range_predictions / f"{name}_copy.jsonl"
+    save_predictions(load_predictions(source).values(), copy)
+    assert copy.read_bytes() == source.read_bytes()
+
+
+def test_truth_saves_to_its_own_bytes(world_1200):
+    """``load_truth`` then ``save_truth`` of ``truth_all.jsonl``: ``cmp
+    truth_all.jsonl truth_all_copy.jsonl``."""
+    save_truth(load_truth(world_1200 / "truth_all.jsonl"), world_1200 / "truth_all_copy.jsonl")
+    assert (world_1200 / "truth_all_copy.jsonl").read_bytes() == (world_1200 / "truth_all.jsonl").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def world_3000(tmp_path_factory):
+    """``driveselect gen --n 3000 --seed 5 --pool pool_3000.jsonl --truth
+    truth_3000.jsonl``: a truth file over 2 MiB, which ``truth_all.jsonl``
+    is not."""
+    cwd = tmp_path_factory.mktemp("world_3000")
+    done = driveselect_cli(cwd, "gen", "--n", "3000", "--seed", "5", "--pool", "pool_3000.jsonl",
+                           "--truth", "truth_3000.jsonl")
+    assert done.returncode == 0, done.stderr
+    return cwd
+
+
+def test_a_truth_file_over_2_mib_saves_to_its_own_bytes(world_3000):
+    """``truth_3000.jsonl`` is over 2 MiB, so it is read in byte ranges:
+    ``load_truth`` then ``save_truth`` gives its bytes back (``cmp``)."""
+    truth, copy = world_3000 / "truth_3000.jsonl", world_3000 / "truth_3000_copy.jsonl"
+    assert truth.stat().st_size > 2 * 1024 * 1024
+    save_truth(load_truth(truth), copy)
+    assert copy.read_bytes() == truth.read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_run_on_a_1e400_track_coordinate_fails_alike_on_one_and_all_cpus(world_3000):
+    """``truth_inf.jsonl``: ``truth_3000.jsonl`` whose last record with an
+    agent carries 1e400 as a track coordinate (``grep -q '\\[\\[1e400,'``).
+    ``run`` on one CPU and on all CPUs, where a forked reader's block finds
+    it: exit status 1, no out dir, and the same standard error, naming that
+    line."""
+    lines = (world_3000 / "truth_3000.jsonl").read_bytes().splitlines()
+    n = max(i for i, line in enumerate(lines) if json.loads(line)["agents"])
+    record = json.loads(lines[n])
+    record["agents"][0]["track"][0][0] = "X"
+    lines[n] = encode_line(record).replace(b'"X"', b"1e400")
+    (world_3000 / "truth_inf.jsonl").write_bytes(b"".join(line + b"\n" for line in lines))
+    assert b"[[1e400," in lines[n]
+    errors = []
+    for cpus in ("one", "all"):
+        done = driveselect_cli(world_3000, "run", "--pool", "pool_3000.jsonl", "--truth", "truth_inf.jsonl",
+                               "--out-dir", f"inf_run_{cpus}", pin=cpus == "one")
+        assert done.returncode == 1
+        assert not (world_3000 / f"inf_run_{cpus}").exists()
+        errors.append(done.stderr)
+    assert f"truth file truth_inf.jsonl line {n + 1}: waypoint coordinates must be finite, got (inf, " in errors[0]
     assert errors[0] == errors[1]
