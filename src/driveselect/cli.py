@@ -29,7 +29,7 @@ import typing
 from pathlib import Path
 
 from . import report
-from .criteria import _top, check_score_settings, load_scores, save_scores, score_predictions
+from .criteria import _top, check_score_settings, constant_criteria, load_scores, save_scores, score_predictions
 from .diversity import ego_diversity_init
 from .loop import ActiveConfig, CRITERIA, derive_schedule, random_init, run
 from .pool import (
@@ -118,6 +118,14 @@ def _load_config_dict(args, schema: dict) -> dict:
     return resolved
 
 
+def _warn_constant(where: str, criteria: typing.Sequence[str], n_scored: int) -> None:
+    """Name on stderr the criteria whose raw scores were all equal: they
+    normalize to zeros and drop out of the mix without another sign."""
+    if criteria:
+        print(f"warning: {where}: criteria {', '.join(criteria)} constant over {n_scored} scored clips; "
+              f"normalized to 0, they drop out of the mix", file=sys.stderr)
+
+
 def _echo_config(config: dict) -> None:
     print("resolved config: " + json.dumps(config, sort_keys=True, default=str))
 
@@ -184,6 +192,7 @@ def cmd_score(args) -> int:
     )
     save_scores(columns, args.out)
     print(f"wrote {args.out} ({len(unlabeled)} clips scored)")
+    _warn_constant(f"scores file {args.out}", constant_criteria(columns), len(unlabeled))
     return 0
 
 
@@ -197,7 +206,7 @@ def cmd_select(args) -> int:
     # Without the pool, the ids select can know are the selection's and the
     # scored ones; load_selection then rejects what score would.
     labeled = [i for entry in payload["rounds"] for i in entry["ids"]]
-    state = load_selection(args.selection, dict.fromkeys([*labeled, *scored]))
+    state = load_selection(args.selection, dict.fromkeys([*labeled, *scored]), payload)
     already = sorted(set(labeled).intersection(scored))
     if already:
         print(f"error: scored clip {already[0]!r} is already labeled", file=sys.stderr)
@@ -307,6 +316,8 @@ def cmd_run(args) -> int:
     emit_report({"run": manifest}, out_dir / "report.tsv", "delimited")
     print(f"wrote {out_dir}/manifest.json, selection.json, report.json, report.tsv "
           f"({len(state.labeled_ids)} clips selected)")
+    for trace in result.traces:
+        _warn_constant(f"round {trace.round_index}", trace.constant_criteria, trace.summary.get("n_scored", 0))
     return 0
 
 

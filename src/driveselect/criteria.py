@@ -29,10 +29,11 @@ import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 import numpy as np
+import orjson
 
 from .pool import (
     AgentTable,
@@ -48,15 +49,17 @@ from .pool import (
     _nested_block,
     _NotColumnar,
     _numbers,
+    _offsets,
     _path_numbers,
     _unchecked,
     atomic_outputs,
     check_unique,
     clip_table,
+    encode_line,
     float_rows,
+    orjson_exact,
     read_table,
     with_horizon,
-    write_jsonl,
 )
 
 PROB_SUM_TOL = 1e-6
@@ -167,7 +170,14 @@ class AgentForecast:
 
 @dataclass(frozen=True)
 class ClipPrediction:
-    """Model output for one clip: the planned ego route plus agent forecasts."""
+    """Model output for one clip: the planned ego route plus agent forecasts.
+
+    A :class:`PredictionBatch` gives each of its clips as a row: a
+    ClipPrediction that holds its id and its ``(batch, row)`` in
+    ``_batch_row``, and builds its ``ego_plan`` and ``agents`` from the
+    batch's columns when they are first read. It compares, hashes and
+    prints as the clip's eager view would, and it copies and pickles as its
+    plain fields, without the batch."""
 
     clip_id: str
     ego_plan: tuple[tuple[float, float], ...]
@@ -182,6 +192,20 @@ class ClipPrediction:
         if errors:
             raise ValueError(f"clip {self.clip_id}: {errors[0][1]}")
 
+    def __getattr__(self, name: str):
+        # Reached only by a name missing from the instance: a row's unread fields.
+        at = self.__dict__.get("_batch_row")
+        if at is None or name not in ("ego_plan", "agents"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}", name=name, obj=self)
+        batch, row = at
+        view = batch._view(self.clip_id, row, slice(batch._offsets[row], batch._offsets[row + 1]))
+        object.__setattr__(self, "ego_plan", view.ego_plan)
+        object.__setattr__(self, "agents", view.agents)
+        return getattr(view, name)
+
+    def __getstate__(self) -> dict:
+        return {"clip_id": self.clip_id, "ego_plan": self.ego_plan, "agents": self.agents}
+
 
 @dataclass(frozen=True, eq=False)
 class PredictionBatch(AgentTable):
@@ -192,7 +216,8 @@ class PredictionBatch(AgentTable):
     with fewer than M modalities is padded with probability 0 (and zero
     trajectories), which no criterion ever picks or weighs. Every value is
     validated once, on construction. The batch is a Mapping from clip id to
-    a :class:`ClipPrediction` view of that clip's rows. A batch of the pool's
+    that clip's :class:`ClipPrediction` row, which reads the columns when
+    first used and keeps the batch alive. A batch of the pool's
     clips in the pool's order can hold the pool's id tuple and look ids up
     in the pool's index (:func:`~driveselect.pool.share_pool_ids`). ``score``
     builds no batch of the whole file: :func:`score_predictions` builds one
@@ -224,6 +249,15 @@ class PredictionBatch(AgentTable):
     @property
     def horizon(self) -> int:
         return self.ego_plans.shape[1]
+
+    def __getitem__(self, clip_id: str) -> ClipPrediction:
+        row = self._row_of(clip_id)
+        if row < 0:
+            raise KeyError(clip_id)
+        pred = object.__new__(ClipPrediction)
+        object.__setattr__(pred, "clip_id", clip_id)
+        object.__setattr__(pred, "_batch_row", (self, row))
+        return pred
 
     def _view(self, clip_id: str, row: int, agents: slice) -> ClipPrediction:
         return _unchecked(
@@ -318,14 +352,29 @@ def _batch_of(clip_ids: Sequence[str], preds: Sequence[ClipPrediction], horizon:
         raise ValueError(f"clip {clip_ids[exc.row]!r}: {exc}") from exc
 
 
+def _batch_rows(preds: Sequence) -> tuple[PredictionBatch, np.ndarray] | None:
+    """The one batch that every prediction of ``preds`` is a row of, and
+    their rows in it, in order; None when there is no prediction, or when
+    any is not such a row."""
+    try:
+        at = [p.__dict__["_batch_row"] for p in preds]
+    except (AttributeError, KeyError):
+        return None
+    if not at or any(batch is not at[0][0] for batch, _ in at):
+        return None
+    return at[0][0], np.fromiter((row for _, row in at), dtype=np.intp, count=len(at))
+
+
 def _prediction_rows(
     predictions: Mapping[str, ClipPrediction], clips: ClipTable | Sequence[ClipRecord], ids: tuple[str, ...]
 ) -> tuple[PredictionBatch, np.ndarray]:
     """A batch holding the predictions of ``ids``, clips of ``clips``, and
     their rows in it. A PredictionBatch is used as it is, with its clips in
-    any order, and any other mapping is converted. A clip without a
-    prediction raises KeyError, and one whose ``gt_future`` has another
-    horizon than the predictions raises ValueError; both name the clip."""
+    any order, and so is the batch of a mapping whose predictions of
+    ``ids`` are all its rows; any other mapping is converted. A clip
+    without a prediction raises KeyError, and one whose ``gt_future`` has
+    another horizon than the predictions raises ValueError; both name the
+    clip."""
     if isinstance(clips, ClipTable):
         # One horizon for the whole table: its first scored clip stands for all.
         horizons = [(ids[0], clips.horizon)] if ids else []
@@ -338,14 +387,24 @@ def _prediction_rows(
         for clip_id in ids:
             if clip_id not in predictions:
                 raise KeyError(f"missing prediction for clip {clip_id!r}")
-    if not isinstance(predictions, PredictionBatch):
-        predictions = _batch_of(ids, [predictions[i] for i in ids], horizons[0][1] if horizons else None)
+    if isinstance(predictions, PredictionBatch):
+        rows = np.arange(len(ids)) if exact else predictions.rows_of(ids)
+    else:
+        preds = [predictions[i] for i in ids]
+        found = _batch_rows(preds)
+        if found is None:
+            predictions, rows = _batch_of(ids, preds, horizons[0][1] if horizons else None), np.arange(len(ids))
+        else:
+            predictions, rows = found
+            if horizons and predictions.horizon != horizons[0][1]:  # as _batch_of names its first row
+                raise ValueError(f"clip {ids[0]!r}: ego_plan has {predictions.horizon} waypoints, "
+                                 f"expected {horizons[0][1]}")
     for clip_id, horizon in horizons:
         if horizon != predictions.horizon:
             raise ValueError(
                 f"clip {clip_id!r}: gt_future has {horizon} waypoints, predictions have {predictions.horizon}"
             )
-    return predictions, np.arange(len(ids)) if exact else predictions.rows_of(ids)
+    return predictions, rows
 
 
 def prediction_batch(
@@ -355,12 +414,15 @@ def prediction_batch(
     clip order.
 
     A PredictionBatch of just these clips in this order is returned as it
-    is, any other gives its rows, and any other mapping is converted. The
-    errors are those of :func:`_prediction_rows`.
+    is, any other batch, or the batch of rows of one, gives the clips'
+    rows, and any other mapping is converted. The errors are those of
+    :func:`_prediction_rows`.
     """
     ids = clips.ids if isinstance(clips, ClipTable) else tuple(c.id for c in clips)
-    batch, _ = _prediction_rows(predictions, clips, ids)
-    return batch if batch.clip_ids == ids else batch.take(ids)
+    batch, rows = _prediction_rows(predictions, clips, ids)
+    if batch.clip_ids == ids and np.array_equal(rows, np.arange(len(ids))):
+        return batch
+    return batch._taken(ids, rows, *batch.items_of(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +678,13 @@ def _raw_criteria(batch: PredictionBatch, rows: np.ndarray, gt_future: np.ndarra
     return raw
 
 
+def constant_criteria(columns: Mapping) -> list[str]:
+    """The criteria (``de``, ``sc``, ``au``) whose raw column of
+    :func:`score_pool` holds one value: :func:`_normalized` makes it all
+    zeros, so it carries no signal into the mix."""
+    return [name[:2] for name in SCORE_COLUMNS[1:4] if columns[name].min() == columns[name].max()]
+
+
 def _score_columns(ids: tuple[str, ...], raw: Sequence[np.ndarray], alpha: float, beta: float) -> dict:
     """The :data:`SCORE_COLUMNS` of the raw criteria of ``ids``: each column
     normalized once over all of them, and the normalized columns mixed."""
@@ -778,8 +847,75 @@ def score_predictions(
     return _score_columns(ids, raw, alpha, beta)
 
 
+def _ascii(text) -> bool:
+    """Whether ``orjson.dumps`` writes the id ``text`` as ``json.dumps`` does:
+    a str, ASCII with no DEL."""
+    return isinstance(text, str) and text.isascii() and "\x7f" not in text
+
+
+def _row_lines(batch: PredictionBatch, rows: np.ndarray, preds: Sequence[ClipPrediction]) -> list[bytes]:
+    """``encode_line(prediction_to_dict(p))`` of each of ``preds``, the
+    batch's ``rows``, written from the columns of those rows: each column
+    is checked by :func:`orjson_exact` at once, and a clip that passes,
+    with ASCII ids holding no DEL, is written by ``orjson.dumps`` of its
+    arrays, its agents' modalities cut at their counts."""
+    agents, owners = batch.items_of(rows)
+    plans = batch.ego_plans[rows]
+    confidence, counts = batch.confidence[agents], batch.modality_counts[agents]
+    probs, trajs = batch.modality_probs[agents], batch.modality_trajs[agents]
+    ids, agent_ids = [p.clip_id for p in preds], batch.agent_ids[agents].tolist()
+    padding = np.arange(probs.shape[1]) >= counts[:, None]
+    exact = orjson_exact(plans).all(axis=(1, 2))
+    agent_exact = (orjson_exact(confidence) & (orjson_exact(probs) | padding).all(axis=1)
+                   & (orjson_exact(trajs) | padding[:, :, None, None]).all(axis=(1, 2, 3)))
+    exact[owners[~agent_exact]] = False
+    try:
+        ascii_ids = _ascii("".join(chain(ids, agent_ids)))
+    except TypeError:  # an id that is not a str
+        ascii_ids = False
+    if not ascii_ids:
+        exact &= np.fromiter(map(_ascii, ids), dtype=bool, count=len(ids))
+        exact[owners[~np.fromiter(map(_ascii, agent_ids), dtype=bool, count=len(agent_ids))]] = False
+    bounds = _offsets(np.bincount(owners, minlength=len(rows))).tolist()
+    confidence, counts = confidence.tolist(), counts.tolist()
+    lines = []
+    for i, (clip_id, ok) in enumerate(zip(ids, exact.tolist())):
+        if not ok:
+            lines.append(encode_line(prediction_to_dict(preds[i])))
+            continue
+        record = {"clip_id": clip_id, "ego_plan": plans[i], "agents": [
+            {"agent_id": agent_ids[a], "confidence": confidence[a], "modality_probs": probs[a, : counts[a]],
+             "modality_trajs": trajs[a, : counts[a]]}
+            for a in range(bounds[i], bounds[i + 1])
+        ]}
+        lines.append(orjson.dumps(record, option=orjson.OPT_SERIALIZE_NUMPY))
+    return lines
+
+
+def _prediction_lines(preds: list) -> list[bytes]:
+    """The lines of :func:`save_predictions` for ``preds``: from the columns
+    of their batch (:func:`_row_lines`) when all are rows of one batch of
+    float64 columns, else one :func:`encode_line` per prediction."""
+    found = _batch_rows(preds)
+    if found is not None:
+        batch, rows = found
+        columns = (batch.ego_plans, batch.confidence, batch.modality_probs, batch.modality_trajs)
+        if all(column.dtype == np.float64 for column in columns):
+            return _row_lines(batch, rows, preds)
+    return [encode_line(prediction_to_dict(p)) for p in preds]
+
+
 def save_predictions(preds: Iterable[ClipPrediction], path: str | os.PathLike) -> None:
-    write_jsonl(path, map(prediction_to_dict, preds))
+    """Write one ``encode_line(prediction_to_dict(p))`` line per prediction,
+    as :func:`~driveselect.pool.write_jsonl` does, ``SCORE_BLOCK`` at a time
+    (:func:`_prediction_lines`): rows of one batch are written from its
+    columns, with no view built, and any other prediction as an object."""
+    preds = iter(preds)
+    with atomic_outputs(path) as (tmp,), open(tmp, "wb") as fh:
+        for block in iter(lambda: list(islice(preds, SCORE_BLOCK)), []):
+            fh.write(b"\n".join(_prediction_lines(block)) + b"\n")
+        if not fh.tell():  # a file of one newline for no predictions
+            fh.write(b"\n")
 
 
 #: A float cell as ``repr`` writes it, or a plain integer: ASCII digits, no

@@ -19,6 +19,7 @@ from .criteria import (
     PredictionBatch,
     _top,
     check_score_settings,
+    constant_criteria,
     load_predictions,
     score_pool,
 )
@@ -145,6 +146,8 @@ class RoundTrace:
     summary: dict = field(default_factory=dict)
     # Hypothetical top-n sets under each single criterion, for overlap analysis.
     criterion_picks: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    # Criteria whose raw scores were all equal, and so normalized to zeros.
+    constant_criteria: tuple[str, ...] = ()
 
 
 def _summarize(columns: dict) -> dict:
@@ -200,6 +203,7 @@ def run_round(
         selected_ids=selected,
         summary=_summarize(columns),
         criterion_picks=picks,
+        constant_criteria=tuple(constant_criteria(columns)),
     )
 
 

@@ -1334,10 +1334,13 @@ def read_selection_payload(path: str | os.PathLike) -> dict:
     return payload
 
 
-def load_selection(path: str | os.PathLike, pool_ids: Iterable[str] | ClipTable) -> SelectionState:
+def load_selection(path: str | os.PathLike, pool_ids: Iterable[str] | ClipTable,
+                   payload: dict | None = None) -> SelectionState:
     """Rebuild a SelectionState from a selection file against the given pool:
-    a ClipTable or its ids (see :class:`SelectionState`)."""
-    payload = read_selection_payload(path)
+    a ClipTable or its ids (see :class:`SelectionState`). ``payload`` is the
+    file's object if :func:`read_selection_payload` has read it already."""
+    if payload is None:
+        payload = read_selection_payload(path)
     state = SelectionState(pool_ids)
     try:
         for entry in payload["rounds"]:

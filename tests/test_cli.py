@@ -809,3 +809,24 @@ def test_config_keys_are_the_dataclass_fields(keys, config_class):
         value = f.default if f.default is not dataclasses.MISSING else 3
         assert schema[f.name](value) == value
         assert type(schema[f.name](value)) is type(value)
+
+
+def test_select_reads_its_selection_file_once(world, tmp_path, monkeypatch):
+    """``select`` builds its state from the object it read, and opens the
+    selection file once."""
+    _, sel, preds = TestOneSelectionWriter.scored(world, tmp_path)
+    scores = tmp_path / "scores.tsv"
+    assert run_cli("score", "--pool", world[0], "--selection", sel, "--predictions", preds, "--out", scores) == 0
+    opened = []
+    builtin_open = open
+
+    def counted(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == os.fspath(sel):
+            opened.append(file)
+        return builtin_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counted)
+    for out in (tmp_path / "next.json", sel):
+        opened.clear()
+        assert run_cli("select", "--scores", scores, "--selection", sel, "--n-itr", 5, "--out", out) == 0
+        assert len(opened) == 1
