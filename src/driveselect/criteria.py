@@ -52,14 +52,14 @@ from .pool import (
     _offsets,
     _path_numbers,
     _unchecked,
-    atomic_outputs,
     check_unique,
     clip_table,
     encode_line,
+    exact_rows,
     float_rows,
-    orjson_exact,
     read_table,
     with_horizon,
+    write_lines,
 )
 
 PROB_SUM_TOL = 1e-6
@@ -847,35 +847,20 @@ def score_predictions(
     return _score_columns(ids, raw, alpha, beta)
 
 
-def _ascii(text) -> bool:
-    """Whether ``orjson.dumps`` writes the id ``text`` as ``json.dumps`` does:
-    a str, ASCII with no DEL."""
-    return isinstance(text, str) and text.isascii() and "\x7f" not in text
-
-
 def _row_lines(batch: PredictionBatch, rows: np.ndarray, preds: Sequence[ClipPrediction]) -> list[bytes]:
     """``encode_line(prediction_to_dict(p))`` of each of ``preds``, the
-    batch's ``rows``, written from the columns of those rows: each column
-    is checked by :func:`orjson_exact` at once, and a clip that passes,
-    with ASCII ids holding no DEL, is written by ``orjson.dumps`` of its
-    arrays, its agents' modalities cut at their counts."""
+    batch's ``rows``, written from the columns of those rows: a clip that
+    :func:`exact_rows` passes, its agents' padded modalities left out, is
+    written by ``orjson.dumps`` of its arrays, its agents' modalities cut at
+    their counts."""
     agents, owners = batch.items_of(rows)
     plans = batch.ego_plans[rows]
     confidence, counts = batch.confidence[agents], batch.modality_counts[agents]
     probs, trajs = batch.modality_probs[agents], batch.modality_trajs[agents]
     ids, agent_ids = [p.clip_id for p in preds], batch.agent_ids[agents].tolist()
-    padding = np.arange(probs.shape[1]) >= counts[:, None]
-    exact = orjson_exact(plans).all(axis=(1, 2))
-    agent_exact = (orjson_exact(confidence) & (orjson_exact(probs) | padding).all(axis=1)
-                   & (orjson_exact(trajs) | padding[:, :, None, None]).all(axis=(1, 2, 3)))
-    exact[owners[~agent_exact]] = False
-    try:
-        ascii_ids = _ascii("".join(chain(ids, agent_ids)))
-    except TypeError:  # an id that is not a str
-        ascii_ids = False
-    if not ascii_ids:
-        exact &= np.fromiter(map(_ascii, ids), dtype=bool, count=len(ids))
-        exact[owners[~np.fromiter(map(_ascii, agent_ids), dtype=bool, count=len(agent_ids))]] = False
+    modalities, modality_owners = np.arange(probs.shape[1]) < counts[:, None], np.repeat(owners, counts)
+    exact = exact_rows(len(rows), [(None, plans), (owners, confidence), (modality_owners, probs[modalities]),
+                                   (modality_owners, trajs[modalities])], [(None, ids), (owners, agent_ids)])
     bounds = _offsets(np.bincount(owners, minlength=len(rows))).tolist()
     confidence, counts = confidence.tolist(), counts.tolist()
     lines = []
@@ -906,21 +891,19 @@ def _prediction_lines(preds: list) -> list[bytes]:
 
 
 def save_predictions(preds: Iterable[ClipPrediction], path: str | os.PathLike) -> None:
-    """Write one ``encode_line(prediction_to_dict(p))`` line per prediction,
-    as :func:`~driveselect.pool.write_jsonl` does, ``SCORE_BLOCK`` at a time
+    """Write one ``encode_line(prediction_to_dict(p))`` line per prediction
+    by :func:`~driveselect.pool.write_lines`, ``SCORE_BLOCK`` at a time
     (:func:`_prediction_lines`): rows of one batch are written from its
     columns, with no view built, and any other prediction as an object."""
     preds = iter(preds)
-    with atomic_outputs(path) as (tmp,), open(tmp, "wb") as fh:
-        for block in iter(lambda: list(islice(preds, SCORE_BLOCK)), []):
-            fh.write(b"\n".join(_prediction_lines(block)) + b"\n")
-        if not fh.tell():  # a file of one newline for no predictions
-            fh.write(b"\n")
+    blocks = iter(lambda: list(islice(preds, SCORE_BLOCK)), [])
+    write_lines([path], ((_prediction_lines(block),) for block in blocks))
 
 
 #: A float cell as ``repr`` writes it, or a plain integer: ASCII digits, no
 #: underscores or spaces.
 _DECIMAL = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]\d+)?", re.ASCII)
+_BREAKS = re.compile("[\t\r\n]")
 _DECIMAL_CELLS = re.compile("\t".join([_DECIMAL.pattern] * (len(SCORE_COLUMNS) - 1)), re.ASCII)
 #: The float cells of one scores row, as float64 bytes.
 _SCORE_ROW = struct.Struct(f"{len(SCORE_COLUMNS) - 1}d")
@@ -932,14 +915,16 @@ def save_scores(columns: Mapping, path: str | os.PathLike) -> None:
     """Write the float columns of :func:`score_pool` as a TSV table; floats
     are written as ``repr`` writes them, so they round-trip exactly. Rows
     are formatted (by :func:`~driveselect.pool.float_rows`) and written
-    ``SCORE_BLOCK`` at a time, so no copy of the whole table is built."""
+    ``SCORE_BLOCK`` at a time, so no copy of the whole table is built. A
+    clip id with a tab, CR or LF, which :func:`load_scores` would split,
+    raises ValueError naming it before any file is made."""
     ids, *values = (columns[name] for name in SCORE_COLUMNS)
-    with atomic_outputs(path) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(SCORE_COLUMNS))
-        for lo in range(0, len(ids), SCORE_BLOCK):
-            hi = lo + SCORE_BLOCK
-            fh.write("\n" + "\n".join(map("\t".join, zip(ids[lo:hi], float_rows([v[lo:hi] for v in values])))))
-        fh.write("\n")
+    broken = next(filter(_BREAKS.search, map(str, ids)), None)
+    if broken is not None:
+        raise ValueError(f"clip id {broken!r} holds a tab or line break, which a scores file cannot hold")
+    rows = ("\t".join(row).encode() for lo in range(0, len(ids), SCORE_BLOCK)
+            for row in zip(ids[lo:lo + SCORE_BLOCK], float_rows([v[lo:lo + SCORE_BLOCK] for v in values])))
+    write_lines([path], [(chain(["\t".join(SCORE_COLUMNS).encode()], rows),)])
 
 
 def load_scores(path: str | os.PathLike, ranges: bool = False) -> dict:

@@ -27,12 +27,12 @@ the same as from one read in this process. A reader process that fails with
 no bad record in its range (out of memory, say) leads to one more read of
 that range, in this process.
 Lines are decoded by orjson wherever it gives exactly what ``json.loads``
-gives, and by ``json.loads`` elsewhere (see :func:`_loads`). They are written
-by :func:`write_jsonl`, one :func:`encode_line` per record: orjson wherever its
-bytes are ``json.dumps``'s, and ``json.dumps`` elsewhere. :func:`orjson_exact`
-tells, for a whole float array at once, where orjson writes ``repr``'s bytes;
-``gen`` uses it to skip ``encode_line``'s byte check on most clips, and
-:func:`float_rows` to write the scores table without a ``repr`` per value.
+gives, and by ``json.loads`` elsewhere (see :func:`_loads`). Every JSONL and
+TSV output is written by :func:`write_lines`, each JSONL line as
+:func:`encode_line` writes it: orjson wherever its bytes are ``json.dumps``'s,
+and ``json.dumps`` elsewhere. :func:`exact_rows` tells, for a block of records
+at once, which orjson writes alike with no byte check: ``gen``,
+``save_predictions`` and the scores table (:func:`float_rows`) use it.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import sys
 import tempfile
 import threading
 from collections.abc import Mapping, Sequence
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import ExitStack, contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, compress, islice, repeat
@@ -727,14 +727,32 @@ def orjson_exact(values: Any) -> np.ndarray:
     return (magnitude == 0) | ((magnitude >= 1e-4) & (magnitude < 1e16))
 
 
+def exact_rows(n: int, floats: Iterable[tuple[Any, Any]], ids: Iterable[tuple[Any, Sequence]]) -> np.ndarray:
+    """Which of ``n`` records ``orjson.dumps`` writes as :func:`encode_line` does, given
+    all their floats and ids: every float passes :func:`orjson_exact`, and every id is
+    a str, ASCII, with no DEL. Both come in ``(owners, values)`` groups: ``values[i]``
+    belongs to record ``owners[i]``, or to record ``i`` where ``owners`` is None."""
+    exact = np.ones(n, dtype=bool)
+    for owners, values in floats:
+        ok = orjson_exact(values).all(axis=tuple(range(1, np.ndim(values))))
+        exact[~ok if owners is None else owners[~ok]] = False
+    for owners, values in ids:
+        with suppress(TypeError):  # an id that is not a str is found one by one
+            if (text := "".join(values)).isascii() and "\x7f" not in text:
+                continue
+        ok = np.fromiter((isinstance(v, str) and v.isascii() and "\x7f" not in v for v in values), bool, len(values))
+        exact[~ok if owners is None else owners[~ok]] = False
+    return exact
+
+
 def float_rows(columns: Sequence) -> list[str]:
     """The rows of equal-length float columns, each as the ``repr`` of its
     values joined by tabs: one ``orjson.dumps`` of all rows, and ``repr``
-    in each row that holds a value :func:`orjson_exact` does not take."""
+    in each row that :func:`exact_rows` does not pass."""
     block = np.stack(columns, axis=1, dtype=np.float64)
     rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode("ascii")
     rows = rows.replace(",", "\t").split("]\t[")
-    for r in np.flatnonzero(~orjson_exact(block).all(axis=1)).tolist():
+    for r in np.flatnonzero(~exact_rows(len(block), [(None, block)], ())).tolist():
         rows[r] = "\t".join(map(repr, block[r].tolist()))
     return rows
 
@@ -755,10 +773,10 @@ def encode_line(record: Any) -> bytes:
       ``1e+16`` and ``1.5e-07``.
 
     The byte check costs about twice what ``orjson.dumps`` does on a
-    generated clip. A writer that knows its record holds only dicts, lists,
-    tuples, ASCII strings with no DEL, and Python floats that
-    :func:`orjson_exact` takes, may call ``orjson.dumps`` itself, as ``gen``
-    does.
+    generated clip. A writer whose records hold only dicts, lists, tuples,
+    known ASCII strings and the floats and ids it passes to
+    :func:`exact_rows` may call ``orjson.dumps`` itself for the records that
+    pass.
     """
     try:
         line = orjson.dumps(record)
@@ -771,15 +789,18 @@ def encode_line(record: Any) -> bytes:
     return json.dumps(record, separators=(",", ":"), allow_nan=False).encode("ascii")
 
 
-def write_jsonl(path: str | os.PathLike, records: Iterable[Any]) -> None:
-    """Write one :func:`encode_line` per record atomically, each line ending
-    in a newline (a file of one newline for no records)."""
-    with atomic_outputs(path) as (tmp,), open(tmp, "wb") as fh:
-        for i, record in enumerate(records):
-            if i:
+def write_lines(paths: Sequence[str | os.PathLike], blocks: Iterable[Sequence[Iterable[bytes]]]) -> None:
+    """Write ``blocks``, each one iterable of lines per path, to :func:`atomic_outputs`
+    temp files renamed onto ``paths``. Each line ends in a newline; a file that gets
+    no line is one newline. Lines are not joined first: that raised gen's peak by 2 MB."""
+    with atomic_outputs(*paths) as temps, ExitStack() as files:
+        handles = [files.enter_context(open(tmp, "wb")) for tmp in temps]
+        for block in blocks:
+            for fh, lines in zip(handles, block, strict=True):
+                fh.writelines(chain.from_iterable(zip(lines, repeat(b"\n"))))
+        for fh in handles:
+            if not fh.tell():
                 fh.write(b"\n")
-            fh.write(encode_line(record))
-        fh.write(b"\n")
 
 
 def clip_to_dict(clip: ClipRecord) -> dict:
@@ -1284,7 +1305,7 @@ def load_pool(path: str | os.PathLike, horizon: int | None = 6,
 
 
 def save_pool(clips: Sequence[ClipRecord], path: str | os.PathLike) -> None:
-    write_jsonl(path, map(clip_to_dict, clips))
+    write_lines([path], [(map(encode_line, map(clip_to_dict, clips)),)])
 
 
 def selection_to_dict(state: SelectionState) -> dict:

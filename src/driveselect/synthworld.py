@@ -44,6 +44,7 @@ import math
 import os
 from bisect import bisect_right
 from collections.abc import Mapping
+from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -76,14 +77,13 @@ from .pool import (
     _pair_numbers,
     _path_numbers,
     _unchecked,
-    atomic_outputs,
     clip_table,
     encode_line,
-    orjson_exact,
+    exact_rows,
     read_table,
     share_pool_ids,
     with_horizon,
-    write_jsonl,
+    write_lines,
 )
 
 FRAME_DT = 0.5        # seconds between frames (2 Hz keyframes)
@@ -435,7 +435,7 @@ def truth_to_dict(t: ClipTruth) -> dict:
 
 def save_truth(truth: Mapping[str, ClipTruth], path: str | os.PathLike) -> None:
     """Write the truth records in the mapping's order."""
-    write_jsonl(path, map(truth_to_dict, truth.values()))
+    write_lines([path], [(map(encode_line, map(truth_to_dict, truth.values())),)])
 
 
 # In column order: the id first, and a truth record's agents last.
@@ -487,51 +487,43 @@ def load_truth(path: str | os.PathLike, horizon: int | None = 6) -> TruthTable:
 GEN_CHUNK = 250  # clips per generation task; bounds gen's memory
 
 
-def _exact_clips(draws: list[tuple], horizon: int) -> np.ndarray:
-    """Whether ``orjson.dumps`` writes each clip's lines as :func:`encode_line`
-    does: every float of the clip passes :func:`orjson_exact`, and every id
-    of the chunk is ASCII with no DEL (weather, lighting and commands are
-    known values). Checked over the chunk's values at once."""
-    exact = orjson_exact(np.array([draw[3] for draw in draws]))
-    exact &= orjson_exact(np.array([draw[5] for draw in draws])).all(axis=(1, 2))
-    starts = np.fromiter(chain.from_iterable(chain.from_iterable(draw[7] for draw in draws)), float)
-    track_points = chain.from_iterable(chain.from_iterable(draw[8] for draw in draws))
-    tracks = np.fromiter(chain.from_iterable(track_points), float)
-    owners = np.repeat(np.arange(len(draws)), [len(draw[6]) for draw in draws])
-    agents = orjson_exact(starts).reshape(-1, 2).all(axis=1) & orjson_exact(tracks).reshape(-1, 2 * horizon).all(axis=1)
-    exact[owners[~agents]] = False
-    ids = "".join(chain((draw[0] for draw in draws), chain.from_iterable(draw[6] for draw in draws)))
-    return exact if ids.isascii() and "\x7f" not in ids else np.zeros_like(exact)
-
-
 def _encode_chunk(config: WorldConfig, bounds: tuple[int, int]) -> tuple[list[bytes], list[bytes]]:
     """The pool lines and the truth lines of clips ``bounds[0]`` to
     ``bounds[1] - 1``, as :func:`save_pool` and :func:`save_truth` write
-    them, built straight from the draws; as lists, since joining them raised
-    gen's peaks by about 2 MB. :class:`ClipRecord`'s rules are checked over
-    the chunk at once; a chunk that breaks one is drawn again as records,
-    whose first bad one raises. A clip that :func:`_exact_clips` passes is
-    encoded by orjson alone, any other by :func:`encode_line`."""
+    them, built straight from the draws. :class:`ClipRecord`'s rules are
+    checked over the chunk at once; a chunk that breaks one is drawn again
+    as records, whose first bad one raises. A clip that :func:`exact_rows`
+    passes is encoded by orjson alone, any other by :func:`encode_line`
+    (weather, lighting and commands are known ASCII values)."""
     draws = list(_draws(config, *bounds))
     if not all(draw[0] and draw[1] in WEATHER_VALUES and draw[2] in LIGHTING_VALUES and 0.0 <= draw[3] < math.inf
                and draw[4] and _COMMAND_SET.issuperset(draw[4]) and len(draw[5]) for draw in draws):
         _generate_clips(config, *bounds)
+    owners = np.repeat(np.arange(len(draws)), [len(draw[6]) for draw in draws])
+    start_values = chain.from_iterable(chain.from_iterable(draw[7] for draw in draws))
+    track_values = chain.from_iterable(chain.from_iterable(chain.from_iterable(draw[8] for draw in draws)))
+    exact = exact_rows(len(draws), [
+        (None, [draw[3] for draw in draws]), (None, np.array([draw[5] for draw in draws])),
+        (owners, np.fromiter(start_values, float).reshape(-1, 2)),
+        (owners, np.fromiter(track_values, float).reshape(-1, 2 * config.horizon)),
+    ], [(None, [draw[0] for draw in draws]), (owners, list(chain.from_iterable(draw[6] for draw in draws)))])
     pool_lines, truth_lines = [], []
-    for draw, exact in zip(draws, _exact_clips(draws, config.horizon).tolist()):
+    for draw, ok in zip(draws, exact.tolist()):
         clip_id, weather, lighting, v, commands, gt_future, agent_ids, starts, tracks = draw
-        encode = orjson.dumps if exact else encode_line
+        encode = orjson.dumps if ok else encode_line
         frames = [{"speed": v, "command": command} for command in commands]
         future = gt_future.tolist()
-        pool_lines.append(encode(
-            {"id": clip_id, "weather": weather, "lighting": lighting, "frames": frames, "gt_future": future}) + b"\n")
-        truth_lines.append(encode(_truth_dict(clip_id, future, agent_ids, starts, tracks)) + b"\n")
+        # Compact copies: keeping orjson's own buffers for a chunk raised a one-CPU 10k gen's RssAnon 1.3 MB.
+        pool_lines.append(bytes(memoryview(encode(
+            {"id": clip_id, "weather": weather, "lighting": lighting, "frames": frames, "gt_future": future}))))
+        truth_lines.append(bytes(memoryview(encode(_truth_dict(clip_id, future, agent_ids, starts, tracks)))))
     return pool_lines, truth_lines
 
 
 def generate_pool(config: WorldConfig, pool_path: str | os.PathLike, truth_path: str | os.PathLike) -> None:
-    """Generate and write the pool and truth files (byte-stable). Both are
-    written in full before either is renamed into place, so a failure leaves
-    neither.
+    """Generate and write the pool and truth files (byte-stable). Both temp
+    files are made before any child forks, and written in full before either
+    is renamed into place, so a failure leaves neither.
 
     Chunks of ``GEN_CHUNK`` clips are generated and encoded by one forked
     child per CPU it may run on, chunk ``j`` by child ``j`` modulo their
@@ -547,12 +539,13 @@ def generate_pool(config: WorldConfig, pool_path: str | os.PathLike, truth_path:
     workers = _fork_count(len(chunks))
     streams = [map(task, chunks[k::workers]) for k in range(workers)] if workers > 1 else []
     label = f"pool file {os.fspath(pool_path)} and truth file {os.fspath(truth_path)}: generator"
-    with atomic_outputs(pool_path, truth_path) as (pool_tmp, truth_tmp), _forked(label, streams) as receivers:
-        encoded = (receivers[j % workers]() for j in range(len(chunks))) if receivers else map(task, chunks)
-        with open(pool_tmp, "wb") as pool_fh, open(truth_tmp, "wb") as truth_fh:
-            for pool_lines, truth_lines in encoded:
-                pool_fh.writelines(pool_lines)
-                truth_fh.writelines(truth_lines)
+
+    def encoded() -> Iterator[tuple[list[bytes], list[bytes]]]:  # forks once write_lines has made the temp files
+        with _forked(label, streams) as receivers:
+            yield from (receivers[j % workers]() for j in range(len(chunks))) if receivers else map(task, chunks)
+
+    with closing(encoded()) as blocks:  # the children are reaped even when a write fails
+        write_lines([pool_path, truth_path], blocks)
 
 
 # ---------------------------------------------------------------------------

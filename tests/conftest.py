@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import operator
 import zlib
 from collections import namedtuple
@@ -169,6 +170,14 @@ class ConstantProvider:
             plan = tuple((float(t), 0.0) for t in range(1, len(clip.gt_future) + 1))
             horizonless[cid] = ClipPrediction(clip_id=cid, ego_plan=plan, agents=())
         return horizonless
+
+
+def pytest_collection_finish(session):
+    """Move what collection left alive (modules, strategies, module-level
+    worlds) out of the cyclic collector's reach, so that its full
+    collections, which walk every tracked object, skip them."""
+    gc.collect()
+    gc.freeze()
 
 
 @pytest.fixture

@@ -999,6 +999,15 @@ def world_3000(tmp_path_factory):
     return pool, truth
 
 
+@pytest.fixture(scope="module")
+def world_2000(tmp_path_factory):
+    """The 2000-clip world of seed 7, shared by the truth and ``score`` peak tests."""
+    directory = tmp_path_factory.mktemp("world_2000")
+    pool, truth = directory / "pool.jsonl", directory / "truth.jsonl"
+    generate_pool(WorldConfig(n_clips=2000, seed=7), pool, truth)
+    return pool, truth
+
+
 def retained_bytes(load, *args):
     """Bytes that ``load(*args)`` allocates and its result keeps."""
     tracemalloc.start()
@@ -1038,13 +1047,12 @@ class TestMemory:
         assert len(truth) == 3000
         assert retained / 3000 < 750
 
-    def test_load_truth_peak_near_the_table(self, tmp_path):
+    def test_load_truth_peak_near_the_table(self, world_2000):
         """A 2000-clip truth file read in one process peaks at 1.55 times
         the table it keeps (tracemalloc): each block is dropped once joined,
         and its values are checked in the block. Joining with every block
         alive, and then checking the table, peaked at 1.72 times."""
-        pool, truth = tmp_path / "pool.jsonl", tmp_path / "truth.jsonl"
-        generate_pool(WorldConfig(n_clips=2000, seed=7), pool, truth)
+        truth = world_2000[1]
         with mock.patch.object(pool_module, "READ_RANGE", 1 << 40):
             tracemalloc.start()
             try:
@@ -1056,7 +1064,7 @@ class TestMemory:
         assert len(table) == 2000
         assert peak <= 1.65 * kept, (peak, kept)
 
-    def test_score_holds_no_prediction_batch(self, tmp_path):
+    def test_score_holds_no_prediction_batch(self, tmp_path, world_2000):
         """``score`` of trained ToyPlanner predictions of a 2000-clip world,
         in one process, peaks less than a quarter of the batch that
         ``load_predictions`` keeps for the same file above what loading the
@@ -1065,8 +1073,7 @@ class TestMemory:
         above the 1.9 MB batch, so it is what the comparison starts from.
         Loading the batch whole and then scoring it peaked 2.5 MB above it;
         scoring block by block, 0.1 MB."""
-        pool, truth, preds, sel = (tmp_path / name for name in ("pool.jsonl", "truth.jsonl", "preds.jsonl", "sel.json"))
-        generate_pool(WorldConfig(n_clips=2000, seed=7), pool, truth)
+        (pool, truth), preds, sel = world_2000, tmp_path / "preds.jsonl", tmp_path / "sel.json"
         clips, state = load_pool(pool)
         planner = ToyPlanner(clips, load_truth(truth))
         planner.train(clips.ids[:200])
