@@ -31,7 +31,6 @@ from .diversity import (
 )
 from .loop import (
     ActiveConfig,
-    FilePredictionProvider,
     PredictionProvider,
     RunResult,
     random_init,

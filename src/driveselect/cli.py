@@ -80,28 +80,33 @@ def _fits(value, caster) -> bool:
     return type(value) is list and _NUMBER_TYPES.issuperset(map(type, value))
 
 
-def _coerce(key: str, value, schema: dict, *, from_file: bool = False):
-    """``value`` cast for ``key``: a config file value of the key's JSON type,
-    or a ``--set`` string."""
+def _coerce(key: str, value, schema: dict, *, path=None):
+    """``value`` cast for ``key``: a value of the key's JSON type from the
+    config file ``path``, or else a ``--set`` string."""
+    where = f" (config file {path})" if path else ""
     if key not in schema:
-        raise UsageError(f"unknown config key {key!r}; known keys: {sorted(schema)}")
+        raise UsageError(f"unknown config key {key!r}; known keys: {sorted(schema)}{where}")
     caster = schema[key]
-    if from_file and not _fits(value, caster):
+    if path and not _fits(value, caster):
         expected = {int: "a JSON integer", float: "a JSON number", str: "a JSON string"}
         raise UsageError(
-            f"config key {key!r} must be {expected.get(caster, 'a list of JSON numbers')}, got {json.dumps(value)}"
+            f"config key {key!r} must be {expected.get(caster, 'a list of JSON numbers')}, "
+            f"got {json.dumps(value)}{where}"
         )
     try:
-        if not from_file and caster not in (int, float, str):
+        if not path and caster not in (int, float, str):
             value = json.loads(value)
         return caster(value)
     except (ValueError, TypeError, OverflowError, json.JSONDecodeError) as exc:
-        raise UsageError(f"config key {key!r}: cannot parse {value!r}: {exc}") from exc
+        raise UsageError(f"config key {key!r}: cannot parse {value!r}: {exc}{where}") from exc
 
 
-def _load_config_dict(args, schema: dict) -> dict:
-    resolved: dict = {}
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
+def _build_config(make, args, schema: dict, **flags):
+    """``make(**settings)``: the config file's keys, then ``--set``'s, then the
+    given flags that are not None. A ValueError whose first word is a key that
+    the file set names the file."""
+    values: dict = {}
+    path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             try:
@@ -110,12 +115,20 @@ def _load_config_dict(args, schema: dict) -> dict:
                 raise UsageError(f"config file {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise UsageError(f"config file {path}: expected a JSON object")
-        for key, value in raw.items():
-            resolved[key] = _coerce(key, value, schema, from_file=True)
-    for item in getattr(args, "set", None) or []:
+        values = {key: _coerce(key, value, schema, path=path) for key, value in raw.items()}
+    from_file = set(values)
+    for item in args.set or []:
         key, value = _parse_override(item)
-        resolved[key] = _coerce(key, value, schema)
-    return resolved
+        values[key] = _coerce(key, value, schema)
+        from_file.discard(key)
+    flags = {key: value for key, value in flags.items() if value is not None}
+    from_file -= flags.keys()
+    try:
+        return make(**values | flags)
+    except ValueError as exc:
+        if str(exc).split(" ", 1)[0] in from_file:
+            raise ValueError(f"{exc} (config file {path})") from exc
+        raise
 
 
 def _warn_constant(where: str, criteria: typing.Sequence[str], n_scored: int) -> None:
@@ -131,13 +144,15 @@ def _echo_config(config: dict) -> None:
 
 
 def _active_config(args, n_pool: int) -> ActiveConfig:
-    values = _load_config_dict(args, ACTIVE_KEYS)
-    if getattr(args, "seed", None) is not None:
-        values["seed"] = args.seed
-    schedule = ("budget", "n_init", "n_rounds", "n_per_round")
-    if not set(schedule) <= set(values):
-        values = dict(zip(schedule, derive_schedule(n_pool))) | values
-    return ActiveConfig(**values)
+    def make(**values) -> ActiveConfig:
+        schedule = ("budget", "n_init", "n_rounds", "n_per_round")
+        if not set(schedule) <= set(values):
+            values = dict(zip(schedule, derive_schedule(n_pool))) | values
+        config = ActiveConfig(**values)
+        config.validate_for_pool(n_pool)
+        return config
+
+    return _build_config(make, args, ACTIVE_KEYS, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +161,12 @@ def _active_config(args, n_pool: int) -> ActiveConfig:
 
 
 def cmd_gen(args) -> int:
-    values = _load_config_dict(args, WORLD_KEYS)
-    if args.n is not None:
-        values["n_clips"] = args.n
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if "n_clips" not in values:
-        raise UsageError("gen needs --n or a config with n_clips")
-    config = WorldConfig(**values)
+    def make(**values) -> WorldConfig:
+        if "n_clips" not in values:
+            raise UsageError("gen needs --n or a config with n_clips")
+        return WorldConfig(**values)
+
+    config = _build_config(make, args, WORLD_KEYS, n_clips=args.n, seed=args.seed)
     _echo_config(dataclasses.asdict(config))
     generate_pool(config, args.pool, args.truth)
     print(f"wrote {args.pool} and {args.truth} ({config.n_clips} clips)")
@@ -290,9 +303,9 @@ def cmd_run(args) -> int:
         raise ValueError(f"--heldout-count must be less than the {len(clips)} pool clips, got {args.heldout_count}")
     truth = load_truth(args.truth, horizon=clips.horizon)
     share_pool(truth, clips)
-    missing = next((clip_id for clip_id in clips.ids if clip_id not in truth), None)
-    if missing is not None:
-        raise PoolFormatError(f"truth file {args.truth}: no record for clip {missing!r}")
+    missing = truth.find_rows(clips.ids) < 0
+    if missing.any():
+        raise PoolFormatError(f"truth file {args.truth}: no record for clip {clips.ids[missing.argmax()]!r}")
     split = len(clips) - args.heldout_count
     pool_clips, heldout_clips = clips[:split], clips[split:]
     config = _active_config(args, len(pool_clips))
@@ -327,11 +340,17 @@ def cmd_report(args) -> int:
         name = Path(path).parent.name or Path(path).stem
         if name in manifests:
             name = f"{name}:{len(manifests)}"
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        if not isinstance(manifest, dict) or "config" not in manifest or "rounds" not in manifest:
-            print(f"error: {path} does not look like a run manifest", file=sys.stderr)
-            return 1
+        try:  # Rendered as emit_report renders it, so that a bad manifest fails before the out dir exists.
+            with open(path, "r", encoding="utf-8") as fh:
+                manifest = json.load(fh)
+            if not isinstance(manifest, dict):
+                raise TypeError("expected a JSON object")
+            json.dumps(report.render_structured({name: manifest}), allow_nan=False)
+            report.render_delimited({name: manifest})
+        except KeyError as exc:
+            raise PoolFormatError(f"manifest file {path}: missing field {exc.args[0]!r}") from None
+        except (TypeError, ValueError, AttributeError, IndexError) as exc:
+            raise PoolFormatError(f"manifest file {path}: {exc}") from None
         manifests[name] = manifest
 
     # A stem that several files share is labelled with its directory.

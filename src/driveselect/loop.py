@@ -1,14 +1,15 @@
 """Budgeted selection loop: initialization plus train/predict/score/select rounds.
 
 The loop is model-agnostic: anything satisfying :class:`PredictionProvider`
-can drive it, from the bundled synthetic planner to a file-backed replay of
-an externally trained model's predictions. A random-selection comparator runs
-the same schedule without scoring.
+can drive it, such as the bundled synthetic planner. An externally trained
+model's per-round prediction files are replayed through the CLI instead:
+``init``, then ``score --predictions predictions_round_<k>.jsonl`` and
+``select`` for each round, between the model's retraining. A random-selection
+comparator runs the same schedule without scoring.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence
 
@@ -16,11 +17,9 @@ import numpy as np
 
 from .criteria import (
     ClipPrediction,
-    PredictionBatch,
     _top,
     check_score_settings,
     constant_criteria,
-    load_predictions,
     score_pool,
 )
 from .diversity import StratumAllocation, ego_diversity_init
@@ -89,34 +88,6 @@ class PredictionProvider(Protocol):
     def train(self, labeled_ids: Sequence[str]) -> None: ...
 
     def predict(self, ids: Sequence[str]) -> Mapping[str, ClipPrediction]: ...
-
-
-class FilePredictionProvider:
-    """Replays per-round prediction files written by an external model.
-
-    The k-th call to :meth:`train` selects ``predictions_round_<k>.jsonl``
-    in the given directory; :meth:`predict` then serves from that file.
-    """
-
-    PATTERN = "predictions_round_{round}.jsonl"
-
-    def __init__(self, directory: str | os.PathLike):
-        self.directory = os.fspath(directory)
-        self.round_index = 0
-        self.trained_ids: tuple[str, ...] = ()
-
-    def train(self, labeled_ids: Sequence[str]) -> None:
-        self.round_index += 1
-        self.trained_ids = tuple(labeled_ids)
-
-    def predict(self, ids: Sequence[str]) -> PredictionBatch:
-        path = os.path.join(self.directory, self.PATTERN.format(round=self.round_index))
-        # The file's own horizon; score_pool checks it against the clips.
-        available = load_predictions(path, horizon=None)
-        for clip_id in ids:
-            if clip_id not in available:
-                raise KeyError(f"missing prediction for clip {clip_id!r} in {path}")
-        return available.take(ids)
 
 
 def random_init(clips: ClipTable | Sequence[ClipRecord], n_init: int, seed: int) -> list[str]:
@@ -272,7 +243,6 @@ def derive_schedule(n_pool: int, fraction: float = 0.10, n_rounds: int = 2) -> t
 __all__ = [
     "ActiveConfig",
     "CRITERIA",
-    "FilePredictionProvider",
     "PredictionProvider",
     "RoundTrace",
     "RunResult",

@@ -553,6 +553,42 @@ class TestConfigFileTypes:
         assert f"usage error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"alpha": -1}, "error: alpha must be in [0, 1e+06], got -1.0"),
+            ({"alhpa": 1}, "usage error: unknown config key 'alhpa'; known keys: ["),
+            ({"budget": 300, "n_init": 100, "n_rounds": 2, "n_per_round": 100},
+             "error: budget 300 exceeds pool size 120"),
+        ],
+        ids=["value", "unknown-key", "budget"],
+    )
+    def test_run_error_names_config_file(self, world, tmp_path, capsys, config, message):
+        pool, truth = world
+        path, out = tmp_path / "c.json", tmp_path / "out"
+        path.write_text(json.dumps(config))
+        assert run_cli("run", "--pool", pool, "--truth", truth, "--out-dir", out, "--config", path) != 0
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.endswith(f" (config file {path})\n")
+        assert not out.exists()
+
+    def test_gen_error_names_config_file(self, tmp_path, capsys):
+        path, pool, truth = tmp_path / "w.json", tmp_path / "pool.jsonl", tmp_path / "truth.jsonl"
+        path.write_text(json.dumps({"n_clips": 10, "horizon": 0}))
+        assert run_cli("gen", "--config", path, "--pool", pool, "--truth", truth) == 1
+        assert capsys.readouterr().err == f"error: horizon must be >= 1, got 0 (config file {path})\n"
+        assert not pool.exists() and not truth.exists()
+
+    def test_set_and_flag_errors_name_no_file(self, world, tmp_path, capsys):
+        """A bad value from --set or a flag overrides the file's, and the error does not name the file."""
+        pool, truth = world
+        path, out = tmp_path / "c.json", tmp_path / "out"
+        path.write_text(json.dumps({"alpha": 1, "seed": 3}))
+        for flags in (["--set", "alpha=-1"], ["--seed", "-1"]):
+            assert run_cli("run", "--pool", pool, "--truth", truth, "--out-dir", out, "--config", path, *flags) == 1
+            assert "config file" not in capsys.readouterr().err
+        assert not out.exists()
+
     def test_file_numbers_and_set_strings_still_parse(self, world, tmp_path):
         """An integer may fill a float key, and --set strings are parsed as before."""
         pool, truth = world
@@ -795,6 +831,39 @@ class TestReport:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"not": "a manifest"}))
         assert run_cli("report", "--manifest", bad, "--out-dir", tmp_path / "rep") == 1
+
+    @pytest.mark.parametrize(
+        "manifest, field",
+        [
+            ({"config": {}, "rounds": []}, "pool"),
+            ({"config": {}, "pool": {}, "init": {"mode": "random", "ids": []}, "rounds": [{"round": 1}]}, "ids"),
+        ],
+        ids=["no-pool", "round-without-ids"],
+    )
+    def test_missing_field_names_file_and_field(self, tmp_path, capsys, manifest, field):
+        path, out = tmp_path / "m.json", tmp_path / "out"
+        path.write_text(json.dumps(manifest))
+        assert run_cli("report", "--manifest", path, "--out-dir", out) == 1
+        assert capsys.readouterr().err == f"error: manifest file {path}: missing field {field!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("[]", "expected a JSON object"),
+            ('{"config": {}, "pool": {}, "init": {"mode": "random", "ids": []}, "rounds": [], "heldout": [1]}',
+             "'list' object has no attribute 'get'"),
+            ('{"config": {"alpha": NaN}, "pool": {}, "init": {"mode": "random", "ids": []}, "rounds": []}',
+             "Out of range float values are not JSON compliant"),
+        ],
+        ids=["not-an-object", "wrong-type", "nan"],
+    )
+    def test_bad_manifest_names_file(self, tmp_path, capsys, text, problem):
+        path, out = tmp_path / "m.json", tmp_path / "out"
+        path.write_text(text)
+        assert run_cli("report", "--manifest", path, "--out-dir", out) == 1
+        assert capsys.readouterr().err.startswith(f"error: manifest file {path}: {problem}")
+        assert not out.exists()
 
     def test_no_inputs_is_usage_error(self, tmp_path):
         assert run_cli("report", "--out-dir", tmp_path / "rep") == 2

@@ -6,17 +6,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from driveselect.cli import main
 from driveselect.criteria import save_predictions, score_pool
 from driveselect.loop import (
     ActiveConfig,
-    FilePredictionProvider,
     RoundTrace,
     derive_schedule,
     random_init,
     run,
     run_round,
 )
-from driveselect.pool import SelectionState, clip_table, selection_to_dict
+from driveselect.pool import SelectionState, clip_table, load_selection, save_pool, save_selection, selection_to_dict
 from driveselect.synthworld import ToyPlanner, WorldConfig, generate_world
 
 from conftest import ConstantProvider, HashPlanProvider, make_clip, random_clip, score_rows
@@ -324,27 +324,47 @@ class TestRun:
 
 
 class TestFileProvider:
-    def test_reads_per_round_files(self, tmp_path, rng):
-        clips = small_pool(rng, 6)
-        provider = HashPlanProvider(clips)
-        for k in (1, 2):
-            preds = provider.predict([c.id for c in clips])
-            save_predictions(preds.values(), tmp_path / f"predictions_round_{k}.jsonl")
-        file_provider = FilePredictionProvider(tmp_path)
-        cfg = ActiveConfig(budget=6, n_init=2, n_rounds=2, n_per_round=2, init_mode="random")
-        result_files = run(clips, file_provider, cfg)
-        result_direct = run(clips, HashPlanProvider(clips), cfg)
-        assert selection_to_dict(result_files.state) == selection_to_dict(result_direct.state)
+    """A model's per-round prediction files replay through the CLI: init once,
+    then score and select for each round, between the model's retraining."""
 
-    def test_missing_id_is_named(self, tmp_path, rng):
-        clips = small_pool(rng, 4)
-        provider = HashPlanProvider(clips)
-        preds = provider.predict([c.id for c in clips[:2]])
-        save_predictions(preds.values(), tmp_path / "predictions_round_1.jsonl")
-        file_provider = FilePredictionProvider(tmp_path)
-        file_provider.train([])
-        with pytest.raises(KeyError, match=clips[2].id):
-            file_provider.predict([c.id for c in clips])
+    @staticmethod
+    def _init(clips, tmp_path, n0, seed=0):
+        pool, selection = tmp_path / "pool.jsonl", tmp_path / "selection.json"
+        save_pool(clips, pool)
+        assert main(["init", "--pool", str(pool), "--mode", "random", "--n0", str(n0), "--seed", str(seed),
+                     "--out", str(selection)]) == 0
+        return pool, selection
+
+    def test_reads_per_round_files(self, tmp_path, rng):
+        clips = small_pool(rng, 12)
+        cfg = ActiveConfig(budget=8, n_init=2, n_rounds=2, n_per_round=3, seed=int(rng.integers(0, 999)),
+                           init_mode="random")
+        pool, selection = self._init(clips, tmp_path, cfg.n_init, cfg.seed)
+        model = HashPlanProvider(clips)
+        for k in range(1, cfg.n_rounds + 1):
+            state = load_selection(selection, clip_table(clips))
+            model.train(state.labeled_ids)
+            predictions = tmp_path / f"predictions_round_{k}.jsonl"
+            save_predictions(model.predict(state.unlabeled_ids).values(), predictions)
+            scores = tmp_path / f"scores_{k}.tsv"
+            assert main(["score", "--pool", str(pool), "--selection", str(selection),
+                         "--predictions", str(predictions), "--out", str(scores)]) == 0
+            assert main(["select", "--scores", str(scores), "--selection", str(selection),
+                         "--n-itr", str(cfg.n_per_round)]) == 0
+        direct = tmp_path / "direct.json"
+        save_selection(run(clips, HashPlanProvider(clips), cfg).state, direct)
+        assert selection.read_bytes() == direct.read_bytes()
+
+    def test_missing_id_is_named(self, tmp_path, rng, capsys):
+        clips = small_pool(rng, 6)
+        pool, selection = self._init(clips, tmp_path, 2)
+        unlabeled = load_selection(selection, clip_table(clips)).unlabeled_ids
+        predictions, scores = tmp_path / "predictions_round_1.jsonl", tmp_path / "scores.tsv"
+        save_predictions(HashPlanProvider(clips).predict(unlabeled[:2] + unlabeled[3:]).values(), predictions)
+        assert main(["score", "--pool", str(pool), "--selection", str(selection),
+                     "--predictions", str(predictions), "--out", str(scores)]) == 1
+        assert f"error: missing prediction for clip {unlabeled[2]!r}\n" in capsys.readouterr().err
+        assert not scores.exists()
 
 
 class TestManualPipelineEquivalence:
